@@ -28,6 +28,7 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
 
   for (std::size_t idx = 0; idx < out.active.size(); ++idx) {
     const std::size_t t = out.active[idx];
+    std::size_t start = 3;  // cancel column unless a placement fits whole
     for (std::size_t l = 0; l < 3; ++l) {
       const Placement pl = mec::kAllPlacements[l];
       const double latency = instance.latency(t, pl);
@@ -35,9 +36,16 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
           latency <= 0.0
               ? 1.0
               : std::min(1.0, instance.task(t).deadline_s / latency);
-      out.problem.add_variable(instance.energy(t, pl), 0.0, ub);
+      const double cost = instance.energy(t, pl);
+      out.problem.add_variable(cost, 0.0, ub);
+      if (ub >= 1.0 &&
+          (start == 3 || cost < out.problem.cost(out.column(idx, start)))) {
+        start = l;
+      }
     }
     const std::size_t cancel = out.problem.add_variable(out.cancel_penalty, 0.0, 1.0);
+    out.crash.resize(out.problem.num_variables(), 0.0);
+    out.crash[out.column(idx, start)] = 1.0;
     out.problem.add_constraint({{out.column(idx, 0), 1.0},
                                 {out.column(idx, 1), 1.0},
                                 {out.column(idx, 2), 1.0},

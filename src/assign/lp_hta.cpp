@@ -79,12 +79,18 @@ lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
   return s;
 }
 
-lp::Solution solve_relaxation(const lp::Problem& p,
-                              const LpHtaOptions& options,
-                              const std::vector<double>* guess = nullptr) {
+// Whether Step 1 starts from ClusterLp::crash. Presolve and equilibration
+// reindex / rescale the variable space the crash point lives in, and the
+// IPM takes no start point, so only the plain simplex path uses it.
+bool crash_started(const LpHtaOptions& options) {
+  return options.engine == LpEngine::kSimplex && !options.presolve &&
+         !options.equilibrate;
+}
+
+lp::Solution solve_relaxation(const ClusterLp& cluster,
+                              const LpHtaOptions& options) {
+  const lp::Problem& p = cluster.problem;
   // Optional hygiene layers; both are objective-preserving transforms.
-  // They also reindex / rescale the variable space, so the warm guess is
-  // only forwarded on the plain path.
   if (options.presolve) {
     const lp::Presolved pre = lp::presolve(p);
     if (pre.infeasible()) {
@@ -101,26 +107,8 @@ lp::Solution solve_relaxation(const lp::Problem& p,
     const lp::ScaledProblem sp = lp::equilibrate(p);
     return sp.unscale(solve_exact(sp.problem(), options), p);
   }
-  return solve_exact(p, options, guess);
-}
-
-// Translates a hinted assignment into a 0/1 point over the cluster LP's
-// columns (4 per active task). Tasks the hint cancels (or doesn't cover)
-// put their unit on the cancel-slack column.
-std::vector<double> build_warm_guess(const std::vector<std::size_t>& active,
-                                     const Assignment& hint) {
-  std::vector<double> guess(active.size() * 4, 0.0);
-  for (std::size_t idx = 0; idx < active.size(); ++idx) {
-    const std::size_t t = active[idx];
-    std::size_t col = 3;  // cancel slack
-    if (t < hint.decisions.size()) {
-      for (std::size_t l = 0; l < 3; ++l) {
-        if (hint.decisions[t] == to_decision(kPlacements[l])) col = l;
-      }
-    }
-    guess[column(idx, col)] = 1.0;
-  }
-  return guess;
+  return solve_exact(p, options,
+                     crash_started(options) ? &cluster.crash : nullptr);
 }
 
 // Everything one cluster contributes: its tasks' decisions plus its share
@@ -173,21 +161,13 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   }
   const lp::Problem& p = cluster.problem;
 
-  std::vector<double> warm_guess;
-  const std::vector<double>* guess = nullptr;
-  if (options.warm_hint != nullptr && options.engine == LpEngine::kSimplex &&
-      !options.presolve && !options.equilibrate) {
-    warm_guess = build_warm_guess(active, *options.warm_hint);
-    guess = &warm_guess;
-  }
-
   lp::Solution relax;
   {
     // Step 1 — the paper's "solve the relaxation" phase. The nested
     // lp.presolve / lp.simplex.solve / lp.ipm.solve spans decompose it.
     const obs::ScopedTimer relax_span("lp_hta.relax", "assign",
                                       cluster_args(b));
-    relax = solve_relaxation(p, options, guess);
+    relax = solve_relaxation(cluster, options);
   }
   out.lp_iterations = relax.iterations;
   out.deadline_degraded = relax.status == lp::SolveStatus::kDeadline;
@@ -365,7 +345,7 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
     r.deadline_residual_ms =
         obs::FlightRecorder::residual_ms(options_.cancel.deadline());
     r.deadline_hit = degraded;
-    r.warm_start = options_.warm_hint != nullptr;
+    r.warm_start = crash_started(options_);
     r.chaos_hits = chaos::local_injections() - chaos_before;
     r.audit = audit_verdict;
     flight.record(std::move(r));
@@ -378,18 +358,18 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
   std::vector<ClusterOutcome> outcomes(clusters);
   try {
     if (options_.parallel_clusters && clusters > 1) {
-      std::vector<std::future<ClusterOutcome>> futures;
+      std::vector<std::future<void>> futures;
       futures.reserve(clusters);
       for (std::size_t b = 0; b < clusters; ++b) {
-        futures.push_back(std::async(std::launch::async, [&, b] {
-          return solve_cluster(instance, b, options_);
+        if (instance.cluster_tasks(b).empty()) continue;
+        futures.emplace_back(std::async(std::launch::async, [&, b] {
+          outcomes[b] = solve_cluster(instance, b, options_);
         }));
       }
-      for (std::size_t b = 0; b < clusters; ++b) {
-        outcomes[b] = futures[b].get();
-      }
+      for (std::future<void>& f : futures) f.get();
     } else {
       for (std::size_t b = 0; b < clusters; ++b) {
+        if (instance.cluster_tasks(b).empty()) continue;
         outcomes[b] = solve_cluster(instance, b, options_);
       }
     }

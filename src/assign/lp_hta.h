@@ -1,7 +1,8 @@
 // LP-HTA — the paper's primary contribution (Sec. III.A).
 //
 // Per cluster:
-//   Step 1  solve the LP relaxation P2 (simplex by default; the
+//   Step 1  solve the LP relaxation P2 (simplex by default, started from
+//           each task's cheapest whole placement — see cluster_lp.h; the
 //           interior-point engine the paper cites is selectable),
 //   Step 2  reshape ξ into the fractional matrix X[i,j,l],
 //   Step 3  round each task to argmax_l X[i,j,l],
@@ -47,15 +48,6 @@ struct LpHtaOptions {
   // ("not optimal (iteration-limit)") — callers that must never abort wrap
   // LP-HTA in a control::FallbackChain.
   std::size_t max_lp_iterations = 0;
-  // Optional warm-start hint: a previously computed assignment for a
-  // *similar* instance (e.g. the adjacent sweep cell, via
-  // exec::InstanceCache). Each cluster LP starts from the hinted 0/1 point
-  // instead of the all-artificial basis, typically cutting phase-1 pivots.
-  // Objective-preserving (the LP optimum is unchanged) but pivot-path-
-  // sensitive; only consulted on the plain simplex path (engine ==
-  // kSimplex, presolve/equilibrate off — those transforms change the
-  // variable space). Not owned; must outlive the assign() call.
-  const Assignment* warm_hint = nullptr;
   // Sparse-kernel dispatch, forwarded to both LP engines (see
   // lp/sparse_matrix.h). The cluster LPs are block-structured and very
   // sparse — 4 columns per task touching at most 3 rows each — so large

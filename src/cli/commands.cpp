@@ -33,11 +33,10 @@
 #include "control/fallback.h"
 #include "control/resilient.h"
 #include "dta/pipeline.h"
-#include "exec/instance_cache.h"
+#include "exec/fingerprint.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "io/codec.h"
-#include "lp/sparse_cholesky.h"
 #include "mec/cost_breakdown.h"
 #include "io/shared_codec.h"
 #include "io/trace_codec.h"
@@ -243,8 +242,7 @@ std::string usage() {
       "|number]\n"
       "            [--scheduler lp-hta|greedy] [--out result.json]\n"
       "  sweep     [--grid fig2a|fig2b|fig4a|fig4b|smoke] [--reps N]\n"
-      "            [--seed S] [--cache-capacity N] [--warm-start]\n"
-      "            [--csv] [--out series.csv] [--list]\n"
+      "            [--seed S] [--csv] [--out series.csv] [--list]\n"
       "  chaos     [--cells N] [--tasks N] [--devices N] [--stations N]\n"
       "            [--seed S] [--stall-prob P] [--nan-prob P]\n"
       "            [--cancel-prob P] [--error-prob P] [--csv]\n"
@@ -255,7 +253,6 @@ std::string usage() {
       "  serve     [--replay workload.json | generator knobs as above]\n"
       "            [--epoch-s E] [--batch-max N] [--shards N] [--max-queue N]\n"
       "            [--max-attempts K] [--epoch-budget-ms MS]\n"
-      "            [--cache-capacity N] [--no-warm-start]\n"
       "            [--decisions-out log.csv] [--out result.json]\n"
       "            (online sharded scheduling daemon; see docs/serve.md)\n"
       "  report    --flight records.jsonl [--metrics out.prom] [--top N]\n"
@@ -657,8 +654,7 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
 }
 
 int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
-  ArgParser args({"grid", "reps", "seed", "cache-capacity", "out"},
-                 {"warm-start", "csv", "list"});
+  ArgParser args({"grid", "reps", "seed", "out"}, {"csv", "list"});
   args.parse(tokens);
 
   if (args.get_switch("list")) {
@@ -678,16 +674,8 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
   const std::size_t reps = args.get_count("reps", 3);
   MECSCHED_REQUIRE(reps > 0, "--reps must be positive");
 
-  exec::InstanceCache cache(args.get_count("cache-capacity", 128));
-  // The LP layer keeps its own pattern-keyed cache of symbolic Cholesky
-  // analyses (lp/sparse_cholesky.h); size it alongside the plan cache so
-  // every distinct constraint shape in the sweep keeps its ordering warm.
-  lp::SymbolicFactorCache::global().set_capacity(
-      args.get_count("cache-capacity", 128));
   exec::SweepOptions sweep_opts;
   sweep_opts.master_seed = args.get_count("seed", 1);
-  sweep_opts.cache = &cache;
-  sweep_opts.warm_start = args.get_switch("warm-start");
 
   std::vector<std::unique_ptr<assign::Assigner>> algorithms;
   algorithms.push_back(std::make_unique<assign::LpHta>());
@@ -699,10 +687,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
   for (const auto& a : algorithms) names.push_back(a->name());
 
   // One cell per (x, repetition); each runs every algorithm on the cell's
-  // scenario. Exact cache hits replace a solve with the identical stored
-  // plan; with --warm-start, LP-HTA additionally seeds its simplex from
-  // the most recent LP-HTA plan (objective-preserving, pivot-path-
-  // sensitive — see docs/parallelism.md).
+  // scenario.
   metrics::SeriesCollector series(grid->x_label, names);
   using CellResult = std::vector<std::pair<std::string, double>>;
   exec::SweepRunner runner(sweep_opts);
@@ -713,31 +698,12 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
         const workload::Scenario scenario =
             workload::make_scenario(grid->config_at(x, rep));
         const assign::HtaInstance instance(scenario.topology, scenario.tasks);
-        const std::uint64_t fp = exec::fingerprint(instance);
         CellResult cell;
         cell.reserve(algorithms.size());
         for (const auto& algorithm : algorithms) {
-          const std::string name = algorithm->name();
-          const std::uint64_t key = exec::mix(fp, exec::hash_string(name));
-          assign::Assignment plan;
-          if (const auto hit = ctx.cache()->find(key)) {
-            plan = *hit;
-          } else {
-            if (ctx.warm_start() && name == "LP-HTA") {
-              const std::uint64_t family = exec::hash_string(name);
-              const auto hint = ctx.cache()->warm_hint(family);
-              assign::LpHtaOptions lp_opts;
-              lp_opts.warm_hint = hint.get();
-              plan = assign::LpHta(lp_opts).assign(instance);
-              ctx.cache()->store_warm(
-                  family, std::make_shared<const assign::Assignment>(plan));
-            } else {
-              plan = algorithm->assign(instance);
-            }
-            ctx.cache()->insert(key, plan);
-          }
-          cell.emplace_back(name,
-                            grid->metric(assign::evaluate(instance, plan)));
+          cell.emplace_back(algorithm->name(),
+                            grid->metric(assign::evaluate(
+                                instance, algorithm->assign(instance))));
         }
         return cell;
       });
@@ -758,9 +724,6 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
     out << grid->metric_label << " (" << grid->name << ", jobs="
         << runner.jobs() << "):\n"
         << series.to_table(3);
-    const exec::CacheStats cs = cache.stats();
-    out << "cache: " << cs.hits << " hits, " << cs.misses << " misses, "
-        << cs.evictions << " evictions\n";
   }
   return 0;
 }
@@ -911,9 +874,8 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   ArgParser args({"replay", "devices", "stations", "seed", "epochs", "rate",
                   "join-rate", "leave-rate", "migrate-rate", "max-input-kb",
                   "epoch-s", "batch-max", "shards", "max-queue",
-                  "max-attempts", "epoch-budget-ms", "cache-capacity",
-                  "decisions-out", "out"},
-                 {"no-warm-start"});
+                  "max-attempts", "epoch-budget-ms", "decisions-out", "out"},
+                 {});
   args.parse(tokens);
 
   // --epoch-s is both the batching window and (generator path) the trace's
@@ -946,12 +908,6 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   if (args.has("epoch-budget-ms")) {
     opts.epoch_budget_ms = args.get_positive_num("epoch-budget-ms", 0.0);
   }
-  opts.cache_capacity =
-      args.get_count("cache-capacity", opts.cache_capacity);
-  opts.warm_start = !args.get_switch("no-warm-start");
-  // Size the LP layer's symbolic-factor cache alongside the plan cache,
-  // as the sweep runner does: shard shapes recur every epoch.
-  lp::SymbolicFactorCache::global().set_capacity(opts.cache_capacity);
 
   serve::DecisionLog log;
   // Ctrl-C / SIGTERM stop the loop at the next epoch boundary; the normal
@@ -985,7 +941,6 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   o["epochs"] = r.epochs;
   o["decide_epochs"] = r.decide_epochs;
   o["shard_solves"] = r.shard_solves;
-  o["cache_hits"] = r.cache_hits;
   o["total_energy_j"] = r.total_energy_j;
   o["makespan_s"] = r.makespan_s;
   o["virtual_now_s"] = r.virtual_now_s;

@@ -15,10 +15,6 @@
 //     the join, so merged counters/histograms are schedule-independent.
 //     (Metrics the solvers write straight into the global registry remain
 //     thread-safe but accumulate in completion order.)
-//
-// The optional InstanceCache memoizes exact solves (hit == what a fresh
-// solve returns, so caching never perturbs results) and, with warm_start,
-// passes adjacent-cell solutions to LP-HTA as LP warm hints.
 #pragma once
 
 #include <chrono>
@@ -33,7 +29,6 @@
 
 #include "common/deadline.h"
 #include "common/rng.h"
-#include "exec/instance_cache.h"
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -47,10 +42,6 @@ struct SweepOptions {
   std::size_t jobs = 0;
   // Root of the per-cell RNG substreams (CellContext::rng()).
   std::uint64_t master_seed = 1;
-  // Optional shared memoization; see instance_cache.h. Not owned.
-  InstanceCache* cache = nullptr;
-  // Allow cross-cell warm hints (objective-preserving; see docs).
-  bool warm_start = false;
   // Whole-sweep wall-clock deadline (unlimited by default). The runner
   // never kills a cell; cells opt in by passing CellContext::cancel() into
   // budget-aware assigners/solvers, which then degrade via their anytime
@@ -79,9 +70,6 @@ class CellContext {
 
   // Private metric shard, merged into the global registry in grid order.
   obs::Registry& registry() { return *shard_; }
-
-  InstanceCache* cache() const { return options_->cache; }
-  bool warm_start() const { return options_->warm_start; }
 
   // The sweep-wide budget, as a deadline and as a ready-made token for
   // budget-aware assigners (see SweepOptions::deadline).

@@ -148,7 +148,7 @@ SparseMatrix SparseMatrix::transposed() const {
 namespace {
 
 // splitmix64 finalizer: the project's standard bit mixer (common/rng.cpp,
-// exec/instance_cache.cpp use the same constants).
+// exec/fingerprint.cpp use the same constants).
 std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h ^= h >> 30;

@@ -215,8 +215,7 @@ std::string to_flight_jsonl(const FlightRecorder& recorder) {
        << ",\"iterations\":" << r.iterations << ",\"deadline_residual_ms\":"
        << json_num_or_null(r.deadline_residual_ms) << ",\"deadline_hit\":"
        << (r.deadline_hit ? "true" : "false") << ",\"warm_start\":"
-       << (r.warm_start ? "true" : "false") << ",\"cache_hit\":"
-       << (r.cache_hit ? "true" : "false") << ",\"chaos_hits\":"
+       << (r.warm_start ? "true" : "false") << ",\"chaos_hits\":"
        << r.chaos_hits << ",\"audit\":\"" << json_escape(r.audit) << "\"}\n";
   }
   return os.str();

@@ -51,7 +51,6 @@ struct SolveRecord {
   double deadline_residual_ms = std::numeric_limits<double>::quiet_NaN();
   bool deadline_hit = false;  // ended via the kDeadline anytime path
   bool warm_start = false;
-  bool cache_hit = false;
   std::uint64_t chaos_hits = 0;  // chaos::local_injections() delta
   // Audit verdict: "" (not audited at this site), "ok", or the
   // AuditError message.

@@ -5,14 +5,12 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "assign/hta_instance.h"
 #include "common/error.h"
-#include "exec/instance_cache.h"
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -37,7 +35,6 @@ double wall_ms(std::chrono::steady_clock::time_point t0) {
 struct ShardOutcome {
   assign::Assignment plan;
   control::FallbackRung rung = control::FallbackRung::kLpHta;
-  bool cache_hit = false;
   // Chosen-placement costs per shard task (0 for cancelled entries).
   std::vector<double> latency_s;
   std::vector<double> energy_j;
@@ -53,8 +50,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   MECSCHED_REQUIRE(std::isfinite(options_.epoch_budget_ms) &&
                        options_.epoch_budget_ms >= 0.0,
                    "epoch_budget_ms must be finite and non-negative");
-  MECSCHED_REQUIRE(options_.cache_capacity >= 1,
-                   "cache_capacity must be >= 1");
   trace.validate_against(universe.num_devices(), universe.num_base_stations());
 
   ServeResult result;
@@ -65,7 +60,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   AdmissionControl admission(options_.admission);
   const Sharder sharder(universe, options_.sharding);
   exec::ThreadPool pool(options_.jobs);
-  exec::InstanceCache cache(options_.cache_capacity);
+  const control::FallbackChain chain(options_.lp);
   std::vector<PendingTask> pending;  // id = index, append-only
 
   obs::Registry& reg = obs::Registry::global();
@@ -225,31 +220,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     auto solve_shard = [&](const ShardProblem& sp) -> ShardOutcome {
       const auto t0 = std::chrono::steady_clock::now();
       const assign::HtaInstance inst(sp.topology, sp.tasks);
-      const std::uint64_t key =
-          exec::mix(exec::fingerprint(inst), exec::hash_string("serve"));
       ShardOutcome oc;
-      std::shared_ptr<const assign::Assignment> hint;
-      if (const auto cached = cache.find(key)) {
-        oc.plan = *cached;  // byte-identical to a fresh solve
-        oc.cache_hit = true;
-      } else {
-        assign::LpHtaOptions lp_opts = options_.lp;
-        const std::uint64_t family =
-            exec::mix(exec::hash_string("serve-shard"), sp.shard);
-        if (options_.warm_start) {
-          // The previous epoch's plan for this neighborhood; epochs are
-          // barriers, so the hint never races its producer.
-          hint = cache.warm_hint(family);
-          lp_opts.warm_hint = hint.get();
-        }
-        const control::FallbackChain chain(lp_opts);
-        oc.plan = chain.assign(inst, oc.rung, epoch_token);
-        if (options_.warm_start) {
-          cache.store_warm(
-              family, std::make_shared<const assign::Assignment>(oc.plan));
-        }
-        cache.insert(key, oc.plan);
-      }
+      oc.plan = chain.assign(inst, oc.rung, epoch_token);
       oc.latency_s.assign(sp.tasks.size(), 0.0);
       oc.energy_j.assign(sp.tasks.size(), 0.0);
       for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
@@ -262,7 +234,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         obs::SolveRecord rec;
         rec.layer = "serve";
         rec.engine = "shard";
-        rec.status = oc.cache_hit ? "cache-hit" : control::to_string(oc.rung);
+        rec.status = control::to_string(oc.rung);
         rec.detail = "epoch " + std::to_string(epoch) + " shard " +
                      std::to_string(sp.shard);
         rec.seconds = wall_ms(t0) * 1e-3;
@@ -270,8 +242,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         rec.deadline_residual_ms =
             obs::FlightRecorder::residual_ms(epoch_token.deadline());
         rec.deadline_hit = epoch_token.expired();
-        rec.warm_start = hint != nullptr;
-        rec.cache_hit = oc.cache_hit;
         flight.record(std::move(rec));
       }
       return oc;
@@ -302,11 +272,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       const ShardProblem& sp = shards[i];
       const ShardOutcome& oc = outcomes[i];
       ++result.shard_solves;
-      if (oc.cache_hit) {
-        ++result.cache_hits;
-      } else {
-        ++result.rungs[oc.rung];
-      }
+      ++result.rungs[oc.rung];
       for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
         const std::size_t id = sp.task_ids[t];
         const PendingTask& p = pending[id];
@@ -353,7 +319,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   reg.counter("serve.readmissions").add(result.retries);
   reg.counter("serve.abandoned").add(result.abandoned);
   reg.counter("serve.shard_solves").add(result.shard_solves);
-  reg.counter("serve.cache_hits").add(result.cache_hits);
   return result;
 }
 

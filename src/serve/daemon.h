@@ -16,8 +16,8 @@
 //      against the residual capacities (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,
 //      each through the FallbackChain under the shared epoch deadline
-//      (anytime degradation per shard), with exact-hit memoization and
-//      per-shard warm-start hints from the InstanceCache;
+//      (anytime degradation per shard); each cluster LP starts from its
+//      tasks' cheapest whole placements (assign/cluster_lp.h);
 //   5. apply   — outcomes are gathered and committed *in shard order*:
 //      placements start running (capacity reserved until the analytic
 //      finish time), cancellations go back to the waiting room.
@@ -59,8 +59,6 @@ struct ServeOptions {
   // value, not measured wall time.
   double epoch_budget_ms = 0.0;
   std::size_t jobs = 0;            // shard-solve workers; 0 = default_jobs
-  std::size_t cache_capacity = 128;
-  bool warm_start = true;          // per-shard simplex warm hints
   assign::LpHtaOptions lp{};       // rung-0 configuration
 };
 
@@ -79,8 +77,7 @@ struct ServeResult {
   std::size_t abandoned = 0;     // open at an early stop
   std::size_t epochs = 0;        // loop heartbeats (drain included)
   std::size_t decide_epochs = 0; // epochs that solved at least one shard
-  std::size_t shard_solves = 0;  // shard problems solved (or cache-hit)
-  std::size_t cache_hits = 0;    // exact-hit shard plans
+  std::size_t shard_solves = 0;  // shard problems solved
   control::RungHistogram rungs;  // which rung served each shard solve
   double total_energy_j = 0.0;
   double makespan_s = 0.0;       // last analytic finish

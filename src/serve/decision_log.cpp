@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "exec/instance_cache.h"
+#include "exec/fingerprint.h"
 
 namespace mecsched::serve {
 namespace {

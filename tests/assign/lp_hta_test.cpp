@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "assign/cluster_lp.h"
 #include "assign/evaluator.h"
 #include "assign/exact.h"
+#include "lp/simplex.h"
+#include "obs/tracer.h"
 #include "workload/scenario.h"
 
 namespace mecsched::assign {
@@ -157,57 +163,167 @@ TEST(LpHtaTest, EmptyInstance) {
   EXPECT_EQ(a.size(), 0u);
 }
 
-// Warm hints feed the cluster LPs a crash basis; the LP optimum — and so
-// the Theorem-2 diagnostics built on it — must not move. This is the
-// warm-start-equals-cold-start guarantee the sweep cache relies on.
-TEST(LpHtaTest, WarmHintPreservesTheLpObjective) {
+// E_LP^(OPT) from a cold (all-artificial) simplex solve of every cluster
+// LP, over the placement columns only, summed over stations.
+double cold_lp_objective(const HtaInstance& inst) {
+  double total = 0.0;
+  for (std::size_t b = 0; b < inst.topology().num_base_stations(); ++b) {
+    const ClusterLp c = build_cluster_lp(inst, b);
+    if (c.active.empty()) continue;
+    const lp::Solution cold = lp::SimplexSolver().solve(c.problem);
+    EXPECT_TRUE(cold.optimal());
+    for (std::size_t idx = 0; idx < c.active.size(); ++idx) {
+      for (std::size_t l = 0; l < 3; ++l) {
+        total += c.problem.cost(c.column(idx, l)) * cold.x[c.column(idx, l)];
+      }
+    }
+  }
+  return total;
+}
+
+// Step 1 starts from each task's cheapest whole placement (cluster_lp.h);
+// the start changes the pivot path, never the LP optimum, so the
+// Theorem-2 diagnostics built on it match a cold solve.
+TEST(LpHtaTest, CrashStartMatchesColdLpObjective) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto s = small_scenario(seed, 40, 12, 3);
     const HtaInstance inst(s.topology, s.tasks);
+    LpHtaReport report;
+    const Assignment a = LpHta().assign_with_report(inst, report);
+    const double cold = cold_lp_objective(inst);
+    EXPECT_NEAR(report.lp_objective, cold, 1e-6 * (1.0 + cold))
+        << "seed " << seed;
+    EXPECT_TRUE(check_feasibility(inst, a).ok) << "seed " << seed;
+  }
+}
 
-    LpHtaReport cold_report;
-    const Assignment cold = LpHta().assign_with_report(inst, cold_report);
+// A task whose only deadline-feasible placement meets the deadline within
+// meets_deadline's tolerance but has upper bound < 1 cannot take that
+// placement whole, so its crash lands on the cancel column.
+TEST(LpHtaTest, CrashOnTheCancelColumnMatchesColdLpObjective) {
+  const auto s = small_scenario(2);
+  std::vector<mec::Task> tasks = s.tasks;
+  const HtaInstance base(s.topology, tasks);
+  std::size_t pick = base.num_tasks();
+  mec::Placement fastest = mec::Placement::kLocal;
+  for (std::size_t t = 0; t < base.num_tasks() && pick == base.num_tasks();
+       ++t) {
+    std::vector<double> lat;
+    for (const mec::Placement p : mec::kAllPlacements) {
+      lat.push_back(base.latency(t, p));
+    }
+    std::sort(lat.begin(), lat.end());
+    if (lat[1] > lat[0] * 1.01) {  // one clear fastest placement
+      pick = t;
+      for (const mec::Placement p : mec::kAllPlacements) {
+        if (base.latency(t, p) == lat[0]) fastest = p;
+      }
+    }
+  }
+  ASSERT_LT(pick, base.num_tasks());
+  tasks[pick].deadline_s = base.latency(pick, fastest) - 5e-13;
+  const HtaInstance inst(s.topology, tasks);
+  ASSERT_TRUE(inst.schedulable(pick));
 
-    // Hint with the cold solution itself (the best case) and with a plan
-    // for a *different* instance (the adjacent-cell case).
-    const auto other = small_scenario(seed + 100, 40, 12, 3);
-    const HtaInstance other_inst(other.topology, other.tasks);
-    const Assignment other_plan = LpHta().assign(other_inst);
+  const std::size_t b = s.topology.device(tasks[pick].id.user).base_station;
+  const ClusterLp c = build_cluster_lp(inst, b);
+  const auto slot = static_cast<std::size_t>(
+      std::find(c.active.begin(), c.active.end(), pick) - c.active.begin());
+  ASSERT_LT(slot, c.active.size());
+  const auto l = static_cast<std::size_t>(fastest);
+  EXPECT_GT(c.problem.upper(c.column(slot, l)), 0.0);
+  EXPECT_LT(c.problem.upper(c.column(slot, l)), 1.0);
+  EXPECT_EQ(c.crash[c.column(slot, 3)], 1.0);
 
-    for (const Assignment* hint : {&cold, &other_plan}) {
-      LpHtaOptions options;
-      options.warm_hint = hint;
-      LpHtaReport warm_report;
-      const Assignment warm =
-          LpHta(options).assign_with_report(inst, warm_report);
-      EXPECT_NEAR(warm_report.lp_objective, cold_report.lp_objective,
-                  1e-6 * (1.0 + cold_report.lp_objective))
-          << "seed " << seed;
-      EXPECT_TRUE(check_feasibility(inst, warm).ok) << "seed " << seed;
+  LpHtaReport report;
+  const Assignment a = LpHta().assign_with_report(inst, report);
+  const double cold = cold_lp_objective(inst);
+  EXPECT_NEAR(report.lp_objective, cold, 1e-6 * (1.0 + cold));
+  EXPECT_TRUE(check_feasibility(inst, a).ok);
+}
+
+// The crash puts each task's unit on its cheapest column it can take
+// whole, lowest placement index on ties.
+TEST(LpHtaTest, CrashPicksTheCheapestWholePlacement) {
+  const auto s = small_scenario(4, 40, 12, 3);
+  const HtaInstance inst(s.topology, s.tasks);
+  for (std::size_t b = 0; b < s.topology.num_base_stations(); ++b) {
+    const ClusterLp c = build_cluster_lp(inst, b);
+    ASSERT_EQ(c.crash.size(), c.problem.num_variables());
+    for (std::size_t idx = 0; idx < c.active.size(); ++idx) {
+      std::size_t expected = 3;
+      for (std::size_t l = 0; l < 3; ++l) {
+        const std::size_t col = c.column(idx, l);
+        if (c.problem.upper(col) >= 1.0 &&
+            (expected == 3 ||
+             c.problem.cost(col) < c.problem.cost(c.column(idx, expected)))) {
+          expected = l;
+        }
+      }
+      for (std::size_t l = 0; l < 4; ++l) {
+        EXPECT_EQ(c.crash[c.column(idx, l)], l == expected ? 1.0 : 0.0);
+      }
     }
   }
 }
 
-// A hint that is plain garbage (wrong size, all-cancel) must not break
-// correctness either — it only changes the pivot path.
-TEST(LpHtaTest, DegenerateWarmHintsAreHarmless) {
-  const auto s = small_scenario(2);
+// Stations without tasks contribute nothing (halo stations of a serve
+// shard), so LP-HTA skips them: same decisions and report, and one
+// lp_hta.cluster span per station that holds tasks.
+TEST(LpHtaTest, StationsWithoutTasksAreSkipped) {
+  const auto s = small_scenario(3, 40, 12, 3);
   const HtaInstance inst(s.topology, s.tasks);
-  LpHtaReport cold_report;
-  LpHta().assign_with_report(inst, cold_report);
+  LpHtaReport report;
+  const Assignment plain = LpHta().assign_with_report(inst, report);
 
-  Assignment short_hint;  // covers no tasks
-  Assignment cancel_hint;
-  cancel_hint.decisions.assign(inst.num_tasks(), Decision::kCancelled);
-  for (const Assignment* hint : {&short_hint, &cancel_hint}) {
-    LpHtaOptions options;
-    options.warm_hint = hint;
-    LpHtaReport warm_report;
-    const Assignment warm = LpHta(options).assign_with_report(inst, warm_report);
-    EXPECT_NEAR(warm_report.lp_objective, cold_report.lp_objective,
-                1e-6 * (1.0 + cold_report.lp_objective));
-    EXPECT_TRUE(check_feasibility(inst, warm).ok);
+  // Interleave two zero-capacity stations, one of them with a device that
+  // issues no task.
+  const std::vector<std::size_t> slot_of = {1, 3, 4};
+  std::vector<mec::BaseStation> stations(6);
+  for (std::size_t b = 0; b < stations.size(); ++b) {
+    stations[b] = {b, s.topology.base_station(0).cpu_hz, 0.0};
   }
+  for (std::size_t b = 0; b < 3; ++b) {
+    stations[slot_of[b]] = s.topology.base_station(b);
+    stations[slot_of[b]].id = slot_of[b];
+  }
+  std::vector<mec::Device> devices;
+  for (std::size_t d = 0; d < s.topology.num_devices(); ++d) {
+    devices.push_back(s.topology.device(d));
+    devices.back().base_station = slot_of[devices.back().base_station];
+  }
+  devices.push_back(s.topology.device(0));
+  devices.back().id = devices.size() - 1;
+  devices.back().base_station = 2;
+  const mec::Topology padded(devices, stations, s.topology.params());
+  const HtaInstance padded_inst(padded, s.tasks);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable();
+  LpHtaReport padded_report;
+  const Assignment skipped =
+      LpHta().assign_with_report(padded_inst, padded_report);
+  tracer.disable();
+
+  EXPECT_EQ(skipped.decisions, plain.decisions);
+  EXPECT_EQ(padded_report.lp_objective, report.lp_objective);
+  EXPECT_EQ(padded_report.rounded_energy, report.rounded_energy);
+  EXPECT_EQ(padded_report.final_energy, report.final_energy);
+  EXPECT_EQ(padded_report.cancelled_infeasible, report.cancelled_infeasible);
+  EXPECT_EQ(padded_report.cancelled_capacity, report.cancelled_capacity);
+  EXPECT_EQ(padded_report.lp_iterations, report.lp_iterations);
+  EXPECT_EQ(padded_report.corollary1_bound, report.corollary1_bound);
+
+  std::size_t with_tasks = 0;
+  for (std::size_t b = 0; b < padded.num_base_stations(); ++b) {
+    if (!padded_inst.cluster_tasks(b).empty()) ++with_tasks;
+  }
+  EXPECT_EQ(with_tasks, 3u);
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& e : tracer.snapshot()) {
+    if (e.name == "lp_hta.cluster") ++spans;
+  }
+  EXPECT_EQ(spans, with_tasks);
 }
 
 // The basis kernel is an implementation detail of Step 1: the eta-file LU

@@ -413,7 +413,7 @@ TEST_F(CliTest, SweepRejectsUnknownGrid) {
 }
 
 // The headline determinism guarantee: the sweep CSV is byte-identical at
-// every --jobs count (and with the warm-start cache path enabled).
+// every --jobs count.
 TEST_F(CliTest, SweepCsvIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "1"}), 0)
       << err_.str();
@@ -424,21 +424,15 @@ TEST_F(CliTest, SweepCsvIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "8"}), 0)
       << err_.str();
   EXPECT_EQ(out_.str(), serial);
-
-  ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "8",
-                     "--warm-start"}),
-            0)
-      << err_.str();
-  EXPECT_EQ(out_.str(), serial);
 }
 
-TEST_F(CliTest, SweepTableReportsCacheAndJobs) {
+TEST_F(CliTest, SweepTableReportsJobs) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--reps", "1", "--jobs",
                      "2"}),
             0)
       << err_.str();
   EXPECT_NE(out_.str().find("jobs=2"), std::string::npos);
-  EXPECT_NE(out_.str().find("cache:"), std::string::npos);
+  EXPECT_EQ(out_.str().find("cache:"), std::string::npos);
 }
 
 TEST_F(CliTest, SweepWritesCsvFile) {

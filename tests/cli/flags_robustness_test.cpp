@@ -1,6 +1,6 @@
 // Hardened numeric-flag parsing (satellite of the budget pipeline):
-// negative, NaN and overflowing values for --jobs, --reps,
-// --cache-capacity and the global --budget-ms must fail with a clear
+// negative, NaN and overflowing values for --jobs, --reps and the
+// global --budget-ms must fail with a clear
 // message naming the flag — never wrap, clamp or silently truncate — and
 // the valid forms must still work, including the budgeted chaos drill.
 #include "cli/commands.h"
@@ -56,11 +56,13 @@ TEST_F(FlagsTest, RepsRejectsNegativeAndOverflow) {
   expect_rejected({"sweep", "--grid", "smoke", "--reps", "0"}, "--reps");
 }
 
-TEST_F(FlagsTest, CacheCapacityRejectsNegativeValues) {
-  expect_rejected({"sweep", "--grid", "smoke", "--cache-capacity", "-5"},
-                  "--cache-capacity");
-  expect_rejected({"sweep", "--grid", "smoke", "--cache-capacity", "nan"},
-                  "--cache-capacity");
+// The plan cache and the warm-start hints are gone; their flags must not
+// be silently accepted.
+TEST_F(FlagsTest, RemovedWarmStartFlagsAreUnknown) {
+  expect_rejected({"sweep", "--grid", "smoke", "--warm-start"},
+                  "unknown flag: --warm-start");
+  expect_rejected({"serve", "--no-warm-start"},
+                  "unknown flag: --no-warm-start");
 }
 
 TEST_F(FlagsTest, CountFlagsRejectNegativesEverywhere) {

@@ -7,9 +7,10 @@
 //
 // The contract being locked in: after the first solves of a shape have
 // grown the workspace arena and the BasisLu pools to their high-water
-// marks, re-entries (PR 3 cached sweep cells, PR 8 serve shard solves)
-// run the entire pivot loop — pricing, FTRAN/BTRAN, ratio test, eta
-// updates and refactorizations — out of reused capacity.
+// marks, re-entries (the crash-started Step-1 cluster solves of every
+// sweep cell and serve shard) run the entire pivot loop — pricing,
+// FTRAN/BTRAN, ratio test, eta updates and refactorizations — out of
+// reused capacity.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -29,7 +29,8 @@ Gate types:
                      baseline is the recorded level, the fraction is the
                      tolerated regression — 0.8 tolerates a 20% drop)
 
-"metric" is a dotted path into the result document. Exits 1 when the
+"metric" is a dotted path into the result document; a key may itself
+contain dots (registry counters such as counters.lp.simplex.pivots). Exits 1 when the
 schema is wrong, a metric is missing, or any gate fails — one ok/FAIL
 line per gate either way, so CI logs show the whole trajectory.
 """
@@ -44,12 +45,23 @@ REQUIRED_KEYS = ("schema", "bench", "wall_seconds", "values", "flags",
 
 
 def lookup(doc, dotted):
-    """Resolve a dotted path; returns (found, value)."""
+    """Resolve a dotted path; returns (found, value). At each level the
+    longest run of parts that names an existing key wins, so registry
+    counters whose own names contain dots resolve
+    (counters.lp.simplex.pivots is counters["lp.simplex.pivots"])."""
     node = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
+    parts = dotted.split(".")
+    while parts:
+        if not isinstance(node, dict):
             return False, None
-        node = node[part]
+        for n in range(len(parts), 0, -1):
+            key = ".".join(parts[:n])
+            if key in node:
+                node = node[key]
+                parts = parts[n:]
+                break
+        else:
+            return False, None
     return True, node
 
 
@@ -125,7 +137,7 @@ def self_test():
         "wall_seconds": 1.5,
         "values": {"speedup": 10.0, "overhead": 0.01},
         "flags": {"identical": True},
-        "counters": {"solves": 4},
+        "counters": {"solves": 4, "lp.simplex.pivots": 45787},
         "windows": {},
         "rates": {},
     }
@@ -143,6 +155,12 @@ def self_test():
         ({"metric": "values.speedup", "type": "min_fraction_of",
           "baseline": 20.0, "fraction": 0.8}, False),
         ({"metric": "values.absent", "type": "min", "limit": 0.0}, False),
+        ({"metric": "counters.lp.simplex.pivots", "type": "max",
+          "limit": 60000}, True),
+        ({"metric": "counters.lp.simplex.pivots", "type": "max",
+          "limit": 40000}, False),
+        ({"metric": "counters.lp.simplex", "type": "min", "limit": 0},
+         False),
         ({"metric": "values.speedup", "type": "bogus"}, False),
     ]
     ok = True

@@ -838,7 +838,7 @@ SELF_TEST_CLEAN = [
     ("src/mec/x.cpp", "std::map<std::uint64_t, Station*> by_id;\n"),
     # A determinism-rule waiver is not judged stale in regex mode: the
     # container may be declared in another file, where only the AST pass
-    # can see it (e.g. exec/instance_cache.cpp's members).
+    # can see it (e.g. a class whose members live in its header).
     ("src/exec/x.cpp",
      "// lint:allow-unordered-iteration -- keys sorted; member declared in "
      "the header.\n"
