@@ -1,7 +1,7 @@
 #include "assign/cluster_lp.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 namespace mecsched::assign {
 
@@ -53,18 +53,41 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
                                lp::Relation::kEqual, 1.0);
   }
 
-  std::map<std::size_t, std::vector<lp::Term>> device_rows;
-  std::vector<lp::Term> station_terms;
-  for (std::size_t idx = 0; idx < out.active.size(); ++idx) {
-    const mec::Task& task = instance.task(out.active[idx]);
-    device_rows[task.id.user].push_back({out.column(idx, 0), task.resource});
-    station_terms.push_back({out.column(idx, 1), task.resource});
+  // Bucket the task slots by issuing device: ascending device ids, slots
+  // in `active` order within a device.
+  const auto owner = [&](std::size_t idx) {
+    return instance.task(out.active[idx]).id.user;
+  };
+  out.device_slots.resize(out.active.size());
+  std::iota(out.device_slots.begin(), out.device_slots.end(), 0);
+  std::stable_sort(
+      out.device_slots.begin(), out.device_slots.end(),
+      [&](std::size_t a, std::size_t c) { return owner(a) < owner(c); });
+  for (std::size_t k = 0; k < out.device_slots.size(); ++k) {
+    const std::size_t device = owner(out.device_slots[k]);
+    if (out.device_ids.empty() || out.device_ids.back() != device) {
+      out.device_ids.push_back(device);
+      out.device_begin.push_back(k);
+    }
   }
-  for (auto& [device, terms] : device_rows) {
-    out.device_ids.push_back(device);
+  out.device_begin.push_back(out.device_slots.size());
+
+  for (std::size_t i = 0; i < out.device_ids.size(); ++i) {
+    std::vector<lp::Term> terms;
+    for (std::size_t k = out.device_begin[i]; k < out.device_begin[i + 1];
+         ++k) {
+      const std::size_t idx = out.device_slots[k];
+      terms.push_back(
+          {out.column(idx, 0), instance.task(out.active[idx]).resource});
+    }
     out.device_row.push_back(out.problem.add_constraint(
         std::move(terms), lp::Relation::kLessEqual,
-        topo.device(device).max_resource));
+        topo.device(out.device_ids[i]).max_resource));
+  }
+  std::vector<lp::Term> station_terms;
+  for (std::size_t idx = 0; idx < out.active.size(); ++idx) {
+    station_terms.push_back(
+        {out.column(idx, 1), instance.task(out.active[idx]).resource});
   }
   out.station_row = out.problem.add_constraint(
       std::move(station_terms), lp::Relation::kLessEqual,

@@ -10,9 +10,15 @@
 //
 // The builder also returns Step 1's simplex start point (`crash`). Each
 // task row is a sum-to-one choice over its columns, so putting the task's
-// whole unit on one column it can take in full satisfies that row; the
+// whole unit on one column it can take in full satisfies that row. The
 // device and station knapsack rows then start with their slacks basic
-// wherever that point leaves room.
+// wherever that point leaves room, and every task row starts with a
+// structural column basic instead of its artificial (lp/simplex.h): the
+// crash column when its knapsack row is slack-basic, else a zero column
+// of the task (the cloud and cancel columns touch no other row, so one
+// always qualifies). Phase 1 then pivots only for knapsack rows the crash
+// point overloads, and a cluster whose capacities absorb it solves without
+// a pivot.
 #pragma once
 
 #include <vector>
@@ -28,8 +34,13 @@ struct ClusterLp {
   std::vector<std::size_t> unschedulable;  // pre-cancelled task indices
   std::vector<std::size_t> device_ids;  // devices with a C2 row, ascending
   std::vector<std::size_t> device_row;  // constraint index per device_ids[i]
+  // Task slots (indices into `active`) issued by device_ids[i], in
+  // `active` order: device_slots[device_begin[i] .. device_begin[i + 1]).
+  std::vector<std::size_t> device_begin;
+  std::vector<std::size_t> device_slots;
   std::size_t station_row = 0;          // constraint index of the C3 row
   double cancel_penalty = 0.0;
+  // Step 1's start point, passed to SimplexSolver::solve(problem, crash).
   // One value per column: 1.0 on each task's cheapest placement with
   // upper bound >= 1 (lowest placement index on ties), or on its cancel
   // column when no placement qualifies; 0.0 elsewhere.

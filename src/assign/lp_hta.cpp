@@ -7,7 +7,6 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "audit/assignment_audit.h"
@@ -139,9 +138,6 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   const mec::Topology& topo = instance.topology();
   ClusterOutcome out;
 
-  // Local decision buffer for the cluster's tasks.
-  std::map<std::size_t, Decision> decide;
-
   // ---- Pre-Step + Step 1: the LP relaxation P2 for this cluster (see
   // cluster_lp.h). Tasks with no deadline-feasible placement are cancelled
   // eagerly (the paper's Step-4 "cancel and inform users"); each remaining
@@ -151,15 +147,14 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   // P2).
   const ClusterLp cluster = build_cluster_lp(instance, b);
   for (std::size_t t : cluster.unschedulable) {
-    decide[t] = Decision::kCancelled;
+    out.decisions.emplace_back(t, Decision::kCancelled);
     ++out.cancelled_infeasible;
   }
   const std::vector<std::size_t>& active = cluster.active;
-  if (active.empty()) {
-    for (const auto& [t, d] : decide) out.decisions.emplace_back(t, d);
-    return out;
-  }
+  if (active.empty()) return out;
   const lp::Problem& p = cluster.problem;
+  // Decision per task slot (index into `active`).
+  std::vector<Decision> decide(active.size(), Decision::kCancelled);
 
   lp::Solution relax;
   {
@@ -195,8 +190,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
         if (relax.x[column(idx, l)] > relax.x[column(idx, q)]) q = l;
       }
       if (q == 3) {
-        decide[t] = Decision::kCancelled;
-        ++out.cancelled_capacity;
+        ++out.cancelled_capacity;  // decide[idx] stays kCancelled
         continue;
       }
       out.rounded_energy += instance.energy(t, kPlacements[q]);
@@ -216,45 +210,55 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
         q = best;  // best < 3 by schedulability
         ++repair_moves;
       }
-      decide[t] = to_decision(kPlacements[q]);
+      decide[idx] = to_decision(kPlacements[q]);
     }
   }
 
   const obs::ScopedTimer repair_span("lp_hta.repair", "assign",
                                      cluster_args(b));
 
+  // Task slots are sorted largest resource first, per the paper's greedy
+  // selection.
+  const auto resource = [&](std::size_t idx) {
+    return instance.task(active[idx]).resource;
+  };
+  const auto largest_first = [&](std::vector<std::size_t>& slots) {
+    std::sort(slots.begin(), slots.end(), [&](std::size_t a, std::size_t c) {
+      return resource(a) > resource(c);
+    });
+  };
+
   // ---- Step 5: per-device capacity repair.
-  for (const std::size_t device : cluster.device_ids) {
-    std::vector<std::size_t> local;  // tasks of this device placed locally
+  std::vector<std::size_t> local;  // slots of one device placed locally
+  for (std::size_t i = 0; i < cluster.device_ids.size(); ++i) {
+    local.clear();
     double load = 0.0;
-    for (std::size_t t : active) {
-      if (instance.task(t).id.user == device &&
-          decide[t] == Decision::kLocal) {
-        local.push_back(t);
-        load += instance.task(t).resource;
+    for (std::size_t k = cluster.device_begin[i];
+         k < cluster.device_begin[i + 1]; ++k) {
+      const std::size_t idx = cluster.device_slots[k];
+      if (decide[idx] == Decision::kLocal) {
+        local.push_back(idx);
+        load += resource(idx);
       }
     }
-    const double cap = topo.device(device).max_resource;
-    // Largest resource first, per the paper's greedy selection.
-    std::sort(local.begin(), local.end(), [&](std::size_t a, std::size_t c) {
-      return instance.task(a).resource > instance.task(c).resource;
-    });
+    const double cap = topo.device(cluster.device_ids[i]).max_resource;
+    largest_first(local);
     // Pass 1: migrate to the base station when its latency fits.
-    for (std::size_t t : local) {
+    for (std::size_t idx : local) {
       if (load <= cap) break;
-      if (instance.meets_deadline(t, Placement::kEdge)) {
-        decide[t] = Decision::kEdge;
-        load -= instance.task(t).resource;
+      if (instance.meets_deadline(active[idx], Placement::kEdge)) {
+        decide[idx] = Decision::kEdge;
+        load -= resource(idx);
         ++repair_moves;
       }
     }
     // Pass 2: still over — cancel greedily by resource occupation.
-    for (std::size_t t : local) {
+    for (std::size_t idx : local) {
       if (load <= cap) break;
-      if (decide[t] == Decision::kLocal) {
-        decide[t] = Decision::kCancelled;
+      if (decide[idx] == Decision::kLocal) {
+        decide[idx] = Decision::kCancelled;
         ++out.cancelled_capacity;
-        load -= instance.task(t).resource;
+        load -= resource(idx);
         ++repair_moves;
       }
     }
@@ -264,44 +268,50 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   {
     std::vector<std::size_t> on_edge;
     double load = 0.0;
-    for (std::size_t t : active) {
-      if (decide[t] == Decision::kEdge) {
-        on_edge.push_back(t);
-        load += instance.task(t).resource;
+    for (std::size_t idx = 0; idx < active.size(); ++idx) {
+      if (decide[idx] == Decision::kEdge) {
+        on_edge.push_back(idx);
+        load += resource(idx);
       }
     }
     const double cap = topo.base_station(b).max_resource;
-    std::sort(on_edge.begin(), on_edge.end(),
-              [&](std::size_t a, std::size_t c) {
-                return instance.task(a).resource > instance.task(c).resource;
-              });
-    for (std::size_t t : on_edge) {
+    largest_first(on_edge);
+    for (std::size_t idx : on_edge) {
       if (load <= cap) break;
-      if (instance.meets_deadline(t, Placement::kCloud)) {
-        decide[t] = Decision::kCloud;
-        load -= instance.task(t).resource;
+      if (instance.meets_deadline(active[idx], Placement::kCloud)) {
+        decide[idx] = Decision::kCloud;
+        load -= resource(idx);
         ++repair_moves;
       }
     }
-    for (std::size_t t : on_edge) {
+    for (std::size_t idx : on_edge) {
       if (load <= cap) break;
-      if (decide[t] == Decision::kEdge) {
-        decide[t] = Decision::kCancelled;
+      if (decide[idx] == Decision::kEdge) {
+        decide[idx] = Decision::kCancelled;
         ++out.cancelled_capacity;
-        load -= instance.task(t).resource;
+        load -= resource(idx);
         ++repair_moves;
       }
     }
   }
 
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("lp_hta.clusters_solved").add();
-  reg.counter("lp_hta.repair_moves").add(repair_moves);
-  reg.counter("lp_hta.cancelled_infeasible").add(out.cancelled_infeasible);
-  reg.counter("lp_hta.cancelled_capacity").add(out.cancelled_capacity);
+  static obs::Counter& clusters_solved =
+      obs::Registry::global().counter("lp_hta.clusters_solved");
+  static obs::Counter& repair_moves_total =
+      obs::Registry::global().counter("lp_hta.repair_moves");
+  static obs::Counter& cancelled_infeasible =
+      obs::Registry::global().counter("lp_hta.cancelled_infeasible");
+  static obs::Counter& cancelled_capacity =
+      obs::Registry::global().counter("lp_hta.cancelled_capacity");
+  clusters_solved.add();
+  repair_moves_total.add(repair_moves);
+  cancelled_infeasible.add(out.cancelled_infeasible);
+  cancelled_capacity.add(out.cancelled_capacity);
 
-  out.decisions.reserve(decide.size());
-  for (const auto& [t, d] : decide) out.decisions.emplace_back(t, d);
+  out.decisions.reserve(out.decisions.size() + active.size());
+  for (std::size_t idx = 0; idx < active.size(); ++idx) {
+    out.decisions.emplace_back(active[idx], decide[idx]);
+  }
   return out;
 }
 

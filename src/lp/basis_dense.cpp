@@ -7,8 +7,6 @@
 
 namespace mecsched::lp {
 
-void BasisDense::reset_diagonal(std::size_t m) { binv_ = Matrix(m, m); }
-
 void BasisDense::factorize(std::size_t m, const std::size_t* col_ptr,
                            const std::size_t* rows, const double* values) {
   Matrix bmat(m, m);

@@ -17,14 +17,10 @@ namespace mecsched::lp {
 
 class BasisDense {
  public:
-  // B⁻¹ := m×m zero matrix; the caller then seeds the diagonal with
-  // set_diag (the ±1 crash basis is diagonal, so B⁻¹ = B).
-  void reset_diagonal(std::size_t m);
-  void set_diag(std::size_t r, double sign) { binv_(r, r) = sign; }
-
-  // Rebuilds B⁻¹ from scratch (Gauss-Jordan with partial pivoting) from
-  // the basis given as CSC-style columns, clearing accumulated rank-1
-  // drift. Throws SolverError when the basis is numerically singular.
+  // Builds B⁻¹ from scratch (Gauss-Jordan with partial pivoting) from the
+  // basis given as CSC-style columns: the start basis of a solve, or a
+  // rebuild clearing accumulated rank-1 drift. Throws SolverError when the
+  // basis is numerically singular.
   void factorize(std::size_t m, const std::size_t* col_ptr,
                  const std::size_t* rows, const double* values);
 

@@ -34,9 +34,11 @@ enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 class Tableau {
  public:
   // `guess` (optional, one entry per structural variable) warm-starts the
-  // solve: structurals snap to their nearest finite bound and rows whose
-  // slack can absorb the residual get a slack-basic crash start. The cold
-  // path (guess == nullptr) keeps the historical all-artificial start.
+  // solve: structurals snap to their nearest finite bound, rows whose
+  // slack can absorb the residual get a slack-basic crash start, and
+  // equality rows the snapped point satisfies get a structural one
+  // (crash_structurals). The cold path (guess == nullptr) keeps the
+  // historical all-artificial start.
   Tableau(const Problem& p, const SimplexOptions& opt,
           const std::vector<double>* guess, SimplexWorkspace& ws)
       : opt_(opt), ws_(ws), use_lu_(opt.basis == BasisKernel::kEtaLu) {
@@ -194,8 +196,6 @@ class Tableau {
     if (use_lu_) {
       lu_ = &ws_.lu();
       lu_->limits().max_etas = opt_.refactor_period;
-    } else {
-      dense_.reset_diagonal(m);
     }
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t art = art_begin_ + r;
@@ -205,25 +205,22 @@ class Tableau {
         // variable whenever the warm point leaves it non-negative; the
         // row's artificial then starts (and stays) at zero.
         const std::size_t s = slack_of[r];
-        const double sign = acol_val_[acol_ptr_[s]];
-        const double value = residual[r] * sign;
+        const double value = residual[r] * acol_val_[acol_ptr_[s]];
         if (value >= 0.0) {
           basis_[r] = s;
           state_[s] = VarState::kBasic;
           x_[s] = value;
           acol_val_[art_entry] = 1.0;
-          if (!use_lu_) dense_.set_diag(r, sign);  // B col = ±e_r
           continue;
         }
       }
-      const double sign = residual[r] >= 0.0 ? 1.0 : -1.0;
-      acol_val_[art_entry] = sign;
+      acol_val_[art_entry] = residual[r] >= 0.0 ? 1.0 : -1.0;
       basis_[r] = art;
       state_[art] = VarState::kBasic;
       x_[art] = std::fabs(residual[r]);
-      if (!use_lu_) dense_.set_diag(r, sign);  // B = diag(sign)
     }
-    if (use_lu_) factorize_basis();
+    if (guess != nullptr) crash_structurals(row_ptr, term_var, term_val);
+    factorize_basis();
 
     // Pricing storage dispatch (lp/sparse_matrix.h): above the density
     // threshold pricing walks the CSC nonzeros; below it, a dense
@@ -474,6 +471,51 @@ class Tableau {
     return acc;
   }
 
+  // Structural crash (warm path). An equality row has no slack, so the
+  // slack crash leaves its artificial basic — at exactly zero wherever the
+  // warm point satisfies the row — and phase 1 would spend one degenerate
+  // pivot per such row ejecting it. Instead a structural column of row r
+  // becomes basic at its current value and the artificial leaves at zero:
+  // a nonbasic column with a nonzero in row r whose other nonzeros all lie
+  // in slack-basic rows, preferring one the guess put at a nonzero bound.
+  // Each chosen column is then the only non-slack basic column touching
+  // its row, so B is a permuted block-triangular matrix with a nonzero
+  // diagonal (nonsingular), and the start point is unchanged. A row with
+  // no such column keeps its artificial.
+  void crash_structurals(const std::size_t* row_ptr,
+                         const std::size_t* term_var, const double* term_val) {
+    const auto slack_basic_elsewhere = [&](std::size_t j, std::size_t r) {
+      for (std::size_t p = acol_ptr_[j]; p < acol_ptr_[j + 1]; ++p) {
+        const std::size_t bv = basis_[acol_row_[p]];
+        if (acol_row_[p] != r && (bv < n_struct_ || bv >= art_begin_)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (std::size_t r = 0; r < m_; ++r) {
+      const std::size_t art = art_begin_ + r;
+      if (basis_[r] != art || x_[art] != 0.0) continue;
+      std::size_t pick = kNone;
+      for (std::size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+        const std::size_t j = term_var[i];
+        if (std::fabs(term_val[i]) <= opt_.tolerance ||
+            state_[j] == VarState::kBasic || !slack_basic_elsewhere(j, r)) {
+          continue;
+        }
+        if (x_[j] != 0.0) {
+          pick = j;
+          break;
+        }
+        if (pick == kNone) pick = j;
+      }
+      if (pick == kNone) continue;
+      basis_[r] = pick;
+      state_[pick] = VarState::kBasic;
+      state_[art] = VarState::kAtLower;
+    }
+  }
+
   bool refactor_due() const {
     if (use_lu_) return lu_->needs_refactor();
     return iterations_ > 0 && iterations_ % opt_.refactor_period == 0;
@@ -566,9 +608,11 @@ class Tableau {
   }
 
   // Fresh reference framework at the start of a phase: Devex weights reset
-  // to 1; steepest-edge weights to 1 + ‖A_j‖², which equals the exact
-  // 1 + ‖B⁻¹A_j‖² whenever the reference basis is the ±1-diagonal crash
-  // start (a signed permutation preserves norms).
+  // to 1; steepest-edge weights to 1 + ‖A_j‖². That equals the exact
+  // 1 + ‖B⁻¹A_j‖² only while B is a signed permutation (the cold start and
+  // the slack crash); once crash_structurals or earlier pivots put
+  // structural columns in the basis it is the usual reference-framework
+  // approximation, which the exact per-pivot updates then refine.
   void reset_weights() {
     if (opt_.pricing == PricingRule::kSteepestEdge) {
       for (std::size_t j = 0; j < n_total_; ++j) {
@@ -705,7 +749,9 @@ Solution SimplexSolver::solve(const Problem& problem,
                               const std::vector<double>& guess) const {
   MECSCHED_REQUIRE(guess.size() == problem.num_variables(),
                    "warm-start guess size must match variable count");
-  obs::Registry::global().counter("lp.simplex.warm_solves").add();
+  static obs::Counter& warm_solves =
+      obs::Registry::global().counter("lp.simplex.warm_solves");
+  warm_solves.add();
   return solve_instrumented(problem, &guess);
 }
 
@@ -746,12 +792,18 @@ Solution SimplexSolver::solve_instrumented(
     throw;
   }
   obs::Registry& reg = obs::Registry::global();
-  reg.counter("lp.simplex.solves").add();
-  reg.counter("lp.simplex.pivots").add(out.iterations);
-  reg.histogram("lp.simplex.pivots_per_solve")
-      .observe(static_cast<double>(out.iterations));
-  reg.window("lp.simplex.solve.seconds").observe(span.elapsed_s());
-  reg.rate("lp.solves").record();
+  static obs::Counter& solves = reg.counter("lp.simplex.solves");
+  static obs::Counter& pivots = reg.counter("lp.simplex.pivots");
+  static obs::Histogram& pivots_per_solve =
+      reg.histogram("lp.simplex.pivots_per_solve");
+  static obs::WindowedHistogram& solve_seconds =
+      reg.window("lp.simplex.solve.seconds");
+  static obs::RateWindow& solve_rate = reg.rate("lp.solves");
+  solves.add();
+  pivots.add(out.iterations);
+  pivots_per_solve.observe(static_cast<double>(out.iterations));
+  solve_seconds.observe(span.elapsed_s());
+  solve_rate.record();
   if (!out.optimal()) reg.counter("lp.simplex.non_optimal").add();
   if (out.status == SolveStatus::kDeadline) {
     reg.counter("solve.deadline.simplex").add();
@@ -787,18 +839,32 @@ Solution SimplexSolver::solve_impl(const Problem& problem,
   const std::uint64_t ws_reuses = ws.reuses();
   const std::uint64_t ws_grows = ws.grows();
   Tableau t(problem, options_, guess, ws);
+  // Registry handles are looked up once per process: a lookup builds a
+  // map-key string and takes the registry lock, and the references stay
+  // valid across Registry::reset().
   obs::Registry& reg = obs::Registry::global();
-  reg.counter("lp.simplex.workspace_reuses").add(ws.reuses() - ws_reuses);
-  reg.counter("lp.simplex.workspace_grows").add(ws.grows() - ws_grows);
+  static obs::Counter& workspace_reuses =
+      reg.counter("lp.simplex.workspace_reuses");
+  static obs::Counter& workspace_grows =
+      reg.counter("lp.simplex.workspace_grows");
+  workspace_reuses.add(ws.reuses() - ws_reuses);
+  workspace_grows.add(ws.grows() - ws_grows);
   if (t.sparse_pricing()) {
-    reg.counter("lp.sparse.simplex_pricing_solves").add();
+    static obs::Counter& sparse_solves =
+        reg.counter("lp.sparse.simplex_pricing_solves");
+    sparse_solves.add();
   }
   // Basis-kernel telemetry is flushed once per solve so the pivot loop
-  // itself stays free of registry lookups (they build map-key strings).
+  // itself stays free of registry calls.
   const auto report_kernel = [&] {
-    reg.counter("lp.simplex.refactorizations").add(t.refactorizations());
-    reg.counter("lp.simplex.eta_updates").add(t.eta_updates());
-    reg.counter("lp.simplex.eta_rejections").add(t.eta_rejections());
+    static obs::Counter& refactorizations =
+        reg.counter("lp.simplex.refactorizations");
+    static obs::Counter& eta_updates = reg.counter("lp.simplex.eta_updates");
+    static obs::Counter& eta_rejections =
+        reg.counter("lp.simplex.eta_rejections");
+    refactorizations.add(t.refactorizations());
+    eta_updates.add(t.eta_updates());
+    eta_rejections.add(t.eta_rejections());
   };
 
   // Phase 1: drive the artificials to zero. On expiry here there is no

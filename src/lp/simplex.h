@@ -33,8 +33,9 @@ namespace mecsched::lp {
 //                   steepest edge; one extra BTRAN per pivot but typically
 //                   fewer iterations on degenerate LPs. Retained as the
 //                   fallback framework steepest edge resets into.
-//   kSteepestEdge — reference-framework steepest edge: weights γ_j track
-//                   1 + ‖B⁻¹A_j‖² exactly from the pivot's FTRAN/BTRAN
+//   kSteepestEdge — reference-framework steepest edge: weights γ_j start
+//                   at 1 + ‖A_j‖² each phase and are updated exactly
+//                   toward 1 + ‖B⁻¹A_j‖² from the pivot's FTRAN/BTRAN
 //                   solves (two extra BTRANs per pivot). Fewest pivots on
 //                   the degenerate HTA cluster LPs.
 enum class PricingRule { kDantzig, kDevex, kSteepestEdge };
@@ -86,12 +87,18 @@ class SimplexSolver {
   Solution solve(const Problem& problem) const;
 
   // Warm-started solve. `guess` holds one value per problem variable and
-  // is snapped to each variable's nearest finite bound to form the initial
-  // nonbasic point; inequality rows whose slack can absorb the residual
-  // start with the slack basic (a crash basis), so a near-feasible guess
-  // skips most of phase 1. Warm starting changes the pivot path, never the
-  // optimum: the returned objective equals the cold solve's (asserted in
-  // simplex_test.cpp). Counts into lp.simplex.warm_solves. Re-entries on
+  // is snapped to each variable's nearest finite bound to form the start
+  // point. The crash basis then labels that point: an inequality row whose
+  // slack can absorb the residual starts with the slack basic, and an
+  // equality row the point satisfies exactly starts with one of its
+  // structural columns basic (at its snapped value) instead of a
+  // zero-valued artificial, when a column exists whose other nonzeros all
+  // lie in slack-basic rows. Only rows left with a positive artificial
+  // need phase-1 pivots, so a guess that is feasible skips phase 1, and
+  // one that is also optimal takes no pivot at all. Warm starting changes
+  // the pivot path, never the optimum: the returned objective equals the
+  // cold solve's (asserted in simplex_test.cpp). Counts into
+  // lp.simplex.warm_solves. Re-entries on
   // the same thread reuse the workspace arena and the basis kernel's
   // pools, so steady-state re-solves allocate nothing in the pivot loop
   // (tests/lp/workspace_alloc_test.cpp).

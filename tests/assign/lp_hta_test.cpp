@@ -9,6 +9,7 @@
 #include "assign/evaluator.h"
 #include "assign/exact.h"
 #include "lp/simplex.h"
+#include "obs/registry.h"
 #include "obs/tracer.h"
 #include "workload/scenario.h"
 
@@ -265,6 +266,30 @@ TEST(LpHtaTest, CrashPicksTheCheapestWholePlacement) {
       }
     }
   }
+}
+
+// When every device and the station can absorb each task's cheapest
+// whole placement, that crash point is the LP optimum and also the start
+// basis (a structural column basic in every task row), so Step 1 adds
+// nothing to lp.simplex.pivots.
+TEST(LpHtaTest, ClusterWithSlackCapacityTakesNoPivots) {
+  workload::ScenarioConfig cfg;
+  cfg.seed = 3;
+  cfg.num_tasks = 40;
+  cfg.device_capacity_min = 100.0;
+  cfg.device_capacity_max = 100.0;
+  cfg.station_capacity_per_device = 100.0;
+  const auto s = workload::make_scenario(cfg);
+  const HtaInstance inst(s.topology, s.tasks);
+  obs::Counter& pivots = obs::Registry::global().counter("lp.simplex.pivots");
+  const std::uint64_t before = pivots.value();
+  LpHtaReport report;
+  const Assignment a = LpHta().assign_with_report(inst, report);
+  EXPECT_EQ(pivots.value() - before, 0u);
+  EXPECT_EQ(report.lp_iterations, 0u);
+  EXPECT_EQ(a.cancelled(), 0u);
+  const double cold = cold_lp_objective(inst);
+  EXPECT_NEAR(report.lp_objective, cold, 1e-9 * (1.0 + cold));
 }
 
 // Stations without tasks contribute nothing (halo stations of a serve

@@ -191,8 +191,10 @@ TEST_P(BasisKernelDiff, AgreesOnBoundFlipHeavyLps) {
 }
 
 TEST_P(BasisKernelDiff, AgreesWarmStarted) {
-  // Warm starts exercise the crash-basis path of both kernels (slacks and
-  // bound-snapped nonbasics instead of all-artificial).
+  // Warm starts exercise the crash-basis path of both kernels: slacks,
+  // bound-snapped nonbasics and structural columns basic in the task rows
+  // the guess satisfies, instead of all-artificial. Steepest edge starts
+  // its reference weights from that non-diagonal basis.
   mecsched::Rng rng(static_cast<std::uint64_t>(GetParam()) * 1223 + 97);
   const auto tasks = static_cast<std::size_t>(rng.uniform_int(10, 40));
   const Problem p = hta_shaped_lp(rng, tasks, 3);
@@ -200,6 +202,7 @@ TEST_P(BasisKernelDiff, AgreesWarmStarted) {
   std::vector<double> guess(p.num_variables(), 0.0);
   for (std::size_t t = 0; t < tasks; ++t) guess[3 * t] = 1.0;
   expect_kernels_agree(p, "warm", PricingRule::kDantzig, &guess);
+  expect_kernels_agree(p, "warm-steepest", PricingRule::kSteepestEdge, &guess);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeededInstances, BasisKernelDiff,

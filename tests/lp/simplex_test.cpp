@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "lp/problem.h"
 
 namespace mecsched::lp {
@@ -209,6 +211,89 @@ TEST(SimplexTest, WarmStartHandlesBoundedAndEqualityRows) {
   EXPECT_NEAR(warm.x[0], 2.0, 1e-8);
   EXPECT_NEAR(warm.x[1], 1.0, 1e-8);
   EXPECT_NEAR(warm.objective, 4.0, 1e-8);
+}
+
+// The Step-1 shape of LP-HTA: one sum-to-one equality row per task over
+// (local, edge, cloud, cancel), a "<=" row per device over its tasks'
+// local columns and one station row over the edge columns. With loose
+// capacities the crash point (every task on its cheapest column) is the
+// optimum, and the structural crash makes it the start basis: the slacks
+// are basic in the capacity rows and each task's chosen column in its
+// equality row, so neither phase pivots.
+TEST(SimplexTest, WarmStartAtTheOptimumTakesNoPivots) {
+  mecsched::Rng rng(17);
+  constexpr std::size_t kTasks = 24;
+  constexpr std::size_t kTasksPerDevice = 3;
+  Problem p;
+  std::vector<double> crash;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    std::size_t cheapest = 0;
+    for (std::size_t l = 0; l < 4; ++l) {
+      const double cost = l < 3 ? rng.uniform(0.1, 10.0) : 100.0;
+      p.add_variable(cost, 0.0, 1.0);
+      if (cost < p.cost(4 * t + cheapest)) cheapest = l;
+    }
+    crash.resize(p.num_variables(), 0.0);
+    crash[4 * t + cheapest] = 1.0;
+    p.add_constraint({{4 * t, 1.0}, {4 * t + 1, 1.0}, {4 * t + 2, 1.0},
+                      {4 * t + 3, 1.0}},
+                     Relation::kEqual, 1.0);
+  }
+  std::vector<Term> station;
+  for (std::size_t d = 0; d < kTasks / kTasksPerDevice; ++d) {
+    std::vector<Term> device;
+    for (std::size_t t = d * kTasksPerDevice; t < (d + 1) * kTasksPerDevice;
+         ++t) {
+      device.push_back({4 * t, rng.uniform(0.5, 2.0)});
+      station.push_back({4 * t + 1, rng.uniform(0.5, 2.0)});
+    }
+    p.add_constraint(std::move(device), Relation::kLessEqual, 10.0);
+  }
+  p.add_constraint(std::move(station), Relation::kLessEqual, 100.0);
+
+  const Solution cold = SimplexSolver().solve(p);
+  ASSERT_TRUE(cold.optimal());
+  EXPECT_GT(cold.iterations, 0u);
+  for (const BasisKernel kernel :
+       {BasisKernel::kEtaLu, BasisKernel::kDenseInverse}) {
+    SimplexOptions options;
+    options.basis = kernel;
+    const Solution warm = SimplexSolver(options).solve(p, crash);
+    ASSERT_TRUE(warm.optimal());
+    EXPECT_EQ(warm.iterations, 0u);
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9 * (1.0 + cold.objective));
+    EXPECT_EQ(warm.x, crash);
+  }
+}
+
+// A column that spans two equality rows cannot stand in for either row's
+// artificial (the basis would no longer be triangular), so the crash keeps
+// those artificials and phase 1 ejects them; the answer is the cold one.
+TEST(SimplexTest, CrashKeepsArtificialWhenColumnSpansTwoEqualityRows) {
+  // min x + 2y + 3z s.t. x + y = 1, x - y + z = 1 -> x = 1, y = z = 0.
+  // The guess x = 1 satisfies both rows. Row 1 can take z (it touches no
+  // other row); row 0 has only x and y, which both also touch row 1.
+  Problem p;
+  const auto x = p.add_variable(1.0, 0.0, 1.0);
+  const auto y = p.add_variable(2.0, 0.0, 1.0);
+  const auto z = p.add_variable(3.0, 0.0, 1.0);
+  p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEqual, 1.0);
+  p.add_constraint({{x, 1.0}, {y, -1.0}, {z, 1.0}}, Relation::kEqual, 1.0);
+  const Solution cold = SimplexSolver().solve(p);
+  ASSERT_TRUE(cold.optimal());
+  for (const BasisKernel kernel :
+       {BasisKernel::kEtaLu, BasisKernel::kDenseInverse}) {
+    SimplexOptions options;
+    options.basis = kernel;
+    const Solution warm = SimplexSolver(options).solve(p, {1.0, 0.0, 0.0});
+    ASSERT_TRUE(warm.optimal());
+    EXPECT_GT(warm.iterations, 0u);  // row 0's artificial still leaves
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+    ASSERT_EQ(warm.x.size(), cold.x.size());
+    for (std::size_t i = 0; i < warm.x.size(); ++i) {
+      EXPECT_NEAR(warm.x[i], cold.x[i], 1e-9) << "x" << i;
+    }
+  }
 }
 
 TEST(SimplexTest, WarmStartGuessSizeMismatchThrows) {
