@@ -20,6 +20,15 @@ const std::vector<double>& Histogram::bucket_bounds() {
 
 void Histogram::observe(double v) {
   const MutexLock lock(mu_);
+  observe_locked(v);
+}
+
+void Histogram::observe_all(std::span<const double> values) {
+  const MutexLock lock(mu_);
+  for (const double v : values) observe_locked(v);
+}
+
+void Histogram::observe_locked(double v) {
   summary_.add(v);
   if (buckets_.empty()) buckets_.assign(bucket_bounds().size(), 0);
   // NaN is kept out of the ordered bucket search; it lands only in the

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,8 @@ class Histogram {
   static const std::vector<double>& bucket_bounds();
 
   void observe(double v);
+  // observe() of each value in order, under one lock acquisition.
+  void observe_all(std::span<const double> values);
 
   Summary summary() const;
   // Cumulative counts per finite bucket (Prometheus `le` semantics);
@@ -82,6 +85,8 @@ class Histogram {
   void reset();
 
  private:
+  void observe_locked(double v) MECSCHED_REQUIRES(mu_);
+
   mutable Mutex mu_;
   Summary summary_ MECSCHED_GUARDED_BY(mu_);
   // sized lazily on first observe

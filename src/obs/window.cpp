@@ -54,7 +54,17 @@ WindowedHistogram::Epoch& WindowedHistogram::epoch_for_write_locked(
 
 void WindowedHistogram::observe(double v) {
   const MutexLock lock(mu_);
+  add(epoch_for_write_locked(current_index_locked()), v);
+}
+
+void WindowedHistogram::observe_all(std::span<const double> values) {
+  if (values.empty()) return;
+  const MutexLock lock(mu_);
   Epoch& e = epoch_for_write_locked(current_index_locked());
+  for (const double v : values) add(e, v);
+}
+
+void WindowedHistogram::add(Epoch& e, double v) {
   ++e.count;
   e.sum += v;
   e.min = std::min(e.min, v);

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -42,6 +43,9 @@ class WindowedHistogram {
                              std::size_t num_epochs = 60);
 
   void observe(double v);
+  // observe() of each value in order, under one lock and one clock read:
+  // every value lands in the same epoch.
+  void observe_all(std::span<const double> values);
   // Rotates the window forward by `epochs` epochs (manual mode's only
   // clock; also usable in timed mode to force expiry).
   void advance(std::size_t epochs = 1);
@@ -95,6 +99,7 @@ class WindowedHistogram {
 
   std::uint64_t current_index_locked() const MECSCHED_REQUIRES(mu_);
   Epoch& epoch_for_write_locked(std::uint64_t index) MECSCHED_REQUIRES(mu_);
+  static void add(Epoch& e, double v);
   Aggregate aggregate_locked(std::uint64_t now_index) const
       MECSCHED_REQUIRES(mu_);
   Aggregate aggregate() const MECSCHED_EXCLUDES(mu_);

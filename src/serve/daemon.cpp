@@ -5,6 +5,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +63,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   exec::ThreadPool pool(options_.jobs);
   const control::FallbackChain chain(options_.lp);
   std::vector<PendingTask> pending;  // id = index, append-only
+  // One slot per arrival at most: growing by doubling would copy the
+  // vector and briefly hold old and new buffers, the run's memory peak.
+  pending.reserve(trace.arrivals());
 
   obs::Registry& reg = obs::Registry::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
@@ -72,6 +76,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   const std::size_t ns = universe.num_base_stations();
   double now = 0.0;
   std::size_t epoch = 0;
+  std::size_t shard_devices = 0;  // devices materialized into shards
+  std::vector<double> waits_ms;   // one epoch's admit-to-decision waits
 
   auto append = [&](double t, const mec::TaskId& id, DecisionKind kind,
                     std::size_t attempt) {
@@ -122,6 +128,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
                   ",\"running\":" + std::to_string(recon.running().size()) +
                   ",\"waiting\":" + std::to_string(waiting.waiting())
             : std::string());
+    // One span per stage, nested in the epoch span; each stage's
+    // emplace() closes the previous one.
+    std::optional<obs::ScopedTimer> stage;
+    stage.emplace("serve.stage.ingest", "serve");
 
     // ---- 1. Ingest: close the window, replay its events in trace order.
     Window w = cursor.next_window(now);
@@ -159,6 +169,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     ++result.epochs;
 
     // ---- 2. Triage the epoch batch.
+    stage.emplace("serve.stage.triage", "serve");
     const std::vector<ReadmissionEntry> ready = waiting.take_ready(epoch);
     reg.gauge("serve.queue.depth")
         .set(static_cast<double>(waiting.waiting()));
@@ -194,20 +205,27 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     if (batch.empty()) continue;
     ++result.decide_epochs;
 
-    // ---- 3. Shard against the residual system.
-    std::vector<double> dev_res(nd);
+    // ---- 3. Shard against the residual system. Only the devices the
+    // batch names can enter a shard roster, so only theirs are priced.
+    stage.emplace("serve.stage.occupancy", "serve");
+    std::vector<double> dev_res(nd, 0.0);
     std::vector<double> st_res(ns);
     {
       std::vector<double> dev_used(nd, 0.0);
       std::vector<double> st_used(ns, 0.0);
       recon.occupancy(now, dev_used, st_used);
-      for (std::size_t g = 0; g < nd; ++g) {
+      const auto price = [&](std::size_t g) {
         dev_res[g] = universe.device(g).max_resource - dev_used[g];
+      };
+      for (const PendingTask* p : batch) {
+        price(p->task.id.user);
+        if (p->task.external_bytes > 0.0) price(p->task.external_owner);
       }
       for (std::size_t b = 0; b < ns; ++b) {
         st_res[b] = universe.base_station(b).max_resource - st_used[b];
       }
     }
+    stage.emplace("serve.stage.shard", "serve");
     const std::vector<ShardProblem> shards =
         sharder.build(pop, dev_res, st_res, batch, residuals);
 
@@ -247,6 +265,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       return oc;
     };
 
+    stage.emplace("serve.stage.solve", "serve");
     const auto solve_t0 = std::chrono::steady_clock::now();
     std::vector<std::future<ShardOutcome>> futures;
     futures.reserve(shards.size());
@@ -268,11 +287,14 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     // ---- 5. Apply in shard order: the decision log never sees the
     // worker schedule.
+    stage.emplace("serve.stage.apply", "serve");
+    waits_ms.clear();
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const ShardProblem& sp = shards[i];
       const ShardOutcome& oc = outcomes[i];
       ++result.shard_solves;
       ++result.rungs[oc.rung];
+      shard_devices += sp.topology.num_devices();
       for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
         const std::size_t id = sp.task_ids[t];
         const PendingTask& p = pending[id];
@@ -293,10 +315,13 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           log->append({epoch, now, p.task.id, DecisionKind::kDecide,
                        sp.shard, d, p.attempts, wait_s, oc.energy_j[t]});
         }
-        reg.histogram("serve.admit_to_decision_ms").observe(wait_s * 1e3);
-        reg.window("serve.admit_to_decision_ms").observe(wait_s * 1e3);
-        reg.rate("serve.decisions").record();
+        waits_ms.push_back(wait_s * 1e3);
       }
+    }
+    if (!waits_ms.empty()) {
+      reg.histogram("serve.admit_to_decision_ms").observe_all(waits_ms);
+      reg.window("serve.admit_to_decision_ms").observe_all(waits_ms);
+      reg.rate("serve.decisions").record(waits_ms.size());
     }
   }
 
@@ -319,6 +344,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   reg.counter("serve.readmissions").add(result.retries);
   reg.counter("serve.abandoned").add(result.abandoned);
   reg.counter("serve.shard_solves").add(result.shard_solves);
+  reg.counter("serve.shard.devices").add(shard_devices);
   return result;
 }
 

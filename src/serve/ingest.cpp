@@ -19,10 +19,10 @@ Window IngestCursor::next_window(double from_s) {
   Window w;
   w.close_s = from_s + batching_.window_s;
   const std::vector<Event>& events = trace_->events();
+  const std::size_t first = next_;
   std::size_t arrivals = 0;
   while (next_ < events.size() && events[next_].time_s <= w.close_s) {
     const Event& e = events[next_++];
-    w.events.push_back(e);
     if (e.kind == EventKind::kTaskArrival &&
         batching_.max_batch > 0 && ++arrivals >= batching_.max_batch) {
       // The cap'th arrival closes the window at its own timestamp; the
@@ -33,6 +33,7 @@ Window IngestCursor::next_window(double from_s) {
       break;
     }
   }
+  w.events = std::span<const Event>(events).subspan(first, next_ - first);
   return w;
 }
 

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "serve/event.h"
 
@@ -25,10 +25,11 @@ struct BatchingOptions {
   std::size_t max_batch = 0;  // arrivals that force an early close; 0 = off
 };
 
-// One closed batching window.
+// One closed batching window. `events` views a contiguous range of the
+// trace in place, so it is valid while the trace lives.
 struct Window {
-  double close_s = 0.0;       // the epoch boundary: decisions happen here
-  std::vector<Event> events;  // trace order, time_s <= close_s
+  double close_s = 0.0;           // the epoch boundary: decisions happen here
+  std::span<const Event> events;  // trace order, time_s <= close_s
   bool closed_by_size = false;
 };
 

@@ -17,6 +17,13 @@
 // Interruption is at whole-run granularity, matching the resilient
 // controller's analytic-execution model: a task that finished before the
 // event's timestamp is unaffected even if collection happens later.
+//
+// Churn mostly strikes devices with nothing in flight, so the reconciler
+// counts, per device, the running tasks a leave could interrupt (those
+// naming it as issuer or owner) and those a migrate could (those it issued
+// to the edge or cloud). An event on a device whose count is zero is
+// answered without touching the running set; any other event compacts the
+// set in place, so running() stays in start order.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +54,7 @@ struct Interruptions {
 
 class Reconciler {
  public:
-  void start(const RunningTask& t) { running_.push_back(t); }
+  void start(const RunningTask& t);
 
   // Classifies one churn event against the running set, removing the
   // interrupted tasks. Arrival and join events never interrupt.
@@ -67,7 +74,19 @@ class Reconciler {
                  std::vector<double>& station_used) const;
 
  private:
+  // Running tasks a churn event on one device could interrupt.
+  struct Refs {
+    std::size_t named = 0;      // issuer or owner: a leave (a task owning
+                                // its own external data counts twice)
+    std::size_t offloaded = 0;  // edge/cloud issuer: a migrate
+  };
+
+  // Count t in (retain) or out of (release) its devices' refs_.
+  void retain(const RunningTask& t);
+  void release(const RunningTask& t);
+
   std::vector<RunningTask> running_;
+  std::vector<Refs> refs_;  // by device; grows on demand, past the end = 0
 };
 
 }  // namespace mecsched::serve

@@ -57,36 +57,59 @@ std::vector<ShardProblem> Sharder::build(
     shard_tasks[station_shard_[population.station(issuer)]].push_back(i);
   }
 
-  // Bucket the up population by shard, in global-id order.
-  std::vector<std::vector<std::size_t>> shard_devices(num_shards_);
-  for (std::size_t g = 0; g < nd; ++g) {
-    if (population.up(g)) {
-      shard_devices[station_shard_[population.station(g)]].push_back(g);
-    }
-  }
-
-  // Scratch global->local maps, reset per shard via the touched lists.
-  std::vector<std::size_t> device_local(nd, kNone);
+  // Scratch global->local station map, reset per shard.
   std::vector<std::size_t> station_local(ns, kNone);
 
   std::vector<ShardProblem> problems;
   for (std::size_t s = 0; s < num_shards_; ++s) {
     if (shard_tasks[s].empty()) continue;
 
-    // Halo owners: up devices serving external data from another shard.
-    std::vector<std::size_t> halo;
+    // The shard's tasks; user and owner become local ids below.
+    std::vector<mec::Task> tasks;
+    std::vector<std::size_t> task_ids;
+    tasks.reserve(shard_tasks[s].size());
+    task_ids.reserve(shard_tasks[s].size());
     for (const std::size_t i : shard_tasks[s]) {
-      const mec::Task& t = batch[i]->task;
-      if (t.external_bytes <= 0.0) continue;
+      tasks.push_back(batch[i]->task);
+      tasks.back().deadline_s = residual_deadline_s[i];
+      task_ids.push_back(batch[i]->id);
+    }
+
+    // Device roster: the devices the tasks name. Issuers and in-shard
+    // external owners (core) come first, then the owners serving external
+    // data from another shard (halo), each part in universe-id order; a
+    // device no task names would never enter a solver, so it stays out.
+    // Each reference is (sort key, 2 * task + is_owner) with halo keys
+    // offset by nd, so one sort yields the roster and every local id.
+    std::vector<std::pair<std::size_t, std::size_t>> refs;
+    refs.reserve(2 * tasks.size());
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      mec::Task& t = tasks[k];
+      refs.emplace_back(t.id.user, 2 * k);
+      if (t.external_bytes <= 0.0) {
+        t.external_owner = 0;
+        continue;
+      }
       MECSCHED_REQUIRE(population.up(t.external_owner),
                        "external owner " + std::to_string(t.external_owner) +
                            " is not up (triage must run first)");
-      if (station_shard_[population.station(t.external_owner)] != s) {
-        halo.push_back(t.external_owner);
-      }
+      const bool in_shard =
+          station_shard_[population.station(t.external_owner)] == s;
+      refs.emplace_back(t.external_owner + (in_shard ? 0 : nd), 2 * k + 1);
     }
-    std::sort(halo.begin(), halo.end());
-    halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
+    std::sort(refs.begin(), refs.end());
+    std::vector<std::size_t> roster;
+    std::size_t core_devices = 0;
+    for (std::size_t r = 0; r < refs.size(); ++r) {
+      const auto [key, slot] = refs[r];
+      if (r == 0 || key != refs[r - 1].first) {
+        roster.push_back(key < nd ? key : key - nd);
+        if (key < nd) ++core_devices;
+      }
+      mec::Task& t = tasks[slot / 2];
+      (slot % 2 == 0 ? t.id.user : t.external_owner) = roster.size() - 1;
+    }
+    const std::size_t halo_devices = roster.size() - core_devices;
 
     // Station roster: the shard's own block, then halo cells (sorted).
     std::vector<std::size_t> stations;
@@ -96,8 +119,8 @@ std::vector<ShardProblem> Sharder::build(
     const std::size_t core_stations = stations.size();
     {
       std::vector<std::size_t> halo_stations;
-      for (const std::size_t g : halo) {
-        halo_stations.push_back(population.station(g));
+      for (std::size_t local = core_devices; local < roster.size(); ++local) {
+        halo_stations.push_back(population.station(roster[local]));
       }
       std::sort(halo_stations.begin(), halo_stations.end());
       halo_stations.erase(
@@ -123,12 +146,6 @@ std::vector<ShardProblem> Sharder::build(
       shard_stations.push_back(bs);
     }
 
-    // Device roster: core population, then halo owners.
-    std::vector<std::size_t> roster = shard_devices[s];
-    roster.insert(roster.end(), halo.begin(), halo.end());
-    for (std::size_t local = 0; local < roster.size(); ++local) {
-      device_local[roster[local]] = local;
-    }
     std::vector<mec::Device> shard_dev;
     shard_dev.reserve(roster.size());
     for (std::size_t local = 0; local < roster.size(); ++local) {
@@ -136,28 +153,12 @@ std::vector<ShardProblem> Sharder::build(
       mec::Device d = universe_->device(g);
       d.id = local;
       d.base_station = station_local[population.station(g)];
-      d.max_resource = local < shard_devices[s].size()
-                           ? std::max(0.0, device_residual[g])
-                           : 0.0;
+      d.max_resource =
+          local < core_devices ? std::max(0.0, device_residual[g]) : 0.0;
       shard_dev.push_back(d);
     }
 
-    std::vector<mec::Task> tasks;
-    std::vector<std::size_t> task_ids;
-    tasks.reserve(shard_tasks[s].size());
-    task_ids.reserve(shard_tasks[s].size());
-    for (const std::size_t i : shard_tasks[s]) {
-      mec::Task t = batch[i]->task;
-      t.id.user = device_local[t.id.user];
-      t.external_owner =
-          t.external_bytes > 0.0 ? device_local[t.external_owner] : 0;
-      t.deadline_s = residual_deadline_s[i];
-      tasks.push_back(std::move(t));
-      task_ids.push_back(batch[i]->id);
-    }
-
-    // Reset the scratch maps for the next shard.
-    for (const std::size_t g : roster) device_local[g] = kNone;
+    // Reset the scratch map for the next shard.
     for (const std::size_t b : stations) station_local[b] = kNone;
 
     problems.push_back(ShardProblem{
@@ -165,7 +166,7 @@ std::vector<ShardProblem> Sharder::build(
         mec::Topology(std::move(shard_dev), std::move(shard_stations),
                       universe_->params()),
         std::move(tasks), std::move(task_ids), std::move(roster),
-        halo.size()});
+        halo_devices});
   }
   return problems;
 }

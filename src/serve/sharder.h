@@ -58,14 +58,21 @@ class Sharder {
   std::size_t num_shards() const { return num_shards_; }
   std::size_t shard_of_station(std::size_t station) const;
 
-  // Cuts one epoch: routes each batch task to its issuer's shard, carves
-  // per-shard topologies out of the up population with the given residual
-  // capacities (indexed by universe ids; a down device's residual is
-  // ignored), and remaps ids. residual_deadline_s aligns with batch and
-  // overrides each task's deadline (the slack left after waiting). Shards
-  // with no tasks are omitted; the returned problems are in shard order.
-  // Every batch issuer — and every external owner — must be up (the
-  // daemon triages the rest away before building).
+  // Cuts one epoch: routes each batch task to its issuer's shard and
+  // builds one topology per shard from the devices its tasks name — the
+  // issuers and in-shard external owners in ascending universe id, with
+  // their residual capacities, then the halo owners — plus the shard's
+  // cells and any halo cells. Devices no task names stay out: no solver
+  // reads them, and local ids stay monotone in universe ids, so the LP
+  // rows and decisions are those of a roster holding every up device of
+  // the shard's cells.
+  // device_residual is indexed by universe ids and only the rosters'
+  // core entries are read; station_residual covers every station.
+  // residual_deadline_s aligns with batch and overrides each task's
+  // deadline (the slack left after waiting). Shards with no tasks are
+  // omitted; the returned problems are in shard order. Every batch issuer
+  // — and every external owner — must be up (the daemon triages the rest
+  // away before building).
   std::vector<ShardProblem> build(
       const Population& population,
       const std::vector<double>& device_residual,

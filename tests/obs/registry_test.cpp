@@ -238,5 +238,23 @@ TEST(HistogramTest, MergeFromWithConcurrentObserversLosesNothing) {
   EXPECT_EQ(source.summary().count(), 2ull * kPerThread);
 }
 
+TEST(HistogramTest, ObserveAllMatchesRepeatedObserve) {
+  const std::vector<double> values{0.5, 3.0, -2.0, 0.0, 1e12, 7e-4, 3.0};
+  Histogram one_by_one;
+  for (const double v : values) one_by_one.observe(v);
+  Histogram batched;
+  batched.observe_all(values);
+  batched.observe_all({});
+  const Summary a = one_by_one.summary();
+  const Summary b = batched.summary();
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.variance(), b.variance());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(one_by_one.cumulative_buckets(), batched.cumulative_buckets());
+}
+
 }  // namespace
 }  // namespace mecsched::obs

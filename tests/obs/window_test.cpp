@@ -155,6 +155,34 @@ TEST(WindowedHistogramTest, ConcurrentObserversAreCounted) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(WindowedHistogramTest, ObserveAllMatchesRepeatedObserve) {
+  const std::vector<double> first{0.5, 3.0, -2.0, 0.0};
+  const std::vector<double> second{1e12, 7e-4, 3.0};
+  WindowedHistogram one_by_one(0.0, 4);
+  WindowedHistogram batched(0.0, 4);
+  for (const double v : first) one_by_one.observe(v);
+  batched.observe_all(first);
+  one_by_one.advance();
+  batched.advance();
+  for (const double v : second) one_by_one.observe(v);
+  batched.observe_all(second);
+  batched.observe_all({});
+  const WindowedHistogram::Snapshot a = one_by_one.snapshot();
+  const WindowedHistogram::Snapshot b = batched.snapshot();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p90, b.p90);
+  EXPECT_EQ(a.p99, b.p99);
+  // Both batches age out exactly like their samples did.
+  one_by_one.advance(3);
+  batched.advance(3);
+  EXPECT_EQ(one_by_one.snapshot().count, 3u);
+  EXPECT_EQ(batched.snapshot().count, 3u);
+}
+
 TEST(RateWindowTest, CountsAndExpires) {
   RateWindow r(0.0, 2);
   r.record();

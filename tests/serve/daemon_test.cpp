@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "mec/parameters.h"
@@ -81,6 +82,52 @@ TEST(ServeDaemonTest, DecisionLogIsByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(r1.completed, r4.completed);
   EXPECT_DOUBLE_EQ(r1.total_energy_j, r4.total_energy_j);
   EXPECT_GT(r1.decisions, 0u);
+}
+
+// A pinned decision log. The worker-count comparison above cannot catch a
+// change that moves the log the same way at every --jobs; this can. The
+// run mixes churn (lost and orphaned work), cross-shard owners (halo
+// entries) and devices that never issue a task.
+TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
+  workload::ServeTraceConfig cfg;
+  cfg.scenario.num_devices = 120;
+  cfg.scenario.num_base_stations = 8;
+  cfg.scenario.seed = 23;
+  cfg.epochs = 8;
+  cfg.epoch_s = 0.5;
+  cfg.arrival_rate_per_s = 40.0;
+  cfg.join_rate_per_s = 3.0;
+  cfg.leave_rate_per_s = 4.0;
+  cfg.migrate_rate_per_s = 6.0;
+  const workload::ServeWorkload w = workload::make_serve_workload(cfg);
+  ServeOptions opts;
+  opts.sharding.num_shards = 3;
+
+  // The trace exercises what the digest is meant to guard.
+  const Sharder sharder(w.universe, opts.sharding);
+  const auto shard_of_device = [&](std::size_t g) {
+    return sharder.shard_of_station(w.universe.device(g).base_station);
+  };
+  std::vector<char> issues(w.universe.num_devices(), 0);
+  std::size_t cross_shard = 0;
+  for (const Event& e : w.trace.events()) {
+    if (e.kind != EventKind::kTaskArrival) continue;
+    issues[e.task.id.user] = 1;
+    if (e.task.external_bytes > 0.0 &&
+        shard_of_device(e.task.external_owner) !=
+            shard_of_device(e.task.id.user)) {
+      ++cross_shard;
+    }
+  }
+  EXPECT_GT(cross_shard, 0u);
+  EXPECT_LT(std::count(issues.begin(), issues.end(), 1),
+            static_cast<std::ptrdiff_t>(issues.size()));
+
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace, &log);
+  EXPECT_GT(r.decisions, 0u);
+  EXPECT_GT(r.orphaned + r.lost_issuer, 0u);
+  EXPECT_EQ(log.digest(), 0x258de30fbc0db8b0ull);
 }
 
 TEST(ServeDaemonTest, AdmittedTasksAllReachExactlyOneTerminalState) {

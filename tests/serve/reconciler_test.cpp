@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace mecsched::serve {
 namespace {
 
@@ -100,6 +107,168 @@ TEST(ReconcilerTest, CollectCompletionsReturnsStartOrder) {
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[0], 5u);
   EXPECT_EQ(done[1], 6u);
+}
+
+TEST(ReconcilerTest, ChurnOnIdleDeviceIsANoOp) {
+  Reconciler rec;
+  RunningTask t = running(1, assign::Decision::kEdge, 5.0);
+  t.has_external = true;
+  t.owner = 3;
+  rec.start(t);
+  rec.start(running(2, assign::Decision::kLocal, 0.5));
+  // Device 2 is named by no task; device 9 was never seen at all.
+  for (const Event& e : {Event::leave(1.0, 2), Event::migrate(1.0, 2, 1),
+                         Event::leave(1.0, 9), Event::migrate(1.0, 9, 0)}) {
+    const Interruptions i = rec.observe(e);
+    EXPECT_TRUE(i.lost_issuer.empty());
+    EXPECT_TRUE(i.orphaned.empty());
+  }
+  ASSERT_EQ(rec.running().size(), 2u);
+  // A busy device still interrupts: the owner leaving orphans task 1.
+  EXPECT_EQ(rec.collect_completions(0.5), (std::vector<std::size_t>{2}));
+  EXPECT_EQ(rec.observe(Event::leave(1.0, 3)).orphaned,
+            (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(rec.running().empty());
+}
+
+// The reconciler as it was before the per-device index: copy and scan the
+// whole running set on every churn event. The differential test below
+// holds the indexed version to it.
+class ReferenceReconciler {
+ public:
+  void start(const RunningTask& t) { running_.push_back(t); }
+
+  Interruptions observe(const Event& e) {
+    Interruptions out;
+    if (e.kind != EventKind::kDeviceLeave &&
+        e.kind != EventKind::kDeviceMigrate) {
+      return out;
+    }
+    std::vector<RunningTask> keep;
+    for (const RunningTask& r : running_) {
+      if (r.finish_s <= e.time_s) {
+        keep.push_back(r);
+        continue;
+      }
+      if (e.kind == EventKind::kDeviceLeave) {
+        if (r.issuer == e.device) {
+          out.lost_issuer.push_back(r.id);
+          continue;
+        }
+        if (r.has_external && r.owner == e.device) {
+          out.orphaned.push_back(r.id);
+          continue;
+        }
+      } else if (r.issuer == e.device &&
+                 r.where != assign::Decision::kLocal) {
+        out.orphaned.push_back(r.id);
+        continue;
+      }
+      keep.push_back(r);
+    }
+    running_.swap(keep);
+    return out;
+  }
+
+  std::vector<std::size_t> collect_completions(double now) {
+    std::vector<std::size_t> done;
+    std::vector<RunningTask> keep;
+    for (const RunningTask& r : running_) {
+      if (r.finish_s <= now) {
+        done.push_back(r.id);
+      } else {
+        keep.push_back(r);
+      }
+    }
+    running_.swap(keep);
+    return done;
+  }
+
+  void occupancy(double now, std::vector<double>& device_used,
+                 std::vector<double>& station_used) const {
+    for (const RunningTask& r : running_) {
+      if (r.finish_s <= now) continue;
+      if (r.where == assign::Decision::kLocal) {
+        device_used[r.issuer] += r.resource;
+      } else if (r.where == assign::Decision::kEdge) {
+        station_used[r.station] += r.resource;
+      }
+    }
+  }
+
+  const std::vector<RunningTask>& running() const { return running_; }
+
+ private:
+  std::vector<RunningTask> running_;
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+TEST(ReconcilerTest, MatchesCopyAndScanReferenceOnRandomStreams) {
+  constexpr std::size_t kDevices = 12;
+  constexpr std::size_t kStations = 3;
+  constexpr assign::Decision kWhere[] = {assign::Decision::kLocal,
+                                         assign::Decision::kEdge,
+                                         assign::Decision::kCloud};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    Reconciler rec;
+    ReferenceReconciler ref;
+    double now = 0.0;
+    std::size_t next_id = 0;
+    const auto device = [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kDevices) - 1));
+    };
+    for (int step = 0; step < 400; ++step) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.45) {  // start
+        RunningTask t;
+        t.id = next_id++;
+        t.finish_s = now + rng.uniform(0.0, 3.0);
+        t.where = kWhere[rng.uniform_int(0, 2)];
+        t.issuer = device();
+        t.station = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kStations) - 1));
+        t.resource = rng.uniform(0.1, 2.0);
+        t.has_external = rng.bernoulli(0.5);
+        t.owner = t.has_external ? device() : 0;
+        rec.start(t);
+        ref.start(t);
+      } else if (u < 0.85) {  // churn, possibly timed before some finishes
+        const double t = now + rng.uniform(0.0, 0.5);
+        const Event e = rng.bernoulli(0.5)
+                            ? Event::leave(t, device())
+                            : Event::migrate(t, device(), 0);
+        const Interruptions got = rec.observe(e);
+        const Interruptions want = ref.observe(e);
+        ASSERT_EQ(got.lost_issuer, want.lost_issuer) << "seed " << seed;
+        ASSERT_EQ(got.orphaned, want.orphaned) << "seed " << seed;
+      } else {  // the clock moves and completions are collected
+        now += rng.uniform(0.0, 1.0);
+        ASSERT_EQ(rec.collect_completions(now), ref.collect_completions(now))
+            << "seed " << seed;
+      }
+      ASSERT_EQ(rec.running().size(), ref.running().size());
+      for (std::size_t i = 0; i < ref.running().size(); ++i) {
+        ASSERT_EQ(rec.running()[i].id, ref.running()[i].id)
+            << "seed " << seed;
+      }
+      std::vector<double> dev(kDevices, 0.0), sta(kStations, 0.0);
+      std::vector<double> ref_dev(kDevices, 0.0), ref_sta(kStations, 0.0);
+      const double at = now + rng.uniform(0.0, 0.5);
+      rec.occupancy(at, dev, sta);
+      ref.occupancy(at, ref_dev, ref_sta);
+      ASSERT_TRUE(same_bits(dev, ref_dev)) << "seed " << seed;
+      ASSERT_TRUE(same_bits(sta, ref_sta)) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -163,6 +163,55 @@ TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   }
 }
 
+TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
+  // 12 devices over 4 stations; shard 0 (stations 0-1) holds devices
+  // 0, 1, 4, 5, 8 and 9, of which 0 and 4 issue nothing and own nothing.
+  const mec::Topology universe = make_universe(12, 4);
+  const Sharder sharder(universe, {2});
+  const Population pop(universe);
+  const PendingTask a = pending(0, 9, 6, 200e3);  // owner 6: station 2, halo
+  const PendingTask b = pending(1, 5, 5, 0.0);
+  const PendingTask c = pending(2, 1, 8, 200e3);  // owner 8: in-shard
+  const std::vector<const PendingTask*> batch{&a, &b, &c};
+  const auto problems =
+      sharder.build(pop, full_device_residual(universe),
+                    full_station_residual(universe), batch,
+                    {10.0, 10.0, 10.0});
+  ASSERT_EQ(problems.size(), 1u);
+  const ShardProblem& shard = problems[0];
+
+  // Core devices in ascending universe id, then the halo owner.
+  EXPECT_EQ(shard.device_global, (std::vector<std::size_t>{1, 5, 8, 9, 6}));
+  EXPECT_EQ(shard.halo_devices, 1u);
+  EXPECT_EQ(shard.topology.num_devices(), 5u);
+  for (std::size_t local = 0; local < 4; ++local) {
+    EXPECT_DOUBLE_EQ(shard.topology.device(local).max_resource, 8.0);
+  }
+  EXPECT_DOUBLE_EQ(shard.topology.device(4).max_resource, 0.0);
+
+  // Tasks keep batch order and point at their devices' local ids.
+  ASSERT_EQ(shard.tasks.size(), 3u);
+  EXPECT_EQ(shard.tasks[0].id.user, 3u);
+  EXPECT_EQ(shard.tasks[0].external_owner, 4u);
+  EXPECT_EQ(shard.tasks[1].id.user, 1u);
+  EXPECT_EQ(shard.tasks[2].id.user, 0u);
+  EXPECT_EQ(shard.tasks[2].external_owner, 2u);
+
+  // Every task still prices exactly as in the universe.
+  for (std::size_t t = 0; t < batch.size(); ++t) {
+    const mec::TaskCosts in_universe =
+        mec::CostModel(universe).evaluate(batch[t]->task);
+    const mec::TaskCosts in_shard =
+        mec::CostModel(shard.topology).evaluate(shard.tasks[t]);
+    for (const mec::Placement placement : mec::kAllPlacements) {
+      EXPECT_DOUBLE_EQ(in_shard.latency(placement),
+                       in_universe.latency(placement));
+      EXPECT_DOUBLE_EQ(in_shard.energy(placement),
+                       in_universe.energy(placement));
+    }
+  }
+}
+
 TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const mec::Topology universe = make_universe();
   const Sharder sharder(universe, {2});
