@@ -47,7 +47,7 @@ lp::Problem hta_relaxation(std::size_t tasks) {
                      lp::Relation::kEqual, 1.0);
     station_row.push_back({idx * 3 + 1, inst.task(t).resource});
   }
-  p.add_constraint(std::move(station_row), lp::Relation::kLessEqual,
+  p.add_constraint(station_row, lp::Relation::kLessEqual,
                    inst.topology().base_station(0).max_resource);
   return p;
 }

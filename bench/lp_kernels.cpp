@@ -115,7 +115,7 @@ mecsched::lp::Problem build_cell_lp(const HtaInstance& instance,
       std::vector<mecsched::lp::Term> terms;
       terms.reserve(con.terms.size());
       for (const auto& t : con.terms) terms.push_back({map[t.var], t.coeff});
-      mono.add_constraint(std::move(terms), con.relation, con.rhs);
+      mono.add_constraint(terms, con.relation, con.rhs);
     }
   }
   return mono;

@@ -11,7 +11,13 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   const mec::Topology& topo = instance.topology();
   ClusterLp out;
 
-  for (std::size_t t : instance.cluster_tasks(b)) {
+  const std::vector<std::size_t>& tasks = instance.cluster_tasks(b);
+  const auto n_active = static_cast<std::size_t>(
+      std::count_if(tasks.begin(), tasks.end(),
+                    [&](std::size_t t) { return instance.schedulable(t); }));
+  out.active.reserve(n_active);
+  out.unschedulable.reserve(tasks.size() - n_active);
+  for (std::size_t t : tasks) {
     if (instance.schedulable(t)) {
       out.active.push_back(t);
     } else {
@@ -20,13 +26,23 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   }
   if (out.active.empty()) return out;
 
+  // Exact shape: 4 columns and one 4-term row per task, at most one
+  // device row per task plus the station row, and one device-row and one
+  // station-row term per task.
+  const std::size_t n = n_active;
+  out.problem.reserve(4 * n, 2 * n + 1, 6 * n);
+  out.crash.assign(4 * n, 0.0);
+  out.device_ids.reserve(n);
+  out.device_row.reserve(n);
+  out.device_begin.reserve(n + 1);
+
   double penalty = 1.0;
   for (std::size_t t : out.active) {
     penalty = std::max(penalty, instance.energy(t, Placement::kCloud));
   }
   out.cancel_penalty = 2.0 * penalty + 1.0;
 
-  for (std::size_t idx = 0; idx < out.active.size(); ++idx) {
+  for (std::size_t idx = 0; idx < n; ++idx) {
     const std::size_t t = out.active[idx];
     std::size_t start = 3;  // cancel column unless a placement fits whole
     for (std::size_t l = 0; l < 3; ++l) {
@@ -44,7 +60,6 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
       }
     }
     const std::size_t cancel = out.problem.add_variable(out.cancel_penalty, 0.0, 1.0);
-    out.crash.resize(out.problem.num_variables(), 0.0);
     out.crash[out.column(idx, start)] = 1.0;
     out.problem.add_constraint({{out.column(idx, 0), 1.0},
                                 {out.column(idx, 1), 1.0},
@@ -58,22 +73,25 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   const auto owner = [&](std::size_t idx) {
     return instance.task(out.active[idx]).id.user;
   };
-  out.device_slots.resize(out.active.size());
+  out.device_slots.resize(n);
   std::iota(out.device_slots.begin(), out.device_slots.end(), 0);
   std::stable_sort(
       out.device_slots.begin(), out.device_slots.end(),
       [&](std::size_t a, std::size_t c) { return owner(a) < owner(c); });
-  for (std::size_t k = 0; k < out.device_slots.size(); ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
     const std::size_t device = owner(out.device_slots[k]);
     if (out.device_ids.empty() || out.device_ids.back() != device) {
       out.device_ids.push_back(device);
       out.device_begin.push_back(k);
     }
   }
-  out.device_begin.push_back(out.device_slots.size());
+  out.device_begin.push_back(n);
 
+  // One term buffer serves every device row and then the station row.
+  std::vector<lp::Term> terms;
+  terms.reserve(n);
   for (std::size_t i = 0; i < out.device_ids.size(); ++i) {
-    std::vector<lp::Term> terms;
+    terms.clear();
     for (std::size_t k = out.device_begin[i]; k < out.device_begin[i + 1];
          ++k) {
       const std::size_t idx = out.device_slots[k];
@@ -81,17 +99,16 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
           {out.column(idx, 0), instance.task(out.active[idx]).resource});
     }
     out.device_row.push_back(out.problem.add_constraint(
-        std::move(terms), lp::Relation::kLessEqual,
+        terms, lp::Relation::kLessEqual,
         topo.device(out.device_ids[i]).max_resource));
   }
-  std::vector<lp::Term> station_terms;
-  for (std::size_t idx = 0; idx < out.active.size(); ++idx) {
-    station_terms.push_back(
+  terms.clear();
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    terms.push_back(
         {out.column(idx, 1), instance.task(out.active[idx]).resource});
   }
   out.station_row = out.problem.add_constraint(
-      std::move(station_terms), lp::Relation::kLessEqual,
-      topo.base_station(b).max_resource);
+      terms, lp::Relation::kLessEqual, topo.base_station(b).max_resource);
   return out;
 }
 

@@ -61,10 +61,10 @@ ExactResult ExactHta::solve(const HtaInstance& instance) const {
       station_row.push_back({idx * 3 + 1, task.resource});
     }
     for (auto& [device, terms] : device_rows) {
-      p.add_constraint(std::move(terms), lp::Relation::kLessEqual,
+      p.add_constraint(terms, lp::Relation::kLessEqual,
                        topo.device(device).max_resource);
     }
-    p.add_constraint(std::move(station_row), lp::Relation::kLessEqual,
+    p.add_constraint(station_row, lp::Relation::kLessEqual,
                      topo.base_station(b).max_resource);
 
     const ilp::BnbResult mip = ilp::BranchAndBound(options_).solve(p, int_vars);

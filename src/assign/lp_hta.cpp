@@ -133,8 +133,10 @@ std::string cluster_args(std::size_t b) {
 
 ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
                              const LpHtaOptions& options) {
-  const obs::ScopedTimer cluster_span("lp_hta.cluster", "assign",
-                                      cluster_args(b));
+  static obs::Histogram& cluster_seconds =
+      obs::Registry::global().histogram("lp_hta.cluster.seconds");
+  const obs::ScopedTimer cluster_span(cluster_seconds, "lp_hta.cluster",
+                                      "assign", cluster_args(b));
   const mec::Topology& topo = instance.topology();
   ClusterOutcome out;
 
@@ -145,7 +147,13 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   // literal P2 that keeps the LP feasible under deadline-capacity
   // interactions; with no cancellation pressure the relaxation is exactly
   // P2).
-  const ClusterLp cluster = build_cluster_lp(instance, b);
+  const ClusterLp cluster = [&] {
+    static obs::Histogram& build_seconds =
+        obs::Registry::global().histogram("lp_hta.build.seconds");
+    const obs::ScopedTimer build_span(build_seconds, "lp_hta.build", "assign",
+                                      cluster_args(b));
+    return build_cluster_lp(instance, b);
+  }();
   for (std::size_t t : cluster.unschedulable) {
     out.decisions.emplace_back(t, Decision::kCancelled);
     ++out.cancelled_infeasible;
@@ -160,7 +168,9 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   {
     // Step 1 — the paper's "solve the relaxation" phase. The nested
     // lp.presolve / lp.simplex.solve / lp.ipm.solve spans decompose it.
-    const obs::ScopedTimer relax_span("lp_hta.relax", "assign",
+    static obs::Histogram& relax_seconds =
+        obs::Registry::global().histogram("lp_hta.relax.seconds");
+    const obs::ScopedTimer relax_span(relax_seconds, "lp_hta.relax", "assign",
                                       cluster_args(b));
     relax = solve_relaxation(cluster, options);
   }
@@ -181,7 +191,9 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   // ---- Steps 2+3: round each task to argmax_l X[i,j,l] (the cancel slack
   // competes too; tasks rounding to it are cancelled).
   {
-    const obs::ScopedTimer round_span("lp_hta.round", "assign",
+    static obs::Histogram& round_seconds =
+        obs::Registry::global().histogram("lp_hta.round.seconds");
+    const obs::ScopedTimer round_span(round_seconds, "lp_hta.round", "assign",
                                       cluster_args(b));
     for (std::size_t idx = 0; idx < active.size(); ++idx) {
       const std::size_t t = active[idx];
@@ -214,7 +226,9 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     }
   }
 
-  const obs::ScopedTimer repair_span("lp_hta.repair", "assign",
+  static obs::Histogram& repair_seconds =
+      obs::Registry::global().histogram("lp_hta.repair.seconds");
+  const obs::ScopedTimer repair_span(repair_seconds, "lp_hta.repair", "assign",
                                      cluster_args(b));
 
   // Task slots are sorted largest resource first, per the paper's greedy

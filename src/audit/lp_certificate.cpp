@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,13 +13,7 @@ namespace {
 
 constexpr std::string_view kComponent = "lp";
 
-std::string row_label(const lp::Problem& problem, std::size_t r) {
-  const std::string& name = problem.constraint(r).name;
-  std::ostringstream os;
-  os << "row " << r;
-  if (!name.empty()) os << " (" << name << ")";
-  return os.str();
-}
+std::string row_label(std::size_t r) { return "row " + std::to_string(r); }
 
 }  // namespace
 
@@ -86,12 +79,12 @@ void check_lp(const lp::Problem& problem, const lp::Solution& solution,
     const double y = solution.duals[r];
     if (c.relation == lp::Relation::kLessEqual && y > sign_tol) {
       fail(kComponent, "dual:sign:row=" + std::to_string(r), y,
-           "dual of \"<=\" " + row_label(problem, r) + " is " +
+           "dual of \"<=\" " + row_label(r) + " is " +
                std::to_string(y) + " > 0" + tag);
     }
     if (c.relation == lp::Relation::kGreaterEqual && y < -sign_tol) {
       fail(kComponent, "dual:sign:row=" + std::to_string(r), y,
-           "dual of \">=\" " + row_label(problem, r) + " is " +
+           "dual of \">=\" " + row_label(r) + " is " +
                std::to_string(y) + " < 0" + tag);
     }
     dual_obj += c.rhs * y;

@@ -19,16 +19,11 @@ struct Node {
   double bound = -std::numeric_limits<double>::infinity();
 };
 
-// Rebuilds a Problem identical to `base` but with the node's bounds.
+// A copy of `base` with the node's bounds.
 lp::Problem with_bounds(const lp::Problem& base, const Node& node) {
-  lp::Problem p;
-  for (std::size_t v = 0; v < base.num_variables(); ++v) {
-    p.add_variable(base.cost(v), node.lo[v], node.hi[v],
-                   base.variable_name(v));
-  }
-  for (std::size_t r = 0; r < base.num_constraints(); ++r) {
-    const lp::Constraint& c = base.constraint(r);
-    p.add_constraint(c.terms, c.relation, c.rhs, c.name);
+  lp::Problem p = base;
+  for (std::size_t v = 0; v < p.num_variables(); ++v) {
+    p.set_bounds(v, node.lo[v], node.hi[v]);
   }
   return p;
 }

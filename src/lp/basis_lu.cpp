@@ -1,6 +1,7 @@
 #include "lp/basis_lu.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -81,6 +82,13 @@ void BasisLu::factorize(std::size_t m, const std::size_t* col_ptr,
       col_rows_[c].push_back(r);
     }
   }
+  // Every column whose count becomes 1 gets its bit set; a bit whose
+  // column has since moved on is dropped when the search reaches it.
+  singletons_.assign((m + 63) / 64, 0);
+  const auto mark_if_singleton = [&](std::size_t c) {
+    if (col_count_[c] == 1) singletons_[c / 64] |= std::uint64_t{1} << (c % 64);
+  };
+  for (std::size_t c = 0; c < m; ++c) mark_if_singleton(c);
 
   for (std::size_t step = 0; step < m; ++step) {
     std::size_t best_r = kNone, best_c = kNone;
@@ -92,24 +100,36 @@ void BasisLu::factorize(std::size_t m, const std::size_t* col_ptr,
     // artificial columns start as singletons and retiring their rows
     // cascades new ones — so almost every step short-circuits here instead
     // of paying the full Markowitz scan. Lowest column index first keeps
-    // the factorization deterministic.
-    for (std::size_t c = 0; c < m && best_r == kNone; ++c) {
-      if (col_count_[c] != 1 || step_of_col_[c] != kNone) continue;
-      for (const std::size_t r : col_rows_[c]) {
-        if (row_done[r] != 0) continue;
-        const WorkRow& row = work_rows_[r];
-        for (std::size_t i = 0; i < row.cols.size(); ++i) {
-          if (row.cols[i] != c) continue;
-          // A sole entry below the numeric-zero floor is not a usable
-          // pivot; leave the column for the full scan's singular check.
-          if (std::fabs(row.vals[i]) >= abs_floor) {
-            best_r = r;
-            best_c = c;
-            best_v = row.vals[i];
-          }
-          break;
+    // the factorization deterministic; the bitset yields it without
+    // rescanning every column.
+    for (std::size_t word = 0; word < singletons_.size() && best_r == kNone;
+         ++word) {
+      std::uint64_t bits = singletons_[word];
+      while (bits != 0 && best_r == kNone) {
+        const int low = std::countr_zero(bits);
+        const std::uint64_t bit = std::uint64_t{1} << low;
+        bits &= bits - 1;
+        const std::size_t c = word * 64 + static_cast<std::size_t>(low);
+        if (col_count_[c] != 1 || step_of_col_[c] != kNone) {
+          singletons_[word] &= ~bit;  // stale: the column moved on
+          continue;
         }
-        if (best_r != kNone) break;
+        for (const std::size_t r : col_rows_[c]) {
+          if (row_done[r] != 0) continue;
+          const WorkRow& row = work_rows_[r];
+          for (std::size_t i = 0; i < row.cols.size(); ++i) {
+            if (row.cols[i] != c) continue;
+            // A sole entry below the numeric-zero floor is not a usable
+            // pivot; leave the column for the full scan's singular check.
+            if (std::fabs(row.vals[i]) >= abs_floor) {
+              best_r = r;
+              best_c = c;
+              best_v = row.vals[i];
+            }
+            break;
+          }
+          if (best_r != kNone) break;
+        }
       }
     }
 
@@ -177,7 +197,10 @@ void BasisLu::factorize(std::size_t m, const std::size_t* col_ptr,
     u_rows_.push_back(urow);
 
     // Retiring the pivot row removes its entries from every column.
-    for (const std::size_t c : prow.cols) --col_count_[c];
+    for (const std::size_t c : prow.cols) {
+      --col_count_[c];
+      mark_if_singleton(c);
+    }
 
     // Eliminate the pivot column from the active rows that hold it — found
     // through the transpose, so a singleton pivot touches nothing. The
@@ -214,7 +237,10 @@ void BasisLu::factorize(std::size_t m, const std::size_t* col_ptr,
         if (c == best_c) continue;
         work_val_[c] -= mult * prow.vals[i];
       }
-      for (const std::size_t c : row.cols) --col_count_[c];
+      for (const std::size_t c : row.cols) {
+        --col_count_[c];
+        mark_if_singleton(c);
+      }
       row.cols.clear();
       row.vals.clear();
       for (std::size_t c = 0; c < m; ++c) {
@@ -222,6 +248,7 @@ void BasisLu::factorize(std::size_t m, const std::size_t* col_ptr,
         row.cols.push_back(c);
         row.vals.push_back(work_val_[c]);
         ++col_count_[c];
+        mark_if_singleton(c);
         col_rows_[c].push_back(r);
       }
     }

@@ -137,6 +137,10 @@ class BasisLu {
   std::vector<std::size_t> col_count_;
   std::vector<double> col_max_;
   std::vector<std::vector<std::size_t>> col_rows_;
+  // Bit c set whenever column c's count drops or rises to 1; the
+  // singleton search pops the lowest set bit and clears bits whose column
+  // is no longer an active singleton.
+  std::vector<std::uint64_t> singletons_;
 
   struct WorkRow {
     std::vector<std::size_t> cols;

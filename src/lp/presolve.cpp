@@ -98,8 +98,7 @@ Presolved presolve(const Problem& p) {
   // Pass 3: build the reduced problem.
   for (std::size_t v = 0; v < p.num_variables(); ++v) {
     if (hi[v] - lo[v] <= kFixTolerance) continue;  // fixed: substituted out
-    out.var_map_[v] =
-        out.reduced_.add_variable(p.cost(v), lo[v], hi[v], p.variable_name(v));
+    out.var_map_[v] = out.reduced_.add_variable(p.cost(v), lo[v], hi[v]);
   }
   for (std::size_t r = 0; r < p.num_constraints(); ++r) {
     if (row_dropped[r]) continue;
@@ -126,7 +125,7 @@ Presolved presolve(const Problem& p) {
       ++out.dropped_constraints_;
       continue;
     }
-    out.reduced_.add_constraint(std::move(terms), c.relation, rhs, c.name);
+    out.reduced_.add_constraint(terms, c.relation, rhs);
   }
   record_presolve(out);
   return out;

@@ -2,36 +2,63 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/error.h"
 
 namespace mecsched::lp {
+namespace {
 
-std::size_t Problem::add_variable(double cost, double lo, double hi,
-                                  std::string name) {
+void require_bounds(double lo, double hi) {
   MECSCHED_REQUIRE(lo <= hi, "variable bounds out of order");
-  MECSCHED_REQUIRE(std::isfinite(cost), "variable cost must be finite");
   MECSCHED_REQUIRE(std::isfinite(lo), "lower bound must be finite");
+}
+
+}  // namespace
+
+void Problem::reserve(std::size_t vars, std::size_t rows, std::size_t nnz) {
+  costs_.reserve(vars);
+  lower_.reserve(vars);
+  upper_.reserve(vars);
+  seen_.reserve(vars);
+  row_begin_.reserve(rows + 1);
+  relation_.reserve(rows);
+  rhs_.reserve(rows);
+  terms_.reserve(nnz);
+}
+
+std::size_t Problem::add_variable(double cost, double lo, double hi) {
+  require_bounds(lo, hi);
+  MECSCHED_REQUIRE(std::isfinite(cost), "variable cost must be finite");
   costs_.push_back(cost);
   lower_.push_back(lo);
   upper_.push_back(hi);
-  names_.push_back(std::move(name));
   return costs_.size() - 1;
 }
 
-std::size_t Problem::add_constraint(std::vector<Term> terms, Relation rel,
-                                    double rhs, std::string name) {
+std::size_t Problem::add_constraint(std::span<const Term> terms, Relation rel,
+                                    double rhs) {
   MECSCHED_REQUIRE(std::isfinite(rhs), "constraint rhs must be finite");
-  std::set<std::size_t> seen;
+  seen_.resize(costs_.size(), 0);
+  ++check_;
   for (const Term& t : terms) {
     MECSCHED_REQUIRE(t.var < costs_.size(), "constraint references unknown variable");
     MECSCHED_REQUIRE(std::isfinite(t.coeff), "constraint coefficient must be finite");
-    MECSCHED_REQUIRE(seen.insert(t.var).second,
+    MECSCHED_REQUIRE(seen_[t.var] != check_,
                      "variable appears twice in one constraint");
+    seen_[t.var] = check_;
   }
-  constraints_.push_back(Constraint{std::move(terms), rel, rhs, std::move(name)});
-  return constraints_.size() - 1;
+  terms_.insert(terms_.end(), terms.begin(), terms.end());
+  row_begin_.push_back(terms_.size());
+  relation_.push_back(rel);
+  rhs_.push_back(rhs);
+  return rhs_.size() - 1;
+}
+
+void Problem::set_bounds(std::size_t v, double lo, double hi) {
+  MECSCHED_REQUIRE(v < costs_.size(), "bounds for unknown variable");
+  require_bounds(lo, hi);
+  lower_[v] = lo;
+  upper_[v] = hi;
 }
 
 double Problem::objective_value(const std::vector<double>& x) const {
@@ -48,18 +75,18 @@ double Problem::max_violation(const std::vector<double>& x) const {
     worst = std::max(worst, lower_[v] - x[v]);
     if (std::isfinite(upper_[v])) worst = std::max(worst, x[v] - upper_[v]);
   }
-  for (const Constraint& c : constraints_) {
+  for (std::size_t r = 0; r < num_constraints(); ++r) {
     double lhs = 0.0;
-    for (const Term& t : c.terms) lhs += t.coeff * x[t.var];
-    switch (c.relation) {
+    for (const Term& t : constraint(r).terms) lhs += t.coeff * x[t.var];
+    switch (relation_[r]) {
       case Relation::kLessEqual:
-        worst = std::max(worst, lhs - c.rhs);
+        worst = std::max(worst, lhs - rhs_[r]);
         break;
       case Relation::kGreaterEqual:
-        worst = std::max(worst, c.rhs - lhs);
+        worst = std::max(worst, rhs_[r] - lhs);
         break;
       case Relation::kEqual:
-        worst = std::max(worst, std::fabs(lhs - c.rhs));
+        worst = std::max(worst, std::fabs(lhs - rhs_[r]));
         break;
     }
   }

@@ -52,8 +52,7 @@ ScaledProblem equilibrate(const Problem& p, int passes) {
     const double c = out.col_scale_[v];
     const double hi = p.upper(v);
     out.scaled_.add_variable(p.cost(v) * c, p.lower(v) / c,
-                             std::isfinite(hi) ? hi / c : kInfinity,
-                             p.variable_name(v));
+                             std::isfinite(hi) ? hi / c : kInfinity);
   }
   for (std::size_t r = 0; r < m; ++r) {
     const Constraint& con = p.constraint(r);
@@ -63,8 +62,8 @@ ScaledProblem equilibrate(const Problem& p, int passes) {
       terms.push_back(
           {t.var, out.row_scale_[r] * t.coeff * out.col_scale_[t.var]});
     }
-    out.scaled_.add_constraint(std::move(terms), con.relation,
-                               out.row_scale_[r] * con.rhs, con.name);
+    out.scaled_.add_constraint(terms, con.relation,
+                               out.row_scale_[r] * con.rhs);
   }
   return out;
 }

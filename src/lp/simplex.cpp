@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "audit/audit.h"
@@ -49,10 +50,8 @@ class Tableau {
 
     // Count slacks first so column indices are stable.
     std::size_t n_slack = 0;
-    std::size_t total_terms = 0;
     for (std::size_t r = 0; r < m; ++r) {
       if (p.constraint(r).relation != Relation::kEqual) ++n_slack;
-      total_terms += p.constraint(r).terms.size();
     }
     art_begin_ = n_struct_ + n_slack;
     n_total_ = art_begin_ + m;  // + m artificials
@@ -81,87 +80,55 @@ class Tableau {
       cost_[v] = p.cost(v);
     }
 
-    // Compact each row's terms (last write wins on duplicates, matching
-    // the historical dense-matrix assembly) so the CSC build below can
-    // count and fill in one deterministic sweep per pass.
-    std::size_t* stamp = ws_.alloc<std::size_t>(n_struct_);
-    std::size_t* pos = ws_.alloc<std::size_t>(n_struct_);
-    std::size_t* row_ptr = ws_.alloc<std::size_t>(m + 1);
-    std::size_t* term_var = ws_.alloc<std::size_t>(total_terms);
-    double* term_val = ws_.alloc<double>(total_terms);
+    // The problem's row store (lp/problem.h) is read in place: its rows
+    // hold no duplicate terms, so the CSC build below counts and fills in
+    // one deterministic sweep per pass.
+    const std::span<const std::size_t> row_begin = p.row_begin();
+    const std::span<const Term> terms = p.terms();
     std::size_t* slack_of = ws_.alloc<std::size_t>(m);
-    std::fill(stamp, stamp + n_struct_, kNone);
-    std::size_t cursor = 0;
     std::size_t slack = n_struct_;
     for (std::size_t r = 0; r < m; ++r) {
-      const Constraint& c = p.constraint(r);
-      row_ptr[r] = cursor;
-      for (const Term& t : c.terms) {
-        if (stamp[t.var] == r) {
-          term_val[pos[t.var]] = t.coeff;
-          continue;
-        }
-        stamp[t.var] = r;
-        pos[t.var] = cursor;
-        term_var[cursor] = t.var;
-        term_val[cursor] = t.coeff;
-        ++cursor;
-      }
+      const Constraint c = p.constraint(r);
       b_[r] = c.rhs;
-      slack_of[r] = kNone;
-      switch (c.relation) {
-        case Relation::kLessEqual:
-          slack_of[r] = slack++;
-          break;
-        case Relation::kGreaterEqual:
-          slack_of[r] = slack++;
-          break;
-        case Relation::kEqual:
-          break;
-      }
+      slack_of[r] = c.relation == Relation::kEqual ? kNone : slack++;
     }
-    row_ptr[m] = cursor;
 
     // CSC column store for the whole augmented tableau. Filling row-major
     // keeps the rows of every column in ascending order — the invariant
     // the bit-identical sparse/dense pricing contract rests on.
     std::size_t nnz = n_slack + m;  // slacks and artificials: one entry each
-    for (std::size_t i = 0; i < cursor; ++i) nnz += term_val[i] != 0.0;
+    for (const Term& t : terms) nnz += t.coeff != 0.0;
     acol_ptr_ = ws_.alloc<std::size_t>(n_total_ + 1);
     acol_row_ = ws_.alloc<std::size_t>(nnz);
     acol_val_ = ws_.alloc<double>(nnz);
     nnz_ = nnz;
     std::fill(acol_ptr_, acol_ptr_ + n_total_ + 1, 0);
-    for (std::size_t i = 0; i < cursor; ++i) {
-      if (term_val[i] != 0.0) ++acol_ptr_[term_var[i] + 1];
+    for (const Term& t : terms) {
+      if (t.coeff != 0.0) ++acol_ptr_[t.var + 1];
     }
     for (std::size_t r = 0; r < m; ++r) {
       if (slack_of[r] != kNone) ++acol_ptr_[slack_of[r] + 1];
       ++acol_ptr_[art_begin_ + r + 1];
     }
     for (std::size_t j = 0; j < n_total_; ++j) acol_ptr_[j + 1] += acol_ptr_[j];
-    std::size_t* next = stamp;  // reuse: stamp is dead past this point
-    std::copy(acol_ptr_, acol_ptr_ + n_struct_, next);
-    std::size_t* next_aux = ws_.alloc<std::size_t>(n_slack + m);
-    for (std::size_t j = n_struct_; j < n_total_; ++j) {
-      next_aux[j - n_struct_] = acol_ptr_[j];
-    }
+    std::size_t* next = ws_.alloc<std::size_t>(n_total_);
+    std::copy(acol_ptr_, acol_ptr_ + n_total_, next);
     for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-        if (term_val[i] == 0.0) continue;
-        const std::size_t pslot = next[term_var[i]]++;
+      for (std::size_t i = row_begin[r]; i < row_begin[r + 1]; ++i) {
+        if (terms[i].coeff == 0.0) continue;
+        const std::size_t pslot = next[terms[i].var]++;
         acol_row_[pslot] = r;
-        acol_val_[pslot] = term_val[i];
+        acol_val_[pslot] = terms[i].coeff;
       }
       if (slack_of[r] != kNone) {
-        const std::size_t pslot = next_aux[slack_of[r] - n_struct_]++;
+        const std::size_t pslot = next[slack_of[r]]++;
         acol_row_[pslot] = r;
         acol_val_[pslot] =
             p.constraint(r).relation == Relation::kGreaterEqual ? -1.0 : 1.0;
       }
       // Artificial of row r: single entry, value filled after the crash
       // basis fixes its sign.
-      const std::size_t pslot = next_aux[art_begin_ + r - n_struct_]++;
+      const std::size_t pslot = next[art_begin_ + r]++;
       acol_row_[pslot] = r;
       acol_val_[pslot] = 0.0;
     }
@@ -219,7 +186,7 @@ class Tableau {
       state_[art] = VarState::kBasic;
       x_[art] = std::fabs(residual[r]);
     }
-    if (guess != nullptr) crash_structurals(row_ptr, term_var, term_val);
+    if (guess != nullptr) crash_structurals(p);
     factorize_basis();
 
     // Pricing storage dispatch (lp/sparse_matrix.h): above the density
@@ -482,8 +449,7 @@ class Tableau {
   // its row, so B is a permuted block-triangular matrix with a nonzero
   // diagonal (nonsingular), and the start point is unchanged. A row with
   // no such column keeps its artificial.
-  void crash_structurals(const std::size_t* row_ptr,
-                         const std::size_t* term_var, const double* term_val) {
+  void crash_structurals(const Problem& problem) {
     const auto slack_basic_elsewhere = [&](std::size_t j, std::size_t r) {
       for (std::size_t p = acol_ptr_[j]; p < acol_ptr_[j + 1]; ++p) {
         const std::size_t bv = basis_[acol_row_[p]];
@@ -497,9 +463,9 @@ class Tableau {
       const std::size_t art = art_begin_ + r;
       if (basis_[r] != art || x_[art] != 0.0) continue;
       std::size_t pick = kNone;
-      for (std::size_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-        const std::size_t j = term_var[i];
-        if (std::fabs(term_val[i]) <= opt_.tolerance ||
+      for (const Term& t : problem.constraint(r).terms) {
+        const std::size_t j = t.var;
+        if (std::fabs(t.coeff) <= opt_.tolerance ||
             state_[j] == VarState::kBasic || !slack_basic_elsewhere(j, r)) {
           continue;
         }
@@ -757,7 +723,9 @@ Solution SimplexSolver::solve(const Problem& problem,
 
 Solution SimplexSolver::solve_instrumented(
     const Problem& problem, const std::vector<double>* guess) const {
-  const obs::ScopedTimer span("lp.simplex.solve", "lp");
+  static obs::Histogram& solve_histogram =
+      obs::Registry::global().histogram("lp.simplex.solve.seconds");
+  const obs::ScopedTimer span(solve_histogram, "lp.simplex.solve", "lp");
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
   const std::uint64_t chaos_before =
       flight.enabled() ? chaos::local_injections() : 0;

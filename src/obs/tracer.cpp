@@ -77,12 +77,12 @@ void Tracer::end(const std::string& name, const std::string& category) {
   push({name, category, Phase::kEnd, now_us(), 0, this_thread_id(), ""});
 }
 
-void Tracer::complete(const std::string& name, const std::string& category,
+void Tracer::complete(std::string_view name, std::string_view category,
                       std::int64_t ts_us, std::int64_t dur_us,
                       const std::string& args_json) {
   if (!enabled()) return;
-  push({name, category, Phase::kComplete, ts_us, dur_us, this_thread_id(),
-        args_json});
+  push({std::string(name), std::string(category), Phase::kComplete, ts_us,
+        dur_us, this_thread_id(), args_json});
 }
 
 void Tracer::instant(const std::string& name, const std::string& category,
@@ -117,11 +117,26 @@ void Tracer::clear() {
 
 ScopedTimer::ScopedTimer(std::string name, std::string category,
                          std::string args_json)
-    : name_(std::move(name)),
-      category_(std::move(category)),
+    : owned_name_(std::move(name)),
+      owned_category_(std::move(category)),
+      name_(owned_name_),
+      category_(owned_category_),
       args_json_(std::move(args_json)),
-      start_(std::chrono::steady_clock::now()) {
-  histogram_ = &Registry::global().histogram(name_ + ".seconds");
+      histogram_(&Registry::global().histogram(owned_name_ + ".seconds")) {
+  start();
+}
+
+ScopedTimer::ScopedTimer(Histogram& histogram, std::string_view name,
+                         std::string_view category, std::string args_json)
+    : name_(name),
+      category_(category),
+      args_json_(std::move(args_json)),
+      histogram_(&histogram) {
+  start();
+}
+
+void ScopedTimer::start() {
+  start_ = std::chrono::steady_clock::now();
   Tracer& t = Tracer::global();
   traced_ = t.enabled();
   if (traced_) start_us_ = t.now_us();

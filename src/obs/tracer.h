@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -62,7 +63,7 @@ class Tracer {
   // Record calls are no-ops while disabled.
   void begin(const std::string& name, const std::string& category);
   void end(const std::string& name, const std::string& category);
-  void complete(const std::string& name, const std::string& category,
+  void complete(std::string_view name, std::string_view category,
                 std::int64_t ts_us, std::int64_t dur_us,
                 const std::string& args_json = "");
   void instant(const std::string& name, const std::string& category,
@@ -105,6 +106,13 @@ class ScopedTimer {
  public:
   explicit ScopedTimer(std::string name, std::string category = "mecsched",
                        std::string args_json = "");
+  // Hot-path form: `histogram` is the registry's `<name>.seconds`,
+  // resolved once by the caller (a function-local static — registry
+  // references survive reset()), so opening the span builds no string and
+  // takes no registry lock. `name` and `category` are not copied and must
+  // outlive the span (string literals do).
+  ScopedTimer(Histogram& histogram, std::string_view name,
+              std::string_view category, std::string args_json = "");
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -114,8 +122,13 @@ class ScopedTimer {
   double elapsed_s() const;
 
  private:
-  std::string name_;
-  std::string category_;
+  void start();
+
+  // Storage behind name_/category_ for the string-taking constructor.
+  std::string owned_name_;
+  std::string owned_category_;
+  std::string_view name_;
+  std::string_view category_;
   std::string args_json_;
   std::chrono::steady_clock::time_point start_;
   std::int64_t start_us_ = 0;

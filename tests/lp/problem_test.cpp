@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/error.h"
 #include "lp/standard_form.h"
 
@@ -10,17 +13,92 @@ namespace {
 
 TEST(ProblemTest, BuildsVariablesAndConstraints) {
   Problem p;
-  const auto x = p.add_variable(2.0, 0.0, 1.0, "x");
-  const auto y = p.add_variable(-1.0, 0.0, kInfinity, "y");
+  const auto x = p.add_variable(2.0, 0.0, 1.0);
+  const auto y = p.add_variable(-1.0, 0.0, kInfinity);
   EXPECT_EQ(x, 0u);
   EXPECT_EQ(y, 1u);
-  p.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, 4.0, "c0");
+  p.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, 4.0);
   EXPECT_EQ(p.num_variables(), 2u);
   EXPECT_EQ(p.num_constraints(), 1u);
   EXPECT_DOUBLE_EQ(p.cost(x), 2.0);
   EXPECT_DOUBLE_EQ(p.upper(y), kInfinity);
-  EXPECT_EQ(p.variable_name(0), "x");
-  EXPECT_EQ(p.constraint(0).name, "c0");
+}
+
+TEST(ProblemTest, DuplicateCheckIsPerRow) {
+  Problem p;
+  const auto x = p.add_variable(0.0, 0.0, 1.0);
+  const auto y = p.add_variable(0.0, 0.0, 1.0);
+  EXPECT_THROW(p.add_constraint({{x, 1.0}, {y, 1.0}, {x, 3.0}},
+                                Relation::kLessEqual, 1.0),
+               ModelError);
+  EXPECT_EQ(p.num_constraints(), 0u);
+  EXPECT_TRUE(p.terms().empty());  // the rejected row left nothing behind
+  // The same variables across rows are fine.
+  p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kLessEqual, 1.0);
+  p.add_constraint({{y, 2.0}, {x, 2.0}}, Relation::kGreaterEqual, 0.5);
+  EXPECT_EQ(p.num_constraints(), 2u);
+  EXPECT_EQ(p.terms().size(), 4u);
+}
+
+TEST(ProblemTest, RejectedRowDoesNotPoisonTheNextOne) {
+  Problem p;
+  const auto x = p.add_variable(0.0, 0.0, 1.0);
+  const auto y = p.add_variable(0.0, 0.0, 1.0);
+  // Marks x and y, then fails on the repeated y; the next row (same row
+  // index, same variables) must not see those marks as duplicates.
+  EXPECT_THROW(
+      p.add_constraint({{x, 1.0}, {y, 1.0}, {y, 1.0}}, Relation::kEqual, 1.0),
+      ModelError);
+  EXPECT_NO_THROW(p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEqual, 1.0));
+  EXPECT_THROW(p.add_constraint({{x, 1.0}, {7, 1.0}}, Relation::kEqual, 1.0),
+               ModelError);  // unknown variable after x was marked
+  EXPECT_NO_THROW(p.add_constraint({{x, 2.0}}, Relation::kLessEqual, 1.0));
+  EXPECT_EQ(p.num_constraints(), 2u);
+}
+
+TEST(ProblemTest, ConstraintViewsReadCorrectlyAfterGrowth) {
+  Problem p;
+  const std::size_t n = 8;
+  for (std::size_t v = 0; v < n; ++v) p.add_variable(1.0, 0.0, 1.0);
+  // Row r holds terms (v, r + v) for v <= r % n; many rows force the
+  // term store to reallocate several times.
+  const std::size_t rows = 500;
+  std::vector<Term> terms;
+  for (std::size_t r = 0; r < rows; ++r) {
+    terms.clear();
+    for (std::size_t v = 0; v <= r % n; ++v) {
+      terms.push_back({v, static_cast<double>(r + v)});
+    }
+    p.add_constraint(terms, Relation::kLessEqual, static_cast<double>(r));
+  }
+  ASSERT_EQ(p.num_constraints(), rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const Constraint c = p.constraint(r);
+    ASSERT_EQ(c.terms.size(), r % n + 1);
+    EXPECT_EQ(c.relation, Relation::kLessEqual);
+    EXPECT_DOUBLE_EQ(c.rhs, static_cast<double>(r));
+    for (std::size_t v = 0; v < c.terms.size(); ++v) {
+      EXPECT_EQ(c.terms[v].var, v);
+      EXPECT_DOUBLE_EQ(c.terms[v].coeff, static_cast<double>(r + v));
+    }
+  }
+  EXPECT_EQ(p.row_begin().size(), rows + 1);
+  EXPECT_EQ(p.row_begin().back(), p.terms().size());
+}
+
+TEST(ProblemTest, SetBoundsIsValidated) {
+  Problem p;
+  const auto x = p.add_variable(1.0, 0.0, 1.0);
+  p.set_bounds(x, 0.25, 0.5);
+  EXPECT_DOUBLE_EQ(p.lower(x), 0.25);
+  EXPECT_DOUBLE_EQ(p.upper(x), 0.5);
+  EXPECT_THROW(p.set_bounds(x, 0.75, 0.5), ModelError);  // lo > hi
+  EXPECT_THROW(p.set_bounds(x, -kInfinity, 0.5), ModelError);
+  EXPECT_THROW(p.set_bounds(x, std::nan(""), 0.5), ModelError);
+  EXPECT_THROW(p.set_bounds(5, 0.0, 1.0), ModelError);  // unknown variable
+  // Rejected calls leave the bounds as they were.
+  EXPECT_DOUBLE_EQ(p.lower(x), 0.25);
+  EXPECT_DOUBLE_EQ(p.upper(x), 0.5);
 }
 
 TEST(ProblemTest, RejectsBadBoundsAndIndices) {

@@ -11,6 +11,11 @@
 // sweep cell and serve shard) run the entire pivot loop — pricing,
 // FTRAN/BTRAN, ratio test, eta updates and refactorizations — out of
 // reused capacity.
+//
+// A second counting scope (BuildScope) counts every allocation made while
+// it is open. It locks in that the Step-1 cluster LP build
+// (assign/cluster_lp.h) sizes its row store up front: the number of heap
+// blocks it takes does not grow with the cluster's task count.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,22 +25,28 @@
 #include <new>
 #include <vector>
 
+#include "assign/cluster_lp.h"
+#include "assign/hta_instance.h"
 #include "common/rng.h"
 #include "lp/problem.h"
 #include "lp/simplex.h"
 #include "lp/workspace.h"
+#include "workload/scenario.h"
 
 namespace {
 // Plain (not atomic) counters: the test is single-threaded and the
 // override must itself stay allocation-free.
 std::uint64_t g_pivot_loop_allocs = 0;
 std::uint64_t g_pivot_loop_alloc_bytes = 0;
+bool g_build_scope_open = false;
+std::uint64_t g_build_allocs = 0;
 
 void* counted_alloc(std::size_t size) {
   if (mecsched::lp::pivot_loop_active()) {
     ++g_pivot_loop_allocs;
     g_pivot_loop_alloc_bytes += size;
   }
+  if (g_build_scope_open) ++g_build_allocs;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -43,6 +54,20 @@ void* counted_alloc(std::size_t size) {
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+// The nothrow forms too (std::stable_sort's buffer uses them), so every
+// block the frees below release came from counted_alloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return operator new(size, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -134,6 +159,48 @@ TEST(WorkspaceAllocTest, SteadyStateResolvesStayAllocationFree) {
     for (const Problem& p : cells) ASSERT_TRUE(solver.solve(p).optimal());
   }
   EXPECT_EQ(g_pivot_loop_allocs, 0u);
+}
+
+// Counts the allocations made while it is alive.
+class BuildScope {
+ public:
+  BuildScope() {
+    g_build_allocs = 0;
+    g_build_scope_open = true;
+  }
+  ~BuildScope() { g_build_scope_open = false; }
+  BuildScope(const BuildScope&) = delete;
+  BuildScope& operator=(const BuildScope&) = delete;
+  std::uint64_t allocations() const { return g_build_allocs; }
+};
+
+// Heap allocations of build_cluster_lp for a one-station city whose
+// cluster holds `tasks` tasks.
+std::uint64_t cluster_build_allocations(std::size_t tasks) {
+  workload::ScenarioConfig cfg;
+  cfg.seed = 17;
+  cfg.num_tasks = tasks;
+  cfg.num_devices = tasks / 2;
+  cfg.num_base_stations = 1;
+  const workload::Scenario s = workload::make_scenario(cfg);
+  const assign::HtaInstance instance(s.topology, s.tasks);
+  std::uint64_t allocations = 0;
+  std::size_t active = 0;
+  {
+    const BuildScope scope;
+    const assign::ClusterLp lp = assign::build_cluster_lp(instance, 0);
+    allocations = scope.allocations();
+    active = lp.active.size();
+  }
+  EXPECT_EQ(active, tasks);  // every task schedulable: same blocks used
+  return allocations;
+}
+
+TEST(WorkspaceAllocTest, ClusterLpBuildAllocationsDoNotGrowWithTasks) {
+  const std::uint64_t small = cluster_build_allocations(20);
+  const std::uint64_t large = cluster_build_allocations(200);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace
