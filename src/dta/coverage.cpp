@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "dta/set_cover.h"
 
 namespace mecsched::dta {
@@ -33,84 +32,48 @@ double Coverage::max_share_bytes(const DataUniverse& universe) const {
   return mx;
 }
 
+namespace {
+
+Coverage to_coverage(std::size_t devices, GreedyCover picked) {
+  Coverage cover;
+  cover.assigned.assign(devices, {});
+  for (std::size_t k = 0; k < picked.picks.size(); ++k) {
+    cover.assigned[picked.picks[k]] = std::move(picked.taken[k]);
+  }
+  return cover;
+}
+
+}  // namespace
+
 Coverage divide_balanced(const ItemSet& needed,
                          const std::vector<ItemSet>& ownership) {
-  const std::size_t n = ownership.size();
-  Coverage cover;
-  cover.assigned.assign(n, {});
-  ItemSet remaining = needed;
-  std::vector<bool> used(n, false);
-
   // Paper Sec. IV.A, Steps 1-3: repeatedly pick the device with the
   // *smallest non-empty* intersection with the remaining data, hand it that
   // whole intersection, and shrink D. Devices whose data is scarce are
   // served first, so no single remaining owner is forced into a huge share.
-  while (!remaining.empty()) {
-    std::size_t best = n;
-    std::size_t best_size = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      const std::size_t size = set_intersect(ownership[i], remaining).size();
-      if (size == 0) continue;
-      if (best == n || size < best_size) {
-        best = i;
-        best_size = size;
-      }
-    }
-    if (best == n) {
-      throw ModelError("DTA-Workload: data item owned by no device");
-    }
-    cover.assigned[best] = set_intersect(ownership[best], remaining);
-    remaining = set_minus(remaining, cover.assigned[best]);
-    used[best] = true;
-  }
-  return cover;
+  return to_coverage(ownership.size(),
+                     greedy_cover(needed, ownership, GreedyRule::kFewest,
+                                  "DTA-Workload: data item owned by no device"));
 }
 
 Coverage divide_balanced_bytes(const ItemSet& needed,
                                const std::vector<ItemSet>& ownership,
                                const DataUniverse& universe) {
-  const std::size_t n = ownership.size();
-  Coverage cover;
-  cover.assigned.assign(n, {});
-  ItemSet remaining = needed;
-  std::vector<bool> used(n, false);
-
-  while (!remaining.empty()) {
-    std::size_t best = n;
-    double best_bytes = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (used[i]) continue;
-      const ItemSet inter = set_intersect(ownership[i], remaining);
-      if (inter.empty()) continue;
-      const double bytes = universe.total_bytes(inter);
-      if (best == n || bytes < best_bytes) {
-        best = i;
-        best_bytes = bytes;
-      }
-    }
-    if (best == n) {
-      throw ModelError("DTA-Workload(bytes): data item owned by no device");
-    }
-    cover.assigned[best] = set_intersect(ownership[best], remaining);
-    remaining = set_minus(remaining, cover.assigned[best]);
-    used[best] = true;
-  }
-  return cover;
+  return to_coverage(
+      ownership.size(),
+      greedy_cover(needed, ownership, GreedyRule::kLightest,
+                   "DTA-Workload(bytes): data item owned by no device",
+                   &universe));
 }
 
 Coverage divide_min_devices(const ItemSet& needed,
                             const std::vector<ItemSet>& ownership) {
-  Coverage cover;
-  cover.assigned.assign(ownership.size(), {});
   // Greedy set cover picks the devices; each picked device takes every
   // still-unassigned item it owns (Sec. IV.B, Steps 1-3).
-  ItemSet remaining = needed;
-  for (std::size_t i : greedy_set_cover(needed, ownership)) {
-    cover.assigned[i] = set_intersect(ownership[i], remaining);
-    remaining = set_minus(remaining, cover.assigned[i]);
-  }
-  return cover;
+  return to_coverage(
+      ownership.size(),
+      greedy_cover(needed, ownership, GreedyRule::kMost,
+                   "set cover: universe not coverable by the family"));
 }
 
 bool is_valid_coverage(const Coverage& c, const ItemSet& needed,

@@ -1,6 +1,7 @@
 #include "dta/data_model.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.h"
 
@@ -36,6 +37,32 @@ bool is_sorted_unique(const ItemSet& a) {
     if (a[i - 1] >= a[i]) return false;
   }
   return true;
+}
+
+OwnerIndex::OwnerIndex(const ItemSet& items, const std::vector<ItemSet>& sets)
+    : owners_begin_(items.size() + 1, 0) {
+  held_begin_.reserve(sets.size() + 1);
+  held_begin_.push_back(0);
+  for (const ItemSet& set : sets) {
+    auto at = items.begin();
+    for (const std::size_t r : set) {
+      at = std::lower_bound(at, items.end(), r);
+      if (at == items.end()) break;
+      if (*at != r) continue;
+      const auto p = static_cast<std::size_t>(at - items.begin());
+      held_.push_back(p);
+      ++owners_begin_[p + 1];
+    }
+    held_begin_.push_back(held_.size());
+  }
+  std::partial_sum(owners_begin_.begin(), owners_begin_.end(),
+                   owners_begin_.begin());
+  // Sets are visited in ascending order, so each item's owners are too.
+  owners_.resize(held_.size());
+  std::vector<std::size_t> next(owners_begin_.begin(), owners_begin_.end() - 1);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    for (const std::size_t p : held(i)) owners_[next[p]++] = i;
+  }
 }
 
 DataUniverse::DataUniverse(std::vector<double> item_bytes)
@@ -76,8 +103,17 @@ void SharedDataScenario::validate() const {
 }
 
 ItemSet SharedDataScenario::required_items() const {
+  std::vector<char> needed(universe.num_items(), 0);
+  for (const DivisibleTask& t : tasks) {
+    for (const std::size_t r : t.items) {
+      MECSCHED_REQUIRE(r < needed.size(), "task item out of range");
+      needed[r] = 1;
+    }
+  }
   ItemSet d;
-  for (const DivisibleTask& t : tasks) d = set_union(d, t.items);
+  for (std::size_t r = 0; r < needed.size(); ++r) {
+    if (needed[r]) d.push_back(r);
+  }
   return d;
 }
 

@@ -6,11 +6,12 @@
 // can be computed as an aggregation of partial results over any disjoint
 // division of its data.
 //
-// Item sets are sorted unique vectors of item ids; the helpers below are
-// the set algebra the coverage algorithms use.
+// Item sets are sorted unique vectors of item ids. The helpers below are
+// their set algebra; the greedy divisions run on an OwnerIndex instead.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "mec/task.h"
@@ -26,6 +27,30 @@ ItemSet set_union(const ItemSet& a, const ItemSet& b);
 ItemSet set_minus(const ItemSet& a, const ItemSet& b);
 bool set_contains(const ItemSet& a, std::size_t item);
 bool is_sorted_unique(const ItemSet& a);
+
+// Item → owner index of a family of sorted unique `sets` (the D_i) over the
+// positions 0..|items|-1 of a sorted unique item list: owners(p) are the
+// sets holding items[p] and held(i) the positions set i holds, both
+// ascending. Ids outside `items` are skipped, so `items` may use arbitrary
+// ids. Built in O(Σ|set|·log|items| + |items|).
+class OwnerIndex {
+ public:
+  OwnerIndex(const ItemSet& items, const std::vector<ItemSet>& sets);
+
+  std::span<const std::size_t> owners(std::size_t p) const {
+    return {owners_.data() + owners_begin_[p],
+            owners_begin_[p + 1] - owners_begin_[p]};
+  }
+  std::span<const std::size_t> held(std::size_t i) const {
+    return {held_.data() + held_begin_[i], held_begin_[i + 1] - held_begin_[i]};
+  }
+
+ private:
+  std::vector<std::size_t> held_begin_;  // CSR: set → positions
+  std::vector<std::size_t> held_;
+  std::vector<std::size_t> owners_begin_;  // CSR: position → sets
+  std::vector<std::size_t> owners_;
+};
 
 // The universe D with per-item sizes.
 class DataUniverse {
@@ -71,6 +96,7 @@ struct SharedDataScenario {
   void validate() const;
 
   // Union of all task item sets: the D that actually needs processing.
+  // O(Σ|items| + |D|); throws PreconditionError on an item outside D.
   ItemSet required_items() const;
 };
 
