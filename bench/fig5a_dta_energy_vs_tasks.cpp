@@ -58,6 +58,18 @@ int main() {
 
   bench::ShapeChecker check;
   const auto at = [&](double x, const char* s) { return series.mean(x, s); };
+
+  // Trajectory-gated telemetry: the curve's endpoint levels and the
+  // holistic/DTA separation (deterministic — fixed seeds).
+  bench::BenchTelemetry& telemetry = obs_session.telemetry();
+  telemetry.set_value("dta_workload_energy_at_100", at(100, "DTA-Workload"));
+  telemetry.set_value("dta_workload_energy_at_450", at(450, "DTA-Workload"));
+  telemetry.set_value("dta_number_energy_at_100", at(100, "DTA-Number"));
+  telemetry.set_value("dta_number_energy_at_450", at(450, "DTA-Number"));
+  telemetry.set_value("lp_hta_energy_at_100", at(100, "LP-HTA"));
+  telemetry.set_value("lp_hta_energy_at_450", at(450, "LP-HTA"));
+  telemetry.set_value("energy_ratio_lp_dta_workload",
+                      at(450, "LP-HTA") / at(450, "DTA-Workload"));
   check.expect(at(450, "DTA-Workload") < at(450, "LP-HTA"),
                "DTA-Workload below holistic LP-HTA");
   check.expect(at(450, "DTA-Number") < at(450, "LP-HTA"),

@@ -4,6 +4,7 @@
 // "each cluster can be considered separately").
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "mec/cost_model.h"
@@ -12,6 +13,9 @@
 
 namespace mecsched::assign {
 
+// The instance owns its tasks. Callers that no longer need their vector
+// move it in (HtaInstance(topo, std::move(tasks))) instead of copying it,
+// and may take it back unchanged with std::move(instance).release_tasks().
 class HtaInstance {
  public:
   HtaInstance(const mec::Topology& topology, std::vector<mec::Task> tasks);
@@ -20,6 +24,9 @@ class HtaInstance {
   const std::vector<mec::Task>& tasks() const { return tasks_; }
   const mec::Task& task(std::size_t t) const { return tasks_[t]; }
   std::size_t num_tasks() const { return tasks_.size(); }
+  // Hands the tasks back; the instance is left empty and only fit to be
+  // destroyed.
+  std::vector<mec::Task> release_tasks() && { return std::move(tasks_); }
 
   // Precomputed Sec.-II costs for task `t`.
   const mec::TaskCosts& costs(std::size_t t) const { return costs_[t]; }

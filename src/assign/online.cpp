@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
@@ -94,7 +95,7 @@ OnlineResult OnlineScheduler::run(const mec::Topology& topology,
       t.deadline_s -= now - tasks[id].release_s;
       batch_tasks.push_back(t);
     }
-    const HtaInstance instance(residual, batch_tasks);
+    const HtaInstance instance(residual, std::move(batch_tasks));
     const Assignment plan = LpHta(options_.lp).assign(instance);
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -114,7 +115,7 @@ OnlineResult OnlineScheduler::run(const mec::Topology& topology,
       response_sum += outcome.finish_s - tasks[id].release_s;
       ++placed;
 
-      const mec::Task& task = batch_tasks[i];
+      const mec::Task& task = instance.task(i);
       running.push_back(Running{
           outcome.finish_s, outcome.decision, task.id.user,
           topology.device(task.id.user).base_station, task.resource});

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/deadline.h"
 
@@ -374,7 +375,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
 
     // ---- Schedule the healthy batch through the fallback chain.
     if (lp_tasks.empty()) continue;
-    const assign::HtaInstance instance(observed, lp_tasks);
+    const assign::HtaInstance instance(observed, std::move(lp_tasks));
     FallbackRung rung = FallbackRung::kLocalFirst;
     CancellationToken epoch_token;
     if (options_.decision_budget_ms > 0.0) {
@@ -400,7 +401,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
       rec.status = to_string(rung);
       rec.detail = "epoch " + std::to_string(epoch);
       rec.seconds = decision_ms * 1e-3;
-      rec.iterations = lp_tasks.size();
+      rec.iterations = instance.num_tasks();
       rec.deadline_residual_ms =
           obs::FlightRecorder::residual_ms(epoch_token.deadline());
       rec.deadline_hit = epoch_token.expired();
@@ -423,7 +424,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
       o.finish_s = now + latency;
       result.total_energy_j += instance.energy(i, p);
       result.makespan_s = std::max(result.makespan_s, o.finish_s);
-      const mec::Task& t = lp_tasks[i];
+      const mec::Task& t = instance.task(i);
       running.push_back({w.id, o.finish_s, d, t.id.user,
                          topology.device(t.id.user).base_station, t.resource,
                          t.external_bytes > 0.0, t.external_owner});

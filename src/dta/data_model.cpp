@@ -41,15 +41,20 @@ bool is_sorted_unique(const ItemSet& a) {
 
 OwnerIndex::OwnerIndex(const ItemSet& items, const std::vector<ItemSet>& sets)
     : owners_begin_(items.size() + 1, 0) {
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  const std::size_t id_end = items.empty() ? 0 : items.back() + 1;
+  std::vector<std::size_t> position(id_end, kAbsent);
+  for (std::size_t p = 0; p < items.size(); ++p) position[items[p]] = p;
+  std::size_t set_items = 0;
+  for (const ItemSet& set : sets) set_items += set.size();
+  held_.reserve(set_items);
   held_begin_.reserve(sets.size() + 1);
   held_begin_.push_back(0);
   for (const ItemSet& set : sets) {
-    auto at = items.begin();
     for (const std::size_t r : set) {
-      at = std::lower_bound(at, items.end(), r);
-      if (at == items.end()) break;
-      if (*at != r) continue;
-      const auto p = static_cast<std::size_t>(at - items.begin());
+      if (r >= id_end) break;  // sorted: the rest lie above items.back()
+      const std::size_t p = position[r];
+      if (p == kAbsent) continue;
       held_.push_back(p);
       ++owners_begin_[p + 1];
     }
@@ -59,7 +64,8 @@ OwnerIndex::OwnerIndex(const ItemSet& items, const std::vector<ItemSet>& sets)
                    owners_begin_.begin());
   // Sets are visited in ascending order, so each item's owners are too.
   owners_.resize(held_.size());
-  std::vector<std::size_t> next(owners_begin_.begin(), owners_begin_.end() - 1);
+  std::vector<std::size_t>& next = position;  // reused: one cursor per item
+  next.assign(owners_begin_.begin(), owners_begin_.end() - 1);
   for (std::size_t i = 0; i < sets.size(); ++i) {
     for (const std::size_t p : held(i)) owners_[next[p]++] = i;
   }
@@ -72,15 +78,8 @@ DataUniverse::DataUniverse(std::vector<double> item_bytes)
   }
 }
 
-double DataUniverse::item_size(std::size_t r) const {
+void DataUniverse::check_item(std::size_t r) const {
   MECSCHED_REQUIRE(r < item_bytes_.size(), "item id out of range");
-  return item_bytes_[r];
-}
-
-double DataUniverse::total_bytes(const ItemSet& items) const {
-  double total = 0.0;
-  for (std::size_t r : items) total += item_size(r);
-  return total;
 }
 
 void SharedDataScenario::validate() const {

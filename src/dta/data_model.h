@@ -31,8 +31,11 @@ bool is_sorted_unique(const ItemSet& a);
 // Item → owner index of a family of sorted unique `sets` (the D_i) over the
 // positions 0..|items|-1 of a sorted unique item list: owners(p) are the
 // sets holding items[p] and held(i) the positions set i holds, both
-// ascending. Ids outside `items` are skipped, so `items` may use arbitrary
-// ids. Built in O(Σ|set|·log|items| + |items|).
+// ascending. Ids outside `items` are skipped. Each set item finds its
+// position through a dense id → position map sized items.back() + 1, so
+// the build is O(Σ|set| + items.back()) time and memory with a fixed
+// number of heap blocks; `items` are expected to be ids of a universe
+// 0..|D|-1 (any sorted unique ids work, at that memory cost).
 class OwnerIndex {
  public:
   OwnerIndex(const ItemSet& items, const std::vector<ItemSet>& sets);
@@ -58,10 +61,22 @@ class DataUniverse {
   explicit DataUniverse(std::vector<double> item_bytes);
 
   std::size_t num_items() const { return item_bytes_.size(); }
-  double item_size(std::size_t r) const;
-  double total_bytes(const ItemSet& items) const;
+  // Inline for the per-item loops of the divisions and the pipeline; an
+  // id out of range throws ModelError from the cold out-of-line check.
+  double item_size(std::size_t r) const {
+    if (r >= item_bytes_.size()) [[unlikely]] check_item(r);
+    return item_bytes_[r];
+  }
+  // Summed in the order of `items` (ascending ids).
+  double total_bytes(const ItemSet& items) const {
+    double total = 0.0;
+    for (const std::size_t r : items) total += item_size(r);
+    return total;
+  }
 
  private:
+  [[gnu::cold]] void check_item(std::size_t r) const;
+
   std::vector<double> item_bytes_;
 };
 

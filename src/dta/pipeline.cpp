@@ -4,6 +4,7 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "assign/baselines.h"
 #include "assign/evaluator.h"
@@ -96,6 +97,12 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
     std::vector<double> held_bytes(topo.num_devices(), 0.0);
     std::vector<std::size_t> touched_by(topo.num_devices(), kNone);
     std::vector<std::size_t> touched;
+    // A task has at most one partial per item: one block, no regrowth.
+    std::size_t item_refs = 0;
+    for (const DivisibleTask& src : scenario.tasks) {
+      item_refs += src.items.size();
+    }
+    by_task.reserve(item_refs);
     for (std::size_t s = 0; s < num_tasks; ++s) {
       const DivisibleTask& src = scenario.tasks[s];
       task_bytes[s] = scenario.universe.total_bytes(src.items);
@@ -155,10 +162,12 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
   audit::check_division(scenario, result.coverage, result.rearranged,
                         to_string(options.strategy));
 
-  // ---- Step 3: schedule the rearranged tasks.
+  // ---- Step 3: schedule the rearranged tasks. The instance takes them
+  // by move and hands them back to the result at the end.
   std::optional<obs::ScopedTimer> step_span;
   step_span.emplace(schedule_seconds, "dta.schedule", "dta");
-  const assign::HtaInstance instance(topo, result.rearranged);
+  assign::HtaInstance instance(topo, std::move(result.rearranged));
+  const std::vector<mec::Task>& partials = instance.tasks();
   if (options.scheduler == PartialScheduler::kLpHta) {
     result.assignment = assign::LpHta(options.lp).assign(instance);
   } else {
@@ -202,10 +211,10 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
   }
 
   // Partial results and aggregation legs.
-  std::vector<double> partial_upload_s;  // for the makespan tail
-  const std::size_t num_partials = result.rearranged.size();
+  double upload_tail = 0.0;  // slowest partial-result upload
+  const std::size_t num_partials = partials.size();
   for (std::size_t i = 0; i < num_partials; ++i) {
-    const mec::Task& t = result.rearranged[i];
+    const mec::Task& t = partials[i];
     const DivisibleTask& src = scenario.tasks[source[i]];
     if (result.assignment.decisions[i] != assign::Decision::kLocal) {
       // Edge/cloud placements already include the result's return leg in
@@ -215,7 +224,8 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
     const double partial_result = src.result_bytes(t.local_bytes);
     if (t.id.user == src.id.user && num_partials == 1) continue;
     coordination += cost.upload_energy(t.id.user, partial_result);
-    partial_upload_s.push_back(cost.upload_seconds(t.id.user, partial_result));
+    upload_tail =
+        std::max(upload_tail, cost.upload_seconds(t.id.user, partial_result));
     if (!topo.same_cluster(t.id.user, src.id.user)) {
       coordination += cost.bs_to_bs_energy(partial_result);
     }
@@ -242,7 +252,7 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
     const assign::Decision d = result.assignment.decisions[i];
     if (d == assign::Decision::kCancelled) continue;
     const double latency = instance.latency(i, assign::to_placement(d));
-    const mec::Task& t = result.rearranged[i];
+    const mec::Task& t = partials[i];
     switch (d) {
       case assign::Decision::kLocal:
         device_busy[t.id.user] += latency;
@@ -260,10 +270,9 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
   double busy_max = cloud_max;
   for (double b : device_busy) busy_max = std::max(busy_max, b);
   for (double b : station_busy) busy_max = std::max(busy_max, b);
-  double upload_tail = 0.0;
-  for (double s : partial_upload_s) upload_tail = std::max(upload_tail, s);
   result.processing_time_s = busy_max + upload_tail + final_download_s;
 
+  result.rearranged = std::move(instance).release_tasks();
   return result;
 }
 

@@ -31,7 +31,7 @@ struct GreedyCover {
 // `items` and every set are sorted unique with arbitrary ids. Each set
 // keeps a count of the uncovered items it holds, decremented through an
 // OwnerIndex as items are covered, so a run costs
-// O(Σ|set|·log|items| + picks·|sets|). kLightest needs `universe`; it
+// O(Σ|set| + items.back() + picks·|sets|). kLightest needs `universe`; it
 // re-sums a set's uncovered bytes in ascending item order, as
 // total_bytes of the intersection would, only after its count changed
 // (O(|set|) per re-sum; a decremented double could flip a tie).

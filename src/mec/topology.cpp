@@ -44,19 +44,17 @@ Topology::Topology(std::vector<Device> devices,
   }
 }
 
-const Device& Topology::device(std::size_t i) const {
+void Topology::check_device(std::size_t i) const {
   MECSCHED_REQUIRE(i < devices_.size(),
                    "device index " + std::to_string(i) + " out of range (" +
                        std::to_string(devices_.size()) + " devices)");
-  return devices_[i];
 }
 
-const BaseStation& Topology::base_station(std::size_t b) const {
+void Topology::check_base_station(std::size_t b) const {
   MECSCHED_REQUIRE(b < stations_.size(),
                    "base station index " + std::to_string(b) +
                        " out of range (" + std::to_string(stations_.size()) +
                        " stations)");
-  return stations_[b];
 }
 
 const std::vector<std::size_t>& Topology::cluster(std::size_t b) const {
@@ -65,10 +63,6 @@ const std::vector<std::size_t>& Topology::cluster(std::size_t b) const {
                        " out of range (" + std::to_string(clusters_.size()) +
                        " stations)");
   return clusters_[b];
-}
-
-bool Topology::same_cluster(std::size_t dev_a, std::size_t dev_b) const {
-  return device(dev_a).base_station == device(dev_b).base_station;
 }
 
 }  // namespace mecsched::mec

@@ -35,16 +35,29 @@ class Topology {
   std::size_t num_devices() const { return devices_.size(); }
   std::size_t num_base_stations() const { return stations_.size(); }
 
-  const Device& device(std::size_t i) const;
-  const BaseStation& base_station(std::size_t b) const;
+  // Inline for the cost and assignment hot loops; an index out of range
+  // throws ModelError from the cold out-of-line check.
+  const Device& device(std::size_t i) const {
+    if (i >= devices_.size()) [[unlikely]] check_device(i);
+    return devices_[i];
+  }
+  const BaseStation& base_station(std::size_t b) const {
+    if (b >= stations_.size()) [[unlikely]] check_base_station(b);
+    return stations_[b];
+  }
   const SystemParameters& params() const { return params_; }
 
   // Devices attached to base station `b` (the cluster), sorted by id.
   const std::vector<std::size_t>& cluster(std::size_t b) const;
 
-  bool same_cluster(std::size_t dev_a, std::size_t dev_b) const;
+  bool same_cluster(std::size_t dev_a, std::size_t dev_b) const {
+    return device(dev_a).base_station == device(dev_b).base_station;
+  }
 
  private:
+  [[gnu::cold]] void check_device(std::size_t i) const;
+  [[gnu::cold]] void check_base_station(std::size_t b) const;
+
   std::vector<Device> devices_;
   std::vector<BaseStation> stations_;
   std::vector<std::vector<std::size_t>> clusters_;

@@ -226,7 +226,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       }
     }
     stage.emplace("serve.stage.shard", "serve");
-    const std::vector<ShardProblem> shards =
+    std::vector<ShardProblem> shards =
         sharder.build(pop, dev_res, st_res, batch, residuals);
 
     // ---- 4. Solve every shard in parallel under one epoch deadline.
@@ -235,14 +235,17 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       epoch_token =
           stop.with_deadline(Deadline::after_ms(options_.epoch_budget_ms));
     }
-    auto solve_shard = [&](const ShardProblem& sp) -> ShardOutcome {
+    // The instance takes the shard's tasks by move; apply reads only
+    // task_ids and the outcome.
+    auto solve_shard = [&](ShardProblem& sp) -> ShardOutcome {
       const auto t0 = std::chrono::steady_clock::now();
-      const assign::HtaInstance inst(sp.topology, sp.tasks);
+      const assign::HtaInstance inst(sp.topology, std::move(sp.tasks));
+      const std::size_t num_tasks = inst.num_tasks();
       ShardOutcome oc;
       oc.plan = chain.assign(inst, oc.rung, epoch_token);
-      oc.latency_s.assign(sp.tasks.size(), 0.0);
-      oc.energy_j.assign(sp.tasks.size(), 0.0);
-      for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
+      oc.latency_s.assign(num_tasks, 0.0);
+      oc.energy_j.assign(num_tasks, 0.0);
+      for (std::size_t t = 0; t < num_tasks; ++t) {
         if (oc.plan.decisions[t] == Decision::kCancelled) continue;
         const mec::Placement pl = assign::to_placement(oc.plan.decisions[t]);
         oc.latency_s[t] = inst.latency(t, pl);
@@ -256,7 +259,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         rec.detail = "epoch " + std::to_string(epoch) + " shard " +
                      std::to_string(sp.shard);
         rec.seconds = wall_ms(t0) * 1e-3;
-        rec.iterations = sp.tasks.size();
+        rec.iterations = num_tasks;
         rec.deadline_residual_ms =
             obs::FlightRecorder::residual_ms(epoch_token.deadline());
         rec.deadline_hit = epoch_token.expired();
@@ -269,7 +272,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     const auto solve_t0 = std::chrono::steady_clock::now();
     std::vector<std::future<ShardOutcome>> futures;
     futures.reserve(shards.size());
-    for (const ShardProblem& sp : shards) {
+    for (ShardProblem& sp : shards) {
       futures.push_back(
           pool.submit([&solve_shard, &sp] { return solve_shard(sp); }));
     }
@@ -295,7 +298,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       ++result.shard_solves;
       ++result.rungs[oc.rung];
       shard_devices += sp.topology.num_devices();
-      for (std::size_t t = 0; t < sp.tasks.size(); ++t) {
+      for (std::size_t t = 0; t < sp.task_ids.size(); ++t) {
         const std::size_t id = sp.task_ids[t];
         const PendingTask& p = pending[id];
         const Decision d = oc.plan.decisions[t];

@@ -43,7 +43,8 @@ struct PendingTask {
 struct ShardProblem {
   std::size_t shard = 0;
   mec::Topology topology;  // local dense ids, residual capacities
-  std::vector<mec::Task> tasks;          // user/owner remapped to local ids
+  std::vector<mec::Task> tasks;          // user/owner remapped to local ids;
+                                         // the solve moves them out
   std::vector<std::size_t> task_ids;     // local task -> PendingTask::id
   std::vector<std::size_t> device_global;  // local device -> universe id
   std::size_t halo_devices = 0;          // trailing zero-capacity entries

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace mecsched::dta {
@@ -39,7 +41,28 @@ TEST(DataUniverseTest, SizesAndTotals) {
   EXPECT_DOUBLE_EQ(u.total_bytes({0, 2}), 400.0);
   EXPECT_DOUBLE_EQ(u.total_bytes({}), 0.0);
   EXPECT_THROW(u.item_size(3), ModelError);
+  EXPECT_THROW(u.total_bytes({0, 3}), ModelError);
   EXPECT_THROW(DataUniverse({-1.0}), ModelError);
+}
+
+TEST(DataUniverseTest, OutOfRangeItemKeepsItsMessage) {
+  const DataUniverse u({100.0, 200.0});
+  for (const std::size_t r : {std::size_t{2}, std::size_t{1000}}) {
+    try {
+      (void)u.item_size(r);
+      ADD_FAILURE() << "item " << r << " did not throw";
+    } catch (const ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("precondition failed: (r < item_bytes_.size()) at ",
+                           0),
+                0u)
+          << what;
+      EXPECT_NE(what.find("data_model.cpp:"), std::string::npos) << what;
+      const std::string tail = " — item id out of range";
+      ASSERT_GE(what.size(), tail.size()) << what;
+      EXPECT_EQ(what.substr(what.size() - tail.size()), tail) << what;
+    }
+  }
 }
 
 TEST(DivisibleTaskTest, ResultSizeModels) {

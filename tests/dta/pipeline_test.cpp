@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
 #include "workload/shared_data.h"
@@ -151,6 +154,82 @@ TEST(DtaPipelineTest, GenerousDeadlinesLeaveNoPartialUnsatisfied) {
   EXPECT_EQ(r.partials_cancelled, 0u);
   EXPECT_EQ(r.partials_deadline_violations, 0u);
   EXPECT_DOUBLE_EQ(r.partial_unsatisfied_rate(), 0.0);
+}
+
+// Order-sensitive FNV-1a over 64-bit words; doubles go in as their exact
+// bit patterns, so any last-bit drift in an output changes the digest.
+class Digest {
+ public:
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 64; b += 8) {
+      h_ = (h_ ^ ((word >> b) & 0xffu)) * 0x100000001b3ull;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void add_result(Digest& d, const DtaResult& r) {
+  for (const ItemSet& share : r.coverage.assigned) {
+    d.add(std::uint64_t{share.size()});
+    for (const std::size_t item : share) d.add(std::uint64_t{item});
+  }
+  d.add(std::uint64_t{r.rearranged.size()});
+  for (const mec::Task& t : r.rearranged) {
+    d.add(std::uint64_t{t.id.user});
+    d.add(std::uint64_t{t.id.index});
+    d.add(t.local_bytes);
+    d.add(t.external_bytes);
+    d.add(std::uint64_t{t.external_owner});
+    d.add(t.cycles_per_byte);
+    d.add(static_cast<std::uint64_t>(t.result_kind));
+    d.add(t.result_ratio);
+    d.add(t.result_const_bytes);
+    d.add(t.resource);
+    d.add(t.deadline_s);
+  }
+  for (const assign::Decision dec : r.assignment.decisions) {
+    d.add(static_cast<std::uint64_t>(dec));
+  }
+  d.add(r.total_energy_j);
+  d.add(r.coordination_energy_j);
+  d.add(r.processing_time_s);
+}
+
+// Pins every output of run_dta, bit for bit, on the Fig. 5(a) sweep's
+// scenarios (both divisions, local-greedy partial scheduling) and on one
+// small LP-HTA-scheduled case. A change that moves any coverage item,
+// rearranged task field, decision or energy/time double by one ulp
+// changes the digest; update the pin only for a deliberate output change.
+TEST(DtaPipelineTest, OutputsArePinned) {
+  Digest d;
+  for (std::size_t tasks = 100; tasks <= 450; tasks += 50) {
+    for (std::uint64_t rep = 1; rep <= 3; ++rep) {
+      workload::SharedDataConfig cfg;
+      cfg.num_devices = 50;
+      cfg.num_base_stations = 5;
+      cfg.num_tasks = tasks;
+      cfg.num_items = 600;
+      cfg.max_extra_owners = 5;
+      cfg.max_input_kb = 3000.0;
+      cfg.seed = rep * 1000 + tasks;
+      const auto scenario = workload::make_shared_scenario(cfg);
+      for (const DtaStrategy strategy :
+           {DtaStrategy::kWorkload, DtaStrategy::kNumber}) {
+        DtaOptions opts;
+        opts.strategy = strategy;
+        opts.scheduler = PartialScheduler::kLocalGreedy;
+        add_result(d, run_dta(scenario, opts));
+      }
+    }
+  }
+  add_result(d, run_dta(workload::make_shared_scenario(small_config(11)),
+                        DtaOptions{DtaStrategy::kWorkload,
+                                   PartialScheduler::kLpHta}));
+  EXPECT_EQ(d.value(), 0x569b661a2b2fd08dull) << std::hex << d.value();
 }
 
 TEST(DtaStrategyTest, Names) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "common/units.h"
 
@@ -38,11 +40,52 @@ TEST(TopologyTest, SameClusterQueries) {
   EXPECT_TRUE(t.same_cluster(2, 2));
 }
 
+// The ModelError text `call` throws, or "" if it does not throw.
+template <typename F>
+std::string thrown_message(F call) {
+  try {
+    call();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A failed range check reads "precondition failed: (<check>) at
+// .../topology.cpp:<line> — <detail>".
+void expect_range_error(const std::string& what, const std::string& check,
+                        const std::string& detail) {
+  EXPECT_EQ(what.rfind("precondition failed: (" + check + ") at ", 0), 0u)
+      << what;
+  EXPECT_NE(what.find("topology.cpp:"), std::string::npos) << what;
+  const std::string tail = " — " + detail;
+  ASSERT_GE(what.size(), tail.size()) << what;
+  EXPECT_EQ(what.substr(what.size() - tail.size()), tail) << what;
+}
+
 TEST(TopologyTest, AccessorsValidateIndices) {
   const Topology t(three_devices(), two_stations(), SystemParameters{});
   EXPECT_THROW(t.device(3), ModelError);
   EXPECT_THROW(t.base_station(2), ModelError);
   EXPECT_THROW(t.cluster(2), ModelError);
+  EXPECT_THROW(t.same_cluster(0, 3), ModelError);
+  EXPECT_THROW(t.same_cluster(7, 0), ModelError);
+  EXPECT_EQ(t.device(2).base_station, 1u);
+  EXPECT_EQ(t.base_station(1).id, 1u);
+
+  // The inline accessors keep the out-of-line check's message.
+  expect_range_error(thrown_message([&] { t.device(3); }),
+                     "i < devices_.size()",
+                     "device index 3 out of range (3 devices)");
+  expect_range_error(thrown_message([&] { t.base_station(2); }),
+                     "b < stations_.size()",
+                     "base station index 2 out of range (2 stations)");
+  expect_range_error(thrown_message([&] { t.same_cluster(1, 9); }),
+                     "i < devices_.size()",
+                     "device index 9 out of range (3 devices)");
+  expect_range_error(thrown_message([&] { t.cluster(5); }),
+                     "b < clusters_.size()",
+                     "base station index 5 out of range (2 stations)");
 }
 
 TEST(TopologyTest, RejectsNonDenseDeviceIds) {
