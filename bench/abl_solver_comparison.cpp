@@ -62,18 +62,6 @@ void BM_SimplexOnHtaRelaxation(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexOnHtaRelaxation)->Arg(10)->Arg(30)->Arg(60)->Arg(90);
 
-void BM_SimplexDevexOnHtaRelaxation(benchmark::State& state) {
-  const lp::Problem p = hta_relaxation(static_cast<std::size_t>(state.range(0)));
-  lp::SimplexOptions opts;
-  opts.pricing = lp::PricingRule::kDevex;
-  const lp::SimplexSolver solver(opts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(p));
-  }
-  state.SetLabel(std::to_string(p.num_variables()) + " vars");
-}
-BENCHMARK(BM_SimplexDevexOnHtaRelaxation)->Arg(10)->Arg(30)->Arg(60)->Arg(90);
-
 void BM_InteriorPointOnHtaRelaxation(benchmark::State& state) {
   const lp::Problem p = hta_relaxation(static_cast<std::size_t>(state.range(0)));
   const lp::InteriorPointSolver solver;

@@ -15,9 +15,7 @@
 #include "common/error.h"
 #include "obs/flight_recorder.h"
 #include "lp/interior_point.h"
-#include "lp/presolve.h"
 #include "lp/problem.h"
-#include "lp/scaling.h"
 #include "lp/simplex.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -41,13 +39,20 @@ bool usable_anytime(const lp::Solution& s) {
   return s.status == lp::SolveStatus::kDeadline && !s.x.empty();
 }
 
-lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
-                         const std::vector<double>* guess = nullptr) {
+// Whether Step 1 starts from ClusterLp::crash. The IPM takes no start
+// point, so only the simplex engine uses it (an IPM cluster that falls
+// back to the simplex solves it cold).
+bool crash_started(const LpHtaOptions& options) {
+  return options.engine == LpEngine::kSimplex;
+}
+
+lp::Solution solve_relaxation(const ClusterLp& cluster,
+                              const LpHtaOptions& options) {
+  const lp::Problem& p = cluster.problem;
   const std::size_t budget = options.max_lp_iterations;
   if (options.engine == LpEngine::kInteriorPoint) {
     lp::InteriorPointOptions ipm;
     if (budget > 0) ipm.max_iterations = budget;
-    ipm.sparse_mode = options.sparse_mode;
     ipm.cancel = options.cancel;
     const lp::Solution s = lp::InteriorPointSolver(ipm).solve(p);
     if (s.optimal()) return s;
@@ -60,13 +65,11 @@ lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
   }
   lp::SimplexOptions smx;
   if (budget > 0) smx.max_iterations = budget;
-  smx.sparse_pricing = options.sparse_mode;
-  smx.pricing = options.pricing;
-  smx.basis = options.basis;
   smx.cancel = options.cancel;
   const lp::SimplexSolver solver(smx);
-  const lp::Solution s = guess != nullptr ? solver.solve(p, *guess)
-                                          : solver.solve(p);
+  const lp::Solution s = crash_started(options)
+                             ? solver.solve(p, cluster.crash)
+                             : solver.solve(p);
   if (!s.optimal()) {
     if (usable_anytime(s)) {
       obs::Registry::global().counter("lp_hta.anytime_relaxations").add();
@@ -76,38 +79,6 @@ lp::Solution solve_exact(const lp::Problem& p, const LpHtaOptions& options,
                       lp::to_string(s.status) + ")");
   }
   return s;
-}
-
-// Whether Step 1 starts from ClusterLp::crash. Presolve and equilibration
-// reindex / rescale the variable space the crash point lives in, and the
-// IPM takes no start point, so only the plain simplex path uses it.
-bool crash_started(const LpHtaOptions& options) {
-  return options.engine == LpEngine::kSimplex && !options.presolve &&
-         !options.equilibrate;
-}
-
-lp::Solution solve_relaxation(const ClusterLp& cluster,
-                              const LpHtaOptions& options) {
-  const lp::Problem& p = cluster.problem;
-  // Optional hygiene layers; both are objective-preserving transforms.
-  if (options.presolve) {
-    const lp::Presolved pre = lp::presolve(p);
-    if (pre.infeasible()) {
-      throw SolverError("LP-HTA: presolve proved the relaxation infeasible");
-    }
-    if (options.equilibrate) {
-      const lp::ScaledProblem sp = lp::equilibrate(pre.reduced());
-      return pre.restore(sp.unscale(solve_exact(sp.problem(), options),
-                                    pre.reduced()));
-    }
-    return pre.restore(solve_exact(pre.reduced(), options));
-  }
-  if (options.equilibrate) {
-    const lp::ScaledProblem sp = lp::equilibrate(p);
-    return sp.unscale(solve_exact(sp.problem(), options), p);
-  }
-  return solve_exact(p, options,
-                     crash_started(options) ? &cluster.crash : nullptr);
 }
 
 // Everything one cluster contributes: its tasks' decisions plus its share
@@ -167,7 +138,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   lp::Solution relax;
   {
     // Step 1 — the paper's "solve the relaxation" phase. The nested
-    // lp.presolve / lp.simplex.solve / lp.ipm.solve spans decompose it.
+    // lp.simplex.solve / lp.ipm.solve spans decompose it.
     static obs::Histogram& relax_seconds =
         obs::Registry::global().histogram("lp_hta.relax.seconds");
     const obs::ScopedTimer relax_span(relax_seconds, "lp_hta.relax", "assign",

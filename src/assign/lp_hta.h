@@ -1,9 +1,11 @@
 // LP-HTA — the paper's primary contribution (Sec. III.A).
 //
 // Per cluster:
-//   Step 1  solve the LP relaxation P2 (simplex by default, started from
-//           each task's cheapest whole placement — see cluster_lp.h; the
-//           interior-point engine the paper cites is selectable),
+//   Step 1  solve the LP relaxation P2 (simplex by default — one path:
+//           eta-file LU basis, Dantzig pricing, started from each task's
+//           cheapest whole placement, see cluster_lp.h and lp/simplex.h;
+//           the sparse interior-point engine the paper cites is
+//           selectable),
 //   Step 2  reshape ξ into the fractional matrix X[i,j,l],
 //   Step 3  round each task to argmax_l X[i,j,l],
 //   Step 4  repair deadline violations (move to the best deadline-feasible
@@ -25,8 +27,6 @@
 #include <cstddef>
 
 #include "assign/assigner.h"
-#include "lp/simplex.h"
-#include "lp/sparse_matrix.h"
 
 namespace mecsched::assign {
 
@@ -38,31 +38,11 @@ struct LpHtaOptions {
   // LPs can be solved on worker threads. Deterministic either way — the
   // merge order is fixed.
   bool parallel_clusters = false;
-  // Solver hygiene (lp/presolve.h, lp/scaling.h). Both preserve the LP
-  // optimum exactly; they trade a little setup for smaller / better-
-  // conditioned solves. Off by default to keep Step 1 literally P2.
-  bool presolve = false;
-  bool equilibrate = false;
   // Per-cluster LP iteration budget (simplex pivots / IPM steps). 0 keeps
   // the engine defaults. A too-small budget makes Step 1 throw SolverError
   // ("not optimal (iteration-limit)") — callers that must never abort wrap
   // LP-HTA in a control::FallbackChain.
   std::size_t max_lp_iterations = 0;
-  // Sparse-kernel dispatch, forwarded to both LP engines (see
-  // lp/sparse_matrix.h). The cluster LPs are block-structured and very
-  // sparse — 4 columns per task touching at most 3 rows each — so large
-  // clusters clear the kAuto density threshold and get the CSR kernels;
-  // small ones keep the dense path. Assignment-preserving either way.
-  lp::SparseMode sparse_mode = lp::SparseMode::kAuto;
-  // Step-1 simplex tuning, forwarded verbatim to lp::SimplexOptions
-  // (ignored by the interior-point engine). The defaults — eta-file LU
-  // basis kernel, Dantzig pricing — are the measured-fastest combination
-  // on the paper's cluster LPs; kDenseInverse is the differential-testing
-  // escape hatch (see lp/simplex.h), and kDevex / kSteepestEdge trade
-  // more work per pivot for fewer pivots on degenerate instances.
-  // Assignment-preserving: every combination reaches the same optimum.
-  lp::PricingRule pricing = lp::PricingRule::kDantzig;
-  lp::BasisKernel basis = lp::BasisKernel::kEtaLu;
   // Cooperative solve budget, forwarded to the Step-1 LP engines. On expiry
   // a cluster whose LP holds a usable anytime point (see solution.h) keeps
   // it — Steps 2-6 round and repair it like any relaxation, and the final

@@ -620,9 +620,6 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
       workload::make_fault_schedule(faults_cfg, scenario.topology);
 
   control::ResilientOptions opts;
-  // Presolve preserves the LP optimum exactly; turning it on here keeps the
-  // churn trace representative of the full solver pipeline.
-  opts.lp.presolve = true;
   opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
   opts.max_attempts = args.get_count("max-attempts", opts.max_attempts);
   const control::ResilientResult r =

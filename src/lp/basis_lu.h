@@ -3,14 +3,14 @@
 // The revised simplex needs four operations on the basis matrix B (the m
 // columns of the augmented tableau currently basic): FTRAN (w = B⁻¹a),
 // BTRAN (y = B⁻ᵀc), a rank-1 replacement of one column per pivot, and a
-// periodic from-scratch refactorization. The historical kernel kept B⁻¹ as
-// an explicit dense m×m matrix — O(m²) per pivot for the rank-1 update and
-// the BTRAN, plus a dense O(m³) Gauss-Jordan rebuild — no matter how
-// sparse B is. HTA bases are extremely sparse (structural columns carry at
-// most a handful of nonzeros, slack/artificial columns exactly one), so
-// this kernel factorizes B = L·U with Markowitz-ordered threshold
-// pivoting and keeps the factorization current between bounded
-// refactorizations with product-form eta files:
+// periodic from-scratch refactorization. An explicit dense B⁻¹ would cost
+// O(m²) per pivot for the rank-1 update and the BTRAN, plus an O(m³)
+// rebuild, no matter how sparse B is. HTA bases are extremely sparse
+// (structural columns carry at most a handful of nonzeros,
+// slack/artificial columns exactly one), so this kernel factorizes
+// B = L·U with Markowitz-ordered threshold pivoting and keeps the
+// factorization current between bounded refactorizations with
+// product-form eta files:
 //
 //   B_k = B_0 · E_1 · … · E_k,   E_t = I + (w_t − e_{r_t}) e_{r_t}ᵀ
 //
@@ -22,7 +22,7 @@
 //
 // Refactorization triggers (`needs_refactor()` / a rejected `push_eta`):
 //   * the eta file reached the configured pivot budget (the solver's
-//     `refactor_period`, same bounded-drift contract as the dense kernel),
+//     `refactor_period`, a bounded-drift contract),
 //   * the eta pool outgrew the factor (fill/spike growth — applying a long
 //     eta file costs more than refactorizing),
 //   * an update pivot w_r too small relative to ‖w‖_∞ (accuracy trigger —

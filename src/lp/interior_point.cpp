@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "common/error.h"
 #include "obs/flight_recorder.h"
 #include "obs/window.h"
-#include "lp/cholesky.h"
 #include "lp/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
@@ -33,56 +33,12 @@ double max_step(const std::vector<double>& v, const std::vector<double>& dv,
   return std::min(1.0, damping * t);
 }
 
-// The two normal-equation backends behind the Mehrotra loop. Both expose
-// the same contract: mul/mul_t apply A and Aᵀ, factor(d) (re)factors
-// M = A·diag(d)·Aᵀ, solve applies M⁻¹. The loop itself is backend-blind.
-
-// Dense kernel — the historical path: densified A, O(m²n) assembly, dense
-// Cholesky. Still the right tool for small or dense systems.
-class DenseNormalKernel {
- public:
-  explicit DenseNormalKernel(const SparseMatrix& a)
-      : a_(a.to_dense()), at_(a_.transposed()) {}
-
-  std::vector<double> mul(const std::vector<double>& x) const {
-    return a_.multiply(x);
-  }
-  std::vector<double> mul_t(const std::vector<double>& x) const {
-    return at_.multiply(x);
-  }
-
-  void factor(const std::vector<double>& d) {
-    const std::size_t m = a_.rows();
-    const std::size_t n = a_.cols();
-    Matrix mmat(m, m);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = i; j < m; ++j) {
-        double acc = 0.0;
-        const double* ri = a_.row(i);
-        const double* rj = a_.row(j);
-        for (std::size_t k = 0; k < n; ++k) acc += ri[k] * d[k] * rj[k];
-        mmat(i, j) = acc;
-        mmat(j, i) = acc;
-      }
-    }
-    chol_.emplace(mmat);
-  }
-
-  std::vector<double> solve(const std::vector<double>& b) const {
-    return chol_->solve(b);
-  }
-
- private:
-  Matrix a_;
-  Matrix at_;
-  std::optional<Cholesky> chol_;
-};
-
-// Sparse kernel — CSR SpMV, pattern-only normal-equation assembly and the
-// symbolic/numeric-split Cholesky. The symbolic analysis is fetched from
-// the process-wide pattern cache, so repeated solves over the same HTA
-// constraint shape (every IPM iteration, every adjacent sweep cell) skip
-// the ordering work entirely.
+// The normal-equation kernel behind the Mehrotra loop: mul/mul_t apply A
+// and Aᵀ (CSR SpMV), factor(d) (re)factors M = A·diag(d)·Aᵀ with the
+// symbolic/numeric-split Cholesky, solve applies M⁻¹. The symbolic
+// analysis is fetched from the process-wide pattern cache, so repeated
+// solves over the same HTA constraint shape (every IPM iteration, every
+// adjacent sweep cell) skip the ordering work entirely.
 class SparseNormalKernel {
  public:
   explicit SparseNormalKernel(const SparseMatrix& a)
@@ -119,9 +75,6 @@ class SparseNormalKernel {
   std::optional<NormalCholesky> chol_;
 };
 
-// Mehrotra predictor–corrector loop, parameterized over the normal-
-// equation backend. Identical math on both paths; only the linear-algebra
-// kernels differ.
 bool has_nan(const std::vector<double>& v) {
   for (double e : v) {
     if (std::isnan(e)) return true;
@@ -129,9 +82,10 @@ bool has_nan(const std::vector<double>& v) {
   return false;
 }
 
-template <class Kernel>
+// Mehrotra predictor–corrector loop.
 Solution ipm_loop(const Problem& problem, const StandardForm& sf,
-                  Kernel& kernel, const InteriorPointOptions& options,
+                  SparseNormalKernel& kernel,
+                  const InteriorPointOptions& options,
                   const CancellationToken& token) {
   Solution out;
   const std::size_t m = sf.a.rows();
@@ -389,15 +343,8 @@ Solution InteriorPointSolver::solve_impl(const Problem& problem) const {
 
   const StandardForm sf = to_standard_form(problem);
   const CancellationToken token = effective_solve_token(options_.cancel);
-  obs::Registry& reg = obs::Registry::global();
-  if (use_sparse_kernels(sf.a.rows(), sf.a.cols(), sf.a.nnz(),
-                         options_.sparse_mode)) {
-    reg.counter("lp.sparse.ipm_solves").add();
-    SparseNormalKernel kernel(sf.a);
-    return ipm_loop(problem, sf, kernel, options_, token);
-  }
-  reg.counter("lp.sparse.ipm_dense_fallback").add();
-  DenseNormalKernel kernel(sf.a);
+  obs::Registry::global().counter("lp.sparse.ipm_solves").add();
+  SparseNormalKernel kernel(sf.a);
   return ipm_loop(problem, sf, kernel, options_, token);
 }
 

@@ -3,9 +3,11 @@
 // The paper's LP-HTA references Karmarkar's polynomial-time interior method
 // [17] for Step 1; this is the modern practical equivalent. The solver
 // works on the standard form produced by `to_standard_form` and solves the
-// normal equations (A D^2 A^T) dy = r with the regularized Cholesky
-// factorization. It exists both as the O((n_r m)^3.5)-style engine named by
-// the paper and as an independent cross-check for the simplex solver.
+// normal equations (A D^2 A^T) dy = r with the sparse split Cholesky
+// (lp/sparse_cholesky.h): CSR assembly over the nonzero pattern, one
+// cached symbolic analysis per pattern, a numeric factorization per
+// iteration. It exists both as the O((n_r m)^3.5)-style engine named by
+// the paper and as the independent oracle for the simplex solver.
 //
 // Limitations (documented, by design): like most IPMs it certifies
 // optimality but reports hopeless primal infeasibility as
@@ -18,7 +20,6 @@
 
 #include "lp/problem.h"
 #include "lp/solution.h"
-#include "lp/sparse_matrix.h"
 
 namespace mecsched::lp {
 
@@ -26,11 +27,6 @@ struct InteriorPointOptions {
   std::size_t max_iterations = 200;
   double tolerance = 1e-8;       // relative duality-gap / residual target
   double step_damping = 0.99;    // fraction of the max step to the boundary
-  // Normal-equation kernel selection. kAuto applies the density dispatch
-  // policy in lp/sparse_matrix.h (sparse CSR kernels + cached symbolic
-  // Cholesky for large sparse systems, the dense path otherwise); the
-  // force modes exist for differential tests and benchmarks.
-  SparseMode sparse_mode = SparseMode::kAuto;
   // Cooperative budget, checked once per Mehrotra iteration. On expiry the
   // solver returns SolveStatus::kDeadline with the last centered iterate
   // rounded into the variable bounds (anytime contract, see solution.h —

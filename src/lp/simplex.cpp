@@ -11,9 +11,7 @@
 #include "common/chaos_hook.h"
 #include "common/deadline.h"
 #include "common/error.h"
-#include "lp/basis_dense.h"
 #include "lp/basis_lu.h"
-#include "lp/sparse_matrix.h"
 #include "lp/workspace.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -28,10 +26,8 @@ enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 // The augmented LP (structural + slack + artificial columns) plus all the
 // mutable solver state for one solve. Everything is carved out of the
 // per-thread SimplexWorkspace arena, the augmented matrix is held as CSC
-// columns only (a dense column copy is materialized solely for the
-// force-dense pricing fallback), and the basis lives behind one of two
-// kernels: the eta-file LU (lp/basis_lu.h, default) or the historical
-// explicit dense inverse (lp/basis_dense.h).
+// columns only, and the basis lives in the workspace's eta-file LU kernel
+// (lp/basis_lu.h).
 class Tableau {
  public:
   // `guess` (optional, one entry per structural variable) warm-starts the
@@ -42,7 +38,7 @@ class Tableau {
   // historical all-artificial start.
   Tableau(const Problem& p, const SimplexOptions& opt,
           const std::vector<double>* guess, SimplexWorkspace& ws)
-      : opt_(opt), ws_(ws), use_lu_(opt.basis == BasisKernel::kEtaLu) {
+      : opt_(opt), ws_(ws), lu_(ws.lu()) {
     ws_.begin_solve();
     const std::size_t m = p.num_constraints();
     m_ = m;
@@ -63,12 +59,9 @@ class Tableau {
     x_ = ws_.alloc<double>(n_total_);
     state_ = ws_.alloc<VarState>(n_total_);
     basis_ = ws_.alloc<std::size_t>(m);
-    weights_ = ws_.alloc<double>(n_total_);
     costs_buf_ = ws_.alloc<double>(n_total_);
     cb_ = ws_.alloc<double>(m);
     w_ = ws_.alloc<double>(m);
-    rho_ = ws_.alloc<double>(m);
-    sev_ = ws_.alloc<double>(m);
     rhs_ = ws_.alloc<double>(m);
 
     std::fill(lo_, lo_ + n_total_, 0.0);
@@ -94,8 +87,8 @@ class Tableau {
     }
 
     // CSC column store for the whole augmented tableau. Filling row-major
-    // keeps the rows of every column in ascending order — the invariant
-    // the bit-identical sparse/dense pricing contract rests on.
+    // keeps the rows of every column in ascending order, so every column
+    // walk (pricing, basis gather) is in one deterministic order.
     std::size_t nnz = n_slack + m;  // slacks and artificials: one entry each
     for (const Term& t : terms) nnz += t.coeff != 0.0;
     acol_ptr_ = ws_.alloc<std::size_t>(n_total_ + 1);
@@ -160,10 +153,7 @@ class Tableau {
       }
     }
 
-    if (use_lu_) {
-      lu_ = &ws_.lu();
-      lu_->limits().max_etas = opt_.refactor_period;
-    }
+    lu_.limits().max_etas = opt_.refactor_period;
     for (std::size_t r = 0; r < m; ++r) {
       const std::size_t art = art_begin_ + r;
       const std::size_t art_entry = acol_ptr_[art];  // its single CSC slot
@@ -188,27 +178,7 @@ class Tableau {
     }
     if (guess != nullptr) crash_structurals(p);
     factorize_basis();
-
-    // Pricing storage dispatch (lp/sparse_matrix.h): above the density
-    // threshold pricing walks the CSC nonzeros; below it, a dense
-    // column-major copy is scanned instead. Same products in the same
-    // ascending-row order either way, so the reduced costs — and the
-    // pivot sequence — are bit-identical.
-    sparse_pricing_ = use_sparse_kernels(m, n_total_, nnz_, opt_.sparse_pricing);
-    if (!sparse_pricing_) {
-      dense_cols_ = ws_.alloc<double>(m * n_total_);
-      std::fill(dense_cols_, dense_cols_ + m * n_total_, 0.0);
-      for (std::size_t j = 0; j < n_total_; ++j) {
-        for (std::size_t pcol = acol_ptr_[j]; pcol < acol_ptr_[j + 1];
-             ++pcol) {
-          dense_cols_[j * m + acol_row_[pcol]] = acol_val_[pcol];
-        }
-      }
-    }
   }
-
-  // Whether the pricing/ratio-test kernels run off the CSC column store.
-  bool sparse_pricing() const { return sparse_pricing_; }
 
   // Minimizes `costs` (n_total entries) from the current basis. Returns
   // the phase status. `token` is checked once per pivot; on expiry the
@@ -220,7 +190,6 @@ class Tableau {
     const double cost_scale = 1.0 + max_abs(costs, n_total_);
     const double dj_tol = opt_.tolerance * cost_scale;
     std::size_t degenerate_run = 0;
-    reset_weights();  // fresh reference framework per phase
 
     // Everything from here to the end of the loop must stay heap-silent:
     // tests/lp/workspace_alloc_test.cpp counts allocations inside this
@@ -239,21 +208,17 @@ class Tableau {
             // outside: the budget is gone.
             return SolveStatus::kDeadline;
           case chaos::Action::kPoisonNan:
-            if (use_lu_) {
-              lu_->poison();
-            } else {
-              dense_.poison();
-            }
+            lu_.poison();
             break;
           case chaos::Action::kError:
             throw SolverError("simplex: injected solver fault");
         }
       }
-      if (refactor_due()) refactorize();
+      if (lu_.needs_refactor()) refactorize();
 
       // Dual prices y = B^-T c_B.
       for (std::size_t r = 0; r < m; ++r) cb_[r] = costs[basis_[r]];
-      btran_vec(cb_);
+      lu_.btran(cb_);
       const double* y = cb_;
 
       const bool bland = degenerate_run >= opt_.bland_trigger;
@@ -273,7 +238,7 @@ class Tableau {
 
       // Column in the current basis frame: w = B^-1 A_entering.
       column_scatter(entering, w_);
-      ftran_vec(w_);
+      lu_.ftran(w_);
 
       const double dir = state_[entering] == VarState::kAtLower ? 1.0 : -1.0;
 
@@ -322,28 +287,19 @@ class Tableau {
         continue;
       }
 
-      if (opt_.pricing == PricingRule::kDevex) {
-        devex_update(entering, leave_row);
-      } else if (opt_.pricing == PricingRule::kSteepestEdge) {
-        steepest_update(entering, leave_row);
-      }
       const std::size_t leaving = basis_[leave_row];
       state_[leaving] = leave_at_upper ? VarState::kAtUpper : VarState::kAtLower;
       x_[leaving] = leave_at_upper ? hi_[leaving] : lo_[leaving];
       state_[entering] = VarState::kBasic;
       basis_[leave_row] = entering;
-      if (use_lu_) {
-        if (lu_->push_eta(w_, leave_row, m)) {
-          ++eta_updates_;
-        } else {
-          // Accuracy trigger: the eta pivot is too small to apply safely.
-          // The basis is already updated, so a fresh factorization both
-          // absorbs the pivot and clears accumulated drift.
-          ++eta_rejections_;
-          refactorize();
-        }
+      if (lu_.push_eta(w_, leave_row, m)) {
+        ++eta_updates_;
       } else {
-        dense_.update(w_, leave_row);
+        // Accuracy trigger: the eta pivot is too small to apply safely.
+        // The basis is already updated, so a fresh factorization both
+        // absorbs the pivot and clears accumulated drift.
+        ++eta_rejections_;
+        refactorize();
       }
     }
     return SolveStatus::kIterationLimit;
@@ -387,7 +343,7 @@ class Tableau {
   std::vector<double> duals(const double* costs) const {
     std::vector<double> y(m_);
     for (std::size_t r = 0; r < m_; ++r) y[r] = costs[basis_[r]];
-    if (!y.empty()) btran_vec(y.data());
+    if (!y.empty()) lu_.btran(y.data());
     return y;
   }
 
@@ -403,22 +359,6 @@ class Tableau {
     double mx = 0.0;
     for (std::size_t i = 0; i < n; ++i) mx = std::max(mx, std::fabs(v[i]));
     return mx;
-  }
-
-  void ftran_vec(double* v) const {
-    if (use_lu_) {
-      lu_->ftran(v);
-    } else {
-      dense_.ftran(v);
-    }
-  }
-
-  void btran_vec(double* v) const {
-    if (use_lu_) {
-      lu_->btran(v);
-    } else {
-      dense_.btran(v);
-    }
   }
 
   // out := dense image of CSC column j (m entries).
@@ -482,13 +422,8 @@ class Tableau {
     }
   }
 
-  bool refactor_due() const {
-    if (use_lu_) return lu_->needs_refactor();
-    return iterations_ > 0 && iterations_ % opt_.refactor_period == 0;
-  }
-
   // Gathers the current basis columns (CSC, ascending rows preserved) and
-  // hands them to the active kernel.
+  // hands them to the LU kernel.
   void factorize_basis() {
     if (bcol_ptr_ == nullptr) {
       bcol_ptr_ = ws_.alloc<std::size_t>(m_ + 1);
@@ -506,11 +441,7 @@ class Tableau {
       }
     }
     bcol_ptr_[m_] = cursor;
-    if (use_lu_) {
-      lu_->factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
-    } else {
-      dense_.factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
-    }
+    lu_.factorize(m_, bcol_ptr_, bcol_row_, bcol_val_);
   }
 
   // Recomputes the basis representation from scratch and refreshes the
@@ -528,142 +459,35 @@ class Tableau {
         rhs_[acol_row_[p]] -= acol_val_[p] * x_[v];
       }
     }
-    ftran_vec(rhs_);
+    lu_.ftran(rhs_);
     for (std::size_t r = 0; r < m_; ++r) x_[basis_[r]] = rhs_[r];
   }
 
-  // Reduced cost c_j - y^T A_j. Both storage paths subtract the products
-  // in ascending row order (the sparse one merely skips exact-zero terms),
-  // so sparse pricing reproduces the dense reduced costs bit-for-bit and
-  // the pivot sequence is unchanged.
-  double reduced_cost(std::size_t j, const double* costs,
-                      const double* y) const {
-    double dj = costs[j];
-    if (sparse_pricing_) {
-      return dj - col_dot(j, y);
-    }
-    // Dense fallback under the dispatch threshold (lp/sparse_matrix.h):
-    // scan the column-major copy, zero terms included.
-    const double* col = dense_cols_ + j * m_;
-    for (std::size_t r = 0; r < m_; ++r) dj -= y[r] * col[r];
-    return dj;
-  }
-
-  // Chooses the entering column: Dantzig (most negative effective reduced
-  // cost) normally, Bland (lowest eligible index) when anti-cycling.
+  // Chooses the entering column: Dantzig (largest improvement rate
+  // |c_j - y^T A_j|) normally, Bland (lowest eligible index) when
+  // anti-cycling.
   std::size_t price(const double* costs, const double* y, double dj_tol,
                     bool bland) const {
-    const bool weighted = opt_.pricing != PricingRule::kDantzig && !bland;
     std::size_t best = kNone;
-    double best_score = weighted ? dj_tol * dj_tol : dj_tol;
+    double best_rate = dj_tol;
     for (std::size_t j = 0; j < n_total_; ++j) {
       if (state_[j] == VarState::kBasic) continue;
       if (hi_[j] - lo_[j] <= opt_.tolerance) continue;  // fixed (artificials)
-      const double dj = reduced_cost(j, costs, y);
+      const double dj = costs[j] - col_dot(j, y);
       const double rate =
           state_[j] == VarState::kAtLower ? -dj : dj;  // improvement rate
-      if (rate <= dj_tol) continue;                    // not eligible
-      const double score = weighted ? rate * rate / weights_[j] : rate;
-      if (score > best_score) {
+      if (rate > best_rate) {
         best = j;
-        best_score = score;
+        best_rate = rate;
         if (bland) break;  // first eligible index
       }
     }
     return best;
   }
 
-  // Fresh reference framework at the start of a phase: Devex weights reset
-  // to 1; steepest-edge weights to 1 + ‖A_j‖². That equals the exact
-  // 1 + ‖B⁻¹A_j‖² only while B is a signed permutation (the cold start and
-  // the slack crash); once crash_structurals or earlier pivots put
-  // structural columns in the basis it is the usual reference-framework
-  // approximation, which the exact per-pivot updates then refine.
-  void reset_weights() {
-    if (opt_.pricing == PricingRule::kSteepestEdge) {
-      for (std::size_t j = 0; j < n_total_; ++j) {
-        double sq = 0.0;
-        for (std::size_t p = acol_ptr_[j]; p < acol_ptr_[j + 1]; ++p) {
-          sq += acol_val_[p] * acol_val_[p];
-        }
-        weights_[j] = 1.0 + sq;
-      }
-    } else {
-      std::fill(weights_, weights_ + n_total_, 1.0);
-    }
-  }
-
-  // rho_ := pivot row r of B^-1 (e_r^T B^-1), via the kernel.
-  void load_pivot_row(std::size_t r) {
-    if (use_lu_) {
-      std::fill(rho_, rho_ + m_, 0.0);
-      rho_[r] = 1.0;
-      lu_->btran(rho_);
-    } else {
-      dense_.pivot_row(r, rho_);
-    }
-  }
-
-  // Forrest-Goldfarb devex weight update after pivoting entering column
-  // `q` on row `r` (w_ = B^-1 A_q already computed). The pivot row
-  // e_r^T B^-1 A gives the alphas the update needs.
-  void devex_update(std::size_t q, std::size_t r) {
-    const double alpha_q = w_[r];
-    if (std::fabs(alpha_q) < 1e-12) return;
-    load_pivot_row(r);
-    const double wq = weights_[q];
-    for (std::size_t j = 0; j < n_total_; ++j) {
-      if (state_[j] == VarState::kBasic || j == q) continue;
-      if (hi_[j] - lo_[j] <= opt_.tolerance) continue;
-      // alpha_j = (pivot row of B^-1) . A_j
-      const double alpha_j = col_dot(j, rho_);
-      const double cand = (alpha_j / alpha_q) * (alpha_j / alpha_q) * wq;
-      if (cand > weights_[j]) weights_[j] = cand;
-      // reset the framework if weights explode
-      if (weights_[j] > 1e12) {
-        std::fill(weights_, weights_ + n_total_, 1.0);
-        return;
-      }
-    }
-    weights_[basis_[r]] = std::max(wq / (alpha_q * alpha_q), 1.0);
-  }
-
-  // Exact reference-framework steepest-edge update (Goldfarb–Reid) after
-  // pivoting entering column `q` on row `r`: with α_j = (B⁻¹A_j)_r taken
-  // from the pivot row ρ = B⁻ᵀe_r and v = B⁻ᵀw (both one extra BTRAN),
-  //   γ_j ← max(γ_j − 2(α_j/α_q)·A_jᵀv + (α_j/α_q)²γ_q, 1 + (α_j/α_q)²)
-  // and the leaving variable re-enters the nonbasic set with
-  //   γ_leave = max(γ_q/α_q², 1 + 1/α_q²).
-  void steepest_update(std::size_t q, std::size_t r) {
-    const double alpha_q = w_[r];
-    if (std::fabs(alpha_q) < 1e-12) return;
-    load_pivot_row(r);
-    std::copy(w_, w_ + m_, sev_);
-    btran_vec(sev_);
-    const double gamma_q = weights_[q];
-    for (std::size_t j = 0; j < n_total_; ++j) {
-      if (state_[j] == VarState::kBasic || j == q) continue;
-      if (hi_[j] - lo_[j] <= opt_.tolerance) continue;
-      const double alpha_j = col_dot(j, rho_);
-      if (alpha_j == 0.0) continue;
-      const double kappa = alpha_j / alpha_q;
-      const double cand =
-          weights_[j] - 2.0 * kappa * col_dot(j, sev_) + kappa * kappa * gamma_q;
-      weights_[j] = std::max(cand, 1.0 + kappa * kappa);
-      if (!std::isfinite(weights_[j])) {
-        reset_weights();  // numeric breakdown: restart the framework
-        return;
-      }
-    }
-    const double inv_sq = 1.0 / (alpha_q * alpha_q);
-    weights_[basis_[r]] = std::max(gamma_q * inv_sq, 1.0 + inv_sq);
-  }
-
   SimplexOptions opt_;
   SimplexWorkspace& ws_;
-  const bool use_lu_;
-  BasisLu* lu_ = nullptr;  // workspace-owned; set when use_lu_
-  BasisDense dense_;       // engaged when !use_lu_
+  BasisLu& lu_;  // workspace-owned; pools persist across solves
 
   std::size_t m_ = 0;
   std::size_t n_struct_ = 0;
@@ -684,15 +508,12 @@ class Tableau {
   double* x_ = nullptr;
   VarState* state_ = nullptr;
   std::size_t* basis_ = nullptr;
-  double* weights_ = nullptr;    // devex / steepest-edge reference weights
   double* costs_buf_ = nullptr;  // phase objective
   double* cb_ = nullptr;         // basic costs, then duals (BTRAN in place)
   double* w_ = nullptr;          // FTRAN'd entering column
-  double* rho_ = nullptr;        // pivot row of B^-1
-  double* sev_ = nullptr;        // steepest-edge v = B^-T w
   double* rhs_ = nullptr;        // refactorization right-hand side
 
-  // CSC column store of the augmented tableau (authoritative).
+  // CSC column store of the augmented tableau.
   std::size_t* acol_ptr_ = nullptr;
   std::size_t* acol_row_ = nullptr;
   double* acol_val_ = nullptr;
@@ -700,9 +521,6 @@ class Tableau {
   std::size_t* bcol_ptr_ = nullptr;
   std::size_t* bcol_row_ = nullptr;
   double* bcol_val_ = nullptr;
-  // Dense column-major copy, materialized only for force-dense pricing.
-  double* dense_cols_ = nullptr;
-  bool sparse_pricing_ = false;
 };
 
 }  // namespace
@@ -817,11 +635,6 @@ Solution SimplexSolver::solve_impl(const Problem& problem,
       reg.counter("lp.simplex.workspace_grows");
   workspace_reuses.add(ws.reuses() - ws_reuses);
   workspace_grows.add(ws.grows() - ws_grows);
-  if (t.sparse_pricing()) {
-    static obs::Counter& sparse_solves =
-        reg.counter("lp.sparse.simplex_pricing_solves");
-    sparse_solves.add();
-  }
   // Basis-kernel telemetry is flushed once per solve so the pivot loop
   // itself stays free of registry calls.
   const auto report_kernel = [&] {

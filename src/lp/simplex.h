@@ -2,72 +2,40 @@
 //
 // Solves general-form `Problem`s (see problem.h) by augmenting inequality
 // rows with slack variables and a full set of artificial variables for the
-// phase-1 start. The basis is maintained by a pluggable kernel: the
-// default keeps a Markowitz-ordered sparse LU factorization current with
-// product-form eta-file updates between bounded refactorizations
-// (lp/basis_lu.h); the historical explicit dense inverse survives as an
-// escape hatch and differential-testing comparator (lp/basis_dense.h).
-// Bland's rule kicks in after a run of degenerate pivots to guarantee
-// termination, and all per-solve scratch lives in the per-thread
-// `SimplexWorkspace` arena so warm re-entries run allocation-free.
+// phase-1 start. There is one code path: the augmented tableau is held as
+// CSC columns, the basis as a Markowitz-ordered sparse LU kept current
+// with product-form eta-file updates between bounded refactorizations
+// (lp/basis_lu.h), and the entering column is chosen by Dantzig pricing
+// (most negative reduced cost), switching to Bland's rule after a run of
+// degenerate pivots to guarantee termination. All per-solve scratch lives
+// in the per-thread `SimplexWorkspace` arena so warm re-entries run
+// allocation-free.
 //
 // This is the Step-1 engine of LP-HTA. It is exact (up to floating-point
-// tolerances), deterministic, and cross-checked in the test suite against
-// the interior-point solver and brute-force vertex enumeration.
+// tolerances), deterministic, and checked in the test suite against the
+// sparse interior-point solver and the LP certificate
+// (tests/lp/simplex_oracle_test.cpp, cross_check_test.cpp).
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/deadline.h"
 
 #include "lp/problem.h"
 #include "lp/solution.h"
-#include "lp/sparse_matrix.h"
 
 namespace mecsched::lp {
-
-// Entering-variable selection rule.
-//   kDantzig      — most negative reduced cost; simple and fast per
-//                   iteration.
-//   kDevex        — Forrest–Goldfarb reference weights approximating
-//                   steepest edge; one extra BTRAN per pivot but typically
-//                   fewer iterations on degenerate LPs. Retained as the
-//                   fallback framework steepest edge resets into.
-//   kSteepestEdge — reference-framework steepest edge: weights γ_j start
-//                   at 1 + ‖A_j‖² each phase and are updated exactly
-//                   toward 1 + ‖B⁻¹A_j‖² from the pivot's FTRAN/BTRAN
-//                   solves (two extra BTRANs per pivot). Fewest pivots on
-//                   the degenerate HTA cluster LPs.
-enum class PricingRule { kDantzig, kDevex, kSteepestEdge };
-
-// Basis-update kernel selection.
-//   kEtaLu        — sparse LU + product-form eta files (lp/basis_lu.h):
-//                   O(nnz) FTRAN/BTRAN/update per pivot, sparse
-//                   refactorization. The default.
-//   kDenseInverse — explicit dense B⁻¹ with rank-1 updates and an O(m³)
-//                   Gauss-Jordan rebuild (lp/basis_dense.h). Kept as the
-//                   differential-testing comparator; same pivot contract,
-//                   O(m²) per pivot.
-enum class BasisKernel { kEtaLu, kDenseInverse };
 
 struct SimplexOptions {
   std::size_t max_iterations = 50'000;
   // Basis-drift bound: the eta-file kernel refactorizes after this many
   // eta updates (sooner on fill growth or an accuracy trigger — see
-  // lp/basis_lu.h); the dense kernel rebuilds B⁻¹ every this many pivots.
+  // lp/basis_lu.h).
   std::size_t refactor_period = 64;
   // Consecutive degenerate pivots before switching to Bland's rule.
   std::size_t bland_trigger = 50;
   double tolerance = 1e-9;
-  PricingRule pricing = PricingRule::kDantzig;
-  BasisKernel basis = BasisKernel::kEtaLu;
-  // Column-storage selection for the pricing kernels. The augmented
-  // tableau is always held as CSC columns; under kAuto the dispatch
-  // policy in lp/sparse_matrix.h decides from its density whether pricing
-  // walks the stored nonzeros (O(nnz) per pass) or a dense column copy.
-  // Both paths subtract products in ascending row order, so the reduced
-  // costs — and the pivot sequence — are bit-identical either way.
-  SparseMode sparse_pricing = SparseMode::kAuto;
   // Cooperative budget, checked once per pivot. On expiry during phase 2
   // the solver returns SolveStatus::kDeadline with the current basic
   // feasible solution (anytime contract, see solution.h); during phase 1

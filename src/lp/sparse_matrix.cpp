@@ -7,15 +7,6 @@
 
 namespace mecsched::lp {
 
-bool use_sparse_kernels(std::size_t rows, std::size_t cols, std::size_t nnz,
-                        SparseMode mode) {
-  if (mode == SparseMode::kForceDense) return false;
-  if (mode == SparseMode::kForceSparse) return true;
-  if (rows < kSparseMinRows || cols == 0) return false;
-  const double cells = static_cast<double>(rows) * static_cast<double>(cols);
-  return static_cast<double>(nnz) <= kSparseDensityThreshold * cells;
-}
-
 SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                          std::vector<Triplet> triplets) {
   SparseMatrix out;

@@ -3,13 +3,9 @@
 // The HTA constraint matrices are block sparse by construction: one
 // assignment row per task (4 nonzeros), thin coupling rows for device and
 // station capacity, and ±1 slack/bound columns. Stored sparsely they carry
-// a handful of nonzeros per row, so the normal-equation assembly, SpMV and
-// simplex pricing kernels in this layer run on the nonzero structure only.
-//
-// Dense kernels are still the right tool for small or dense systems (the
-// random cross-check LPs, tiny clusters): `use_sparse_kernels` implements
-// the dispatch policy shared by the interior-point solver and the simplex
-// pricing loop. See docs/lp-kernels.md for the policy rationale.
+// a handful of nonzeros per row, so the interior-point solver's SpMV and
+// normal-equation assembly run on the nonzero structure only. See
+// docs/lp-kernels.md.
 #pragma once
 
 #include <cstddef>
@@ -19,24 +15,6 @@
 #include "lp/matrix.h"
 
 namespace mecsched::lp {
-
-// How a solver chooses between its dense and sparse kernels.
-//   kAuto        — density/size heuristic (use_sparse_kernels below).
-//   kForceDense  — always the dense kernels (baseline / differential runs).
-//   kForceSparse — always the sparse kernels (tests, benchmarks).
-enum class SparseMode { kAuto, kForceDense, kForceSparse };
-
-// Dispatch thresholds for SparseMode::kAuto. Dense kernels win below
-// `kSparseMinRows` rows (cache-resident, no index indirection) and above
-// `kSparseDensityThreshold` fill (the sparse structure stops paying for
-// itself around 1 nonzero in 4).
-inline constexpr std::size_t kSparseMinRows = 32;
-inline constexpr double kSparseDensityThreshold = 0.25;
-
-// True when the sparse kernels should handle a rows×cols system with
-// `nnz` structural nonzeros under `mode`.
-bool use_sparse_kernels(std::size_t rows, std::size_t cols, std::size_t nnz,
-                        SparseMode mode);
 
 struct Triplet {
   std::size_t row;
@@ -82,8 +60,8 @@ class SparseMatrix {
   std::vector<double> multiply_transpose(const std::vector<double>& x) const;
 
   // The transpose — also the CSC view of this matrix (row r of the result
-  // is column r of *this), which is how the simplex pricing kernel and the
-  // normal-equation assembly walk columns.
+  // is column r of *this), which is how the normal-equation assembly walks
+  // columns.
   SparseMatrix transposed() const;
 
   // Order-dependent 64-bit digest of the sparsity *pattern* (dimensions,

@@ -9,8 +9,7 @@
 //
 // A is kept in CSR (lp/sparse_matrix.h), assembled straight from the
 // Problem's sparse rows so the block structure of the HTA constraints is
-// never densified on the way to the solver; the interior-point solver's
-// dense kernels call `a.to_dense()` when the dispatch policy picks them.
+// never densified on the way to the solver.
 //
 // `recover()` maps a standard-form solution back to the original variable
 // space.

@@ -1,8 +1,8 @@
 // Arena-backed per-thread solve state for the simplex engine.
 //
 // Every `SimplexSolver::solve` used to allocate its tableau vectors, the
-// per-pivot scratch (dual prices, entering column, pricing weights) and
-// the basis-inverse storage from the heap, then throw them away. At sweep
+// per-pivot scratch (dual prices, entering column) and the basis storage
+// from the heap, then throw them away. At sweep
 // and serve scale the solver is re-entered thousands of times per second
 // with near-identical shapes (PR 3 cached sweep cells, PR 8 shard solves
 // with warm hints), so the allocator traffic dominates small solves.

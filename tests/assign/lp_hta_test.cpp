@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "assign/cluster_lp.h"
@@ -351,42 +352,23 @@ TEST(LpHtaTest, StationsWithoutTasksAreSkipped) {
   EXPECT_EQ(spans, with_tasks);
 }
 
-// The basis kernel is an implementation detail of Step 1: the eta-file LU
-// default and the dense-inverse comparator must produce the *same
-// decisions* task for task (the rounding in Steps 2-6 is deterministic in
-// the LP vertex, and these cluster LPs have unique optima for generic
-// costs).
-TEST(LpHtaTest, BasisKernelsProduceIdenticalAssignments) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto s = small_scenario(seed, 40, 12, 3);
-    const HtaInstance inst(s.topology, s.tasks);
-
-    LpHtaOptions lu;
-    lu.basis = lp::BasisKernel::kEtaLu;
-    LpHtaOptions dense;
-    dense.basis = lp::BasisKernel::kDenseInverse;
-
-    const Assignment a = LpHta(lu).assign(inst);
-    const Assignment b = LpHta(dense).assign(inst);
-    EXPECT_EQ(a.decisions, b.decisions) << "seed " << seed;
-  }
-}
-
-// Pricing rules likewise: different pivot paths, same assignment.
-TEST(LpHtaTest, PricingRulesProduceIdenticalAssignments) {
+// Pins LP-HTA(ipm) decisions, task for task, on six 20-task scenarios
+// spread over 50 devices and 5 stations. Their clusters hold a handful of
+// tasks each, so these are the smallest normal-equation systems the
+// interior-point engine sees. Update the pin only for a deliberate output
+// change.
+TEST(LpHtaTest, InteriorPointDecisionsArePinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the decisions
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const auto s = small_scenario(seed, 36, 12, 3);
+    const auto s = small_scenario(seed, 20, 50, 5);
     const HtaInstance inst(s.topology, s.tasks);
-    const Assignment base = LpHta().assign(inst);
-    for (const lp::PricingRule rule :
-         {lp::PricingRule::kDevex, lp::PricingRule::kSteepestEdge}) {
-      LpHtaOptions options;
-      options.pricing = rule;
-      const Assignment other = LpHta(options).assign(inst);
-      EXPECT_EQ(base.decisions, other.decisions)
-          << "seed " << seed << " rule " << static_cast<int>(rule);
+    const Assignment a =
+        LpHta(LpHtaOptions{LpEngine::kInteriorPoint}).assign(inst);
+    for (const Decision d : a.decisions) {
+      h = (h ^ static_cast<std::uint64_t>(d)) * 0x100000001b3ull;
     }
   }
+  EXPECT_EQ(h, 0xde9fa0da6fc22a85ull) << std::hex << h;
 }
 
 }  // namespace

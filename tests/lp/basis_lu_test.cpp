@@ -2,8 +2,8 @@
 // factorization and triangular solves against hand-computed inverses,
 // product-form eta updates against freshly factorized replacements, the
 // refactorization triggers (budget, fill, accuracy) and the chaos poison
-// hook. The solver-level contract (same optimum as the dense-inverse
-// kernel) lives in basis_kernel_diff_test.cpp.
+// hook. The solver-level contract (the optimum the sparse IPM certifies)
+// lives in simplex_oracle_test.cpp.
 #include "lp/basis_lu.h"
 
 #include <gtest/gtest.h>

@@ -106,23 +106,5 @@ TEST(SparseMatrixTest, FingerprintTracksPatternNotValues) {
   EXPECT_NE(a.pattern_fingerprint(), taller.pattern_fingerprint());
 }
 
-TEST(SparseMatrixTest, DispatchPolicy) {
-  // Force modes win unconditionally.
-  EXPECT_FALSE(use_sparse_kernels(1000, 1000, 10, SparseMode::kForceDense));
-  EXPECT_TRUE(use_sparse_kernels(2, 2, 4, SparseMode::kForceSparse));
-  // Small systems stay dense regardless of density.
-  EXPECT_FALSE(use_sparse_kernels(kSparseMinRows - 1, 1000, 10,
-                                  SparseMode::kAuto));
-  // Large sparse systems go sparse; large dense ones do not.
-  const std::size_t m = kSparseMinRows;
-  const std::size_t n = 100;
-  const auto budget = static_cast<std::size_t>(
-      kSparseDensityThreshold * static_cast<double>(m * n));
-  EXPECT_TRUE(use_sparse_kernels(m, n, budget, SparseMode::kAuto));
-  EXPECT_FALSE(use_sparse_kernels(m, n, budget + 1, SparseMode::kAuto));
-  // Degenerate shapes never pick the sparse path under kAuto.
-  EXPECT_FALSE(use_sparse_kernels(m, 0, 0, SparseMode::kAuto));
-}
-
 }  // namespace
 }  // namespace mecsched::lp

@@ -13,10 +13,11 @@ result. The baseline holds a list of gate specs:
     {
       "bench": "lp_kernels",
       "gates": [
-        {"metric": "values.ipm_speedup",
-         "type": "min_fraction_of", "baseline": 25.0, "fraction": 0.8},
-        {"metric": "values.overhead_fraction", "type": "max", "limit": 0.02},
-        {"metric": "flags.assignments_identical",
+        {"metric": "values.lu_pivots_per_second",
+         "type": "min_fraction_of", "baseline": 60000.0, "fraction": 0.5},
+        {"metric": "values.simplex_lp_hta_seconds", "type": "max",
+         "limit": 0.008},
+        {"metric": "flags.cell_objectives_agree",
          "type": "equals", "expect": true}
       ]
     }
