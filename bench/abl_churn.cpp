@@ -80,7 +80,7 @@ int main() {
       }
 
       control::ResilientOptions opts;
-      opts.max_attempts = 4;
+      opts.readmission.max_attempts = 4;
       const control::ResilientResult r = control::ResilientController(opts).run(
           s.topology, s.tasks, faults, &shared);
       CellResult cell;
@@ -90,7 +90,7 @@ int main() {
       std::vector<mec::Task> tasks;
       sim::SimOptions replay_opts;
       replay_opts.faults = faults;
-      for (const assign::TimedTask& tt : s.tasks) {
+      for (const mec::TimedTask& tt : s.tasks) {
         tasks.push_back(tt.task);
         replay_opts.release_times.push_back(tt.release_s);
       }

@@ -1,8 +1,9 @@
 // Online stream — tasks arrive over time (Poisson) instead of all at once,
 // the regime the paper's quasi-static model abstracts away. The
-// OnlineScheduler extension batches arrivals into epochs and re-runs
-// LP-HTA against the residual capacities; this example compares it with
-// the clairvoyant offline plan and shows the epoch-length trade-off.
+// rolling-horizon controller (here with no faults and one admission per
+// task) batches arrivals into epochs and re-runs LP-HTA against the
+// residual capacities; this example compares it with the clairvoyant
+// offline plan and shows the epoch-length trade-off.
 //
 //   $ ./build/examples/online_stream
 #include <iostream>
@@ -10,8 +11,8 @@
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
-#include "assign/online.h"
 #include "common/table.h"
+#include "control/resilient.h"
 #include "workload/arrivals.h"
 
 int main() {
@@ -42,16 +43,17 @@ int main() {
 
   double fast_cancelled = 0.0, slow_cancelled = 0.0;
   for (double epoch : {0.1, 0.5, 2.0}) {
-    assign::OnlineOptions opts;
+    control::ResilientOptions opts;
     opts.epoch_s = epoch;
-    const assign::OnlineResult r =
-        assign::OnlineScheduler(opts).run(stream.topology, stream.tasks);
+    opts.readmission.max_attempts = 1;
+    const control::ResilientResult r = control::ResilientController(opts).run(
+        stream.topology, stream.tasks, sim::FaultSchedule{});
     table.add_row({"online, epoch " + Table::num(epoch, 1) + " s",
                    Table::num(r.total_energy_j, 1),
                    Table::num(r.mean_response_s, 2),
-                   std::to_string(r.cancelled), std::to_string(r.epochs)});
-    if (epoch == 0.1) fast_cancelled = static_cast<double>(r.cancelled);
-    if (epoch == 2.0) slow_cancelled = static_cast<double>(r.cancelled);
+                   std::to_string(r.unsatisfied), std::to_string(r.epochs)});
+    if (epoch == 0.1) fast_cancelled = static_cast<double>(r.unsatisfied);
+    if (epoch == 2.0) slow_cancelled = static_cast<double>(r.unsatisfied);
   }
   std::cout << table << '\n';
   std::cout << "short epochs react fast (fewer deadline cancellations) but\n"

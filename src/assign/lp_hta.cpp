@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <vector>
 
@@ -82,8 +81,8 @@ lp::Solution solve_relaxation(const ClusterLp& cluster,
 }
 
 // Everything one cluster contributes: its tasks' decisions plus its share
-// of the Theorem-2 diagnostics. Clusters are independent (Sec. III.A), so
-// these can be computed in parallel and merged.
+// of the Theorem-2 diagnostics. Clusters are independent (Sec. III.A);
+// their outcomes are merged in station order.
 struct ClusterOutcome {
   std::vector<std::pair<std::size_t, Decision>> decisions;
   double lp_objective = 0.0;
@@ -352,21 +351,9 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
 
   std::vector<ClusterOutcome> outcomes(clusters);
   try {
-    if (options_.parallel_clusters && clusters > 1) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(clusters);
-      for (std::size_t b = 0; b < clusters; ++b) {
-        if (instance.cluster_tasks(b).empty()) continue;
-        futures.emplace_back(std::async(std::launch::async, [&, b] {
-          outcomes[b] = solve_cluster(instance, b, options_);
-        }));
-      }
-      for (std::future<void>& f : futures) f.get();
-    } else {
-      for (std::size_t b = 0; b < clusters; ++b) {
-        if (instance.cluster_tasks(b).empty()) continue;
-        outcomes[b] = solve_cluster(instance, b, options_);
-      }
+    for (std::size_t b = 0; b < clusters; ++b) {
+      if (instance.cluster_tasks(b).empty()) continue;
+      outcomes[b] = solve_cluster(instance, b, options_);
     }
   } catch (const SolverError& e) {
     if (flight.enabled()) cut_record("error", e.what(), "", 0, false);

@@ -34,10 +34,6 @@ enum class LpEngine { kSimplex, kInteriorPoint };
 
 struct LpHtaOptions {
   LpEngine engine = LpEngine::kSimplex;
-  // Clusters are independent (Sec. III.A treats them separately), so their
-  // LPs can be solved on worker threads. Deterministic either way — the
-  // merge order is fixed.
-  bool parallel_clusters = false;
   // Per-cluster LP iteration budget (simplex pivots / IPM steps). 0 keeps
   // the engine defaults. A too-small budget makes Step 1 throw SolverError
   // ("not optimal (iteration-limit)") — callers that must never abort wrap

@@ -482,10 +482,12 @@ int cmd_online(const std::vector<std::string>& tokens, std::ostream& out) {
   MECSCHED_REQUIRE(!path.empty(), "--scenario <file> is required");
   const workload::TimedScenario scenario =
       io::timed_scenario_from_json(io::Json::parse(io::read_file(path)));
-  assign::OnlineOptions opts;
+  // Plain online scheduling: no faults, one admission per task.
+  control::ResilientOptions opts;
   opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
-  const assign::OnlineResult r =
-      assign::OnlineScheduler(opts).run(scenario.topology, scenario.tasks);
+  opts.readmission.max_attempts = 1;
+  const control::ResilientResult r = control::ResilientController(opts).run(
+      scenario.topology, scenario.tasks, sim::FaultSchedule{});
   emit(io::online_result_to_json(r), args, out);
   return 0;
 }
@@ -621,7 +623,8 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
 
   control::ResilientOptions opts;
   opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
-  opts.max_attempts = args.get_count("max-attempts", opts.max_attempts);
+  opts.readmission.max_attempts =
+      args.get_count("max-attempts", opts.readmission.max_attempts);
   const control::ResilientResult r =
       control::ResilientController(opts).run(scenario.topology, scenario.tasks,
                                              faults);

@@ -6,11 +6,11 @@
 #include <numeric>
 #include <utility>
 
-#include "common/deadline.h"
-
 #include "assign/hta_instance.h"
+#include "common/deadline.h"
 #include "common/error.h"
-#include "control/readmission.h"
+#include "control/reconciler.h"
+#include "dta/pipeline.h"
 #include "mec/cost_model.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
@@ -21,53 +21,19 @@ namespace mecsched::control {
 namespace {
 
 using assign::Decision;
-using assign::TimedTask;
+using mec::TimedTask;
 using sim::FaultKind;
 using sim::FaultSchedule;
 
-std::string fate_name(TaskFate f) {
-  switch (f) {
-    case TaskFate::kPending:
-      return "pending";
-    case TaskFate::kCompleted:
-      return "completed";
-    case TaskFate::kRescuedByDta:
-      return "rescued-by-dta";
-    case TaskFate::kLostIssuer:
-      return "lost-issuer";
-    case TaskFate::kDeadlineExpired:
-      return "deadline-expired";
-    case TaskFate::kRetriesExhausted:
-      return "retries-exhausted";
-  }
-  return "unknown";
-}
-
-// A task occupying capacity somewhere (mirrors assign/online.cpp).
-struct Running {
-  std::size_t id = 0;  // input index
-  double finish_s = 0.0;
-  Decision where = Decision::kCancelled;
-  std::size_t issuer = 0;
-  std::size_t station = 0;  // issuer's serving station
-  double resource = 0.0;
-  bool has_external = false;
-  std::size_t owner = 0;  // external data owner (valid if has_external)
-};
-
-// The system as the controller sees it at `now`: residual capacities minus
-// running occupancy, zero capacity on dead hardware, radios re-priced by
-// the current link factor.
+// The system as the controller sees it at `now`: residual capacities net
+// of the ledger's running work, zero capacity on dead hardware, radios
+// re-priced by the current link factor.
 mec::Topology observed_topology(const mec::Topology& base,
-                                const std::vector<Running>& running,
+                                const Reconciler& ledger,
                                 const FaultSchedule& faults, double now) {
   std::vector<double> device_used(base.num_devices(), 0.0);
   std::vector<double> station_used(base.num_base_stations(), 0.0);
-  for (const Running& r : running) {
-    if (r.finish_s <= now) continue;
-    if (r.where == Decision::kLocal) device_used[r.issuer] += r.resource;
-    if (r.where == Decision::kEdge) station_used[r.station] += r.resource;
-  }
+  ledger.occupancy(now, device_used, station_used);
   std::vector<mec::Device> devices;
   devices.reserve(base.num_devices());
   for (std::size_t i = 0; i < base.num_devices(); ++i) {
@@ -94,19 +60,33 @@ mec::Topology observed_topology(const mec::Topology& base,
 
 }  // namespace
 
-std::string to_string(TaskFate f) { return fate_name(f); }
+std::string to_string(TaskFate f) {
+  switch (f) {
+    case TaskFate::kPending:
+      return "pending";
+    case TaskFate::kCompleted:
+      return "completed";
+    case TaskFate::kRescuedByDta:
+      return "rescued-by-dta";
+    case TaskFate::kLostIssuer:
+      return "lost-issuer";
+    case TaskFate::kDeadlineExpired:
+      return "deadline-expired";
+    case TaskFate::kRetriesExhausted:
+      return "retries-exhausted";
+  }
+  return "unknown";
+}
 
 ResilientResult ResilientController::run(const mec::Topology& topology,
                                          const std::vector<TimedTask>& tasks,
                                          const FaultSchedule& faults,
                                          const SharedDataView* shared) const {
   MECSCHED_REQUIRE(options_.epoch_s > 0.0, "epoch length must be positive");
-  MECSCHED_REQUIRE(options_.max_attempts >= 1,
-                   "max_attempts must be >= 1, got " +
-                       std::to_string(options_.max_attempts));
-  MECSCHED_REQUIRE(options_.backoff_base_epochs >= 1,
-                   "backoff_base_epochs must be >= 1, got " +
-                       std::to_string(options_.backoff_base_epochs));
+  // The shared waiting-room: bounded retry + exponential epoch backoff,
+  // take_ready() in admission order (control/readmission.h). Its
+  // constructor validates the retry options.
+  ReadmissionQueue waiting(options_.readmission);
   MECSCHED_REQUIRE(std::isfinite(options_.decision_budget_ms) &&
                        options_.decision_budget_ms >= 0.0,
                    "decision_budget_ms must be finite and non-negative");
@@ -128,18 +108,17 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
   result.outcomes.assign(tasks.size(), ResilientTaskOutcome{});
   if (tasks.empty()) return result;
 
-  // Arrivals in release order.
+  // Arrivals in release order; simultaneous releases keep their input
+  // order (std::sort would scramble ties, and batch order reaches the
+  // solvers).
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return tasks[a].release_s < tasks[b].release_s;
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return tasks[a].release_s < tasks[b].release_s;
+                   });
 
-  std::vector<Running> running;
-  // The shared waiting-room: bounded retry + exponential epoch backoff,
-  // take_ready() in admission order (control/readmission.h).
-  ReadmissionQueue waiting(
-      {options_.max_attempts, options_.backoff_base_epochs});
+  Reconciler ledger;  // in-flight work
   std::size_t next = 0;  // index into `order`
 
   const double epoch_s = options_.epoch_s;
@@ -159,12 +138,26 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
     }
   };
 
+  // Record a placement made at `now` and enter it into the ledger.
+  auto place = [&](std::size_t id, const mec::Task& t, Decision d,
+                   double now, double latency, double energy) {
+    ResilientTaskOutcome& o = result.outcomes[id];
+    o.decision = d;
+    o.start_s = now;
+    o.finish_s = now + latency;
+    result.total_energy_j += energy;
+    result.makespan_s = std::max(result.makespan_s, o.finish_s);
+    ledger.start({id, o.finish_s, d, t.id.user,
+                  topology.device(t.id.user).base_station, t.resource,
+                  t.external_bytes > 0.0, t.external_owner});
+  };
+
   // DTA rescue: re-divide the task's items across owners alive at `now`.
   // Returns true and fills finish/energy on success.
   auto try_rescue = [&](std::size_t id, const mec::Task& task,
                         double residual_deadline, double now, double* finish,
                         double* energy) -> bool {
-    if (!options_.dta_rescue || shared == nullptr) return false;
+    if (shared == nullptr) return false;
     const dta::ItemSet& items = shared->task_items[id];
     if (items.empty()) return false;
 
@@ -196,7 +189,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
                                      std::move(alive_ownership),
                                      {div}};
     dta::DtaOptions dta_opts;
-    dta_opts.strategy = options_.rescue_strategy;
+    dta_opts.strategy = dta::DtaStrategy::kWorkload;
     // The greedy partial scheduler cannot throw SolverError; rescue must
     // stay on the no-abort path.
     dta_opts.scheduler = dta::PartialScheduler::kLocalGreedy;
@@ -214,59 +207,44 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
   const obs::ScopedTimer run_span("controller.run", "control");
 
   for (std::size_t epoch = 0;
-       next < order.size() || !waiting.empty() || !running.empty(); ++epoch) {
+       next < order.size() || !waiting.empty() || !ledger.running().empty();
+       ++epoch) {
     // One span per epoch: the controller's heartbeat in the trace. Args
     // are only rendered while a capture is live.
     const obs::ScopedTimer epoch_span(
         "controller.epoch", "control",
         obs::Tracer::global().enabled()
             ? "\"epoch\":" + std::to_string(epoch) +
-                  ",\"running\":" + std::to_string(running.size()) +
+                  ",\"running\":" + std::to_string(ledger.running().size()) +
                   ",\"waiting\":" + std::to_string(waiting.waiting())
             : std::string());
     const double now = static_cast<double>(epoch + 1) * epoch_s;
     const double prev = static_cast<double>(epoch) * epoch_s;
 
-    // ---- Observe faults that hit running tasks during the last epoch.
+    // ---- Replay the last epoch's faults against the in-flight ledger: a
+    // failed device is a leave, a failed station cuts the offloaded work
+    // issued through its cell.
     for (const sim::FaultEvent& ev : faults.events_between(prev, now)) {
-      std::vector<Running> keep;
-      keep.reserve(running.size());
-      for (Running& r : running) {
-        if (r.finish_s <= ev.time_s) {  // already finished when it struck
-          keep.push_back(r);
-          continue;
-        }
-        const bool issuer_died =
-            ev.kind == FaultKind::kDeviceFail && ev.target == r.issuer;
-        const bool owner_died = ev.kind == FaultKind::kDeviceFail &&
-                                r.has_external && ev.target == r.owner;
-        const bool path_died = ev.kind == FaultKind::kStationFail &&
-                               ev.target == r.station &&
-                               r.where != Decision::kLocal;
-        if (issuer_died) {
-          give_up(r.id, TaskFate::kLostIssuer);
-        } else if (owner_died || path_died) {
-          ++result.orphaned;
-          backoff_or_fail(r.id, result.outcomes[r.id].attempts, epoch);
-        } else {
-          keep.push_back(r);
-        }
+      Interruptions hit;
+      if (ev.kind == FaultKind::kDeviceFail) {
+        hit = ledger.device_left(ev.target, ev.time_s);
+      } else if (ev.kind == FaultKind::kStationFail) {
+        hit = ledger.station_down(ev.target, ev.time_s);
       }
-      running.swap(keep);
+      for (const std::size_t id : hit.lost_issuer) {
+        give_up(id, TaskFate::kLostIssuer);
+      }
+      for (const std::size_t id : hit.orphaned) {
+        ++result.orphaned;
+        backoff_or_fail(id, result.outcomes[id].attempts, epoch);
+      }
     }
 
     // ---- Completions free their reservations.
-    for (const Running& r : running) {
-      if (r.finish_s <= now && result.outcomes[r.id].fate == TaskFate::kPending) {
-        result.outcomes[r.id].fate = TaskFate::kCompleted;
-        ++result.completed;
-      }
+    for (const std::size_t id : ledger.collect_completions(now)) {
+      result.outcomes[id].fate = TaskFate::kCompleted;
+      ++result.completed;
     }
-    running.erase(std::remove_if(running.begin(), running.end(),
-                                 [now](const Running& r) {
-                                   return r.finish_s <= now;
-                                 }),
-                  running.end());
 
     // ---- Admit new arrivals.
     while (next < order.size() && tasks[order[next]].release_s <= now) {
@@ -279,7 +257,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
     ++result.epochs;
 
     const mec::Topology observed =
-        observed_topology(topology, running, faults, now);
+        observed_topology(topology, ledger, faults, now);
     const mec::CostModel observed_cost(observed);
 
     // ---- Triage: dead issuers, dead owners (rescue), dark cells.
@@ -322,7 +300,7 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
           ++result.completed;
           ++result.rescued_by_dta;
           obs::Tracer& tracer = obs::Tracer::global();
-          tracer.instant("controller.dta_rescue", "control",
+          tracer.instant("controller.rescued_by_dta", "control",
                          tracer.enabled()
                              ? "\"task\":" + std::to_string(w.id)
                              : std::string());
@@ -343,8 +321,10 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
             topology.same_cluster(tt.task.external_owner, issuer);
         const mec::CostEntry local =
             observed_cost.evaluate(tt.task, mec::Placement::kLocal);
+        // The ledger already holds the local runs placed earlier in this
+        // pass.
         double used = 0.0;
-        for (const Running& r : running) {
+        for (const RunningTask& r : ledger.running()) {
           if (r.where == Decision::kLocal && r.issuer == issuer) {
             used += r.resource;
           }
@@ -352,15 +332,8 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
         const bool fits =
             used + tt.task.resource <= topology.device(issuer).max_resource;
         if (fetch_routable && fits && local.latency_s() <= residual) {
-          ResilientTaskOutcome& o = result.outcomes[w.id];
-          o.decision = Decision::kLocal;
-          o.start_s = now;
-          o.finish_s = now + local.latency_s();
-          result.total_energy_j += local.energy_j;
-          result.makespan_s = std::max(result.makespan_s, o.finish_s);
-          running.push_back({w.id, o.finish_s, Decision::kLocal, issuer, bs,
-                             tt.task.resource, tt.task.external_bytes > 0.0,
-                             tt.task.external_owner});
+          place(w.id, tt.task, Decision::kLocal, now, local.latency_s(),
+                local.energy_j);
           continue;
         }
         backoff_or_fail(w.id, attempts_after, epoch);
@@ -417,26 +390,27 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
         continue;
       }
       const mec::Placement p = assign::to_placement(d);
-      const double latency = instance.latency(i, p);
-      ResilientTaskOutcome& o = result.outcomes[w.id];
-      o.decision = d;
-      o.start_s = now;
-      o.finish_s = now + latency;
-      result.total_energy_j += instance.energy(i, p);
-      result.makespan_s = std::max(result.makespan_s, o.finish_s);
-      const mec::Task& t = instance.task(i);
-      running.push_back({w.id, o.finish_s, d, t.id.user,
-                         topology.device(t.id.user).base_station, t.resource,
-                         t.external_bytes > 0.0, t.external_owner});
+      place(w.id, instance.task(i), d, now, instance.latency(i, p),
+            instance.energy(i, p));
     }
   }
 
-  for (const ResilientTaskOutcome& o : result.outcomes) {
+  // Mean response over completed tasks, summed in release order.
+  double response_sum = 0.0;
+  for (const std::size_t id : order) {
+    const ResilientTaskOutcome& o = result.outcomes[id];
     MECSCHED_REQUIRE(o.fate != TaskFate::kPending,
                      "internal: task left pending after the epoch loop");
+    if (o.fate == TaskFate::kCompleted || o.fate == TaskFate::kRescuedByDta) {
+      response_sum += o.finish_s - tasks[id].release_s;
+    }
   }
   result.retries = waiting.retries();
   result.unsatisfied = result.outcomes.size() - result.completed;
+  result.mean_response_s =
+      result.completed == 0
+          ? 0.0
+          : response_sum / static_cast<double>(result.completed);
 
   obs::Registry& reg = obs::Registry::global();
   reg.counter("controller.runs").add();

@@ -1,45 +1,53 @@
-// Resilient rolling-horizon controller — the degradation-tolerant wrapper
-// around the online epoch scheduler (assign/online.h).
+// Rolling-horizon controller — the paper's one-shot LP-HTA (Sec. III.A)
+// turned into an epoch loop over a task stream, with degradation
+// tolerance. `mecsched online` runs it with no faults and one attempt per
+// task (plain online scheduling), `mecsched churn` under a FaultSchedule.
+// It shares its waiting room and in-flight ledger with the serve daemon
+// (serve/daemon.h), which runs its own sharded loop over churn traces.
 //
-// The plain OnlineScheduler batches arrivals into epochs and runs LP-HTA on
-// each batch; it assumes the system it planned against still exists when
-// the tasks run. This controller drops that assumption. At every epoch
-// boundary it observes the FaultSchedule and
+// Arrivals are batched into fixed epochs (simultaneous releases are
+// admitted in input order). At every epoch boundary the controller
 //
-//   * cancels truly-lost tasks: the issuer died, so there is no radio left
-//     to upload data or receive a result;
-//   * re-admits orphaned tasks — tasks whose executor (edge/cloud path) or
-//     external data owner died mid-run — with *residual* deadlines (the
-//     wait so far is gone for good) and bounded retry: at most
-//     `max_attempts` admissions per task, re-admission delayed by an
-//     exponentially growing epoch backoff;
+//   * collects completions and replays the faults of the last epoch
+//     against the in-flight ledger (control/reconciler.h): a failed
+//     device is a leave — tasks it issued are truly lost (there is no
+//     radio left to upload data or receive a result), tasks whose
+//     external data it owned are orphaned — and a failed station orphans
+//     the edge/cloud work issued through its cell;
+//   * re-admits orphaned tasks with *residual* deadlines (the wait so far
+//     is gone for good) and bounded retry: at most
+//     `readmission.max_attempts` admissions per task, re-admission delayed
+//     by an exponentially growing epoch backoff (control/readmission.h);
 //   * rescues orphaned *divisible* tasks whose external owner is down by
 //     re-dividing the task's data across the surviving owners through the
 //     DTA pipeline (graceful degradation instead of cancellation) — this
 //     needs the optional SharedDataView;
-//   * prices the system as it is *now*: dead devices and stations carry
-//     zero capacity, degraded links are re-priced at their current rates,
-//     and tasks in a cluster whose cell is down can only run locally until
-//     the cell recovers;
+//   * prices the system as it is *now*: residual capacities net of
+//     running work, dead devices and stations carry zero capacity,
+//     degraded links are re-priced at their current rates, and tasks in a
+//     cluster whose cell is down can only run locally until the cell
+//     recovers;
 //   * never aborts on a solver failure: every batch goes through the
 //     FallbackChain (LP-HTA budgeted -> HGOS -> LocalFirst), and the
 //     histogram of which rung served is reported.
 //
-// Modelling notes: execution is analytic (Sec. II costs), matching
-// OnlineScheduler — faults interrupt tasks at the granularity of whole
-// runs, not stages (the event simulator covers stage granularity). Energy
-// spent on an attempt that is later orphaned stays spent. Rescued tasks'
-// partial executors are not charged against the epoch capacity ledger (the
-// rescue path uses the generously-capacitated shared-data regime).
+// Modelling notes: execution is analytic (Sec. II costs) — faults
+// interrupt tasks at the granularity of whole runs, not stages (the event
+// simulator covers stage granularity). Energy spent on an attempt that is
+// later orphaned stays spent. Rescued tasks' partial executors are not
+// charged against the epoch capacity ledger (the rescue path uses the
+// generously-capacitated shared-data regime).
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
-#include "assign/online.h"
+#include "assign/lp_hta.h"
 #include "control/fallback.h"
+#include "control/readmission.h"
 #include "dta/data_model.h"
-#include "dta/pipeline.h"
+#include "mec/task.h"
 #include "mec/topology.h"
 #include "sim/fault_schedule.h"
 
@@ -47,18 +55,14 @@ namespace mecsched::control {
 
 struct ResilientOptions {
   double epoch_s = 0.5;
-  // Admissions per task: 1 = no retry. Each re-admission (orphaned, owner
-  // down, cell down, or cancelled by the scheduler) consumes one attempt.
-  std::size_t max_attempts = 3;
-  // Re-admission after a failed attempt waits backoff_base_epochs *
-  // 2^(attempts-1) epochs.
-  std::size_t backoff_base_epochs = 1;
+  // Bounded retry with exponential epoch backoff. Each admission (first,
+  // or re-admission after being orphaned, owner down, cell down, or
+  // cancelled by the scheduler) consumes one attempt; max_attempts = 1
+  // means no retry.
+  ReadmissionOptions readmission{};
   // Rung-0 configuration; lp.max_lp_iterations is the iteration budget
   // that keeps a degenerate LP from stalling an epoch.
   assign::LpHtaOptions lp{};
-  // Re-divide orphaned divisible tasks across surviving owners.
-  bool dta_rescue = true;
-  dta::DtaStrategy rescue_strategy = dta::DtaStrategy::kWorkload;
   // Per-epoch wall-clock budget for the scheduling decision itself
   // (0 = unlimited). When set, two things happen: (a) every batch goes to
   // the FallbackChain with a deadline of this many milliseconds, so a
@@ -110,6 +114,7 @@ struct ResilientResult {
   RungHistogram rungs;            // which fallback rung served each epoch
 
   double total_energy_j = 0.0;    // all attempts, wasted work included
+  double mean_response_s = 0.0;   // finish - release over completed tasks
   double makespan_s = 0.0;
   std::size_t epochs = 0;
 
@@ -126,9 +131,9 @@ class ResilientController {
       : options_(options) {}
 
   // `shared` may be nullptr (no DTA rescue). The fault schedule's targets
-  // are validated against the topology.
+  // are validated against the topology. Outcomes are aligned with `tasks`.
   ResilientResult run(const mec::Topology& topology,
-                      const std::vector<assign::TimedTask>& tasks,
+                      const std::vector<mec::TimedTask>& tasks,
                       const sim::FaultSchedule& faults,
                       const SharedDataView* shared = nullptr) const;
 

@@ -248,7 +248,7 @@ Json timed_scenario_to_json(const workload::TimedScenario& scenario) {
   JsonObject root;
   root["topology"] = topology_to_json(scenario.topology);
   JsonArray tasks;
-  for (const assign::TimedTask& t : scenario.tasks) {
+  for (const mec::TimedTask& t : scenario.tasks) {
     Json tj = task_to_json(t.task);
     tj.as_object()["release_s"] = Json(t.release_s);
     tasks.push_back(std::move(tj));
@@ -258,9 +258,9 @@ Json timed_scenario_to_json(const workload::TimedScenario& scenario) {
 }
 
 workload::TimedScenario timed_scenario_from_json(const Json& j) {
-  std::vector<assign::TimedTask> tasks;
+  std::vector<mec::TimedTask> tasks;
   for (const Json& tj : j.at("tasks").as_array()) {
-    assign::TimedTask t;
+    mec::TimedTask t;
     t.task = task_from_json(tj);
     t.release_s = tj.at("release_s").as_number();
     tasks.push_back(std::move(t));
@@ -269,15 +269,15 @@ workload::TimedScenario timed_scenario_from_json(const Json& j) {
                                  std::move(tasks)};
 }
 
-Json online_result_to_json(const assign::OnlineResult& result) {
+Json online_result_to_json(const control::ResilientResult& result) {
   JsonObject o;
   o["total_energy_j"] = result.total_energy_j;
   o["mean_response_s"] = result.mean_response_s;
   o["makespan_s"] = result.makespan_s;
-  o["cancelled"] = result.cancelled;
+  o["cancelled"] = result.unsatisfied;
   o["epochs"] = result.epochs;
   JsonArray outcomes;
-  for (const assign::OnlineTaskOutcome& t : result.outcomes) {
+  for (const control::ResilientTaskOutcome& t : result.outcomes) {
     JsonObject tj;
     tj["decision"] = Json(assign::to_string(t.decision));
     if (t.decision != assign::Decision::kCancelled) {

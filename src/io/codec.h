@@ -10,6 +10,7 @@
 
 #include "assign/assignment.h"
 #include "assign/evaluator.h"
+#include "control/resilient.h"
 #include "io/json.h"
 #include "mec/task.h"
 #include "mec/topology.h"
@@ -37,7 +38,9 @@ workload::ScenarioConfig config_from_json(const Json& j);
 Json timed_scenario_to_json(const workload::TimedScenario& scenario);
 workload::TimedScenario timed_scenario_from_json(const Json& j);
 
-Json online_result_to_json(const assign::OnlineResult& result);
+// A fault-free rolling-horizon run (`mecsched online`): `cancelled` is the
+// number of unsatisfied tasks; start/finish are given for placed tasks.
+Json online_result_to_json(const control::ResilientResult& result);
 
 // --- plans and metrics ----------------------------------------------------
 Json assignment_to_json(const assign::Assignment& assignment);

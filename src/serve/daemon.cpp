@@ -12,19 +12,20 @@
 
 #include "assign/hta_instance.h"
 #include "common/error.h"
+#include "control/reconciler.h"
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
 #include "obs/window.h"
 #include "serve/population.h"
-#include "serve/reconciler.h"
 
 namespace mecsched::serve {
 namespace {
 
 using assign::Decision;
 using control::ReadmissionEntry;
+using control::RunningTask;
 
 double wall_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -55,7 +56,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
   ServeResult result;
   Population pop(universe);
-  Reconciler recon;
+  control::Reconciler recon;
   control::ReadmissionQueue waiting(options_.readmission);
   IngestCursor cursor(trace, options_.batching);
   AdmissionControl admission(options_.admission);
@@ -149,7 +150,13 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           append(e.time_s, e.task.id, DecisionKind::kReject, 0);
         }
       } else {
-        const Interruptions hit = recon.observe(e);
+        // A join interrupts nothing.
+        control::Interruptions hit;
+        if (e.kind == EventKind::kDeviceLeave) {
+          hit = recon.device_left(e.device, e.time_s);
+        } else if (e.kind == EventKind::kDeviceMigrate) {
+          hit = recon.device_migrated(e.device, e.time_s);
+        }
         for (const std::size_t id : hit.lost_issuer) {
           ++result.lost_issuer;
           append(e.time_s, pending[id].task.id, DecisionKind::kLostIssuer,

@@ -18,7 +18,7 @@ TimedScenario make_timed_scenario(const ArrivalConfig& config) {
   double clock = 0.0;
   for (const mec::Task& task : base.tasks) {
     clock += rng.exponential(1.0 / config.arrival_rate_per_s);
-    out.tasks.push_back(assign::TimedTask{task, clock});
+    out.tasks.push_back(mec::TimedTask{task, clock});
   }
   return out;
 }

@@ -1,8 +1,12 @@
 // Poisson arrival process on top of the holistic scenario generator — the
-// workload for the online-scheduling extension (assign/online.h).
+// task streams the rolling-horizon controller schedules
+// (control/resilient.h; `mecsched online` and `mecsched churn`).
 #pragma once
 
-#include "assign/online.h"
+#include <vector>
+
+#include "mec/task.h"
+#include "mec/topology.h"
 #include "workload/scenario.h"
 
 namespace mecsched::workload {
@@ -15,7 +19,7 @@ struct ArrivalConfig {
 
 struct TimedScenario {
   mec::Topology topology;
-  std::vector<assign::TimedTask> tasks;  // sorted by release time
+  std::vector<mec::TimedTask> tasks;  // sorted by release time
 };
 
 TimedScenario make_timed_scenario(const ArrivalConfig& config);

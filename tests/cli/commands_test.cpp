@@ -302,6 +302,43 @@ TEST_F(CliTest, ChurnOutputsArePinned) {
   }
 }
 
+// `mecsched online` JSON, byte for byte: short, medium and long epochs on
+// Poisson streams. The long-epoch streams (seeds 7 and 11) lose dozens of
+// tasks to expiry before they are ever scheduled; seed 5 sees both expiry
+// and scheduler cancellations.
+TEST_F(CliTest, OnlineOutputsArePinned) {
+  const auto fnv1a = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) h = (h ^ c) * 0x100000001b3ull;
+    return h;
+  };
+  struct Case {
+    const char* tasks;
+    const char* seed;
+    const char* rate;
+    const char* epoch_s;
+    std::uint64_t pin;
+  };
+  const Case cases[] = {
+      {"200", "3", "25", "0.1", 0x9bb916e9cdbac01aull},
+      {"200", "5", "80", "0.5", 0x4996511f521e3d1bull},
+      {"120", "7", "30", "2.0", 0x4baa023a7a848434ull},
+      {"60", "11", "10", "2.0", 0x32a58b085786f0b4ull},
+  };
+  for (const Case& c : cases) {
+    ASSERT_EQ(run_cli({"generate-arrivals", "--tasks", c.tasks, "--seed",
+                       c.seed, "--rate", c.rate, "--out", path("s.json")}),
+              0)
+        << err_.str();
+    ASSERT_EQ(run_cli({"online", "--scenario", path("s.json"), "--epoch-s",
+                       c.epoch_s}),
+              0)
+        << err_.str();
+    EXPECT_EQ(fnv1a(out_.str()), c.pin)
+        << "seed " << c.seed << ": " << std::hex << fnv1a(out_.str());
+  }
+}
+
 TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   const std::string trace = path("trace.json");
   const std::string prom = path("metrics.prom");

@@ -24,7 +24,7 @@ namespace {
 using assign::Assignment;
 using assign::Decision;
 using assign::HtaInstance;
-using assign::TimedTask;
+using mec::TimedTask;
 
 workload::Scenario scenario(std::uint64_t seed, std::size_t tasks = 30) {
   workload::ScenarioConfig cfg;

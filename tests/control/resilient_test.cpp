@@ -22,7 +22,7 @@ namespace {
 
 using assign::Decision;
 using assign::HtaInstance;
-using assign::TimedTask;
+using mec::TimedTask;
 using sim::FaultKind;
 using sim::FaultSchedule;
 
@@ -115,7 +115,7 @@ TEST(ResilientControllerTest, BeatsOneShotReplayUnderChurn) {
   ASSERT_GE(drill.faults.station_failures(), 1u);
 
   ResilientOptions opts;
-  opts.max_attempts = 6;
+  opts.readmission.max_attempts = 6;
   const ResilientResult r = ResilientController(opts).run(
       drill.topo, drill.tasks, drill.faults, &drill.shared);
 
@@ -203,12 +203,50 @@ TEST(ResilientControllerTest, RetriesExhaustWhenTheOwnerNeverReturns) {
   tasks.push_back({task(1, 0, 100e3, 400e3, 2, 1e6), 0.0});
   const FaultSchedule faults({{0.0, FaultKind::kDeviceFail, 2, 1.0}});
   ResilientOptions opts;
-  opts.max_attempts = 3;
+  opts.readmission.max_attempts = 3;
   const ResilientResult r = ResilientController(opts).run(topo, tasks, faults);
   EXPECT_EQ(r.unsatisfied, 1u);
   EXPECT_EQ(r.outcomes[0].fate, TaskFate::kRetriesExhausted);
-  EXPECT_EQ(r.outcomes[0].attempts, opts.max_attempts);
-  EXPECT_EQ(r.retries, opts.max_attempts - 1);
+  EXPECT_EQ(r.outcomes[0].attempts, opts.readmission.max_attempts);
+  EXPECT_EQ(r.retries, opts.readmission.max_attempts - 1);
+}
+
+TEST(ResilientControllerTest, SimultaneousReleasesAdmitInInputOrder) {
+  // Forty identical tasks released at t = 0 must be admitted in input
+  // order, exactly like the same stream released 1 us apart inside the
+  // first epoch. Which copy gets which placement follows batch order, so
+  // an unstable sort of the arrivals (which scrambles ties past 16
+  // elements) moves per-task outcomes.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    workload::ScenarioConfig cfg;
+    cfg.seed = seed;
+    cfg.num_tasks = 1;
+    cfg.num_devices = 4;
+    cfg.num_base_stations = 1;
+    const workload::Scenario s = workload::make_scenario(cfg);
+    std::vector<TimedTask> together, staggered;
+    for (std::size_t i = 0; i < 40; ++i) {
+      mec::Task t = s.tasks[0];
+      t.id.index = i;
+      together.push_back({t, 0.0});
+      staggered.push_back({t, 1e-6 * static_cast<double>(i)});
+    }
+    const ResilientResult a =
+        ResilientController().run(s.topology, together, FaultSchedule{});
+    const ResilientResult b =
+        ResilientController().run(s.topology, staggered, FaultSchedule{});
+    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+    for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+      EXPECT_EQ(a.outcomes[i].fate, b.outcomes[i].fate)
+          << "seed " << seed << " task " << i;
+      EXPECT_EQ(a.outcomes[i].decision, b.outcomes[i].decision)
+          << "seed " << seed << " task " << i;
+      EXPECT_EQ(a.outcomes[i].start_s, b.outcomes[i].start_s)
+          << "seed " << seed << " task " << i;
+      EXPECT_EQ(a.outcomes[i].finish_s, b.outcomes[i].finish_s)
+          << "seed " << seed << " task " << i;
+    }
+  }
 }
 
 TEST(ResilientControllerTest, ValidatesItsInputs) {
@@ -219,7 +257,7 @@ TEST(ResilientControllerTest, ValidatesItsInputs) {
   EXPECT_THROW(ResilientController(opts).run(topo, tasks, FaultSchedule{}),
                ModelError);
   opts = ResilientOptions{};
-  opts.max_attempts = 0;
+  opts.readmission.max_attempts = 0;
   EXPECT_THROW(ResilientController(opts).run(topo, tasks, FaultSchedule{}),
                ModelError);
   // Fault targets are validated against the topology.

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "assign/online.h"
+#include "control/resilient.h"
 #include "io/codec.h"
 #include "workload/arrivals.h"
 
@@ -15,6 +15,14 @@ workload::TimedScenario sample() {
   cfg.scenario.num_base_stations = 2;
   cfg.arrival_rate_per_s = 10.0;
   return workload::make_timed_scenario(cfg);
+}
+
+// What `mecsched online` runs: no faults, one admission per task.
+control::ResilientResult run_online(const workload::TimedScenario& s) {
+  control::ResilientOptions opts;
+  opts.readmission.max_attempts = 1;
+  return control::ResilientController(opts).run(s.topology, s.tasks,
+                                                sim::FaultSchedule{});
 }
 
 TEST(TimedCodecTest, RoundTripPreservesReleasesAndTasks) {
@@ -34,9 +42,8 @@ TEST(TimedCodecTest, RoundTripPreservesReleasesAndTasks) {
 TEST(TimedCodecTest, RoundTripPreservesOnlineScheduling) {
   const auto s = sample();
   const auto restored = timed_scenario_from_json(timed_scenario_to_json(s));
-  const auto a = assign::OnlineScheduler().run(s.topology, s.tasks);
-  const auto b =
-      assign::OnlineScheduler().run(restored.topology, restored.tasks);
+  const auto a = run_online(s);
+  const auto b = run_online(restored);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   EXPECT_DOUBLE_EQ(a.total_energy_j, b.total_energy_j);
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
@@ -46,10 +53,13 @@ TEST(TimedCodecTest, RoundTripPreservesOnlineScheduling) {
 
 TEST(TimedCodecTest, OnlineResultSerializes) {
   const auto s = sample();
-  const auto r = assign::OnlineScheduler().run(s.topology, s.tasks);
+  const auto r = run_online(s);
   const Json j = online_result_to_json(r);
   EXPECT_EQ(j.at("outcomes").as_array().size(), s.tasks.size());
   EXPECT_DOUBLE_EQ(j.at("total_energy_j").as_number(), r.total_energy_j);
+  EXPECT_DOUBLE_EQ(j.at("mean_response_s").as_number(), r.mean_response_s);
+  EXPECT_EQ(j.at("cancelled").as_number(),
+            static_cast<double>(r.unsatisfied));
   EXPECT_EQ(Json::parse(j.dump()), j);
 }
 
