@@ -10,6 +10,7 @@
 #include "assign/recovery.h"
 #include "bench/bench_common.h"
 #include "metrics/series.h"
+#include "sim/fault_schedule.h"
 #include "sim/simulator.h"
 #include "workload/scenario.h"
 
@@ -37,8 +38,7 @@ int main() {
       const auto plan = assign::LpHta().assign(inst);
 
       sim::SimOptions fail;
-      fail.failed_device = 0;
-      fail.failure_time_s = 0.0;
+      fail.faults = sim::FaultSchedule({{0.0, sim::FaultKind::kDeviceFail, 0}});
       const sim::SimResult broken = sim::simulate(inst, plan, fail);
 
       const auto repaired = assign::replan_after_device_failure(inst, plan, 0);

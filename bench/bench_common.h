@@ -23,7 +23,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::bench {
 
@@ -73,14 +72,12 @@ inline std::string env_or_empty(const char* key) {
 // BENCH_<name>.json (path override: MECSCHED_BENCH_OUT) with the schema
 //
 //   {
-//     "schema": "mecsched.bench.v1",
+//     "schema": "mecsched.bench.v2",
 //     "bench": "<name>",
 //     "wall_seconds": <number>,
 //     "values":   { "<key>": <number>, ... },   // bench-specific scalars
 //     "flags":    { "<key>": <bool>,   ... },   // bench-specific booleans
-//     "counters": { "<metric>": <count>, ... }, // registry counters
-//     "windows":  { "<metric>": {count,p50,p90,p95,p99,rate_hz}, ... },
-//     "rates":    { "<metric>": {count,rate_hz}, ... }
+//     "counters": { "<metric>": <count>, ... }  // registry counters
 //   }
 //
 // NaN/Inf serialize as JSON null. tools/bench/trajectory.py validates the
@@ -90,7 +87,7 @@ inline std::string env_or_empty(const char* key) {
 // destruction; reach it via ObsSession::telemetry().
 class BenchTelemetry {
  public:
-  static constexpr const char* kSchema = "mecsched.bench.v1";
+  static constexpr const char* kSchema = "mecsched.bench.v2";
 
   explicit BenchTelemetry(std::string name) : name_(std::move(name)) {
     path_ = env_or_empty("MECSCHED_BENCH_OUT");
@@ -123,44 +120,13 @@ class BenchTelemetry {
       sep = ",";
     }
     os << (flags_.empty() ? "" : "\n  ") << "},\n  \"counters\": {";
-    const obs::Registry& reg = obs::Registry::global();
-    const auto counters = reg.counters();
+    const auto counters = obs::Registry::global().counters();
     sep = "";
     for (const auto& [k, v] : counters) {
       os << sep << "\n    \"" << k << "\": " << v;
       sep = ",";
     }
-    os << (counters.empty() ? "" : "\n  ") << "},\n  \"windows\": {";
-    const auto windows = reg.windows();
-    sep = "";
-    for (const auto& [k, w] : windows) {
-      const obs::WindowedHistogram::Snapshot s = w->snapshot();
-      os << sep << "\n    \"" << k << "\": {\"count\": " << s.count
-         << ", \"p50\": ";
-      num(os, s.p50);
-      os << ", \"p90\": ";
-      num(os, s.p90);
-      os << ", \"p95\": ";
-      num(os, s.p95);
-      os << ", \"p99\": ";
-      num(os, s.p99);
-      os << ", \"rate_hz\": ";
-      num(os, s.rate_hz);
-      os << "}";
-      sep = ",";
-    }
-    os << (windows.empty() ? "" : "\n  ") << "},\n  \"rates\": {";
-    const auto rates = reg.rates();
-    sep = "";
-    for (const auto& [k, r] : rates) {
-      const obs::RateWindow::Snapshot s = r->snapshot();
-      os << sep << "\n    \"" << k << "\": {\"count\": " << s.count
-         << ", \"rate_hz\": ";
-      num(os, s.rate_hz);
-      os << "}";
-      sep = ",";
-    }
-    os << (rates.empty() ? "" : "\n  ") << "}\n}\n";
+    os << (counters.empty() ? "" : "\n  ") << "}\n}\n";
     std::ofstream f(path_);
     f << os.str();
   }

@@ -1,7 +1,7 @@
 // Steady-state throughput of the `mecsched serve` daemon at city scale:
 // 100k devices across 250 cells, ~12k task arrivals per 0.5 s epoch with
 // live churn, solved over 16 shards. Headlines are decisions/sec and the
-// p99s of the serve.* windowed metrics (admission-to-decision latency,
+// p50/p99s of the serve.* histograms (admission-to-decision latency,
 // per-epoch solve time); bench/baselines/serve_steady_state.json gates
 // them in CI via tools/bench/trajectory.py.
 //
@@ -16,7 +16,6 @@
 
 #include "bench_common.h"
 #include "obs/registry.h"
-#include "obs/window.h"
 #include "serve/daemon.h"
 #include "workload/serve_trace.h"
 
@@ -73,10 +72,14 @@ int main() {
       static_cast<double>(r.arrivals) / static_cast<double>(kEpochs);
   const double decisions_per_sec =
       run_s > 0.0 ? static_cast<double>(r.decisions) / run_s : 0.0;
-  const obs::WindowedHistogram::Snapshot admit =
-      obs::Registry::global().window("serve.admit_to_decision_ms").snapshot();
-  const obs::WindowedHistogram::Snapshot solve =
-      obs::Registry::global().window("serve.epoch.solve_ms").snapshot();
+  const obs::Histogram& admit =
+      obs::Registry::global().histogram("serve.admit_to_decision_ms");
+  const obs::Histogram& solve =
+      obs::Registry::global().histogram("serve.epoch.solve_ms");
+  const double admit_p50 = admit.approx_percentile(0.50);
+  const double admit_p99 = admit.approx_percentile(0.99);
+  const double solve_p50 = solve.approx_percentile(0.50);
+  const double solve_p99 = solve.approx_percentile(0.99);
 
   std::cout << "devices:            " << w.universe.num_devices() << '\n'
             << "trace events:       " << r.events << '\n'
@@ -85,9 +88,9 @@ int main() {
             << "generate wall:      " << generate_s << " s\n"
             << "serve wall:         " << run_s << " s\n"
             << "decisions/sec:      " << decisions_per_sec << '\n'
-            << "admit->decision ms: p50 " << admit.p50 << "  p99 " << admit.p99
+            << "admit->decision ms: p50 " << admit_p50 << "  p99 " << admit_p99
             << " (virtual clock)\n"
-            << "epoch solve ms:     p50 " << solve.p50 << "  p99 " << solve.p99
+            << "epoch solve ms:     p50 " << solve_p50 << "  p99 " << solve_p99
             << '\n';
 
   bench::BenchTelemetry& telemetry = obs_session.telemetry();
@@ -102,10 +105,10 @@ int main() {
   telemetry.set_value("decisions_per_sec", decisions_per_sec);
   telemetry.set_value("serve_wall_s", run_s);
   telemetry.set_value("generate_wall_s", generate_s);
-  telemetry.set_value("admit_to_decision_p50_ms", admit.p50);
-  telemetry.set_value("admit_to_decision_p99_ms", admit.p99);
-  telemetry.set_value("epoch_solve_p50_ms", solve.p50);
-  telemetry.set_value("epoch_solve_p99_ms", solve.p99);
+  telemetry.set_value("admit_to_decision_p50_ms", admit_p50);
+  telemetry.set_value("admit_to_decision_p99_ms", admit_p99);
+  telemetry.set_value("epoch_solve_p50_ms", solve_p50);
+  telemetry.set_value("epoch_solve_p99_ms", solve_p99);
   const bool conserved =
       r.arrivals == r.admitted + r.rejected &&
       r.admitted ==
@@ -122,9 +125,9 @@ int main() {
                "the epoch loop places tasks at a positive rate");
   check.expect(conserved && !r.stopped_early,
                "every admitted task reaches exactly one terminal state");
-  check.expect(admit.count > 0 && std::isfinite(admit.p99),
-               "admission-to-decision p99 observed via serve.* windows");
-  check.expect(solve.count > 0 && std::isfinite(solve.p99),
-               "epoch solve-time p99 observed via serve.* windows");
+  check.expect(admit.summary().count() > 0 && std::isfinite(admit_p99),
+               "admission-to-decision p99 observed via serve.* histograms");
+  check.expect(solve.summary().count() > 0 && std::isfinite(solve_p99),
+               "epoch solve-time p99 observed via serve.* histograms");
   return check.exit_code();
 }

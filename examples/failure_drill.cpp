@@ -13,6 +13,7 @@
 #include "assign/recovery.h"
 #include "assign/sensitivity.h"
 #include "common/table.h"
+#include "sim/fault_schedule.h"
 #include "sim/simulator.h"
 #include "workload/scenario.h"
 
@@ -49,8 +50,8 @@ int main() {
 
   // Without repair.
   sim::SimOptions failure;
-  failure.failed_device = victim;
-  failure.failure_time_s = 0.0;
+  failure.faults =
+      sim::FaultSchedule({{0.0, sim::FaultKind::kDeviceFail, victim}});
   const sim::SimResult broken = sim::simulate(instance, plan, failure);
 
   // With repair.

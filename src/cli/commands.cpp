@@ -255,7 +255,7 @@ std::string usage() {
       "            [--max-attempts K] [--epoch-budget-ms MS]\n"
       "            [--decisions-out log.csv] [--out result.json]\n"
       "            (online sharded scheduling daemon; see docs/serve.md)\n"
-      "  report    --flight records.jsonl [--metrics out.prom] [--top N]\n"
+      "  report    --flight records.jsonl [--top N]\n"
       "            (render a flight-record post-mortem; see\n"
       "            docs/observability.md)\n"
       "\n"
@@ -957,7 +957,7 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
 }
 
 int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
-  ArgParser args({"flight", "metrics", "top"}, {});
+  ArgParser args({"flight", "top"}, {});
   args.parse(tokens);
   const std::string flight_path = args.get("flight", "");
   MECSCHED_REQUIRE(!flight_path.empty(),
@@ -1083,23 +1083,6 @@ int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
   }
   out << slow_table;
 
-  // Optional metrics snapshot: surface the rolling-window gauge families
-  // next to the flight record so percentiles and post-mortems line up.
-  const std::string metrics_path = args.get("metrics", "");
-  if (!metrics_path.empty()) {
-    out << "\nwindowed metrics from " << metrics_path << ":\n";
-    std::istringstream lines(io::read_file(metrics_path));
-    std::string line;
-    std::size_t shown = 0;
-    while (std::getline(lines, line)) {
-      if (line.rfind("# ", 0) == 0) continue;
-      if (line.find("_window_") != std::string::npos) {
-        out << "  " << line << '\n';
-        ++shown;
-      }
-    }
-    if (shown == 0) out << "  (no *_window_* series found)\n";
-  }
   return 0;
 }
 

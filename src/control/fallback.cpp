@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::control {
 
@@ -97,7 +96,6 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
       const double ms = rung_ms();
       reg.counter("fallback.served." + to_string(rung)).add();
       reg.histogram("fallback.rung_ms").observe(ms);
-      reg.window("fallback.rung_ms").observe(ms);
       if (flight.enabled()) cut_record(rung, "served", "", ms * 1e-3);
       return plan;
     } catch (const SolverError& e) {
@@ -107,7 +105,6 @@ assign::Assignment FallbackChain::assign(const assign::HtaInstance& instance,
       // should pin to a timestamp.
       reg.counter("fallback.failed." + to_string(rung)).add();
       reg.histogram("fallback.rung_ms").observe(ms);
-      reg.window("fallback.rung_ms").observe(ms);
       if (flight.enabled()) cut_record(rung, "failed", e.what(), ms * 1e-3);
       tracer.instant("fallback.rung_failed", "control",
                      tracer.enabled()

@@ -15,7 +15,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::control {
 namespace {
@@ -362,10 +361,9 @@ ResilientResult ResilientController::run(const mec::Topology& topology,
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - decide_start)
             .count();
-    obs::Registry& obs_reg = obs::Registry::global();
-    obs_reg.histogram("controller.decision_ms").observe(decision_ms);
-    obs_reg.window("controller.decision_ms").observe(decision_ms);
-    obs_reg.rate("controller.decisions").record();
+    obs::Registry::global()
+        .histogram("controller.decision_ms")
+        .observe(decision_ms);
     obs::FlightRecorder& flight = obs::FlightRecorder::global();
     if (flight.enabled()) {
       obs::SolveRecord rec;

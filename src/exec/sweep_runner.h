@@ -32,7 +32,6 @@
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
-#include "obs/window.h"
 
 namespace mecsched::exec {
 
@@ -146,8 +145,6 @@ class SweepRunner {
           }
           const double dt = elapsed();
           shards[i]->histogram("exec.sweep.cell_seconds").observe(dt);
-          shards[i]->window("exec.sweep.cell_seconds").observe(dt);
-          shards[i]->rate("exec.sweep.cells").record();
           if (flight.enabled()) {
             cut_record(past_deadline ? "deadline" : "ok", "", dt);
           }

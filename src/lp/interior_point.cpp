@@ -12,7 +12,6 @@
 #include "common/chaos_hook.h"
 #include "common/error.h"
 #include "obs/flight_recorder.h"
-#include "obs/window.h"
 #include "lp/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
@@ -309,8 +308,6 @@ Solution InteriorPointSolver::solve(const Problem& problem) const {
   reg.counter("lp.ipm.iterations").add(out.iterations);
   reg.histogram("lp.ipm.iterations_per_solve")
       .observe(static_cast<double>(out.iterations));
-  reg.window("lp.ipm.solve.seconds").observe(span.elapsed_s());
-  reg.rate("lp.solves").record();
   if (!out.optimal()) reg.counter("lp.ipm.non_optimal").add();
   if (out.status == SolveStatus::kDeadline) {
     reg.counter("solve.deadline.ipm").add();

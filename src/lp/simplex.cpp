@@ -16,7 +16,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::lp {
 namespace {
@@ -582,14 +581,9 @@ Solution SimplexSolver::solve_instrumented(
   static obs::Counter& pivots = reg.counter("lp.simplex.pivots");
   static obs::Histogram& pivots_per_solve =
       reg.histogram("lp.simplex.pivots_per_solve");
-  static obs::WindowedHistogram& solve_seconds =
-      reg.window("lp.simplex.solve.seconds");
-  static obs::RateWindow& solve_rate = reg.rate("lp.solves");
   solves.add();
   pivots.add(out.iterations);
   pivots_per_solve.observe(static_cast<double>(out.iterations));
-  solve_seconds.observe(span.elapsed_s());
-  solve_rate.record();
   if (!out.optimal()) reg.counter("lp.simplex.non_optimal").add();
   if (out.status == SolveStatus::kDeadline) {
     reg.counter("solve.deadline.simplex").add();

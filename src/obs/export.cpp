@@ -89,17 +89,6 @@ void write_chrome_trace(const Tracer& tracer, const std::string& path) {
   write_text_file(path, to_chrome_json(tracer));
 }
 
-namespace {
-
-// Gauge-family line pair for the windowed exports.
-void prom_window_gauge(std::ostringstream& os, const std::string& base,
-                       const char* field, double value) {
-  const std::string p = prom_name(base + ".window." + field);
-  os << "# TYPE " << p << " gauge\n" << p << " " << prom_num(value) << "\n";
-}
-
-}  // namespace
-
 std::string to_prometheus(const Registry& registry) {
   std::ostringstream os;
   for (const auto& [name, value] : registry.counters()) {
@@ -124,20 +113,6 @@ std::string to_prometheus(const Registry& registry) {
     os << p << "_bucket{le=\"+Inf\"} " << s.count() << "\n"
        << p << "_sum " << prom_num(s.sum()) << "\n"
        << p << "_count " << s.count() << "\n";
-  }
-  for (const auto& [name, w] : registry.windows()) {
-    const WindowedHistogram::Snapshot s = w->snapshot();
-    prom_window_gauge(os, name, "count", static_cast<double>(s.count));
-    prom_window_gauge(os, name, "p50", s.p50);
-    prom_window_gauge(os, name, "p90", s.p90);
-    prom_window_gauge(os, name, "p95", s.p95);
-    prom_window_gauge(os, name, "p99", s.p99);
-    prom_window_gauge(os, name, "rate_hz", s.rate_hz);
-  }
-  for (const auto& [name, r] : registry.rates()) {
-    const RateWindow::Snapshot s = r->snapshot();
-    prom_window_gauge(os, name, "count", static_cast<double>(s.count));
-    prom_window_gauge(os, name, "rate_hz", s.rate_hz);
   }
   return os.str();
 }
@@ -169,27 +144,6 @@ Table summary_table(const Registry& registry) {
                Table::num(hist->approx_percentile(0.50), 6),
                Table::num(hist->approx_percentile(0.90), 6),
                Table::num(hist->approx_percentile(0.99), 6)});
-  }
-  for (const auto& [name, w] : registry.windows()) {
-    const WindowedHistogram::Snapshot s = w->snapshot();
-    if (s.count == 0) {
-      t.add_row({name + ".window", "window", "0", "-", "-", "-", "-", "-",
-                 "-", "-"});
-      continue;
-    }
-    t.add_row({name + ".window", "window", std::to_string(s.count),
-               Table::num(s.sum, 4),
-               Table::num(s.sum / static_cast<double>(s.count), 6),
-               Table::num(s.min, 6), Table::num(s.max, 6),
-               Table::num(s.p50, 6), Table::num(s.p90, 6),
-               Table::num(s.p99, 6)});
-  }
-  for (const auto& [name, r] : registry.rates()) {
-    const RateWindow::Snapshot s = r->snapshot();
-    // The mean column carries the rolling events/second (a mean rate).
-    t.add_row({name + ".window", "rate", std::to_string(s.count), "-",
-               std::isnan(s.rate_hz) ? "-" : Table::num(s.rate_hz, 4), "-",
-               "-", "-", "-", "-"});
   }
   return t;
 }

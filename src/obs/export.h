@@ -15,7 +15,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 
 namespace mecsched::obs {
 
@@ -25,15 +24,11 @@ std::string to_chrome_json(const Tracer& tracer);
 void write_chrome_trace(const Tracer& tracer, const std::string& path);
 
 // Renders the registry in the Prometheus text exposition format.
-// Windowed families export as gauges under `<name>.window.*`
-// (mecsched_<name>_window_p50/p90/p95/p99/count/rate_hz) — rolling
-// values, re-sampled at scrape time, are gauges by Prometheus convention.
 std::string to_prometheus(const Registry& registry);
 void write_prometheus(const Registry& registry, const std::string& path);
 
 // One row per metric: kind, count, total, mean, min, max, p50, p90, p99.
-// Histogram percentiles come from Histogram::approx_percentile; windowed
-// families append their own `<name>.window` rows.
+// Histogram percentiles come from Histogram::approx_percentile.
 Table summary_table(const Registry& registry);
 
 // Renders the flight recorder's buffered SolveRecords as JSON Lines (one

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "obs/window.h"
 
 namespace mecsched::obs {
 
@@ -81,49 +80,37 @@ void Histogram::reset() {
 }
 
 double Histogram::approx_percentile(double q) const {
-  // One lock for a consistent (buckets, summary) pair; the accessors each
-  // lock on their own and std::mutex is not recursive.
   const MutexLock lock(mu_);
-  std::vector<std::uint64_t> cumulative(bucket_bounds().size(), 0);
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < cumulative.size(); ++i) {
-    if (i < buckets_.size()) acc += buckets_[i];
-    cumulative[i] = acc;
-  }
-  return percentile_from_buckets(cumulative, summary_.count(), q,
-                                 summary_.min(), summary_.max());
-}
-
-double percentile_from_buckets(const std::vector<std::uint64_t>& cumulative,
-                               std::uint64_t total_count, double q,
-                               double min_clamp, double max_clamp) {
-  if (total_count == 0) return std::numeric_limits<double>::quiet_NaN();
+  const std::uint64_t total = summary_.count();
+  if (total == 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
-  const std::vector<double>& bounds = Histogram::bucket_bounds();
+  const std::vector<double>& bounds = bucket_bounds();
   const std::uint64_t target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(q * static_cast<double>(total_count))));
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  // Walk the buckets until the cumulative count reaches the target rank.
+  std::uint64_t prev = 0;
   std::size_t i = 0;
-  while (i < cumulative.size() && cumulative[i] < target) ++i;
+  for (; i < buckets_.size() && prev + buckets_[i] < target; ++i) {
+    prev += buckets_[i];
+  }
   double value;
-  if (i == cumulative.size()) {
+  if (i == buckets_.size()) {
     // Target rank sits in the implicit +Inf bucket (NaNs / huge values);
     // the observed max is the only estimate left, the last finite bound
     // the fallback.
-    value = std::isnan(max_clamp) ? bounds.back() : max_clamp;
+    value = std::isnan(summary_.max()) ? bounds.back() : summary_.max();
   } else {
     const double upper = bounds[i];
     const double lower = i == 0 ? 0.0 : bounds[i - 1];
-    const std::uint64_t prev = i == 0 ? 0 : cumulative[i - 1];
-    const std::uint64_t in_bucket = cumulative[i] - prev;
+    const std::uint64_t in_bucket = buckets_[i];
     const double frac =
         in_bucket == 0 ? 1.0
                        : static_cast<double>(target - prev) /
                              static_cast<double>(in_bucket);
     value = lower + frac * (upper - lower);
   }
-  if (!std::isnan(min_clamp)) value = std::max(value, min_clamp);
-  if (!std::isnan(max_clamp)) value = std::min(value, max_clamp);
+  if (!std::isnan(summary_.min())) value = std::max(value, summary_.min());
+  if (!std::isnan(summary_.max())) value = std::min(value, summary_.max());
   return value;
 }
 
@@ -133,11 +120,6 @@ Registry& Registry::global() {
   static Registry* instance = new Registry();
   return *instance;
 }
-
-// Out of line so the unique_ptr<WindowedHistogram/RateWindow> maps see the
-// complete types (registry.h only forward-declares them).
-Registry::Registry() = default;
-Registry::~Registry() = default;
 
 namespace {
 
@@ -186,42 +168,11 @@ Histogram& Registry::histogram(const std::string& name) {
   return *it->second;
 }
 
-WindowedHistogram& Registry::window(const std::string& name,
-                                    double epoch_seconds,
-                                    std::size_t num_epochs) {
-  const MutexLock lock(mu_);
-  auto it = windows_.find(name);
-  if (it == windows_.end()) {
-    require_unregistered(rates_, name, "rate window");
-    it = windows_
-             .emplace(name, std::make_unique<WindowedHistogram>(epoch_seconds,
-                                                                num_epochs))
-             .first;
-  }
-  return *it->second;
-}
-
-RateWindow& Registry::rate(const std::string& name, double epoch_seconds,
-                           std::size_t num_epochs) {
-  const MutexLock lock(mu_);
-  auto it = rates_.find(name);
-  if (it == rates_.end()) {
-    require_unregistered(windows_, name, "window");
-    it = rates_
-             .emplace(name,
-                      std::make_unique<RateWindow>(epoch_seconds, num_epochs))
-             .first;
-  }
-  return *it->second;
-}
-
 void Registry::reset() {
   const MutexLock lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-  for (auto& [name, w] : windows_) w->reset();
-  for (auto& [name, r] : rates_) r->reset();
 }
 
 void Registry::merge_from(const Registry& other) {
@@ -232,12 +183,6 @@ void Registry::merge_from(const Registry& other) {
   for (const auto& [name, value] : other.gauges()) gauge(name).set(value);
   for (const auto& [name, h] : other.histograms()) {
     histogram(name).merge_from(*h);
-  }
-  for (const auto& [name, w] : other.windows()) {
-    window(name, w->epoch_seconds(), w->num_epochs()).merge_from(*w);
-  }
-  for (const auto& [name, r] : other.rates()) {
-    rate(name, r->epoch_seconds(), r->num_epochs()).merge_from(*r);
   }
 }
 
@@ -263,24 +208,6 @@ std::vector<std::pair<std::string, const Histogram*>> Registry::histograms()
   std::vector<std::pair<std::string, const Histogram*>> out;
   out.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const WindowedHistogram*>>
-Registry::windows() const {
-  const MutexLock lock(mu_);
-  std::vector<std::pair<std::string, const WindowedHistogram*>> out;
-  out.reserve(windows_.size());
-  for (const auto& [name, w] : windows_) out.emplace_back(name, w.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const RateWindow*>> Registry::rates()
-    const {
-  const MutexLock lock(mu_);
-  std::vector<std::pair<std::string, const RateWindow*>> out;
-  out.reserve(rates_.size());
-  for (const auto& [name, r] : rates_) out.emplace_back(name, r.get());
   return out;
 }
 

@@ -93,28 +93,12 @@ class Histogram {
   std::vector<std::uint64_t> buckets_ MECSCHED_GUARDED_BY(mu_);
 };
 
-// Shared quantile kernel for Histogram::approx_percentile and the
-// windowed primitives (obs/window.h): given cumulative per-finite-bucket
-// counts over Histogram::bucket_bounds() and the total observation count
-// (the +Inf entry), estimates the q-quantile by linear interpolation
-// inside the target bucket. The result is clamped to [min_clamp,
-// max_clamp] when those are non-NaN (pass the streaming min/max — it
-// tightens the log10 grid's coarse bucket edges to observed reality).
-// NaN when total_count is zero.
-double percentile_from_buckets(const std::vector<std::uint64_t>& cumulative,
-                               std::uint64_t total_count, double q,
-                               double min_clamp, double max_clamp);
-
-class WindowedHistogram;
-class RateWindow;
-
 class Registry {
  public:
   // The process-wide instance all instrumentation reports into.
   static Registry& global();
 
-  Registry();
-  ~Registry();
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -126,19 +110,6 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  // Rolling-window companions (obs/window.h), registered in their own
-  // namespace: a window deliberately MAY share its base name with a
-  // counter/gauge/histogram — `exec.sweep.cell_seconds` keeps both the
-  // process-lifetime histogram and the rolling view, and exporters render
-  // the window as the `<name>.window.*` family. A name still registers as
-  // exactly one of window/rate. Defaults: 60 one-second epochs; pass
-  // epoch_seconds == 0 on first use for a manual-advance window.
-  WindowedHistogram& window(const std::string& name,
-                            double epoch_seconds = 1.0,
-                            std::size_t num_epochs = 60);
-  RateWindow& rate(const std::string& name, double epoch_seconds = 1.0,
-                   std::size_t num_epochs = 60);
-
   // Zeroes every metric in place. Entries (and references to them) remain
   // valid — callers caching references across reset() keep working.
   void reset();
@@ -146,20 +117,14 @@ class Registry {
   // Folds another registry's values into this one: counters add,
   // histograms merge sample-exactly, gauges take the other's value (last
   // merge wins — merge shards in a deterministic order when gauge values
-  // matter), windows/rates collapse the other side's live samples into
-  // the receiver's current epoch (commutative, so grid-order shard merges
-  // stay schedule-independent). This is how the sweep runner reduces
-  // per-cell metric shards into the global registry after a parallel
-  // join.
+  // matter). This is how the sweep runner reduces per-cell metric shards
+  // into the global registry after a parallel join.
   void merge_from(const Registry& other);
 
   // Stable-ordered snapshots for the exporters.
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;
   std::vector<std::pair<std::string, double>> gauges() const;
   std::vector<std::pair<std::string, const Histogram*>> histograms() const;
-  std::vector<std::pair<std::string, const WindowedHistogram*>> windows()
-      const;
-  std::vector<std::pair<std::string, const RateWindow*>> rates() const;
 
  private:
   // mu_ guards the name→entry maps only; the metric objects themselves
@@ -170,10 +135,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_
       MECSCHED_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<WindowedHistogram>> windows_
-      MECSCHED_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<RateWindow>> rates_
       MECSCHED_GUARDED_BY(mu_);
 };
 

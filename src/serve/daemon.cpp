@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
-#include "obs/window.h"
 #include "serve/population.h"
 
 namespace mecsched::serve {
@@ -290,7 +289,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     }
     const double solve_ms = wall_ms(solve_t0);
     reg.histogram("serve.epoch.solve_ms").observe(solve_ms);
-    reg.window("serve.epoch.solve_ms").observe(solve_ms);
     if (options_.epoch_budget_ms > 0.0 && epoch_token.expired()) {
       reg.counter("serve.epoch.budget_expired").add();
     }
@@ -330,8 +328,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     }
     if (!waits_ms.empty()) {
       reg.histogram("serve.admit_to_decision_ms").observe_all(waits_ms);
-      reg.window("serve.admit_to_decision_ms").observe_all(waits_ms);
-      reg.rate("serve.decisions").record(waits_ms.size());
     }
   }
 

@@ -1,7 +1,9 @@
 #include "sim/fault_schedule.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 
@@ -55,6 +57,24 @@ FaultSchedule::FaultSchedule(std::vector<FaultEvent> events)
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.time_s < b.time_s;
                    });
+  device_state_ = Track::build(
+      events_, [](const FaultEvent& e) -> std::optional<double> {
+        if (e.kind == FaultKind::kDeviceFail) return 0.0;
+        if (e.kind == FaultKind::kDeviceRecover) return 1.0;
+        return std::nullopt;
+      });
+  device_link_ = Track::build(
+      events_, [](const FaultEvent& e) -> std::optional<double> {
+        if (e.kind == FaultKind::kLinkDegrade) return e.factor;
+        if (e.kind == FaultKind::kLinkRestore) return 1.0;
+        return std::nullopt;
+      });
+  station_state_ = Track::build(
+      events_, [](const FaultEvent& e) -> std::optional<double> {
+        if (e.kind == FaultKind::kStationFail) return 0.0;
+        if (e.kind == FaultKind::kStationRecover) return 1.0;
+        return std::nullopt;
+      });
 }
 
 void FaultSchedule::validate_against(std::size_t num_devices,
@@ -74,46 +94,56 @@ void FaultSchedule::validate_against(std::size_t num_devices,
   }
 }
 
-bool FaultSchedule::device_up(std::size_t device, double t) const {
-  bool up = true;
-  for (const FaultEvent& e : events_) {
-    if (e.time_s > t) break;
-    if (e.target != device) continue;
-    if (e.kind == FaultKind::kDeviceFail) up = false;
-    if (e.kind == FaultKind::kDeviceRecover) up = true;
+FaultSchedule::Track FaultSchedule::Track::build(
+    const std::vector<FaultEvent>& events,
+    std::optional<double> (*value_of)(const FaultEvent&)) {
+  Track track;
+  for (const FaultEvent& e : events) {
+    if (const std::optional<double> v = value_of(e)) {
+      track.changes.push_back({e.target, e.time_s, *v});
+    }
   }
-  return up;
+  // Stable: a target's changes stay in schedule (time, then insertion)
+  // order, so among simultaneous changes the last one wins, as in a replay.
+  std::stable_sort(track.changes.begin(), track.changes.end(),
+                   [](const Change& a, const Change& b) {
+                     return a.target < b.target;
+                   });
+  return track;
+}
+
+double FaultSchedule::Track::at(std::size_t target, double t) const {
+  // First change past (target, t): its predecessor, when it is the same
+  // target's, is the last change with time <= t.
+  const auto it = std::upper_bound(
+      changes.begin(), changes.end(), std::pair(target, t),
+      [](const std::pair<std::size_t, double>& key, const Change& c) {
+        return key.first < c.target ||
+               (key.first == c.target && key.second < c.time_s);
+      });
+  if (it == changes.begin() || std::prev(it)->target != target) return 1.0;
+  return std::prev(it)->value;
+}
+
+bool FaultSchedule::device_up(std::size_t device, double t) const {
+  return device_state_.at(device, t) != 0.0;
 }
 
 bool FaultSchedule::station_up(std::size_t station, double t) const {
-  bool up = true;
-  for (const FaultEvent& e : events_) {
-    if (e.time_s > t) break;
-    if (e.target != station) continue;
-    if (e.kind == FaultKind::kStationFail) up = false;
-    if (e.kind == FaultKind::kStationRecover) up = true;
-  }
-  return up;
+  return station_state_.at(station, t) != 0.0;
 }
 
 double FaultSchedule::link_factor(std::size_t device, double t) const {
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.time_s > t) break;
-    if (e.target != device) continue;
-    if (e.kind == FaultKind::kLinkDegrade) factor = e.factor;
-    if (e.kind == FaultKind::kLinkRestore) factor = 1.0;
-  }
-  return factor;
+  return device_link_.at(device, t);
 }
 
 std::vector<FaultEvent> FaultSchedule::events_between(double from,
                                                       double to) const {
+  auto it = std::upper_bound(
+      events_.begin(), events_.end(), from,
+      [](double time, const FaultEvent& e) { return time < e.time_s; });
   std::vector<FaultEvent> out;
-  for (const FaultEvent& e : events_) {
-    if (e.time_s > to) break;
-    if (e.time_s > from) out.push_back(e);
-  }
+  for (; it != events_.end() && it->time_s <= to; ++it) out.push_back(*it);
   return out;
 }
 
@@ -131,17 +161,6 @@ std::size_t FaultSchedule::station_failures() const {
     if (e.kind == FaultKind::kStationFail) ++n;
   }
   return n;
-}
-
-FaultSchedule FaultSchedule::single_device_failure(std::size_t device,
-                                                   double at_s) {
-  return FaultSchedule({{at_s, FaultKind::kDeviceFail, device, 1.0}});
-}
-
-FaultSchedule FaultSchedule::merged_with(const FaultSchedule& extra) const {
-  std::vector<FaultEvent> all = events_;
-  all.insert(all.end(), extra.events_.begin(), extra.events_.end());
-  return FaultSchedule(std::move(all));
 }
 
 }  // namespace mecsched::sim

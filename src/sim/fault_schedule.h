@@ -14,14 +14,17 @@
 //   * link degradation            — a device's radio rates are multiplied by
 //     `factor` (< 1 stretches transfer time and energy) until restored.
 //
-// The schedule is immutable once built (events sorted by time, validated);
-// state queries answer "is X up at time t" by replaying the prefix of
+// The schedule is immutable once built (events sorted by time, validated).
+// State queries answer "is X up at time t" as if replaying the prefix of
 // events with time <= t, so an event taking effect exactly at t is already
-// visible at t — matching the simulator's historical "start >= failure
-// instant" semantics.
+// visible at t — a stage starting at the failure instant does not run.
+// The constructor sorts the state changes by target and time, so a query
+// is one binary search, O(log n) in the schedule's n events, at any (not
+// necessarily monotone) query time.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,15 +79,31 @@ class FaultSchedule {
   std::size_t device_failures() const;
   std::size_t station_failures() const;
 
-  // The legacy one-shot injection of SimOptions{failed_device,
-  // failure_time_s} as a schedule.
-  static FaultSchedule single_device_failure(std::size_t device, double at_s);
-
-  // This schedule plus `extra`'s events, re-sorted.
-  FaultSchedule merged_with(const FaultSchedule& extra) const;
-
  private:
+  // One kind of target state (device up, device link factor, station up)
+  // as its changes sorted by target, then by schedule order — so one
+  // binary search finds the last change of a target at or before t.
+  struct Change {
+    std::size_t target;
+    double time_s;
+    double value;
+  };
+  struct Track {
+    // The changes `value_of` reads off the time-sorted events (nullopt:
+    // not this track's event).
+    static Track build(const std::vector<FaultEvent>& events,
+                       std::optional<double> (*value_of)(const FaultEvent&));
+    // The value of the target's last change with time <= t, else 1 (up,
+    // full link rate: every target starts healthy).
+    double at(std::size_t target, double t) const;
+
+    std::vector<Change> changes;
+  };
+
   std::vector<FaultEvent> events_;  // sorted by time_s
+  Track device_state_;   // 1 up, 0 down
+  Track device_link_;    // radio-rate factor
+  Track station_state_;  // 1 up, 0 down
 };
 
 }  // namespace mecsched::sim

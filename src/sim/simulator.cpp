@@ -241,14 +241,9 @@ SimResult simulate(const assign::HtaInstance& instance,
       "release_times must be empty or one per task (got " +
           std::to_string(options.release_times.size()) + " for " +
           std::to_string(instance.num_tasks()) + " tasks)");
-  // Fold the legacy one-shot injection into the schedule.
-  FaultSchedule faults = options.faults;
-  if (options.failed_device.has_value()) {
-    faults = faults.merged_with(FaultSchedule::single_device_failure(
-        *options.failed_device, options.failure_time_s));
-  }
-  faults.validate_against(topo.num_devices(), topo.num_base_stations());
-  const FaultSchedule* failure = &faults;
+  options.faults.validate_against(topo.num_devices(),
+                                  topo.num_base_stations());
+  const FaultSchedule* failure = &options.faults;
 
   EventQueue queue;
   for (std::size_t t = 0; t < instance.num_tasks(); ++t) {

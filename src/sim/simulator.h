@@ -17,7 +17,6 @@
 //     numbers are.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "assign/assignment.h"
@@ -44,12 +43,6 @@ struct SimOptions {
   // 1/factor times the energy (transmit power is constant; the factor is
   // sampled at the stage's start).
   FaultSchedule faults;
-
-  // Legacy single-failure injection: merged into `faults` as a
-  // kDeviceFail event. Kept so existing callers and serialized options
-  // keep working.
-  std::optional<std::size_t> failed_device;
-  double failure_time_s = 0.0;
 };
 
 struct TaskTimeline {

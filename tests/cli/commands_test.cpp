@@ -369,9 +369,13 @@ TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   EXPECT_NE(metrics.find("mecsched_lp_simplex_pivots_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("_bucket{le="), std::string::npos);
+  // One distribution per measurement: no rolling-window gauge families.
+  EXPECT_EQ(metrics.find("_window_"), std::string::npos);
 
-  // --obs-summary prints the registry as a table.
+  // --obs-summary prints the registry as a table, one row per metric.
   EXPECT_NE(out_.str().find("controller.epoch.seconds"), std::string::npos);
+  EXPECT_NE(out_.str().find("controller.decision_ms"), std::string::npos);
+  EXPECT_EQ(out_.str().find(".window"), std::string::npos);
 }
 
 TEST_F(CliTest, ObsFlagsWorkOnAnyCommand) {

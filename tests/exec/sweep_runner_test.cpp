@@ -71,43 +71,42 @@ TEST(SweepRunnerTest, ShardMetricsMergeIntoTheGlobalRegistry) {
                 .summary()
                 .count(),
             10u);
-  // And its rolling-window shadow (the *.window.* family).
-  EXPECT_EQ(obs::Registry::global()
-                .window("exec.sweep.cell_seconds")
-                .snapshot()
-                .count,
-            10u);
 }
 
-TEST(SweepRunnerTest, WindowMergeIsIdenticalAcrossJobCounts) {
+TEST(SweepRunnerTest, HistogramMergeIsIdenticalAcrossJobCounts) {
   // Cells observe deterministic (index-derived) values into a shard
-  // window; the grid-order merge must make the global window's snapshot
+  // histogram; the grid-order merge must make the global histogram
   // independent of how cells were scheduled across workers.
-  const auto run_windowed = [](std::size_t jobs) {
+  struct Observed {
+    Summary summary;
+    double p50;
+    double p99;
+  };
+  const auto run_observed = [](std::size_t jobs) {
     obs::Registry::global().reset();
     SweepOptions options;
     options.jobs = jobs;
     SweepRunner runner(options);
     runner.run<int>(24, [](CellContext& ctx) {
-      // Manual-mode window (epoch_seconds 0): no wall clock anywhere.
       ctx.registry()
-          .window("test.sweep.window_ms", 0.0, 8)
+          .histogram("test.sweep.value_ms")
           .observe(static_cast<double>(ctx.index() % 7) + 0.5);
       return 0;
     });
-    return obs::Registry::global()
-        .window("test.sweep.window_ms", 0.0, 8)
-        .snapshot();
+    const obs::Histogram& h =
+        obs::Registry::global().histogram("test.sweep.value_ms");
+    return Observed{h.summary(), h.approx_percentile(0.50),
+                    h.approx_percentile(0.99)};
   };
-  const auto serial = run_windowed(1);
-  const auto parallel = run_windowed(4);
-  EXPECT_EQ(serial.count, 24u);
-  EXPECT_EQ(parallel.count, serial.count);
-  EXPECT_DOUBLE_EQ(parallel.sum, serial.sum);
-  EXPECT_DOUBLE_EQ(parallel.min, serial.min);
-  EXPECT_DOUBLE_EQ(parallel.max, serial.max);
-  EXPECT_DOUBLE_EQ(parallel.p50, serial.p50);
-  EXPECT_DOUBLE_EQ(parallel.p99, serial.p99);
+  const Observed serial = run_observed(1);
+  const Observed parallel = run_observed(4);
+  EXPECT_EQ(serial.summary.count(), 24u);
+  EXPECT_EQ(parallel.summary.count(), serial.summary.count());
+  EXPECT_EQ(parallel.summary.sum(), serial.summary.sum());
+  EXPECT_EQ(parallel.summary.min(), serial.summary.min());
+  EXPECT_EQ(parallel.summary.max(), serial.summary.max());
+  EXPECT_EQ(parallel.p50, serial.p50);
+  EXPECT_EQ(parallel.p99, serial.p99);
 }
 
 TEST(SweepRunnerTest, CellExceptionSurfacesAfterAllCellsJoin) {

@@ -202,36 +202,5 @@ TEST(SummaryTableTest, HistogramRowsCarryPercentileColumns) {
   EXPECT_NE(text.find('-'), std::string::npos);
 }
 
-TEST(SummaryTableTest, WindowAndRateRowsAppear) {
-  Registry reg;
-  reg.window("decision_ms", 0.0, 4).observe(3.0);
-  reg.rate("decisions", 0.0, 4).record(5);
-
-  std::ostringstream os;
-  os << summary_table(reg);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("decision_ms.window"), std::string::npos);
-  EXPECT_NE(text.find("window"), std::string::npos);
-  EXPECT_NE(text.find("decisions"), std::string::npos);
-  EXPECT_NE(text.find("rate"), std::string::npos);
-}
-
-TEST(PrometheusExportTest, WindowFamiliesExportAsGauges) {
-  Registry reg;
-  reg.window("lp.solve.seconds", 0.0, 4).observe(0.25);
-  reg.rate("lp.solves", 0.0, 4).record(2);
-
-  const std::string text = to_prometheus(reg);
-  EXPECT_NE(text.find("mecsched_lp_solve_seconds_window_count 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("mecsched_lp_solve_seconds_window_p95"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("# TYPE mecsched_lp_solve_seconds_window_p50 gauge"),
-      std::string::npos);
-  EXPECT_NE(text.find("mecsched_lp_solves_window_count 2"),
-            std::string::npos);
-}
-
 }  // namespace
 }  // namespace mecsched::obs

@@ -68,6 +68,31 @@ TEST(HistogramTest, ResetClears) {
   EXPECT_EQ(h.cumulative_buckets().back(), 0u);
 }
 
+TEST(HistogramTest, ApproxPercentileBracketsTheSamples) {
+  Histogram h;
+  for (int i = 1; i <= 100; ++i) h.observe(i * 1e-2);  // 0.01 .. 1.0
+  EXPECT_GE(h.approx_percentile(0.5), 0.01);
+  EXPECT_LE(h.approx_percentile(0.5), 1.0);
+  EXPECT_LE(h.approx_percentile(0.5), h.approx_percentile(0.99));
+  EXPECT_TRUE(std::isnan(Histogram().approx_percentile(0.5)));
+}
+
+TEST(HistogramTest, ApproxPercentileClampsToObservedRange) {
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.observe(5.0);
+  // All samples share a bucket; interpolation must not escape [min, max].
+  EXPECT_DOUBLE_EQ(h.approx_percentile(0.5), 5.0);
+  EXPECT_DOUBLE_EQ(h.approx_percentile(0.99), 5.0);
+}
+
+TEST(HistogramTest, ApproxPercentileInTheInfBucketIsTheMax) {
+  Histogram h;
+  h.observe(1.0);
+  h.observe(1e12);  // above the last finite bound
+  EXPECT_DOUBLE_EQ(h.approx_percentile(0.5), 1.0);
+  EXPECT_DOUBLE_EQ(h.approx_percentile(1.0), 1e12);
+}
+
 TEST(RegistryTest, FindOrCreateReturnsStableReferences) {
   Registry reg;
   Counter& c = reg.counter("a.counter");

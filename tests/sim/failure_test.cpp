@@ -26,6 +26,13 @@ workload::Scenario scenario(std::uint64_t seed, std::size_t tasks = 30) {
   return workload::make_scenario(cfg);
 }
 
+// One device failure as a one-event fault schedule.
+SimOptions device_failure(std::size_t device, double at_s) {
+  SimOptions opts;
+  opts.faults = FaultSchedule({{at_s, FaultKind::kDeviceFail, device, 1.0}});
+  return opts;
+}
+
 TEST(ReleaseTimesTest, TasksStartAtTheirRelease) {
   const auto s = scenario(1, 12);
   const HtaInstance inst(s.topology, s.tasks);
@@ -62,9 +69,7 @@ TEST(FailureTest, ImmediateFailureKillsEverythingOnTheDevice) {
   Assignment all_local;
   all_local.decisions.assign(inst.num_tasks(), Decision::kLocal);
 
-  SimOptions opts;
-  opts.failed_device = 0;
-  opts.failure_time_s = 0.0;
+  const SimOptions opts = device_failure(0, 0.0);
   const SimResult r = simulate(inst, all_local, opts);
   std::size_t expected_failed = 0;
   for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
@@ -81,9 +86,8 @@ TEST(FailureTest, LateFailureHurtsNobody) {
   const auto s = scenario(4, 20);
   const HtaInstance inst(s.topology, s.tasks);
   const auto plan = assign::LpHta().assign(inst);
-  SimOptions opts;
-  opts.failed_device = 3;
-  opts.failure_time_s = 1e9;  // long after everything finished
+  // Long after everything finished.
+  const SimOptions opts = device_failure(3, 1e9);
   const SimResult r = simulate(inst, plan, opts);
   EXPECT_EQ(r.failed_tasks, 0u);
 }
@@ -93,9 +97,7 @@ TEST(FailureTest, CloudAndEdgeTasksOfOtherDevicesSurvive) {
   const HtaInstance inst(s.topology, s.tasks);
   Assignment all_cloud;
   all_cloud.decisions.assign(inst.num_tasks(), Decision::kCloud);
-  SimOptions opts;
-  opts.failed_device = 1;
-  opts.failure_time_s = 0.0;
+  const SimOptions opts = device_failure(1, 0.0);
   const SimResult r = simulate(inst, all_cloud, opts);
   for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
     const bool touches = inst.task(t).id.user == 1 ||
@@ -113,9 +115,8 @@ TEST(FailureTest, MidRunFailureSparesInFlightStages) {
   const auto plan = assign::LpHta().assign(inst);
   const SimResult clean = simulate(inst, plan);
 
-  SimOptions opts;
-  opts.failed_device = 2;
-  opts.failure_time_s = 1e-6;  // just after t=0: in-flight stages survive
+  // Just after t=0: in-flight stages survive.
+  const SimOptions opts = device_failure(2, 1e-6);
   const SimResult r = simulate(inst, plan, opts);
   // Tasks that begin a stage on device 2 exactly at t=0 keep running; only
   // those whose device-2 stages start later die. Either way, failures are
@@ -138,9 +139,7 @@ TEST(RecoveryTest, RepairedPlanSurvivesTheSameFailure) {
   const auto repaired =
       assign::replan_after_device_failure(inst, plan, dead);
 
-  SimOptions opts;
-  opts.failed_device = dead;
-  opts.failure_time_s = 0.0;
+  const SimOptions opts = device_failure(dead, 0.0);
   const SimResult r = simulate(inst, repaired.assignment, opts);
   EXPECT_EQ(r.failed_tasks, 0u);  // nothing left touches the dead device
 

@@ -1,10 +1,12 @@
 // FaultSchedule unit tests plus its integration with the discrete-event
 // simulator: recovery re-enables hardware, station outages black out a
-// cluster's offload path, link degradation stretches radio stages, and the
-// legacy single-failure SimOptions fields keep their historical meaning.
+// cluster's offload path, and link degradation stretches radio stages.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 
 #include "assign/lp_hta.h"
 #include "sim/fault_schedule.h"
@@ -78,6 +80,110 @@ TEST(FaultScheduleTest, EventsBetweenIsHalfOpen) {
   EXPECT_TRUE(s.events_between(3.0, 10.0).empty());
 }
 
+TEST(FaultScheduleTest, SimultaneousEventsApplyInInsertionOrder) {
+  const FaultSchedule fail_then_recover({
+      {1.0, FaultKind::kDeviceFail, 3, 1.0},
+      {1.0, FaultKind::kDeviceRecover, 3, 1.0},
+  });
+  EXPECT_TRUE(fail_then_recover.device_up(3, 1.0));
+  const FaultSchedule recover_then_fail({
+      {1.0, FaultKind::kDeviceRecover, 3, 1.0},
+      {1.0, FaultKind::kDeviceFail, 3, 1.0},
+  });
+  EXPECT_FALSE(recover_then_fail.device_up(3, 1.0));
+  EXPECT_TRUE(recover_then_fail.device_up(3, 0.5));
+}
+
+// Reference semantics of every query: replay the time-sorted events with
+// time <= t in schedule order (simultaneous events in insertion order).
+struct PrefixReplay {
+  const std::vector<FaultEvent>& events;
+
+  bool device_up(std::size_t device, double t) const {
+    bool up = true;
+    for (const FaultEvent& e : events) {
+      if (e.time_s > t) break;
+      if (e.target != device) continue;
+      if (e.kind == FaultKind::kDeviceFail) up = false;
+      if (e.kind == FaultKind::kDeviceRecover) up = true;
+    }
+    return up;
+  }
+  bool station_up(std::size_t station, double t) const {
+    bool up = true;
+    for (const FaultEvent& e : events) {
+      if (e.time_s > t) break;
+      if (e.target != station) continue;
+      if (e.kind == FaultKind::kStationFail) up = false;
+      if (e.kind == FaultKind::kStationRecover) up = true;
+    }
+    return up;
+  }
+  double link_factor(std::size_t device, double t) const {
+    double factor = 1.0;
+    for (const FaultEvent& e : events) {
+      if (e.time_s > t) break;
+      if (e.target != device) continue;
+      if (e.kind == FaultKind::kLinkDegrade) factor = e.factor;
+      if (e.kind == FaultKind::kLinkRestore) factor = 1.0;
+    }
+    return factor;
+  }
+  std::vector<FaultEvent> events_between(double from, double to) const {
+    std::vector<FaultEvent> out;
+    for (const FaultEvent& e : events) {
+      if (e.time_s > to) break;
+      if (e.time_s > from) out.push_back(e);
+    }
+    return out;
+  }
+};
+
+TEST(FaultScheduleTest, QueriesMatchAPrefixReplayOnRandomSchedules) {
+  // Event times on a coarse grid, so many events (often on one target)
+  // share a time and the insertion order among them decides the state.
+  // Queries land on, between and beyond the event times, in no order.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t targets = 1 + static_cast<std::size_t>(
+                                        rng.uniform_int(0, 5));
+    std::vector<FaultEvent> events(
+        static_cast<std::size_t>(rng.uniform_int(0, 60)));
+    for (FaultEvent& e : events) {
+      e.time_s = 0.5 * static_cast<double>(rng.uniform_int(0, 8));
+      e.kind = static_cast<FaultKind>(rng.uniform_int(0, 5));
+      e.target = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(targets) - 1));
+      e.factor = e.kind == FaultKind::kLinkDegrade ? rng.uniform(0.1, 1.0)
+                                                   : 1.0;
+    }
+    const FaultSchedule schedule(events);
+    const PrefixReplay replay{schedule.events()};
+    for (int q = 0; q < 50; ++q) {
+      const double t = 0.25 * static_cast<double>(rng.uniform_int(0, 20));
+      const std::size_t target = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(targets)));
+      EXPECT_EQ(schedule.device_up(target, t), replay.device_up(target, t))
+          << "seed " << seed << " device " << target << " t " << t;
+      EXPECT_EQ(schedule.station_up(target, t), replay.station_up(target, t))
+          << "seed " << seed << " station " << target << " t " << t;
+      EXPECT_EQ(schedule.link_factor(target, t),
+                replay.link_factor(target, t))
+          << "seed " << seed << " device " << target << " t " << t;
+      const double from = 0.25 * static_cast<double>(rng.uniform_int(0, 20));
+      const std::vector<FaultEvent> got = schedule.events_between(from, t);
+      const std::vector<FaultEvent> want = replay.events_between(from, t);
+      ASSERT_EQ(got.size(), want.size())
+          << "seed " << seed << " (" << from << ", " << t << "]";
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].time_s, want[i].time_s);
+        EXPECT_EQ(got[i].kind, want[i].kind);
+        EXPECT_EQ(got[i].target, want[i].target);
+      }
+    }
+  }
+}
+
 TEST(FaultScheduleTest, ValidatesEventsAndTargets) {
   EXPECT_THROW(FaultSchedule({{-1.0, FaultKind::kDeviceFail, 0, 1.0}}),
                ModelError);
@@ -91,16 +197,6 @@ TEST(FaultScheduleTest, ValidatesEventsAndTargets) {
   EXPECT_THROW(device_oob.validate_against(9, 1), ModelError);
   const FaultSchedule station_oob({{0.0, FaultKind::kStationFail, 2, 1.0}});
   EXPECT_THROW(station_oob.validate_against(10, 2), ModelError);
-}
-
-TEST(FaultScheduleTest, MergeAndSingleFailure) {
-  const FaultSchedule a = FaultSchedule::single_device_failure(4, 2.0);
-  const FaultSchedule b({{1.0, FaultKind::kStationFail, 0, 1.0}});
-  const FaultSchedule m = a.merged_with(b);
-  ASSERT_EQ(m.size(), 2u);
-  EXPECT_DOUBLE_EQ(m.events()[0].time_s, 1.0);
-  EXPECT_FALSE(m.device_up(4, 2.0));
-  EXPECT_FALSE(m.station_up(0, 1.0));
 }
 
 TEST(FaultSimTest, RecoveryReenablesTheDevice) {
@@ -196,27 +292,6 @@ TEST(FaultSimTest, LinkDegradationStretchesRadioStages) {
   for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
     EXPECT_NEAR(after.timelines[t].latency_s(), clean.timelines[t].latency_s(),
                 1e-9 * (1.0 + clean.timelines[t].latency_s()));
-  }
-}
-
-TEST(FaultSimTest, LegacyFieldsMergeIntoTheSchedule) {
-  const auto s = scenario(14);
-  const HtaInstance inst(s.topology, s.tasks);
-  Assignment all_local;
-  all_local.decisions.assign(inst.num_tasks(), Decision::kLocal);
-
-  SimOptions legacy;
-  legacy.failed_device = 2;
-  legacy.failure_time_s = 0.0;
-
-  SimOptions modern;
-  modern.faults = FaultSchedule::single_device_failure(2, 0.0);
-
-  const SimResult a = simulate(inst, all_local, legacy);
-  const SimResult b = simulate(inst, all_local, modern);
-  EXPECT_EQ(a.failed_tasks, b.failed_tasks);
-  for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
-    EXPECT_EQ(a.timelines[t].failed, b.timelines[t].failed) << "task " << t;
   }
 }
 

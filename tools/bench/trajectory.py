@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Gate a mecsched.bench.v1 telemetry file against its checked-in baseline.
+"""Gate a mecsched.bench.v2 telemetry file against its checked-in baseline.
 
 Usage:
     trajectory.py RESULT_JSON [BASELINE_JSON]
     trajectory.py --self-test
 
 RESULT_JSON is the BENCH_<name>.json a bench binary emits (schema
-"mecsched.bench.v1"; see bench/bench_common.h). BASELINE_JSON defaults to
+"mecsched.bench.v2"; see bench/bench_common.h). BASELINE_JSON defaults to
 bench/baselines/<bench>.json, resolved from the "bench" field of the
 result. The baseline holds a list of gate specs:
 
@@ -40,9 +40,9 @@ import json
 import pathlib
 import sys
 
-SCHEMA = "mecsched.bench.v1"
+SCHEMA = "mecsched.bench.v2"
 REQUIRED_KEYS = ("schema", "bench", "wall_seconds", "values", "flags",
-                 "counters", "windows", "rates")
+                 "counters")
 
 
 def lookup(doc, dotted):
@@ -77,7 +77,7 @@ def validate_schema(result):
     for key in REQUIRED_KEYS:
         if key not in result:
             problems.append(f"missing required key {key!r}")
-    for key in ("values", "flags", "counters", "windows", "rates"):
+    for key in ("values", "flags", "counters"):
         if key in result and not isinstance(result[key], dict):
             problems.append(f"{key!r} is not an object")
     return problems
@@ -139,8 +139,6 @@ def self_test():
         "values": {"speedup": 10.0, "overhead": 0.01},
         "flags": {"identical": True},
         "counters": {"solves": 4, "lp.simplex.pivots": 45787},
-        "windows": {},
-        "rates": {},
     }
     cases = [
         ({"metric": "values.speedup", "type": "min", "limit": 5.0}, True),
@@ -175,7 +173,7 @@ def self_test():
         print("self-test FAIL: valid doc rejected")
         ok = False
     bad = dict(doc, schema="nope")
-    del bad["windows"]
+    del bad["counters"]
     problems = validate_schema(bad)
     if len(problems) != 2:
         print(f"self-test FAIL: bad doc problems = {problems}")
