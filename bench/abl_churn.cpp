@@ -1,9 +1,10 @@
 // Ablation — resilience under churn. Sweeps churn intensity (device MTBF,
 // with correlated cell outages and link fading riding along) and compares
-// the resilient rolling-horizon controller against replaying a one-shot
-// clairvoyant LP-HTA plan through the same fault schedule. The controller
-// should convert a slice of the replay's losses into retries, DTA rescues
-// and fallback-rung service.
+// the serve daemon's epoch loop (serve/stream.h: the stream and its fault
+// schedule as one trace) against replaying a one-shot clairvoyant LP-HTA
+// plan through the same fault schedule. The loop should convert a slice of
+// the replay's losses into retries, DTA rescues and fallback-rung
+// service.
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -11,9 +12,9 @@
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "bench/bench_common.h"
-#include "control/resilient.h"
 #include "exec/sweep_runner.h"
 #include "metrics/series.h"
+#include "serve/stream.h"
 #include "sim/simulator.h"
 #include "workload/arrivals.h"
 #include "workload/faults.h"
@@ -22,7 +23,7 @@ int main() {
   const mecsched::bench::ObsSession obs_session("abl_churn");
   using namespace mecsched;
   bench::print_header(
-      "Ablation", "resilient controller vs one-shot replay under churn",
+      "Ablation", "serve epoch loop vs one-shot replay under churn",
       "120 Poisson-timed tasks, 50 devices, 5 stations; x = device MTBF "
       "(lower = harsher), correlated cell outages + link fading enabled");
 
@@ -62,9 +63,9 @@ int main() {
           workload::make_fault_schedule(fm, s.topology);
 
       // Every external-data task doubles as a divisible one: a single item
-      // held by its owner plus one replica, so the controller can re-divide
+      // held by its owner plus one replica, so the daemon can re-divide
       // when the owner dies.
-      control::SharedDataView shared;
+      serve::SharedDataView shared;
       shared.ownership.resize(s.topology.num_devices());
       shared.task_items.resize(s.tasks.size());
       for (std::size_t t = 0; t < s.tasks.size(); ++t) {
@@ -79,12 +80,12 @@ int main() {
         shared.task_items[t].push_back(item);
       }
 
-      control::ResilientOptions opts;
+      serve::ServeOptions opts;
       opts.readmission.max_attempts = 4;
-      const control::ResilientResult r = control::ResilientController(opts).run(
-          s.topology, s.tasks, faults, &shared);
+      const serve::StreamResult r =
+          serve::run_stream(opts, s.topology, s.tasks, faults, &shared);
       CellResult cell;
-      cell.rungs_cover_epochs = r.rungs.total() <= r.epochs;
+      cell.rungs_cover_epochs = r.serve.rungs.total() <= r.serve.decide_epochs;
 
       // One-shot replay: clairvoyant LP-HTA plan, then the same faults.
       std::vector<mec::Task> tasks;
@@ -110,16 +111,18 @@ int main() {
       cell.values.emplace_back("replay-unsat-rate",
                                static_cast<double>(replay_unsat) /
                                    static_cast<double>(tasks.size()));
-      cell.values.emplace_back("retries", static_cast<double>(r.retries));
+      cell.values.emplace_back("retries",
+                               static_cast<double>(r.serve.retries));
       cell.values.emplace_back("rescued-by-dta",
-                               static_cast<double>(r.rescued_by_dta));
+                               static_cast<double>(r.serve.rescued));
       cell.values.emplace_back(
           "rung-lp-hta",
-          static_cast<double>(r.rungs.at(control::FallbackRung::kLpHta)));
+          static_cast<double>(r.serve.rungs.at(control::FallbackRung::kLpHta)));
       cell.values.emplace_back(
           "rung-fallback",
-          static_cast<double>(r.rungs.at(control::FallbackRung::kHgos) +
-                              r.rungs.at(control::FallbackRung::kLocalFirst)));
+          static_cast<double>(
+              r.serve.rungs.at(control::FallbackRung::kHgos) +
+              r.serve.rungs.at(control::FallbackRung::kLocalFirst)));
       return cell;
       });
 
@@ -152,12 +155,10 @@ int main() {
                "a one-shot plan loses tasks under heavy churn");
   check.expect(
       at(5, "resilient-unsat-rate") <= at(5, "replay-unsat-rate") + 1e-9,
-      "the resilient controller beats replaying the one-shot plan at "
-      "MTBF = 5 s");
+      "the epoch loop beats replaying the one-shot plan at MTBF = 5 s");
   check.expect(
       at(10, "resilient-unsat-rate") <= at(10, "replay-unsat-rate") + 1e-9,
-      "the resilient controller beats replaying the one-shot plan at "
-      "MTBF = 10 s");
+      "the epoch loop beats replaying the one-shot plan at MTBF = 10 s");
   check.expect(at(5, "retries") > 0.0,
                "heavy churn forces re-admissions");
   return check.exit_code();

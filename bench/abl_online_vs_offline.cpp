@@ -1,7 +1,7 @@
 // Ablation — online (epoch-batched) LP-HTA vs the clairvoyant offline
 // assignment on Poisson task streams: the price of not knowing the future,
-// as a function of arrival rate. The online side is the rolling-horizon
-// controller with no faults and one admission per task.
+// as a function of arrival rate. The online side is the serve daemon's
+// epoch loop (serve/stream.h) with no faults and one admission per task.
 //
 // The offline plan packs all tasks into the capacities at once, so it is
 // no bound on the online energy (online often spends less: it runs fewer
@@ -19,8 +19,8 @@
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "bench/bench_common.h"
-#include "control/resilient.h"
 #include "metrics/series.h"
+#include "serve/stream.h"
 #include "workload/arrivals.h"
 
 int main() {
@@ -46,11 +46,10 @@ int main() {
       cfg.arrival_rate_per_s = rate;
       const auto s = workload::make_timed_scenario(cfg);
 
-      control::ResilientOptions online_opts;
+      serve::ServeOptions online_opts;
       online_opts.readmission.max_attempts = 1;
-      const control::ResilientResult online =
-          control::ResilientController(online_opts)
-              .run(s.topology, s.tasks, sim::FaultSchedule{});
+      const serve::StreamResult online =
+          serve::run_stream(online_opts, s.topology, s.tasks);
 
       std::vector<mec::Task> all;
       all.reserve(s.tasks.size());
@@ -60,7 +59,7 @@ int main() {
 
       double lower_bound = 0.0;
       for (std::size_t t = 0; t < inst.num_tasks(); ++t) {
-        if (online.outcomes[t].fate != control::TaskFate::kCompleted) continue;
+        if (!online.outcomes[t].completed()) continue;
         double cheapest = std::numeric_limits<double>::infinity();
         for (const mec::Placement p : mec::kAllPlacements) {
           if (inst.meets_deadline(t, p)) {
@@ -69,16 +68,18 @@ int main() {
         }
         lower_bound += cheapest;
       }
-      lower_bound_holds = lower_bound_holds &&
-                          lower_bound <= online.total_energy_j * (1.0 + 1e-9);
+      lower_bound_holds =
+          lower_bound_holds &&
+          lower_bound <= online.serve.total_energy_j * (1.0 + 1e-9);
 
       series.add(rate, "offline-energy", offline.total_energy_j);
-      series.add(rate, "online-energy", online.total_energy_j);
+      series.add(rate, "online-energy", online.serve.total_energy_j);
       series.add(rate, "online-energy-lb", lower_bound);
       series.add(rate, "online-cancelled",
-                 static_cast<double>(online.unsatisfied));
+                 static_cast<double>(online.unsatisfied()));
       series.add(rate, "mean-response-s", online.mean_response_s);
-      series.add(rate, "epochs", static_cast<double>(online.epochs));
+      series.add(rate, "epochs",
+                 static_cast<double>(online.serve.decide_epochs));
     }
   }
 

@@ -1,9 +1,9 @@
 // Online stream — tasks arrive over time (Poisson) instead of all at once,
-// the regime the paper's quasi-static model abstracts away. The
-// rolling-horizon controller (here with no faults and one admission per
-// task) batches arrivals into epochs and re-runs LP-HTA against the
-// residual capacities; this example compares it with the clairvoyant
-// offline plan and shows the epoch-length trade-off.
+// the regime the paper's quasi-static model abstracts away. The serve
+// daemon's epoch loop (here with no faults and one admission per task,
+// through serve/stream.h) batches arrivals into epochs and re-runs LP-HTA
+// against the residual capacities; this example compares it with the
+// clairvoyant offline plan and shows the epoch-length trade-off.
 //
 //   $ ./build/examples/online_stream
 #include <iostream>
@@ -12,7 +12,7 @@
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "common/table.h"
-#include "control/resilient.h"
+#include "serve/stream.h"
 #include "workload/arrivals.h"
 
 int main() {
@@ -43,17 +43,18 @@ int main() {
 
   double fast_cancelled = 0.0, slow_cancelled = 0.0;
   for (double epoch : {0.1, 0.5, 2.0}) {
-    control::ResilientOptions opts;
-    opts.epoch_s = epoch;
+    serve::ServeOptions opts;
+    opts.batching.window_s = epoch;
     opts.readmission.max_attempts = 1;
-    const control::ResilientResult r = control::ResilientController(opts).run(
-        stream.topology, stream.tasks, sim::FaultSchedule{});
+    const serve::StreamResult r =
+        serve::run_stream(opts, stream.topology, stream.tasks);
     table.add_row({"online, epoch " + Table::num(epoch, 1) + " s",
-                   Table::num(r.total_energy_j, 1),
+                   Table::num(r.serve.total_energy_j, 1),
                    Table::num(r.mean_response_s, 2),
-                   std::to_string(r.unsatisfied), std::to_string(r.epochs)});
-    if (epoch == 0.1) fast_cancelled = static_cast<double>(r.unsatisfied);
-    if (epoch == 2.0) slow_cancelled = static_cast<double>(r.unsatisfied);
+                   std::to_string(r.unsatisfied()),
+                   std::to_string(r.serve.decide_epochs)});
+    if (epoch == 0.1) fast_cancelled = static_cast<double>(r.unsatisfied());
+    if (epoch == 2.0) slow_cancelled = static_cast<double>(r.unsatisfied());
   }
   std::cout << table << '\n';
   std::cout << "short epochs react fast (fewer deadline cancellations) but\n"

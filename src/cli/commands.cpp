@@ -31,7 +31,6 @@
 #include "common/error.h"
 #include "common/table.h"
 #include "control/fallback.h"
-#include "control/resilient.h"
 #include "dta/pipeline.h"
 #include "exec/fingerprint.h"
 #include "exec/sweep_runner.h"
@@ -48,6 +47,7 @@
 #include "serve/daemon.h"
 #include "serve/decision_log.h"
 #include "serve/signal_stop.h"
+#include "serve/stream.h"
 #include "sim/simulator.h"
 #include "sim/solver_chaos.h"
 #include "workload/arrivals.h"
@@ -483,11 +483,11 @@ int cmd_online(const std::vector<std::string>& tokens, std::ostream& out) {
   const workload::TimedScenario scenario =
       io::timed_scenario_from_json(io::Json::parse(io::read_file(path)));
   // Plain online scheduling: no faults, one admission per task.
-  control::ResilientOptions opts;
-  opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
+  serve::ServeOptions opts;
+  opts.batching.window_s = args.get_num("epoch-s", opts.batching.window_s);
   opts.readmission.max_attempts = 1;
-  const control::ResilientResult r = control::ResilientController(opts).run(
-      scenario.topology, scenario.tasks, sim::FaultSchedule{});
+  const serve::StreamResult r =
+      serve::run_stream(opts, scenario.topology, scenario.tasks);
   emit(io::online_result_to_json(r), args, out);
   return 0;
 }
@@ -621,32 +621,31 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
   const sim::FaultSchedule faults =
       workload::make_fault_schedule(faults_cfg, scenario.topology);
 
-  control::ResilientOptions opts;
-  opts.epoch_s = args.get_num("epoch-s", opts.epoch_s);
+  serve::ServeOptions opts;
+  opts.batching.window_s = args.get_num("epoch-s", opts.batching.window_s);
   opts.readmission.max_attempts =
       args.get_count("max-attempts", opts.readmission.max_attempts);
-  const control::ResilientResult r =
-      control::ResilientController(opts).run(scenario.topology, scenario.tasks,
-                                             faults);
+  const serve::StreamResult r =
+      serve::run_stream(opts, scenario.topology, scenario.tasks, faults);
 
   io::JsonObject o;
   o["tasks"] = scenario.tasks.size();
   o["fault_events"] = faults.size();
   o["device_failures"] = faults.device_failures();
   o["station_failures"] = faults.station_failures();
-  o["completed"] = r.completed;
-  o["unsatisfied"] = r.unsatisfied;
+  o["completed"] = r.serve.completed;
+  o["unsatisfied"] = r.unsatisfied();
   o["unsatisfied_rate"] = r.unsatisfied_rate();
-  o["retries"] = r.retries;
-  o["orphaned"] = r.orphaned;
-  o["rescued_by_dta"] = r.rescued_by_dta;
-  o["epochs"] = r.epochs;
-  o["total_energy_j"] = r.total_energy_j;
-  o["makespan_s"] = r.makespan_s;
+  o["retries"] = r.serve.retries;
+  o["orphaned"] = r.serve.orphaned;
+  o["rescued_by_dta"] = r.serve.rescued;
+  o["epochs"] = r.serve.decide_epochs;
+  o["total_energy_j"] = r.serve.total_energy_j;
+  o["makespan_s"] = r.serve.makespan_s;
   io::JsonObject rungs;
   for (std::size_t i = 0; i < control::kNumRungs; ++i) {
     const auto rung = static_cast<control::FallbackRung>(i);
-    rungs[control::to_string(rung)] = r.rungs.at(rung);
+    rungs[control::to_string(rung)] = r.serve.rungs.at(rung);
   }
   o["fallback_rungs"] = io::Json(std::move(rungs));
   emit(io::Json(std::move(o)), args, out);

@@ -12,10 +12,11 @@
 //   sensitivity     — capacity shadow prices of a scenario
 //   trace           — simulate a plan and dump the event timeline
 //   generate-arrivals — Poisson-timed scenario for the online scheduler
-//   online          — run the rolling-horizon scheduler on a timed scenario
+//   online          — run a timed scenario through the serve daemon
 //   breakdown       — itemized Sec. II cost legs of one task
 //   recover         — repair a plan after a device failure
-//   churn           — run the resilient controller under generated churn
+//   churn           — run a timed scenario through the serve daemon under
+//                     generated faults
 //   sweep           — run a named figure grid on the parallel sweep runner
 //   chaos           — solver fault-injection drill over the fallback chain
 //   generate-serve  — build a serve workload (universe + event trace)

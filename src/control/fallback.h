@@ -1,5 +1,5 @@
 // Solver fallback chain: no SolverError or iteration-limit blowup may ever
-// abort an epoch of the rolling-horizon controller.
+// abort an epoch of the serve daemon (serve/daemon.h).
 //
 // The chain tries its rungs in fixed quality order —
 //
@@ -12,7 +12,7 @@
 // — catching SolverError from a rung and moving on, and records which rung
 // served. Only if *every* rung throws does the chain rethrow the last
 // error; with the default rungs that cannot happen, which is the
-// availability guarantee the resilient controller builds on.
+// availability guarantee the daemon builds on.
 #pragma once
 
 #include <array>

@@ -1,9 +1,5 @@
 // Orphan re-admission with bounded retry and exponential epoch backoff —
-// the waiting-room every epoch-driven controller shares.
-//
-// Extracted from ResilientController so the serve daemon (serve/daemon.h)
-// and the churn CLI run one implementation of the retry policy instead of
-// two copies that drift. The contract:
+// the serve daemon's waiting room (serve/daemon.h). The contract:
 //
 //   * admit() enters a task with zero attempts consumed, ready at the
 //     given epoch;
@@ -13,9 +9,9 @@
 //     settles the task's terminal fate;
 //   * take_ready() pops everything ready at an epoch boundary *in
 //     admission order*. Batch order is part of the determinism contract:
-//     both controllers feed the batch to solvers whose output depends on
-//     task order, and a replayed trace must produce a byte-identical
-//     decision log.
+//     the daemon feeds the batch to solvers whose output depends on task
+//     order, and a replayed trace must produce a byte-identical decision
+//     log.
 #pragma once
 
 #include <cstddef>

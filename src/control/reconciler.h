@@ -1,4 +1,4 @@
-// Epoch reconciler: the in-flight ledger of an epoch-driven controller.
+// Epoch reconciler: the in-flight ledger of the serve daemon's epoch loop.
 //
 // Once a task is placed it occupies capacity until its analytic finish
 // time. Between epoch boundaries devices leave (depart or fail), migrate
@@ -18,8 +18,7 @@
 //                             cell are orphaned; local runs survive.
 //
 // The entry points are event-agnostic: the serve daemon maps its churn
-// events onto them, the resilient controller its FaultSchedule
-// (control/resilient.h), and both share this one implementation.
+// and fault events (leave, migrate, station-down) onto them.
 //
 // Interruption is at whole-run granularity, matching the analytic
 // execution model: a task that finished before the event's timestamp is

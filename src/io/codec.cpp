@@ -269,15 +269,15 @@ workload::TimedScenario timed_scenario_from_json(const Json& j) {
                                  std::move(tasks)};
 }
 
-Json online_result_to_json(const control::ResilientResult& result) {
+Json online_result_to_json(const serve::StreamResult& result) {
   JsonObject o;
-  o["total_energy_j"] = result.total_energy_j;
+  o["total_energy_j"] = result.serve.total_energy_j;
   o["mean_response_s"] = result.mean_response_s;
-  o["makespan_s"] = result.makespan_s;
-  o["cancelled"] = result.unsatisfied;
-  o["epochs"] = result.epochs;
+  o["makespan_s"] = result.serve.makespan_s;
+  o["cancelled"] = result.unsatisfied();
+  o["epochs"] = result.serve.decide_epochs;
   JsonArray outcomes;
-  for (const control::ResilientTaskOutcome& t : result.outcomes) {
+  for (const serve::StreamOutcome& t : result.outcomes) {
     JsonObject tj;
     tj["decision"] = Json(assign::to_string(t.decision));
     if (t.decision != assign::Decision::kCancelled) {

@@ -10,10 +10,10 @@
 
 #include "assign/assignment.h"
 #include "assign/evaluator.h"
-#include "control/resilient.h"
 #include "io/json.h"
 #include "mec/task.h"
 #include "mec/topology.h"
+#include "serve/stream.h"
 #include "workload/arrivals.h"
 #include "workload/scenario.h"
 
@@ -38,9 +38,10 @@ workload::ScenarioConfig config_from_json(const Json& j);
 Json timed_scenario_to_json(const workload::TimedScenario& scenario);
 workload::TimedScenario timed_scenario_from_json(const Json& j);
 
-// A fault-free rolling-horizon run (`mecsched online`): `cancelled` is the
-// number of unsatisfied tasks; start/finish are given for placed tasks.
-Json online_result_to_json(const control::ResilientResult& result);
+// A fault-free stream run (`mecsched online`): `cancelled` is the number
+// of unsatisfied tasks, `epochs` the epochs that pulled a non-empty batch;
+// start/finish are given for completed tasks.
+Json online_result_to_json(const serve::StreamResult& result);
 
 // --- plans and metrics ----------------------------------------------------
 Json assignment_to_json(const assign::Assignment& assignment);

@@ -18,6 +18,12 @@ std::string kind_name(serve::EventKind k) {
       return "leave";
     case serve::EventKind::kDeviceMigrate:
       return "migrate";
+    case serve::EventKind::kStationDown:
+      return "station-down";
+    case serve::EventKind::kStationUp:
+      return "station-up";
+    case serve::EventKind::kLinkFade:
+      return "link-fade";
   }
   throw JsonError("unknown serve event kind");
 }
@@ -27,6 +33,9 @@ serve::EventKind kind_from_name(const std::string& name) {
   if (name == "join") return serve::EventKind::kDeviceJoin;
   if (name == "leave") return serve::EventKind::kDeviceLeave;
   if (name == "migrate") return serve::EventKind::kDeviceMigrate;
+  if (name == "station-down") return serve::EventKind::kStationDown;
+  if (name == "station-up") return serve::EventKind::kStationUp;
+  if (name == "link-fade") return serve::EventKind::kLinkFade;
   throw JsonError("unknown serve event kind: " + name);
 }
 
@@ -48,6 +57,14 @@ Json serve_event_to_json(const serve::Event& event) {
       o["device"] = event.device;
       o["station"] = event.station;
       break;
+    case serve::EventKind::kStationDown:
+    case serve::EventKind::kStationUp:
+      o["station"] = event.station;
+      break;
+    case serve::EventKind::kLinkFade:
+      o["device"] = event.device;
+      o["factor"] = event.factor;
+      break;
   }
   return Json(std::move(o));
 }
@@ -68,6 +85,16 @@ serve::Event serve_event_from_json(const Json& j) {
       return serve::Event::migrate(
           time_s, static_cast<std::size_t>(j.at("device").as_number()),
           static_cast<std::size_t>(j.at("station").as_number()));
+    case serve::EventKind::kStationDown:
+      return serve::Event::station_down(
+          time_s, static_cast<std::size_t>(j.at("station").as_number()));
+    case serve::EventKind::kStationUp:
+      return serve::Event::station_up(
+          time_s, static_cast<std::size_t>(j.at("station").as_number()));
+    case serve::EventKind::kLinkFade:
+      return serve::Event::link_fade(
+          time_s, static_cast<std::size_t>(j.at("device").as_number()),
+          j.at("factor").as_number());
   }
   throw JsonError("unknown serve event kind");
 }

@@ -15,9 +15,9 @@
 // AMD-style fill reducer; ties break on the lowest vertex index). The
 // numeric factorization is an up-looking sparse Cholesky over the
 // elimination-tree row structure, with the same diagonal-regularization
-// contract as the dense `Cholesky` (lp/cholesky.h): pivots below the
-// relative floor are bumped, strongly indefinite matrices throw
-// SolverError.
+// contract as the dense reference its tests compare against
+// (tests/lp/dense_cholesky.h): pivots below the relative floor are bumped,
+// strongly indefinite matrices throw SolverError.
 //
 // Reports into obs: lp.sparse.pattern_cache_{hits,misses,evictions}
 // counters, lp.sparse.last_{nnz,factor_nnz,fill_ratio,ordering_seconds}
@@ -116,7 +116,8 @@ class NormalCholesky {
   // Solves (A·D·Aᵀ) x = b through the permuted factor.
   std::vector<double> solve(const std::vector<double>& b) const;
 
-  // Total diagonal shift added during factorization (see lp/cholesky.h).
+  // Total diagonal shift added during factorization (0 when the input was
+  // comfortably positive definite).
   double regularization() const { return regularization_; }
 
  private:

@@ -59,7 +59,7 @@ struct Task {
 std::string to_string(const TaskId& id);
 
 // A task in a stream: released at release_s rather than known up front
-// (the rolling-horizon extension, control/resilient.h).
+// (the online extension, serve/stream.h).
 struct TimedTask {
   Task task;  // deadline_s is *relative* to the release time
   double release_s = 0.0;

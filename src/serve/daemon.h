@@ -1,19 +1,23 @@
-// ServeDaemon: the online, sharded scheduling loop behind `mecsched serve`.
+// ServeDaemon: the one epoch loop behind `mecsched serve`, `mecsched
+// online` and `mecsched churn` (the latter two through serve/stream.h).
 //
 // Epoch lifecycle (docs/serve.md):
 //
 //   1. ingest  — close the next batching window (IngestCursor): arrivals
-//      pass admission control into the waiting room (ReadmissionQueue,
-//      shared with the resilient controller), churn events update the
-//      Population and are reconciled against in-flight work (issuer gone
-//      -> lost; owner gone / issuer migrated off-cell -> orphaned and
-//      re-admitted with backoff);
+//      pass admission control into the waiting room (ReadmissionQueue),
+//      churn and fault events update the Population and are reconciled
+//      against in-flight work (issuer gone -> lost; owner gone / issuer
+//      migrated off-cell / cell gone dark -> orphaned and re-admitted with
+//      backoff);
 //   2. triage  — pull the epoch batch in admission order; expire tasks
 //      whose residual slack (net of the configured epoch budget) is gone,
-//      drop tasks whose issuer left, park tasks whose external owner is
-//      currently away;
+//      drop tasks whose issuer left, rescue tasks whose external owner is
+//      away by re-dividing their data across the surviving replicas (DTA,
+//      when a SharedDataView is given) or park them, and run tasks whose
+//      cell is dark locally when that fits and meets the deadline, or park
+//      them;
 //   3. shard   — cut the survivors into per-neighborhood HtaInstances
-//      against the residual capacities (Sharder);
+//      against the residual capacities and current radios (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,
 //      each through the FallbackChain under the shared epoch deadline
 //      (anytime degradation per shard); each cluster LP starts from its
@@ -32,14 +36,24 @@
 // A cooperative stop token (Ctrl-C via ScopedSignalStop, or tests) ends
 // the run at the next epoch boundary; open tasks are logged as abandoned
 // so the decision log always accounts for every admitted task.
+//
+// Modelling notes: execution is analytic (Sec. II costs) — faults
+// interrupt tasks at the granularity of whole runs, not stages (the event
+// simulator covers stage granularity). Energy spent on an attempt that is
+// later orphaned stays spent. A rescued task's partial executors are not
+// charged against the capacity ledger (the rescue runs in the generously
+// capacitated shared-data regime).
 #pragma once
 
 #include <cstddef>
+
+#include <vector>
 
 #include "assign/lp_hta.h"
 #include "common/deadline.h"
 #include "control/fallback.h"
 #include "control/readmission.h"
+#include "dta/data_model.h"
 #include "mec/topology.h"
 #include "serve/decision_log.h"
 #include "serve/event.h"
@@ -62,13 +76,24 @@ struct ServeOptions {
   assign::LpHtaOptions lp{};       // rung-0 configuration
 };
 
+// The data-shared view of a trace's tasks: per-item sizes, per-device
+// ownership (with replicas), and each arrival's item set in trace order
+// (empty = the task is holistic-only and cannot be rescued by
+// re-division).
+struct SharedDataView {
+  std::vector<double> item_bytes;
+  std::vector<dta::ItemSet> ownership;   // one per device
+  std::vector<dta::ItemSet> task_items;  // one per trace arrival
+};
+
 struct ServeResult {
   std::size_t events = 0;        // trace events ingested
   std::size_t arrivals = 0;
   std::size_t admitted = 0;
   std::size_t rejected = 0;      // refused at admission
   std::size_t decisions = 0;     // tasks placed
-  std::size_t completed = 0;
+  std::size_t completed = 0;     // ran to completion, rescued included
+  std::size_t rescued = 0;       // completed by DTA re-division
   std::size_t expired = 0;       // slack gone at triage
   std::size_t lost_issuer = 0;   // issuer left (waiting or mid-run)
   std::size_t exhausted = 0;     // retry budget consumed
@@ -76,7 +101,8 @@ struct ServeResult {
   std::size_t retries = 0;       // successful re-admissions
   std::size_t abandoned = 0;     // open at an early stop
   std::size_t epochs = 0;        // loop heartbeats (drain included)
-  std::size_t decide_epochs = 0; // epochs that solved at least one shard
+  std::size_t decide_epochs = 0; // epochs that pulled a non-empty batch
+                                 // (before triage)
   std::size_t shard_solves = 0;  // shard problems solved
   control::RungHistogram rungs;  // which rung served each shard solve
   double total_energy_j = 0.0;
@@ -89,11 +115,13 @@ class ServeDaemon {
  public:
   explicit ServeDaemon(ServeOptions options = {});
 
-  // Runs the trace to completion (or to `stop`). `log` may be nullptr.
-  // The trace is validated against the universe topology.
+  // Runs the trace to completion (or to `stop`). `log` may be nullptr;
+  // so may `shared` (no DTA rescue). The trace and the shared view are
+  // validated against the universe topology.
   ServeResult run(const mec::Topology& universe, const Trace& trace,
                   DecisionLog* log = nullptr,
-                  const CancellationToken& stop = {}) const;
+                  const CancellationToken& stop = {},
+                  const SharedDataView* shared = nullptr) const;
 
  private:
   ServeOptions options_;

@@ -32,6 +32,8 @@ std::string to_string(DecisionKind k) {
       return "exhausted";
     case DecisionKind::kAbandoned:
       return "abandoned";
+    case DecisionKind::kRescue:
+      return "rescue";
   }
   return "unknown";
 }

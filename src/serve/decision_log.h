@@ -1,6 +1,6 @@
 // The decision log: one line per task disposition — terminal (decide,
-// reject, expire, lost-issuer, exhausted, abandoned) or re-admission
-// (retry) — in the exact order the daemon settled it.
+// rescue, reject, expire, lost-issuer, exhausted, abandoned) or
+// re-admission (retry) — in the exact order the daemon settled it.
 //
 // This is the daemon's externally-visible output and its determinism
 // witness: CI replays the same trace at --jobs 1 and --jobs 4 and diffs
@@ -30,20 +30,28 @@ enum class DecisionKind {
   kRetry,         // interrupted or unplaceable; re-admitted with backoff
   kExhausted,     // max_attempts consumed without completing
   kAbandoned,     // daemon stopped (signal) with the task still open
+  kRescue,        // owner gone; completed by DTA re-division across the
+                  // surviving replicas (`decision` is kLocal)
 };
 
 std::string to_string(DecisionKind k);
 
+// The two enums sit side by side so the record stays 80 bytes with
+// finish_s in it: a serve run keeps one record per disposition.
 struct DecisionRecord {
   std::size_t epoch = 0;
   double time_s = 0.0;  // virtual clock at disposition
   mec::TaskId task{};
   DecisionKind kind = DecisionKind::kDecide;
-  std::size_t shard = 0;
   assign::Decision decision = assign::Decision::kCancelled;
+  std::size_t shard = 0;
   std::size_t attempt = 0;   // admissions consumed when disposed
   double latency_s = 0.0;    // admission-to-decision (kDecide only)
-  double energy_j = 0.0;     // kDecide only
+  double energy_j = 0.0;     // kDecide / kRescue only
+  // Analytic completion (kDecide / kRescue only), for in-process readers
+  // such as serve/stream.h. Neither written to the CSV nor mixed into the
+  // digest.
+  double finish_s = 0.0;
 };
 
 class DecisionLog {

@@ -17,6 +17,12 @@ std::string to_string(EventKind k) {
       return "device-leave";
     case EventKind::kDeviceMigrate:
       return "device-migrate";
+    case EventKind::kStationDown:
+      return "station-down";
+    case EventKind::kStationUp:
+      return "station-up";
+    case EventKind::kLinkFade:
+      return "link-fade";
   }
   return "unknown";
 }
@@ -56,6 +62,31 @@ Event Event::migrate(double time_s, std::size_t device, std::size_t station) {
   return e;
 }
 
+Event Event::station_down(double time_s, std::size_t station) {
+  Event e;
+  e.time_s = time_s;
+  e.kind = EventKind::kStationDown;
+  e.station = station;
+  return e;
+}
+
+Event Event::station_up(double time_s, std::size_t station) {
+  Event e;
+  e.time_s = time_s;
+  e.kind = EventKind::kStationUp;
+  e.station = station;
+  return e;
+}
+
+Event Event::link_fade(double time_s, std::size_t device, double factor) {
+  Event e;
+  e.time_s = time_s;
+  e.kind = EventKind::kLinkFade;
+  e.device = device;
+  e.factor = factor;
+  return e;
+}
+
 Trace::Trace(std::vector<Event> events) : events_(std::move(events)) {
   std::stable_sort(events_.begin(), events_.end(),
                    [](const Event& a, const Event& b) {
@@ -77,16 +108,26 @@ void Trace::validate_against(std::size_t num_devices,
     MECSCHED_REQUIRE(std::isfinite(e.time_s) && e.time_s >= 0.0,
                      "event " + std::to_string(i) +
                          ": time must be finite and non-negative");
-    MECSCHED_REQUIRE(e.device < num_devices,
-                     "event " + std::to_string(i) + ": device " +
-                         std::to_string(e.device) + " out of range (" +
-                         std::to_string(num_devices) + " devices)");
-    if (e.kind == EventKind::kDeviceJoin ||
+    const bool station_event = e.kind == EventKind::kStationDown ||
+                               e.kind == EventKind::kStationUp;
+    if (!station_event) {
+      MECSCHED_REQUIRE(e.device < num_devices,
+                       "event " + std::to_string(i) + ": device " +
+                           std::to_string(e.device) + " out of range (" +
+                           std::to_string(num_devices) + " devices)");
+    }
+    if (station_event || e.kind == EventKind::kDeviceJoin ||
         e.kind == EventKind::kDeviceMigrate) {
       MECSCHED_REQUIRE(e.station < num_stations,
                        "event " + std::to_string(i) + ": station " +
                            std::to_string(e.station) + " out of range (" +
                            std::to_string(num_stations) + " stations)");
+    }
+    if (e.kind == EventKind::kLinkFade) {
+      MECSCHED_REQUIRE(std::isfinite(e.factor) && e.factor > 0.0 &&
+                           e.factor <= 1.0,
+                       "event " + std::to_string(i) +
+                           ": link fade factor must be in (0, 1]");
     }
     if (e.kind == EventKind::kTaskArrival) {
       MECSCHED_REQUIRE(e.task.id.user == e.device,

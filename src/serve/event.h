@@ -1,7 +1,8 @@
 // Typed event stream for the serve daemon (docs/serve.md, "Event model").
 //
 // A Trace is the daemon's only input: an immutable, time-sorted sequence
-// of task arrivals and device churn. Everything downstream — batching
+// of task arrivals, device churn and infrastructure faults (dark cells,
+// faded links). Everything downstream — batching
 // windows, admission, sharding, reconciliation — consumes events in trace
 // order, which is what makes a serve run replayable: the same trace and
 // options produce a byte-identical decision log at any --jobs count.
@@ -23,6 +24,11 @@ enum class EventKind {
   kDeviceJoin,       // `device` attaches to `station` (rejoin after leave)
   kDeviceLeave,      // `device` departs; its running work is interrupted
   kDeviceMigrate,    // `device` re-attaches to `station` mid-session
+  kStationDown,      // `station` goes dark: zero capacity, and the offloaded
+                     // work issued through it is interrupted
+  kStationUp,        // `station` serves again
+  kLinkFade,         // `device`'s radio rates become `factor` x nominal
+                     // (1 restores the link)
 };
 
 std::string to_string(EventKind k);
@@ -31,14 +37,18 @@ struct Event {
   double time_s = 0.0;
   EventKind kind = EventKind::kTaskArrival;
   mec::Task task{};         // kTaskArrival only
-  std::size_t device = 0;   // join / leave / migrate subject
-  std::size_t station = 0;  // join / migrate target cell
+  std::size_t device = 0;   // join / leave / migrate / fade subject
+  std::size_t station = 0;  // join / migrate target, station-down/up subject
+  double factor = 1.0;      // kLinkFade only, in (0, 1]
 
   static Event arrival(double time_s, mec::Task task);
   static Event join(double time_s, std::size_t device, std::size_t station);
   static Event leave(double time_s, std::size_t device);
   static Event migrate(double time_s, std::size_t device,
                        std::size_t station);
+  static Event station_down(double time_s, std::size_t station);
+  static Event station_up(double time_s, std::size_t station);
+  static Event link_fade(double time_s, std::size_t device, double factor);
 };
 
 class Trace {
@@ -57,8 +67,9 @@ class Trace {
   double horizon_s() const;
 
   // Throws ModelError when an event references a device or station outside
-  // the universe topology, carries a negative/non-finite time, or an
-  // arrival's task is malformed (non-positive resource, negative sizes).
+  // the universe topology, carries a negative/non-finite time, a link
+  // fade's factor is outside (0, 1], or an arrival's task is malformed
+  // (non-positive resource, negative sizes).
   void validate_against(std::size_t num_devices,
                         std::size_t num_stations) const;
 

@@ -15,9 +15,11 @@ IngestCursor::IngestCursor(const Trace& trace, BatchingOptions batching)
                        std::to_string(batching_.window_s));
 }
 
-Window IngestCursor::next_window(double from_s) {
+Window IngestCursor::next_window() {
+  const double from_s =
+      anchor_s_ + static_cast<double>(ticks_) * batching_.window_s;
   Window w;
-  w.close_s = from_s + batching_.window_s;
+  w.close_s = anchor_s_ + static_cast<double>(ticks_ + 1) * batching_.window_s;
   const std::vector<Event>& events = trace_->events();
   const std::size_t first = next_;
   std::size_t arrivals = 0;
@@ -32,6 +34,12 @@ Window IngestCursor::next_window(double from_s) {
       w.closed_by_size = true;
       break;
     }
+  }
+  if (w.closed_by_size) {
+    anchor_s_ = w.close_s;
+    ticks_ = 0;
+  } else {
+    ++ticks_;
   }
   w.events = std::span<const Event>(events).subspan(first, next_ - first);
   return w;

@@ -4,9 +4,12 @@
 // The daemon does not decide per arrival — it accumulates a *window* of
 // events and decides at the window boundary (the epoch). A window closes
 // on whichever comes first:
-//   * the deadline: window_s virtual seconds after it opened, or
+//   * the deadline: the next tick of a window_s grid anchored at 0 — the
+//     k-th window closes at (k+1)·window_s, computed as one product, not
+//     as a running sum, so every boundary is exact to the last bit;
 //   * the size cap: the max_batch'th task arrival (when max_batch > 0) —
 //     a burst closes the window early so queueing delay stays bounded.
+//     The grid then restarts at that arrival's timestamp.
 //
 // AdmissionControl bounds the undecided backlog: when the waiting queue
 // already holds max_queue tasks, further arrivals are rejected at ingest
@@ -43,16 +46,19 @@ class IngestCursor {
 
   bool exhausted() const { return next_ >= trace_->events().size(); }
 
-  // Closes and returns the window opening at from_s. Includes every
-  // remaining event with time_s <= close; when max_batch is set, the
-  // max_batch'th arrival is included and closes the window at its own
-  // timestamp (so the next window opens there).
-  Window next_window(double from_s);
+  // Closes and returns the next window, which opens where the previous
+  // one closed (at 0 for the first). Includes every remaining event with
+  // time_s <= close; when max_batch is set, the max_batch'th arrival is
+  // included and closes the window at its own timestamp (so the next
+  // window opens there).
+  Window next_window();
 
  private:
   const Trace* trace_;
   BatchingOptions batching_;
-  std::size_t next_ = 0;  // first unconsumed event
+  std::size_t next_ = 0;     // first unconsumed event
+  double anchor_s_ = 0.0;    // the grid origin: 0, or the last size close
+  std::size_t ticks_ = 0;    // deadline closes since the anchor
 };
 
 struct AdmissionOptions {

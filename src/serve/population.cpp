@@ -5,6 +5,8 @@ namespace mecsched::serve {
 Population::Population(const mec::Topology& universe)
     : up_(universe.num_devices(), 1),
       station_(universe.num_devices()),
+      link_(universe.num_devices(), 1.0),
+      station_up_(universe.num_base_stations(), 1),
       num_up_(universe.num_devices()) {
   for (std::size_t i = 0; i < universe.num_devices(); ++i) {
     station_[i] = universe.device(i).base_station;
@@ -30,6 +32,15 @@ void Population::apply(const Event& e) {
       break;
     case EventKind::kDeviceMigrate:
       if (up_[e.device]) station_[e.device] = e.station;
+      break;
+    case EventKind::kStationDown:
+      station_up_[e.station] = 0;
+      break;
+    case EventKind::kStationUp:
+      station_up_[e.station] = 1;
+      break;
+    case EventKind::kLinkFade:
+      link_[e.device] = e.factor;
       break;
   }
 }

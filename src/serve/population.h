@@ -1,11 +1,15 @@
-// The live device population: which devices are attached, and to which
-// cell. The daemon's view of "the system as it is now".
+// The live population: which devices are attached, to which cell, over
+// which radio, and which cells are serving. The daemon's view of "the
+// system as it is now".
 //
-// The universe topology fixes each device's identity, radio and home
-// station; the population overlays the mutable part — presence and the
-// *current* serving station, which churn events move around. Duplicate
-// transitions (join while up, leave while down) are tolerated no-ops so a
-// generated churn stream needs no global up/down bookkeeping.
+// The universe topology fixes each device's identity, nominal radio and
+// home station; the population overlays the mutable part — presence, the
+// *current* serving station, the current link factor on the radio, and
+// each station's up/down state — which the trace's churn and fault events
+// move around. Duplicate transitions (join while up, leave while down, a
+// station going down twice) are tolerated no-ops, so a generated stream
+// needs no global up/down bookkeeping, and among simultaneous events on
+// one target the last one wins.
 #pragma once
 
 #include <cstddef>
@@ -18,22 +22,29 @@ namespace mecsched::serve {
 
 class Population {
  public:
-  // Everyone starts up, attached to their home (topology) station.
+  // Everyone starts up at full link rate, attached to their home
+  // (topology) station; every station starts up.
   explicit Population(const mec::Topology& universe);
 
   std::size_t size() const { return up_.size(); }
   bool up(std::size_t device) const { return up_[device]; }
   std::size_t station(std::size_t device) const { return station_[device]; }
   std::size_t num_up() const { return num_up_; }
+  // Multiplier on the device's nominal radio rates (1 = healthy).
+  double link_factor(std::size_t device) const { return link_[device]; }
+  bool station_up(std::size_t station) const { return station_up_[station]; }
 
-  // Applies one churn event (arrival events are ignored here — they do
-  // not move devices). Join re-attaches at the event's target station;
-  // migrate moves an *up* device (a migrate of a down device is a no-op).
+  // Applies one churn or fault event (arrival events are ignored here —
+  // they do not move devices). Join re-attaches at the event's target
+  // station; migrate moves an *up* device (a migrate of a down device is a
+  // no-op); a link fade sets the device's factor.
   void apply(const Event& e);
 
  private:
   std::vector<char> up_;  // vector<bool> is bit-packed; char keeps it simple
   std::vector<std::size_t> station_;
+  std::vector<double> link_;
+  std::vector<char> station_up_;
   std::size_t num_up_ = 0;
 };
 

@@ -139,8 +139,9 @@ std::vector<ShardProblem> Sharder::build(
       mec::BaseStation bs = universe_->base_station(stations[local]);
       bs.id = local;
       // Halo cells carry zero capacity: their ledger belongs to the
-      // owning shard.
-      bs.max_resource = local < core_stations
+      // owning shard. So do dark cells.
+      bs.max_resource = local < core_stations &&
+                                population.station_up(stations[local])
                             ? std::max(0.0, station_residual[stations[local]])
                             : 0.0;
       shard_stations.push_back(bs);
@@ -155,6 +156,11 @@ std::vector<ShardProblem> Sharder::build(
       d.base_station = station_local[population.station(g)];
       d.max_resource =
           local < core_devices ? std::max(0.0, device_residual[g]) : 0.0;
+      // Radios at their current rates (a faded link stretches every
+      // transfer through it).
+      const double factor = population.link_factor(g);
+      d.radio.upload_bps *= factor;
+      d.radio.download_bps *= factor;
       shard_dev.push_back(d);
     }
 

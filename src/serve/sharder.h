@@ -33,7 +33,7 @@ struct ShardingOptions {
 
 // An admitted task waiting for (or re-entering) a decision.
 struct PendingTask {
-  std::size_t id = 0;       // daemon-scoped, dense
+  std::size_t id = 0;       // the arrival's ordinal in the trace
   mec::Task task{};         // global ids; deadline_s as issued
   double arrival_s = 0.0;   // admission time on the virtual clock
   std::size_t attempts = 0; // admissions consumed so far
@@ -62,8 +62,9 @@ class Sharder {
   // Cuts one epoch: routes each batch task to its issuer's shard and
   // builds one topology per shard from the devices its tasks name — the
   // issuers and in-shard external owners in ascending universe id, with
-  // their residual capacities, then the halo owners — plus the shard's
-  // cells and any halo cells. Devices no task names stay out: no solver
+  // their residual capacities and radios scaled by their current link
+  // factors, then the halo owners — plus the shard's cells (zero capacity
+  // while down) and any halo cells. Devices no task names stay out: no solver
   // reads them, and local ids stay monotone in universe ids, so the LP
   // rows and decisions are those of a roster holding every up device of
   // the shard's cells.

@@ -137,16 +137,6 @@ double FaultSchedule::link_factor(std::size_t device, double t) const {
   return device_link_.at(device, t);
 }
 
-std::vector<FaultEvent> FaultSchedule::events_between(double from,
-                                                      double to) const {
-  auto it = std::upper_bound(
-      events_.begin(), events_.end(), from,
-      [](double time, const FaultEvent& e) { return time < e.time_s; });
-  std::vector<FaultEvent> out;
-  for (; it != events_.end() && it->time_s <= to; ++it) out.push_back(*it);
-  return out;
-}
-
 std::size_t FaultSchedule::device_failures() const {
   std::size_t n = 0;
   for (const FaultEvent& e : events_) {

@@ -1,5 +1,6 @@
-// Timed fault injection for the discrete-event simulator and the resilient
-// controller (control/resilient.h).
+// Timed fault injection for the discrete-event simulator and for task
+// streams through the serve daemon (serve/stream.h turns a schedule into
+// trace events).
 //
 // The paper's Sec. II model is quasi-static: devices, tasks and shared data
 // are fixed for the whole horizon. Real data-shared MEC systems churn — the
@@ -70,10 +71,6 @@ class FaultSchedule {
   bool station_up(std::size_t station, double t) const;
   // Multiplier on the device's radio rates at t (1.0 = healthy).
   double link_factor(std::size_t device, double t) const;
-
-  // Events with time in (from, to] — the deltas one controller epoch
-  // observes at its boundary.
-  std::vector<FaultEvent> events_between(double from, double to) const;
 
   // Counts of failure events (not recoveries), for reporting.
   std::size_t device_failures() const;

@@ -1,6 +1,6 @@
 // Poisson arrival process on top of the holistic scenario generator — the
-// task streams the rolling-horizon controller schedules
-// (control/resilient.h; `mecsched online` and `mecsched churn`).
+// task streams `mecsched online` and `mecsched churn` run through the
+// serve daemon (serve/stream.h).
 #pragma once
 
 #include <vector>

@@ -1,5 +1,5 @@
-// Stochastic fault-schedule generation — the churn workloads the resilient
-// controller (control/resilient.h) is measured against.
+// Stochastic fault-schedule generation — the churn workloads `mecsched
+// churn` and the event simulator are measured against.
 //
 // Three independent processes, each a pure function of (config, seed):
 //   * device churn: every device alternates up/down with exponential

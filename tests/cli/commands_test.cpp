@@ -302,6 +302,30 @@ TEST_F(CliTest, ChurnOutputsArePinned) {
   }
 }
 
+// Pins the churn report on the fault mix no other pin has: link fades,
+// cell outages and devices dropping with their cell, on top of device
+// failures. Recorded before `mecsched churn` moved onto the serve daemon.
+TEST_F(CliTest, ChurnFadeAndOutageOutputsArePinned) {
+  const auto fnv1a = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) h = (h ^ c) * 0x100000001b3ull;
+    return h;
+  };
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"1", 0x6841049c3f2c61aeull},
+      {"4", 0x80e6283025bff943ull},
+  };
+  for (const auto& [seed, pin] : cases) {
+    ASSERT_EQ(run_cli({"churn", "--tasks", "300", "--seed", seed, "--mtbf",
+                       "5", "--fade-rate", "0.1", "--outage-rate", "0.1",
+                       "--correlated-prob", "0.5"}),
+              0)
+        << err_.str();
+    EXPECT_EQ(fnv1a(out_.str()), pin)
+        << "seed " << seed << ": " << std::hex << fnv1a(out_.str());
+  }
+}
+
 // `mecsched online` JSON, byte for byte: short, medium and long epochs on
 // Poisson streams. The long-epoch streams (seeds 7 and 11) lose dozens of
 // tasks to expiry before they are ever scheduled; seed 5 sees both expiry
@@ -351,21 +375,21 @@ TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   EXPECT_NE(out_.str().find("wrote metrics"), std::string::npos);
 
   // The trace must be well-formed JSON and contain the solver-pipeline and
-  // controller spans.
+  // epoch-loop spans: churn runs on the serve daemon.
   const io::Json doc = io::Json::parse(io::read_file(trace));
   const io::JsonArray& events = doc.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
   std::set<std::string> names;
   for (const io::Json& e : events) names.insert(e.at("name").as_string());
   for (const char* expected :
-       {"cli.churn", "controller.run", "controller.epoch", "lp.simplex.solve",
-        "lp_hta.relax", "lp_hta.round", "lp_hta.repair"}) {
+       {"cli.churn", "serve.run", "serve.epoch", "serve.stage.solve",
+        "assign.instance", "lp.simplex.solve", "lp_hta.relax",
+        "lp_hta.round", "lp_hta.repair"}) {
     EXPECT_TRUE(names.count(expected)) << "missing span: " << expected;
   }
 
   const std::string metrics = io::read_file(prom);
-  EXPECT_NE(metrics.find("mecsched_controller_epochs_total"),
-            std::string::npos);
+  EXPECT_NE(metrics.find("mecsched_serve_epochs_total"), std::string::npos);
   EXPECT_NE(metrics.find("mecsched_lp_simplex_pivots_total"),
             std::string::npos);
   EXPECT_NE(metrics.find("_bucket{le="), std::string::npos);
@@ -373,9 +397,17 @@ TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   EXPECT_EQ(metrics.find("_window_"), std::string::npos);
 
   // --obs-summary prints the registry as a table, one row per metric.
-  EXPECT_NE(out_.str().find("controller.epoch.seconds"), std::string::npos);
-  EXPECT_NE(out_.str().find("controller.decision_ms"), std::string::npos);
+  EXPECT_NE(out_.str().find("serve.epoch.seconds"), std::string::npos);
+  EXPECT_NE(out_.str().find("serve.epoch.solve_ms"), std::string::npos);
   EXPECT_EQ(out_.str().find(".window"), std::string::npos);
+
+  // A serve run times each shard's HtaInstance construction.
+  ASSERT_EQ(run_cli({"serve", "--devices", "60", "--stations", "4",
+                     "--epochs", "3", "--rate", "40", "--shards", "2",
+                     "--seed", "5", "--obs-summary"}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("assign.instance.seconds"), std::string::npos);
 }
 
 TEST_F(CliTest, ObsFlagsWorkOnAnyCommand) {

@@ -1,12 +1,10 @@
 // Budgeted control-plane behaviour (docs/robustness.md): the FallbackChain
 // under a cancellation token — exhausted budgets skip straight to the
-// greedy floor, all-rungs-fail still raises a structured error — and the
-// ResilientController's residual-deadline arithmetic when the per-epoch
-// decision budget eats into task slack (zero / negative residuals at epoch
-// boundaries).
+// greedy floor, all-rungs-fail still raises a structured error. The epoch
+// loop's residual-deadline arithmetic under the budget is checked in
+// tests/serve/stream_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -15,7 +13,6 @@
 
 #include "assign/assigner.h"
 #include "control/fallback.h"
-#include "control/resilient.h"
 #include "workload/scenario.h"
 
 namespace mecsched::control {
@@ -24,7 +21,6 @@ namespace {
 using assign::Assignment;
 using assign::Decision;
 using assign::HtaInstance;
-using mec::TimedTask;
 
 workload::Scenario scenario(std::uint64_t seed, std::size_t tasks = 30) {
   workload::ScenarioConfig cfg;
@@ -104,85 +100,6 @@ TEST(FallbackBudgetTest, AllRungsFailingUnderBudgetRaisesStructuredError) {
   } catch (const SolverError& e) {
     EXPECT_NE(std::string(e.what()).find("every fallback rung failed"),
               std::string::npos);
-  }
-}
-
-// --- ResilientController residual-deadline arithmetic -------------------
-
-std::vector<TimedTask> light_tasks(const mec::Topology& topo,
-                                   double deadline_s) {
-  std::vector<TimedTask> tasks;
-  for (std::size_t i = 0; i < 4; ++i) {
-    mec::Task t;
-    t.id = {topo.cluster(0)[i % topo.cluster(0).size()], i};
-    t.local_bytes = 50e3;
-    t.external_bytes = 0.0;
-    t.deadline_s = deadline_s;
-    tasks.push_back({t, 0.0});
-  }
-  return tasks;
-}
-
-mec::Topology small_topology() {
-  workload::ScenarioConfig cfg;
-  cfg.seed = 21;
-  cfg.num_tasks = 1;
-  cfg.num_devices = 10;
-  cfg.num_base_stations = 2;
-  return workload::make_scenario(cfg).topology;
-}
-
-TEST(ResilientBudgetTest, RejectsBadDecisionBudgets) {
-  ResilientOptions opts;
-  opts.decision_budget_ms = -1.0;
-  const mec::Topology topo = small_topology();
-  const auto tasks = light_tasks(topo, 10.0);
-  EXPECT_THROW(ResilientController(opts).run(topo, tasks, {}), ModelError);
-  opts.decision_budget_ms = std::nan("");
-  EXPECT_THROW(ResilientController(opts).run(topo, tasks, {}), ModelError);
-}
-
-TEST(ResilientBudgetTest, GenerousBudgetStillCompletesEverything) {
-  ResilientOptions opts;
-  opts.decision_budget_ms = 10.0;  // tiny against 10 s deadlines
-  const mec::Topology topo = small_topology();
-  const auto tasks = light_tasks(topo, 10.0);
-  const ResilientResult r = ResilientController(opts).run(topo, tasks, {});
-  EXPECT_EQ(r.completed, tasks.size());
-  for (const ResilientTaskOutcome& o : r.outcomes) {
-    EXPECT_EQ(o.fate, TaskFate::kCompleted);
-  }
-}
-
-TEST(ResilientBudgetTest, BudgetConsumingAllSlackExpiresTasksAtTriage) {
-  // At the first epoch boundary (t = 0.5) a 10 s deadline has 9.5 s of
-  // residual slack; a 9.8 s decision budget eats past it, so the residual
-  // goes negative and every task must expire at triage — deterministically,
-  // because the *configured* budget is charged, not measured wall time.
-  ResilientOptions opts;
-  opts.epoch_s = 0.5;
-  opts.decision_budget_ms = 9800.0;
-  const mec::Topology topo = small_topology();
-  const auto tasks = light_tasks(topo, 10.0);
-  const ResilientResult r = ResilientController(opts).run(topo, tasks, {});
-  EXPECT_EQ(r.completed, 0u);
-  for (const ResilientTaskOutcome& o : r.outcomes) {
-    EXPECT_EQ(o.fate, TaskFate::kDeadlineExpired);
-  }
-}
-
-TEST(ResilientBudgetTest, ZeroResidualBoundaryExpiresInsteadOfUnderflowing) {
-  // Deadline == epoch + budget exactly: the residual at triage is 0, which
-  // must count as expired (a zero-second task cannot run), not wrap into a
-  // bogus negative-deadline LP.
-  ResilientOptions opts;
-  opts.epoch_s = 0.5;
-  opts.decision_budget_ms = 9500.0;  // 0.5 + 9.5 == the 10 s deadline
-  const mec::Topology topo = small_topology();
-  const auto tasks = light_tasks(topo, 10.0);
-  const ResilientResult r = ResilientController(opts).run(topo, tasks, {});
-  for (const ResilientTaskOutcome& o : r.outcomes) {
-    EXPECT_EQ(o.fate, TaskFate::kDeadlineExpired);
   }
 }
 

@@ -65,6 +65,9 @@ TEST(ServeCodecTest, EventCodecCoversEveryKind) {
       serve::Event::join(0.5, 1, 2),
       serve::Event::leave(0.75, 3),
       serve::Event::migrate(1.0, 4, 0),
+      serve::Event::station_down(1.25, 1),
+      serve::Event::station_up(1.5, 1),
+      serve::Event::link_fade(1.75, 3, 0.3125),
   };
   for (const serve::Event& e : events) {
     const serve::Event back = serve_event_from_json(serve_event_to_json(e));
@@ -72,9 +75,12 @@ TEST(ServeCodecTest, EventCodecCoversEveryKind) {
     EXPECT_DOUBLE_EQ(back.time_s, e.time_s);
     EXPECT_EQ(back.device, e.device);
     if (e.kind == serve::EventKind::kDeviceJoin ||
-        e.kind == serve::EventKind::kDeviceMigrate) {
+        e.kind == serve::EventKind::kDeviceMigrate ||
+        e.kind == serve::EventKind::kStationDown ||
+        e.kind == serve::EventKind::kStationUp) {
       EXPECT_EQ(back.station, e.station);
     }
+    EXPECT_EQ(back.factor, e.factor);
   }
 }
 

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "control/resilient.h"
 #include "io/codec.h"
+#include "serve/stream.h"
 #include "workload/arrivals.h"
 
 namespace mecsched::io {
@@ -18,11 +18,10 @@ workload::TimedScenario sample() {
 }
 
 // What `mecsched online` runs: no faults, one admission per task.
-control::ResilientResult run_online(const workload::TimedScenario& s) {
-  control::ResilientOptions opts;
+serve::StreamResult run_online(const workload::TimedScenario& s) {
+  serve::ServeOptions opts;
   opts.readmission.max_attempts = 1;
-  return control::ResilientController(opts).run(s.topology, s.tasks,
-                                                sim::FaultSchedule{});
+  return serve::run_stream(opts, s.topology, s.tasks);
 }
 
 TEST(TimedCodecTest, RoundTripPreservesReleasesAndTasks) {
@@ -45,7 +44,7 @@ TEST(TimedCodecTest, RoundTripPreservesOnlineScheduling) {
   const auto a = run_online(s);
   const auto b = run_online(restored);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  EXPECT_DOUBLE_EQ(a.total_energy_j, b.total_energy_j);
+  EXPECT_DOUBLE_EQ(a.serve.total_energy_j, b.serve.total_energy_j);
   for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
     EXPECT_EQ(a.outcomes[i].decision, b.outcomes[i].decision);
   }
@@ -56,10 +55,11 @@ TEST(TimedCodecTest, OnlineResultSerializes) {
   const auto r = run_online(s);
   const Json j = online_result_to_json(r);
   EXPECT_EQ(j.at("outcomes").as_array().size(), s.tasks.size());
-  EXPECT_DOUBLE_EQ(j.at("total_energy_j").as_number(), r.total_energy_j);
+  EXPECT_DOUBLE_EQ(j.at("total_energy_j").as_number(),
+                   r.serve.total_energy_j);
   EXPECT_DOUBLE_EQ(j.at("mean_response_s").as_number(), r.mean_response_s);
   EXPECT_EQ(j.at("cancelled").as_number(),
-            static_cast<double>(r.unsatisfied));
+            static_cast<double>(r.unsatisfied()));
   EXPECT_EQ(Json::parse(j.dump()), j);
 }
 

@@ -1,4 +1,4 @@
-#include "lp/cholesky.h"
+#include "dense_cholesky.h"
 
 #include <gtest/gtest.h>
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lp/cholesky.h"
+#include "dense_cholesky.h"
 #include "lp/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"

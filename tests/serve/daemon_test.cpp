@@ -130,6 +130,67 @@ TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   EXPECT_EQ(log.digest(), 0x258de30fbc0db8b0ull);
 }
 
+TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
+  const mec::Topology universe = make_universe(4, 2);
+  // Device 0's cell is dark from t = 0 to t = 1.2. A light task fits on
+  // the device and runs there at once; a heavy one misses its deadline
+  // locally, so it waits for the cell and then goes through the solver.
+  mec::Task light = slow_task(0, 0, 0.0);
+  light.local_bytes = 1e3;
+  light.id.index = 1;
+  // 11 s of device CPU against a 10 s deadline; ~5.4 s at the edge.
+  mec::Task heavy = slow_task(0, 0, 0.0);
+  heavy.local_bytes = 2e6;
+  heavy.cycles_per_byte = 8250.0;
+  heavy.deadline_s = 10.0;
+  heavy.id.index = 2;
+  const Trace trace({Event::station_down(0.0, 0), Event::arrival(0.1, light),
+                     Event::arrival(0.1, heavy), Event::station_up(1.2, 0)});
+  ServeOptions opts;
+  opts.readmission.max_attempts = 6;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
+  EXPECT_EQ(r.completed, 2u);
+  ASSERT_GE(log.size(), 3u);
+  // Epoch 0 (closing at 0.5): the light task runs locally without a
+  // solve, the heavy one is parked.
+  EXPECT_EQ(log.records()[0].task.index, 1u);
+  EXPECT_EQ(log.records()[0].kind, DecisionKind::kDecide);
+  EXPECT_EQ(log.records()[0].decision, assign::Decision::kLocal);
+  EXPECT_GT(log.records()[0].finish_s, log.records()[0].time_s);
+  EXPECT_EQ(log.records()[1].task.index, 2u);
+  EXPECT_EQ(log.records()[1].kind, DecisionKind::kRetry);
+  // Once the cell is back the heavy task is offloaded by a shard solve.
+  const DecisionRecord& last = log.records().back();
+  EXPECT_EQ(last.task.index, 2u);
+  EXPECT_EQ(last.kind, DecisionKind::kDecide);
+  EXPECT_GE(last.time_s, 1.2);
+  EXPECT_NE(last.decision, assign::Decision::kLocal);
+  EXPECT_GE(r.shard_solves, 1u);
+}
+
+TEST(ServeDaemonTest, StationDownOrphansOffloadedWorkThroughTheCell) {
+  const mec::Topology universe = make_universe(4, 2);
+  // Compute-heavy enough that LP-HTA offloads it and it is still running
+  // when its cell goes dark.
+  mec::Task heavy = slow_task(0, 0, 0.0);
+  heavy.cycles_per_byte = 33000.0;
+  heavy.deadline_s = 60.0;
+  const Trace trace({Event::arrival(0.1, heavy), Event::station_down(0.7, 0),
+                     Event::station_up(0.9, 0)});
+  ServeOptions opts;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
+  ASSERT_GE(log.size(), 2u);
+  ASSERT_EQ(log.records()[0].kind, DecisionKind::kDecide);
+  ASSERT_NE(log.records()[0].decision, assign::Decision::kLocal);
+  ASSERT_GT(log.records()[0].finish_s, 0.7);
+  EXPECT_EQ(r.orphaned, 1u);
+  EXPECT_EQ(log.records()[1].kind, DecisionKind::kRetry);
+  EXPECT_DOUBLE_EQ(log.records()[1].time_s, 0.7);
+  EXPECT_EQ(r.completed, 1u);
+}
+
 TEST(ServeDaemonTest, AdmittedTasksAllReachExactlyOneTerminalState) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;

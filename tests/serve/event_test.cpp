@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.h"
 
 namespace mecsched::serve {
@@ -56,6 +58,25 @@ TEST(TraceTest, ValidateRejectsOutOfRangeStation) {
   const Trace trace({Event::join(0.0, 0, 3)});
   EXPECT_THROW(trace.validate_against(4, 3), ModelError);
   EXPECT_NO_THROW(trace.validate_against(4, 4));
+}
+
+TEST(TraceTest, ValidateChecksFaultEvents) {
+  // Station events name a station, not a device.
+  EXPECT_NO_THROW(Trace({Event::station_down(0.0, 2), Event::station_up(1.0, 2)})
+                      .validate_against(0, 3));
+  EXPECT_THROW(Trace({Event::station_down(0.0, 3)}).validate_against(1, 3),
+               ModelError);
+  EXPECT_THROW(Trace({Event::station_up(0.0, 3)}).validate_against(1, 3),
+               ModelError);
+  // A link fade names a device and a factor in (0, 1].
+  EXPECT_NO_THROW(Trace({Event::link_fade(0.0, 1, 1.0)}).validate_against(2, 1));
+  EXPECT_THROW(Trace({Event::link_fade(0.0, 2, 0.5)}).validate_against(2, 1),
+               ModelError);
+  for (const double bad : {0.0, -0.5, 1.5, std::nan("")}) {
+    EXPECT_THROW(Trace({Event::link_fade(0.0, 0, bad)}).validate_against(1, 1),
+                 ModelError)
+        << bad;
+  }
 }
 
 TEST(TraceTest, ValidateRejectsNegativeTime) {

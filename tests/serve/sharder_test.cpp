@@ -128,6 +128,35 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   }
 }
 
+TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
+  const mec::Topology universe = make_universe();
+  const Sharder sharder(universe, {1});
+  Population pop(universe);
+  pop.apply(Event::station_down(0.0, 1));
+  pop.apply(Event::link_fade(0.0, 0, 0.25));
+  pop.apply(Event::link_fade(0.0, 2, 0.5));
+  pop.apply(Event::link_fade(0.5, 2, 1.0));  // restored
+  // Issuer 0 (station 0) fetches from device 2 (station 2).
+  const PendingTask p = pending(0, 0, 2, 200e3);
+  const std::vector<const PendingTask*> batch{&p};
+  const auto problems =
+      sharder.build(pop, full_device_residual(universe),
+                    full_station_residual(universe), batch, {10.0});
+  ASSERT_EQ(problems.size(), 1u);
+  const mec::Topology& topo = problems[0].topology;
+  EXPECT_DOUBLE_EQ(topo.base_station(0).max_resource, 40.0);
+  EXPECT_DOUBLE_EQ(topo.base_station(1).max_resource, 0.0);  // dark
+  ASSERT_EQ(problems[0].device_global.size(), 2u);
+  const mec::RadioProfile& nominal = universe.device(0).radio;
+  EXPECT_EQ(topo.device(0).radio.upload_bps, nominal.upload_bps * 0.25);
+  EXPECT_EQ(topo.device(0).radio.download_bps, nominal.download_bps * 0.25);
+  // A factor of 1 leaves the radio bit for bit as it was.
+  EXPECT_EQ(topo.device(1).radio.upload_bps,
+            universe.device(2).radio.upload_bps);
+  EXPECT_EQ(topo.device(1).radio.download_bps,
+            universe.device(2).radio.download_bps);
+}
+
 TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   const mec::Topology universe = make_universe();
   const Sharder sharder(universe, {2});

@@ -67,19 +67,6 @@ TEST(FaultScheduleTest, EventsAreSortedAndCounted) {
   EXPECT_EQ(s.station_failures(), 1u);
 }
 
-TEST(FaultScheduleTest, EventsBetweenIsHalfOpen) {
-  const FaultSchedule s({
-      {1.0, FaultKind::kDeviceFail, 0, 1.0},
-      {2.0, FaultKind::kDeviceRecover, 0, 1.0},
-      {3.0, FaultKind::kDeviceFail, 1, 1.0},
-  });
-  const auto between = s.events_between(1.0, 3.0);  // (1, 3]
-  ASSERT_EQ(between.size(), 2u);
-  EXPECT_DOUBLE_EQ(between[0].time_s, 2.0);
-  EXPECT_DOUBLE_EQ(between[1].time_s, 3.0);
-  EXPECT_TRUE(s.events_between(3.0, 10.0).empty());
-}
-
 TEST(FaultScheduleTest, SimultaneousEventsApplyInInsertionOrder) {
   const FaultSchedule fail_then_recover({
       {1.0, FaultKind::kDeviceFail, 3, 1.0},
@@ -129,14 +116,6 @@ struct PrefixReplay {
     }
     return factor;
   }
-  std::vector<FaultEvent> events_between(double from, double to) const {
-    std::vector<FaultEvent> out;
-    for (const FaultEvent& e : events) {
-      if (e.time_s > to) break;
-      if (e.time_s > from) out.push_back(e);
-    }
-    return out;
-  }
 };
 
 TEST(FaultScheduleTest, QueriesMatchAPrefixReplayOnRandomSchedules) {
@@ -170,16 +149,6 @@ TEST(FaultScheduleTest, QueriesMatchAPrefixReplayOnRandomSchedules) {
       EXPECT_EQ(schedule.link_factor(target, t),
                 replay.link_factor(target, t))
           << "seed " << seed << " device " << target << " t " << t;
-      const double from = 0.25 * static_cast<double>(rng.uniform_int(0, 20));
-      const std::vector<FaultEvent> got = schedule.events_between(from, t);
-      const std::vector<FaultEvent> want = replay.events_between(from, t);
-      ASSERT_EQ(got.size(), want.size())
-          << "seed " << seed << " (" << from << ", " << t << "]";
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].time_s, want[i].time_s);
-        EXPECT_EQ(got[i].kind, want[i].kind);
-        EXPECT_EQ(got[i].target, want[i].target);
-      }
     }
   }
 }
