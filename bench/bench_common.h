@@ -20,16 +20,17 @@
 #include "exec/thread_pool.h"
 #include "metrics/series.h"
 #include "obs/export.h"
-#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
+#include "workload/scenario.h"
 
 namespace mecsched::bench {
 
-// Default experiment scale mirroring Sec. V.A: 50 devices, 5 base
-// stations; 3 seeds per cell for smoothing.
-inline constexpr std::size_t kDevices = 50;
-inline constexpr std::size_t kStations = 5;
+// Experiment scale of Sec. V.A, as ScenarioConfig defaults it (50 devices,
+// 5 base stations); 3 seeds per cell for smoothing.
+inline constexpr std::size_t kDevices = workload::ScenarioConfig{}.num_devices;
+inline constexpr std::size_t kStations =
+    workload::ScenarioConfig{}.num_base_stations;
 inline constexpr std::size_t kRepetitions = 3;
 
 // Worker count for the sweep fan-out (exec::SweepRunner): MECSCHED_JOBS
@@ -161,15 +162,11 @@ class ObsSession {
  public:
   explicit ObsSession(std::string name)
       : name_(std::move(name)), telemetry_(name_) {
-    trace_path_ = env_or_empty("MECSCHED_TRACE_OUT");
-    metrics_path_ = env_or_empty("MECSCHED_METRICS_OUT");
-    flight_path_ = env_or_empty("MECSCHED_FLIGHT_OUT");
-    summary_ = !env_or_empty("MECSCHED_OBS_SUMMARY").empty();
-    if (!trace_path_.empty()) obs::Tracer::global().enable();
-    if (!flight_path_.empty()) {
-      obs::FlightRecorder::global().clear();
-      obs::FlightRecorder::global().enable();
-    }
+    outputs_.trace = env_or_empty("MECSCHED_TRACE_OUT");
+    outputs_.metrics = env_or_empty("MECSCHED_METRICS_OUT");
+    outputs_.flight = env_or_empty("MECSCHED_FLIGHT_OUT");
+    outputs_.summary = !env_or_empty("MECSCHED_OBS_SUMMARY").empty();
+    obs::start_recording(outputs_);
     timer_.emplace("bench." + name_, "bench");
   }
 
@@ -185,41 +182,14 @@ class ObsSession {
     const double wall_seconds = timer_->elapsed_s();
     std::cout << "wall: " << wall_seconds << " s\n";
     timer_.reset();  // close the span so it lands in the trace + registry
-    if (!trace_path_.empty()) {
-      const std::uint64_t trace_drops = obs::Tracer::global().dropped();
-      obs::write_chrome_trace(obs::Tracer::global(), trace_path_);
-      obs::Tracer::global().disable();
-      std::cout << "trace: " << trace_path_ << '\n';
-      if (trace_drops > 0) {
-        std::cerr << "warning: tracer ring overflowed; dropped "
-                  << trace_drops << " events\n";
-      }
-    }
-    if (!metrics_path_.empty()) {
-      obs::write_prometheus(obs::Registry::global(), metrics_path_);
-      std::cout << "metrics: " << metrics_path_ << '\n';
-    }
-    if (!flight_path_.empty()) {
-      obs::FlightRecorder& flight = obs::FlightRecorder::global();
-      obs::write_flight_jsonl(flight, flight_path_);
-      std::cout << "flight: " << flight_path_ << '\n';
-      if (flight.dropped() > 0) {
-        std::cerr << "warning: flight recorder ring overflowed; dropped "
-                  << flight.dropped() << " records\n";
-      }
-      flight.disable();
-    }
-    if (summary_) std::cout << obs::summary_table(obs::Registry::global());
+    obs::flush_outputs(outputs_, std::cout, std::cerr);
     telemetry_.write(wall_seconds);
     std::cout << "telemetry: " << telemetry_.path() << '\n';
   }
 
  private:
   std::string name_;
-  std::string trace_path_;
-  std::string metrics_path_;
-  std::string flight_path_;
-  bool summary_ = false;
+  obs::OutputFiles outputs_;
   mutable BenchTelemetry telemetry_;
   std::optional<obs::ScopedTimer> timer_;
 };

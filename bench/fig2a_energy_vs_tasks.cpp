@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "bench/holistic_sweep.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig2a_energy_vs_tasks");
@@ -16,27 +16,11 @@ int main() {
                       "tasks 100..450, max input 3000 kB, 50 devices, "
                       "5 stations, 3 seeds/cell");
 
-  const auto algorithms = bench::standard_algorithms();
-  metrics::SeriesCollector series("tasks",
-                                  bench::algorithm_names(algorithms));
-  std::vector<double> xs;
-  for (double t = 100; t <= 450; t += 50) xs.push_back(t);
+  const cli::SweepGrid& grid = cli::find_sweep_grid("fig2a");
+  const metrics::SeriesCollector series =
+      cli::run_sweep_grid(grid, bench::kRepetitions);
 
-  bench::run_holistic_sweep(
-      xs,
-      [](double x, std::uint64_t seed) {
-        workload::ScenarioConfig cfg;
-        cfg.num_devices = bench::kDevices;
-        cfg.num_base_stations = bench::kStations;
-        cfg.num_tasks = static_cast<std::size_t>(x);
-        cfg.max_input_kb = 3000.0;
-        cfg.seed = seed * 1000 + static_cast<std::uint64_t>(x);
-        return cfg;
-      },
-      algorithms,
-      [](const assign::Metrics& m) { return m.total_energy_j; }, series);
-
-  std::cout << "total energy (J):\n";
+  std::cout << grid.metric_label << ":\n";
   bench::print_table(series, 1);
   bench::maybe_write_csv(series, "fig2a_energy_vs_tasks");
 

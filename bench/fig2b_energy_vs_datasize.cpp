@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "bench/holistic_sweep.h"
+#include "cli/sweep_grids.h"
 
 int main() {
   const mecsched::bench::ObsSession obs_session("fig2b_energy_vs_datasize");
@@ -15,27 +15,11 @@ int main() {
                       "input 1000..5000 kB, 100 tasks, 50 devices, "
                       "5 stations, 3 seeds/cell");
 
-  const auto algorithms = bench::standard_algorithms();
-  metrics::SeriesCollector series("max input (kB)",
-                                  bench::algorithm_names(algorithms));
-  std::vector<double> xs;
-  for (double kb = 1000; kb <= 5000; kb += 1000) xs.push_back(kb);
+  const cli::SweepGrid& grid = cli::find_sweep_grid("fig2b");
+  const metrics::SeriesCollector series =
+      cli::run_sweep_grid(grid, bench::kRepetitions);
 
-  bench::run_holistic_sweep(
-      xs,
-      [](double x, std::uint64_t seed) {
-        workload::ScenarioConfig cfg;
-        cfg.num_devices = bench::kDevices;
-        cfg.num_base_stations = bench::kStations;
-        cfg.num_tasks = 100;
-        cfg.max_input_kb = x;
-        cfg.seed = seed * 1000 + static_cast<std::uint64_t>(x);
-        return cfg;
-      },
-      algorithms,
-      [](const assign::Metrics& m) { return m.total_energy_j; }, series);
-
-  std::cout << "total energy (J):\n";
+  std::cout << grid.metric_label << ":\n";
   bench::print_table(series, 1);
   bench::maybe_write_csv(series, "fig2b_energy_vs_datasize");
 

@@ -106,10 +106,8 @@ void emit(const io::Json& j, const ArgParser& args, std::ostream& out) {
 // token stream before the per-command ArgParsers (which reject unknown
 // flags) run.
 struct GlobalFlags {
-  std::string trace_path;    // --trace <file>: Chrome trace_event JSON
-  std::string metrics_path;  // --metrics-out <file>: Prometheus text
-  std::string flight_path;   // --flight-out <file>: per-solve flight JSONL
-  bool summary = false;      // --obs-summary: console table after the run
+  // --trace, --metrics-out and --flight-out <file>; --obs-summary.
+  obs::OutputFiles outputs;
   bool has_jobs = false;     // --jobs <n>: sweep/pool worker count
   std::size_t jobs = 0;
   bool has_audit = false;    // --audit off|cheap|full: certificate checks
@@ -117,7 +115,8 @@ struct GlobalFlags {
   double budget_ms = 0.0;    // --budget-ms: per-solve deadline (0 = off)
 
   bool obs_active() const {
-    return summary || !trace_path.empty() || !metrics_path.empty();
+    return outputs.summary || !outputs.trace.empty() ||
+           !outputs.metrics.empty();
   }
 };
 
@@ -151,9 +150,9 @@ GlobalFlags strip_global_flags(std::vector<std::string>& tokens) {
         tokens[i] == "--flight-out") {
       MECSCHED_REQUIRE(i + 1 < tokens.size(),
                        tokens[i] + " requires a file argument");
-      (tokens[i] == "--trace"   ? flags.trace_path
-       : tokens[i] == "--metrics-out" ? flags.metrics_path
-                                      : flags.flight_path) = tokens[i + 1];
+      (tokens[i] == "--trace"         ? flags.outputs.trace
+       : tokens[i] == "--metrics-out" ? flags.outputs.metrics
+                                      : flags.outputs.flight) = tokens[i + 1];
       ++i;
     } else if (tokens[i] == "--jobs") {
       MECSCHED_REQUIRE(i + 1 < tokens.size(), "--jobs requires a count");
@@ -179,7 +178,7 @@ GlobalFlags strip_global_flags(std::vector<std::string>& tokens) {
       flags.audit_level = audit::parse_level(tokens[i + 1]);
       ++i;
     } else if (tokens[i] == "--obs-summary") {
-      flags.summary = true;
+      flags.outputs.summary = true;
     } else {
       kept.push_back(tokens[i]);
     }
@@ -241,7 +240,7 @@ std::string usage() {
       "  dta       --scenario shared.json [--strategy workload|workload-bytes"
       "|number]\n"
       "            [--scheduler lp-hta|greedy] [--out result.json]\n"
-      "  sweep     [--grid fig2a|fig2b|fig4a|fig4b|smoke] [--reps N]\n"
+      "  sweep     [--grid fig2a|fig2b|fig3|fig4a|fig4b|smoke] [--reps N]\n"
       "            [--seed S] [--csv] [--out series.csv] [--list]\n"
       "  chaos     [--cells N] [--tasks N] [--devices N] [--stations N]\n"
       "            [--seed S] [--stall-prob P] [--nan-prob P]\n"
@@ -666,50 +665,14 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
     return 0;
   }
 
-  const std::string grid_name = args.get("grid", "smoke");
-  const SweepGrid* grid = find_sweep_grid(grid_name);
-  MECSCHED_REQUIRE(grid != nullptr,
-                   "unknown grid: " + grid_name + " (see sweep --list)");
+  const SweepGrid& grid = find_sweep_grid(args.get("grid", "smoke"));
   const std::size_t reps = args.get_count("reps", 3);
   MECSCHED_REQUIRE(reps > 0, "--reps must be positive");
 
   exec::SweepOptions sweep_opts;
   sweep_opts.master_seed = args.get_count("seed", 1);
-
-  std::vector<std::unique_ptr<assign::Assigner>> algorithms;
-  algorithms.push_back(std::make_unique<assign::LpHta>());
-  algorithms.push_back(std::make_unique<assign::Hgos>());
-  algorithms.push_back(std::make_unique<assign::AllToCloud>());
-  algorithms.push_back(std::make_unique<assign::AllOffload>());
-  std::vector<std::string> names;
-  names.reserve(algorithms.size());
-  for (const auto& a : algorithms) names.push_back(a->name());
-
-  // One cell per (x, repetition); each runs every algorithm on the cell's
-  // scenario.
-  metrics::SeriesCollector series(grid->x_label, names);
-  using CellResult = std::vector<std::pair<std::string, double>>;
-  exec::SweepRunner runner(sweep_opts);
-  const std::vector<CellResult> results = runner.run<CellResult>(
-      grid->xs.size() * reps, [&](exec::CellContext& ctx) {
-        const double x = grid->xs[ctx.index() / reps];
-        const std::uint64_t rep = ctx.index() % reps + 1;
-        const workload::Scenario scenario =
-            workload::make_scenario(grid->config_at(x, rep));
-        const assign::HtaInstance instance(scenario.topology, scenario.tasks);
-        CellResult cell;
-        cell.reserve(algorithms.size());
-        for (const auto& algorithm : algorithms) {
-          cell.emplace_back(algorithm->name(),
-                            grid->metric(assign::evaluate(
-                                instance, algorithm->assign(instance))));
-        }
-        return cell;
-      });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const double x = grid->xs[i / reps];
-    for (const auto& [name, value] : results[i]) series.add(x, name, value);
-  }
+  const metrics::SeriesCollector series =
+      run_sweep_grid(grid, reps, sweep_opts);
 
   const std::string out_path = args.get("out", "");
   if (!out_path.empty()) {
@@ -720,8 +683,8 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
     // --jobs count (asserted in commands_test.cpp and CI).
     series.write_csv(out);
   } else {
-    out << grid->metric_label << " (" << grid->name << ", jobs="
-        << runner.jobs() << "):\n"
+    out << grid.metric_label << " (" << grid.name << ", jobs="
+        << exec::SweepRunner(sweep_opts).jobs() << "):\n"
         << series.to_table(3);
   }
   return 0;
@@ -1099,11 +1062,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   try {
     obs_flags = strip_global_flags(rest);
     if (obs_flags.obs_active()) obs::Registry::global().reset();
-    if (!obs_flags.trace_path.empty()) obs::Tracer::global().enable();
-    if (!obs_flags.flight_path.empty()) {
-      obs::FlightRecorder::global().clear();
-      obs::FlightRecorder::global().enable();
-    }
+    obs::start_recording(obs_flags.outputs);
     if (obs_flags.has_jobs) exec::ThreadPool::set_default_jobs(obs_flags.jobs);
     if (obs_flags.has_audit) audit::set_level(obs_flags.audit_level);
     if (obs_flags.budget_ms > 0) {
@@ -1128,31 +1087,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
   // whole point is the post-mortem of a SolverError / audit failure /
   // blown deadline.
   try {
-    if (!obs_flags.trace_path.empty()) {
-      const std::uint64_t trace_drops = obs::Tracer::global().dropped();
-      obs::write_chrome_trace(obs::Tracer::global(), obs_flags.trace_path);
-      obs::Tracer::global().disable();
-      out << "wrote trace " << obs_flags.trace_path << '\n';
-      if (trace_drops > 0) {
-        err << "warning: tracer ring overflowed; dropped " << trace_drops
-            << " events (see obs.tracer.dropped_events)\n";
-      }
-    }
-    if (!obs_flags.flight_path.empty()) {
-      obs::FlightRecorder& flight = obs::FlightRecorder::global();
-      obs::write_flight_jsonl(flight, obs_flags.flight_path);
-      out << "wrote flight record " << obs_flags.flight_path << '\n';
-      if (flight.dropped() > 0) {
-        err << "warning: flight recorder ring overflowed; dropped "
-            << flight.dropped() << " records\n";
-      }
-      flight.disable();
-    }
-    if (!obs_flags.metrics_path.empty()) {
-      obs::write_prometheus(obs::Registry::global(), obs_flags.metrics_path);
-      out << "wrote metrics " << obs_flags.metrics_path << '\n';
-    }
-    if (obs_flags.summary) out << obs::summary_table(obs::Registry::global());
+    obs::flush_outputs(obs_flags.outputs, out, err);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return 1;

@@ -1,11 +1,16 @@
 #include "cli/sweep_grids.h"
 
+#include <memory>
+
+#include "assign/assigner.h"
+#include "assign/baselines.h"
+#include "assign/hgos.h"
+#include "assign/hta_instance.h"
+#include "assign/lp_hta.h"
+#include "common/error.h"
+
 namespace mecsched::cli {
 namespace {
-
-// Sec. V.A scale shared by the figure grids (mirrors bench_common.h).
-constexpr std::size_t kDevices = 50;
-constexpr std::size_t kStations = 5;
 
 std::vector<double> range(double lo, double hi, double step) {
   std::vector<double> xs;
@@ -13,10 +18,10 @@ std::vector<double> range(double lo, double hi, double step) {
   return xs;
 }
 
+// The figure cells keep ScenarioConfig's defaults for the Sec. V.A scale
+// (50 devices, 5 base stations).
 workload::ScenarioConfig tasks_cell(double x, std::uint64_t seed) {
   workload::ScenarioConfig cfg;
-  cfg.num_devices = kDevices;
-  cfg.num_base_stations = kStations;
   cfg.num_tasks = static_cast<std::size_t>(x);
   cfg.max_input_kb = 3000.0;
   cfg.seed = seed * 1000 + static_cast<std::uint64_t>(x);
@@ -25,8 +30,6 @@ workload::ScenarioConfig tasks_cell(double x, std::uint64_t seed) {
 
 workload::ScenarioConfig datasize_cell(double x, std::uint64_t seed) {
   workload::ScenarioConfig cfg;
-  cfg.num_devices = kDevices;
-  cfg.num_base_stations = kStations;
   cfg.num_tasks = 100;
   cfg.max_input_kb = x;
   cfg.seed = seed * 1000 + static_cast<std::uint64_t>(x);
@@ -35,6 +38,7 @@ workload::ScenarioConfig datasize_cell(double x, std::uint64_t seed) {
 
 double energy(const assign::Metrics& m) { return m.total_energy_j; }
 double latency(const assign::Metrics& m) { return m.mean_latency_s; }
+double unsatisfied(const assign::Metrics& m) { return m.unsatisfied_rate(); }
 
 std::vector<SweepGrid> make_grids() {
   std::vector<SweepGrid> grids;
@@ -44,6 +48,9 @@ std::vector<SweepGrid> make_grids() {
   grids.push_back({"fig2b", "energy cost vs max input size (1000..5000 kB)",
                    "max input (kB)", range(1000, 5000, 1000), datasize_cell,
                    energy, "total energy (J)"});
+  grids.push_back({"fig3", "unsatisfied task rate vs number of tasks (100..450)",
+                   "tasks", range(100, 450, 50), tasks_cell, unsatisfied,
+                   "unsatisfied task rate (fraction of tasks)"});
   grids.push_back({"fig4a", "average latency vs number of tasks (100..450)",
                    "tasks", range(100, 450, 50), tasks_cell, latency,
                    "average latency (s)"});
@@ -77,11 +84,51 @@ const std::vector<SweepGrid>& sweep_grids() {
   return grids;
 }
 
-const SweepGrid* find_sweep_grid(const std::string& name) {
+const SweepGrid& find_sweep_grid(const std::string& name) {
   for (const SweepGrid& g : sweep_grids()) {
-    if (g.name == name) return &g;
+    if (g.name == name) return g;
   }
-  return nullptr;
+  throw ModelError("unknown grid: " + name + " (see sweep --list)");
+}
+
+metrics::SeriesCollector run_sweep_grid(const SweepGrid& grid,
+                                        std::size_t reps,
+                                        const exec::SweepOptions& options) {
+  std::vector<std::unique_ptr<assign::Assigner>> algorithms;
+  algorithms.push_back(std::make_unique<assign::LpHta>());
+  algorithms.push_back(std::make_unique<assign::Hgos>());
+  algorithms.push_back(std::make_unique<assign::AllToCloud>());
+  algorithms.push_back(std::make_unique<assign::AllOffload>());
+  std::vector<std::string> names;
+  names.reserve(algorithms.size());
+  for (const auto& a : algorithms) names.push_back(a->name());
+
+  // One cell per (x, repetition); each runs every algorithm on the cell's
+  // scenario and reports one value per algorithm.
+  const std::vector<std::vector<double>> results =
+      exec::SweepRunner(options).run<std::vector<double>>(
+          grid.xs.size() * reps, [&](exec::CellContext& ctx) {
+            const double x = grid.xs[ctx.index() / reps];
+            const std::uint64_t rep = ctx.index() % reps + 1;
+            const workload::Scenario scenario =
+                workload::make_scenario(grid.config_at(x, rep));
+            const assign::HtaInstance instance(scenario.topology,
+                                               scenario.tasks);
+            std::vector<double> cell;
+            cell.reserve(algorithms.size());
+            for (const auto& algorithm : algorithms) {
+              cell.push_back(grid.metric(
+                  assign::evaluate(instance, algorithm->assign(instance))));
+            }
+            return cell;
+          });
+  metrics::SeriesCollector series(grid.x_label, names);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    for (std::size_t a = 0; a < names.size(); ++a) {
+      series.add(grid.xs[i / reps], names[a], results[i][a]);
+    }
+  }
+  return series;
 }
 
 }  // namespace mecsched::cli

@@ -22,6 +22,9 @@
 namespace mecsched::lp {
 namespace {
 
+// Fraction of the longest step to the boundary the corrector takes.
+constexpr double kStepDamping = 0.99;
+
 // Max t in [0,1] with v + t*dv >= 0 (componentwise), damped by `damping`.
 double max_step(const std::vector<double>& v, const std::vector<double>& dv,
                 double damping) {
@@ -243,8 +246,8 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
     }
     auto [dx, dy, ds] = newton(rxs);
 
-    const double ap = max_step(x, dx, options.step_damping);
-    const double ad = max_step(s, ds, options.step_damping);
+    const double ap = max_step(x, dx, kStepDamping);
+    const double ad = max_step(s, ds, kStepDamping);
     for (std::size_t i = 0; i < n; ++i) x[i] += ap * dx[i];
     for (std::size_t i = 0; i < m; ++i) y[i] += ad * dy[i];
     for (std::size_t i = 0; i < n; ++i) s[i] += ad * ds[i];

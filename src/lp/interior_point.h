@@ -26,7 +26,6 @@ namespace mecsched::lp {
 struct InteriorPointOptions {
   std::size_t max_iterations = 200;
   double tolerance = 1e-8;       // relative duality-gap / residual target
-  double step_damping = 0.99;    // fraction of the max step to the boundary
   // Cooperative budget, checked once per Mehrotra iteration. On expiry the
   // solver returns SolveStatus::kDeadline with the last centered iterate
   // rounded into the variable bounds (anytime contract, see solution.h —

@@ -1,14 +1,12 @@
-// Dense row-major matrix used by the LP solvers.
+// Dense row-major matrix and the dense vector helpers of the LP solvers.
 //
-// This is the small-instance workhorse, not the only representation: the
-// HTA cluster LPs are in fact block-structured and very sparse (each
-// column touches at most 3 rows), and above the dispatch threshold in
-// lp/sparse_matrix.h (>= kSparseMinRows rows and density <=
-// kSparseDensityThreshold) the solvers switch to CSR kernels with a
-// cached symbolic Cholesky — see docs/lp-kernels.md. Below the threshold
-// the cache-friendly dense representation wins on constant factors and
-// keeps the factorization code simple and auditable, so small or dense
-// systems stay here.
+// The solvers themselves work on CSR (lp/sparse_matrix.h): the HTA cluster
+// LPs are block-structured and very sparse (each column touches at most 3
+// rows), so the simplex LU and the interior-point normal equations run on
+// sparse kernels only — see docs/lp-kernels.md. Matrix is the dense view
+// SparseMatrix::from_dense/to_dense converts to and from, which the tests
+// and their dense oracles use. The vector helpers at the bottom work on
+// the interior-point iterates.
 #pragma once
 
 #include <cstddef>

@@ -23,40 +23,6 @@ void SeriesCollector::add(double x, const std::string& series, double value) {
   cells_[x][series].add(value);
 }
 
-void SeriesCollector::add_summary(double x, const std::string& series,
-                                  const Summary& s) {
-  MECSCHED_REQUIRE(
-      std::find(names_.begin(), names_.end(), series) != names_.end(),
-      "unknown series: " + series);
-  if (s.count() == 0) return;
-  cells_[x][series].merge(s);
-}
-
-void SeriesCollector::merge(const SeriesCollector& other) {
-  for (const std::string& name : other.names_) {
-    if (std::find(names_.begin(), names_.end(), name) == names_.end()) {
-      names_.push_back(name);
-    }
-  }
-  for (const auto& [x, row] : other.cells_) {
-    for (const auto& [name, summary] : row) {
-      cells_[x][name].merge(summary);
-    }
-  }
-}
-
-SeriesCollector SeriesCollector::resample(double bucket_width) const {
-  MECSCHED_REQUIRE(bucket_width > 0.0, "bucket width must be positive");
-  SeriesCollector out(x_label_, names_);
-  for (const auto& [x, row] : cells_) {
-    const double snapped = std::round(x / bucket_width) * bucket_width;
-    for (const auto& [name, summary] : row) {
-      out.cells_[snapped][name].merge(summary);
-    }
-  }
-  return out;
-}
-
 double SeriesCollector::mean(double x, const std::string& series) const {
   const auto row = cells_.find(x);
   if (row == cells_.end()) return std::numeric_limits<double>::quiet_NaN();

@@ -25,23 +25,6 @@ class SeriesCollector {
   // with the same (x, series) average (repetitions over seeds).
   void add(double x, const std::string& series, double value);
 
-  // Folds a whole pre-aggregated Summary into a cell. This is the bridge
-  // from the observability registry: obs::Histogram::summary() (and any
-  // per-thread Summary partial) drops straight into a sweep cell without
-  // replaying individual samples.
-  void add_summary(double x, const std::string& series, const Summary& s);
-
-  // Merges another collector into this one — cells with the same
-  // (x, series) combine via Summary::merge, and series unknown here are
-  // appended. Lets per-shard/per-process collectors be reduced into one.
-  void merge(const SeriesCollector& other);
-
-  // Returns a collector whose x positions are snapped to the nearest
-  // multiple of `bucket_width` (> 0), merging cells that land in the same
-  // bucket. Aligns sweeps recorded at slightly different x (e.g. measured
-  // rates) onto a common grid.
-  SeriesCollector resample(double bucket_width) const;
-
   // Mean of the accumulated cell; NaN if empty.
   double mean(double x, const std::string& series) const;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 
 #include "common/error.h"
@@ -178,6 +179,44 @@ std::string to_flight_jsonl(const FlightRecorder& recorder) {
 void write_flight_jsonl(const FlightRecorder& recorder,
                         const std::string& path) {
   write_text_file(path, to_flight_jsonl(recorder));
+}
+
+void start_recording(const OutputFiles& files) {
+  if (!files.trace.empty()) Tracer::global().enable();
+  if (!files.flight.empty()) {
+    FlightRecorder::global().clear();
+    FlightRecorder::global().enable();
+  }
+}
+
+void flush_outputs(const OutputFiles& files, std::ostream& out,
+                   std::ostream& err) {
+  if (!files.trace.empty()) {
+    Tracer& tracer = Tracer::global();
+    const std::uint64_t drops = tracer.dropped();
+    write_chrome_trace(tracer, files.trace);
+    tracer.disable();
+    out << "wrote trace " << files.trace << '\n';
+    if (drops > 0) {
+      err << "warning: tracer ring overflowed; dropped " << drops
+          << " events (see obs.tracer.dropped_events)\n";
+    }
+  }
+  if (!files.flight.empty()) {
+    FlightRecorder& flight = FlightRecorder::global();
+    write_flight_jsonl(flight, files.flight);
+    out << "wrote flight record " << files.flight << '\n';
+    if (flight.dropped() > 0) {
+      err << "warning: flight recorder ring overflowed; dropped "
+          << flight.dropped() << " records\n";
+    }
+    flight.disable();
+  }
+  if (!files.metrics.empty()) {
+    write_prometheus(Registry::global(), files.metrics);
+    out << "wrote metrics " << files.metrics << '\n';
+  }
+  if (files.summary) out << summary_table(Registry::global());
 }
 
 }  // namespace mecsched::obs

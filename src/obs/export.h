@@ -7,8 +7,12 @@
 //     are prefixed `mecsched_` and sanitized to the Prometheus charset.
 //   * A fixed-width console summary table (common/table) for --obs-summary
 //     and the bench harness.
+//
+// start_recording() and flush_outputs() bracket one run for both the CLI's
+// global flags and the bench binaries' MECSCHED_* variables.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "common/table.h"
@@ -37,5 +41,25 @@ Table summary_table(const Registry& registry);
 std::string to_flight_jsonl(const FlightRecorder& recorder);
 void write_flight_jsonl(const FlightRecorder& recorder,
                         const std::string& path);
+
+// Where one run's artifacts go; an empty path writes nothing.
+struct OutputFiles {
+  std::string trace;    // Chrome trace of the global tracer
+  std::string metrics;  // Prometheus text of the global registry
+  std::string flight;   // JSONL of the global flight recorder
+  bool summary = false; // print summary_table() of the global registry
+};
+
+// Enables the tracer when a trace is asked for, and clears and enables the
+// flight recorder when a flight record is.
+void start_recording(const OutputFiles& files);
+
+// Writes the trace, the flight record, the metrics and the summary table,
+// in that order. Each file written is named on `out` ("wrote trace <path>",
+// "wrote flight record <path>", "wrote metrics <path>"); a ring that
+// dropped events is warned about on `err`. Disables the recorders it
+// wrote out.
+void flush_outputs(const OutputFiles& files, std::ostream& out,
+                   std::ostream& err);
 
 }  // namespace mecsched::obs

@@ -232,7 +232,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       }
       break;
     }
-    if (cursor.exhausted() && waiting.empty() && recon.running().empty()) {
+    // Done once every arrival is in and settled: churn left in the trace
+    // after that can interrupt nothing.
+    if (result.arrivals == trace.arrivals() && waiting.empty() &&
+        recon.running().empty()) {
       break;
     }
 

@@ -33,6 +33,9 @@
 // — a wall-clock deadline makes rung selection machine-dependent — so the
 // CI determinism gate runs unbudgeted (same trade the sweep path makes).
 //
+// The run ends once the trace's last arrival has been ingested and every
+// admitted task has settled; churn later in the trace is not replayed.
+//
 // A cooperative stop token (Ctrl-C via ScopedSignalStop, or tests) ends
 // the run at the next epoch boundary; open tasks are logged as abandoned
 // so the decision log always accounts for every admitted task.

@@ -504,7 +504,8 @@ TEST_F(CliTest, ExactAlgorithmOnTinyScenario) {
 
 TEST_F(CliTest, SweepListsGrids) {
   ASSERT_EQ(run_cli({"sweep", "--list"}), 0) << err_.str();
-  for (const char* grid : {"fig2a", "fig2b", "fig4a", "fig4b", "smoke"}) {
+  for (const char* grid :
+       {"fig2a", "fig2b", "fig3", "fig4a", "fig4b", "smoke"}) {
     EXPECT_NE(out_.str().find(grid), std::string::npos) << grid;
   }
 }
@@ -526,6 +527,28 @@ TEST_F(CliTest, SweepCsvIsByteIdenticalAcrossJobCounts) {
   ASSERT_EQ(run_cli({"sweep", "--grid", "smoke", "--csv", "--jobs", "8"}), 0)
       << err_.str();
   EXPECT_EQ(out_.str(), serial);
+}
+
+// Pins `sweep --grid <g> --csv`, byte for byte, on every grid. The figure
+// grids are the paper's Figs. 2-4 tables; fig3's pin is the CSV the
+// fig3_unsatisfied_rate bench binary wrote before it ran this grid. Update
+// a pin only for a deliberate output change.
+TEST_F(CliTest, SweepOutputsArePinned) {
+  const auto fnv1a = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) h = (h ^ c) * 0x100000001b3ull;
+    return h;
+  };
+  const std::pair<const char*, std::uint64_t> cases[] = {
+      {"smoke", 0x7f85b63055449cf2ull}, {"fig2a", 0x0fca96800f533d5eull},
+      {"fig2b", 0xaf1380f6304b6ea9ull}, {"fig3", 0xd89b012e026f3109ull},
+      {"fig4a", 0x34c2bb03c3390fdcull}, {"fig4b", 0x97842b6275431635ull},
+  };
+  for (const auto& [grid, pin] : cases) {
+    ASSERT_EQ(run_cli({"sweep", "--grid", grid, "--csv"}), 0) << err_.str();
+    EXPECT_EQ(fnv1a(out_.str()), pin)
+        << grid << ": " << std::hex << fnv1a(out_.str());
+  }
 }
 
 TEST_F(CliTest, SweepTableReportsJobs) {

@@ -79,55 +79,5 @@ TEST(SeriesCollectorTest, CsvRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(SeriesCollectorTest, AddSummaryFoldsAggregates) {
-  Summary pre;
-  pre.add(10.0);
-  pre.add(30.0);
-
-  SeriesCollector s("x", {"a"});
-  s.add(1.0, "a", 2.0);
-  s.add_summary(1.0, "a", pre);
-  EXPECT_EQ(s.count(1.0, "a"), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(1.0, "a"), 14.0);
-
-  // Empty summaries are a no-op — they must not materialize a cell.
-  s.add_summary(9.0, "a", Summary{});
-  EXPECT_EQ(s.count(9.0, "a"), 0u);
-  EXPECT_EQ(s.xs(), (std::vector<double>{1.0}));
-  EXPECT_THROW(s.add_summary(1.0, "zzz", pre), ModelError);
-}
-
-TEST(SeriesCollectorTest, MergeCombinesCellsAndUnionsSeries) {
-  SeriesCollector a("x", {"alg1"});
-  a.add(1.0, "alg1", 10.0);
-  a.add(2.0, "alg1", 20.0);
-
-  SeriesCollector b("x", {"alg1", "alg2"});
-  b.add(1.0, "alg1", 30.0);
-  b.add(3.0, "alg2", 7.0);
-
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.mean(1.0, "alg1"), 20.0);  // (10 + 30) / 2
-  EXPECT_DOUBLE_EQ(a.mean(2.0, "alg1"), 20.0);
-  EXPECT_DOUBLE_EQ(a.mean(3.0, "alg2"), 7.0);
-  EXPECT_EQ(a.series_names(),
-            (std::vector<std::string>{"alg1", "alg2"}));
-  EXPECT_EQ(a.xs(), (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-TEST(SeriesCollectorTest, ResampleSnapsToBucketGrid) {
-  SeriesCollector s("rate", {"a"});
-  s.add(0.98, "a", 1.0);
-  s.add(1.02, "a", 3.0);
-  s.add(2.49, "a", 5.0);
-
-  const SeriesCollector r = s.resample(1.0);
-  EXPECT_EQ(r.xs(), (std::vector<double>{1.0, 2.0}));
-  EXPECT_DOUBLE_EQ(r.mean(1.0, "a"), 2.0);  // 0.98 and 1.02 merge
-  EXPECT_DOUBLE_EQ(r.mean(2.0, "a"), 5.0);
-  EXPECT_EQ(r.count(1.0, "a"), 2u);
-  EXPECT_THROW(s.resample(0.0), ModelError);
-}
-
 }  // namespace
 }  // namespace mecsched::metrics

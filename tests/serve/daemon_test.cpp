@@ -267,6 +267,32 @@ TEST(ServeDaemonTest, MidEpochMigrationReroutesTheTaskToTheNewCell) {
   EXPECT_TRUE(saw_decide);
 }
 
+// A trace whose tail is churn: once the last task has settled, the loop
+// stops instead of beating through the faults left in the trace.
+TEST(ServeDaemonTest, RunEndsWhenTheLastTaskSettles) {
+  const mec::Topology universe = make_universe(4, 2);
+  mec::Task task = slow_task(0, 0, 0.0);
+  task.local_bytes = 100e3;  // light: decided and completed promptly
+  const Trace trace({Event::arrival(0.1, task), Event::leave(300.0, 3),
+                     Event::join(400.0, 3, 1), Event::station_down(500.0, 1),
+                     Event::station_up(600.0, 1),
+                     Event::link_fade(700.0, 2, 0.5)});
+  ServeOptions opts;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
+  EXPECT_EQ(r.completed, 1u);
+  ASSERT_EQ(log.size(), 1u);
+  const double finish_s = log.records()[0].finish_s;
+  ASSERT_LT(finish_s, 300.0);
+  // The run ends at the first epoch boundary at or past the finish: that
+  // epoch collects the completion, and no epoch follows it.
+  const double window_s = opts.batching.window_s;
+  EXPECT_GE(r.virtual_now_s, finish_s);
+  EXPECT_LT(r.virtual_now_s, finish_s + window_s);
+  EXPECT_EQ(static_cast<double>(r.epochs) * window_s, r.virtual_now_s);
+  EXPECT_EQ(r.events, 1u);  // the churn tail is never ingested
+}
+
 TEST(ServeDaemonTest, AdmissionRejectionsAreCountedAndLogged) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;
