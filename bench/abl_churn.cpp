@@ -38,11 +38,10 @@ int main() {
     bool rungs_cover_epochs = true;
     std::vector<std::pair<const char*, double>> values;
   };
-  exec::SweepRunner runner;
-  const std::vector<CellResult> cells = runner.run<CellResult>(
-      xs.size() * bench::kRepetitions, [&](exec::CellContext& ctx) {
-      const double x = xs[ctx.index() / bench::kRepetitions];
-      const std::uint64_t rep = ctx.index() % bench::kRepetitions + 1;
+  const std::vector<CellResult> cells = exec::SweepRunner().run<CellResult>(
+      xs.size() * bench::kRepetitions, [&](std::size_t i) {
+      const double x = xs[i / bench::kRepetitions];
+      const std::uint64_t rep = i % bench::kRepetitions + 1;
       workload::ArrivalConfig arrivals;
       arrivals.scenario.num_tasks = 120;
       arrivals.scenario.num_devices = bench::kDevices;

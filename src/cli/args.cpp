@@ -1,14 +1,10 @@
 #include "cli/args.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace mecsched::cli {
 
@@ -64,21 +60,7 @@ double ArgParser::get_num(const std::string& flag, double fallback) const {
 std::size_t ArgParser::get_count(const std::string& flag,
                                  std::size_t fallback) const {
   const auto it = values_.find(flag);
-  if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
-  const bool digits =
-      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
-        return std::isdigit(static_cast<unsigned char>(c)) != 0;
-      });
-  MECSCHED_REQUIRE(digits, "--" + flag +
-                               " wants a non-negative integer, got '" + text +
-                               "'");
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
-  MECSCHED_REQUIRE(errno != ERANGE &&
-                       v <= std::numeric_limits<std::size_t>::max(),
-                   "--" + flag + " is out of range: " + text);
-  return static_cast<std::size_t>(v);
+  return it == values_.end() ? fallback : parse_count("--" + flag, it->second);
 }
 
 double ArgParser::get_positive_num(const std::string& flag,

@@ -1,8 +1,6 @@
 #include "cli/commands.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <map>
 #include <sstream>
 #include <cmath>
@@ -29,6 +27,8 @@
 #include "cli/sweep_grids.h"
 #include "common/deadline.h"
 #include "common/error.h"
+#include "common/parse.h"
+#include "common/rng.h"
 #include "common/table.h"
 #include "control/fallback.h"
 #include "dta/pipeline.h"
@@ -119,27 +119,6 @@ struct GlobalFlags {
            !outputs.metrics.empty();
   }
 };
-
-// Strict positive-integer parse for flags stripped before ArgParser runs.
-// strtoul alone is not enough: it accepts "-1" (wrapping to 2^64-1) and
-// trailing garbage.
-std::size_t parse_positive_count(const std::string& flag,
-                                 const std::string& text) {
-  const bool digits =
-      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
-        return std::isdigit(static_cast<unsigned char>(c)) != 0;
-      });
-  MECSCHED_REQUIRE(digits, flag + " wants a positive integer, got '" + text +
-                               "'");
-  errno = 0;
-  const unsigned long long n = std::strtoull(text.c_str(), nullptr, 10);
-  MECSCHED_REQUIRE(errno != ERANGE &&
-                       n <= std::numeric_limits<std::size_t>::max(),
-                   flag + " is out of range: " + text);
-  MECSCHED_REQUIRE(n > 0, flag + " wants a positive integer, got '" + text +
-                              "'");
-  return static_cast<std::size_t>(n);
-}
 
 GlobalFlags strip_global_flags(std::vector<std::string>& tokens) {
   GlobalFlags flags;
@@ -241,7 +220,7 @@ std::string usage() {
       "|number]\n"
       "            [--scheduler lp-hta|greedy] [--out result.json]\n"
       "  sweep     [--grid fig2a|fig2b|fig3|fig4a|fig4b|smoke] [--reps N]\n"
-      "            [--seed S] [--csv] [--out series.csv] [--list]\n"
+      "            [--csv] [--out series.csv] [--list]\n"
       "  chaos     [--cells N] [--tasks N] [--devices N] [--stations N]\n"
       "            [--seed S] [--stall-prob P] [--nan-prob P]\n"
       "            [--cancel-prob P] [--error-prob P] [--csv]\n"
@@ -652,7 +631,7 @@ int cmd_churn(const std::vector<std::string>& tokens, std::ostream& out) {
 }
 
 int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
-  ArgParser args({"grid", "reps", "seed", "out"}, {"csv", "list"});
+  ArgParser args({"grid", "reps", "out"}, {"csv", "list"});
   args.parse(tokens);
 
   if (args.get_switch("list")) {
@@ -669,10 +648,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
   const std::size_t reps = args.get_count("reps", 3);
   MECSCHED_REQUIRE(reps > 0, "--reps must be positive");
 
-  exec::SweepOptions sweep_opts;
-  sweep_opts.master_seed = args.get_count("seed", 1);
-  const metrics::SeriesCollector series =
-      run_sweep_grid(grid, reps, sweep_opts);
+  const metrics::SeriesCollector series = run_sweep_grid(grid, reps);
 
   const std::string out_path = args.get("out", "");
   if (!out_path.empty()) {
@@ -684,7 +660,7 @@ int cmd_sweep(const std::vector<std::string>& tokens, std::ostream& out) {
     series.write_csv(out);
   } else {
     out << grid.metric_label << " (" << grid.name << ", jobs="
-        << exec::SweepRunner(sweep_opts).jobs() << "):\n"
+        << exec::ThreadPool::default_jobs() << "):\n"
         << series.to_table(3);
   }
   return 0;
@@ -723,18 +699,15 @@ int cmd_chaos(const std::vector<std::string>& tokens, std::ostream& out) {
     std::uint64_t digest;
     double energy_j;
   };
-  exec::SweepOptions sweep_opts;
-  sweep_opts.master_seed = cfg.seed;
-  exec::SweepRunner runner(sweep_opts);
   const std::vector<CellOutcome> results =
-      runner.run<CellOutcome>(cells, [&](exec::CellContext& ctx) {
+      exec::SweepRunner().run<CellOutcome>(cells, [&](std::size_t i) {
         workload::ScenarioConfig cell_cfg = base;
-        cell_cfg.seed = ctx.seed();
+        cell_cfg.seed = Rng(cfg.seed).substream_seed(i);
         const workload::Scenario scenario = workload::make_scenario(cell_cfg);
         const assign::HtaInstance instance(scenario.topology, scenario.tasks);
         control::FallbackRung rung = control::FallbackRung::kLpHta;
         const assign::Assignment plan =
-            chain.assign(instance, rung, ctx.cancel());
+            chain.assign(instance, rung, CancellationToken());
         std::uint64_t digest = exec::fingerprint(instance);
         for (const assign::Decision d : plan.decisions) {
           digest = exec::mix(digest, static_cast<std::uint64_t>(d) + 1);

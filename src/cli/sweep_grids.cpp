@@ -8,6 +8,7 @@
 #include "assign/hta_instance.h"
 #include "assign/lp_hta.h"
 #include "common/error.h"
+#include "exec/sweep_runner.h"
 
 namespace mecsched::cli {
 namespace {
@@ -92,8 +93,7 @@ const SweepGrid& find_sweep_grid(const std::string& name) {
 }
 
 metrics::SeriesCollector run_sweep_grid(const SweepGrid& grid,
-                                        std::size_t reps,
-                                        const exec::SweepOptions& options) {
+                                        std::size_t reps) {
   std::vector<std::unique_ptr<assign::Assigner>> algorithms;
   algorithms.push_back(std::make_unique<assign::LpHta>());
   algorithms.push_back(std::make_unique<assign::Hgos>());
@@ -106,10 +106,10 @@ metrics::SeriesCollector run_sweep_grid(const SweepGrid& grid,
   // One cell per (x, repetition); each runs every algorithm on the cell's
   // scenario and reports one value per algorithm.
   const std::vector<std::vector<double>> results =
-      exec::SweepRunner(options).run<std::vector<double>>(
-          grid.xs.size() * reps, [&](exec::CellContext& ctx) {
-            const double x = grid.xs[ctx.index() / reps];
-            const std::uint64_t rep = ctx.index() % reps + 1;
+      exec::SweepRunner().run<std::vector<double>>(
+          grid.xs.size() * reps, [&](std::size_t i) {
+            const double x = grid.xs[i / reps];
+            const std::uint64_t rep = i % reps + 1;
             const workload::Scenario scenario =
                 workload::make_scenario(grid.config_at(x, rep));
             const assign::HtaInstance instance(scenario.topology,

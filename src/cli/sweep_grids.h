@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "assign/evaluator.h"
-#include "exec/sweep_runner.h"
 #include "metrics/series.h"
 #include "workload/scenario.h"
 
@@ -47,7 +46,6 @@ const SweepGrid& find_sweep_grid(const std::string& name);
 // (x, rep) and land in the collector in (x, rep, algorithm) order, so the
 // result is identical at every job count.
 metrics::SeriesCollector run_sweep_grid(const SweepGrid& grid,
-                                        std::size_t reps,
-                                        const exec::SweepOptions& options = {});
+                                        std::size_t reps);
 
 }  // namespace mecsched::cli

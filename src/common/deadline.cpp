@@ -45,14 +45,6 @@ double Deadline::remaining_ms() const {
   return std::isfinite(s) ? s * 1e3 : s;
 }
 
-Deadline Deadline::child(double fraction) const {
-  MECSCHED_REQUIRE(std::isfinite(fraction) && fraction > 0.0 &&
-                       fraction <= 1.0,
-                   "child-budget fraction must lie in (0, 1]");
-  if (!bounded_) return Deadline{};
-  return earlier(*this, after_s(remaining_s() * fraction));
-}
-
 Deadline Deadline::earlier(const Deadline& a, const Deadline& b) {
   if (!a.bounded_) return b;
   if (!b.bounded_) return a;

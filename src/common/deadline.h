@@ -39,12 +39,6 @@ class Deadline {
   double remaining_s() const;
   double remaining_ms() const;
 
-  // A deadline `fraction` of the remaining budget from now — used to split
-  // a decision budget across sequential stages. Never later than the parent
-  // (so a child cannot outlive it); unlimited parents yield unlimited
-  // children. `fraction` must lie in (0, 1].
-  Deadline child(double fraction) const;
-
   // The sooner of the two (an unlimited deadline never wins).
   static Deadline earlier(const Deadline& a, const Deadline& b);
 

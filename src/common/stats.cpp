@@ -15,24 +15,6 @@ void Summary::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void Summary::merge(const Summary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Summary::variance() const {
   if (count_ == 0) return nan_();
   return m2_ / static_cast<double>(count_);

@@ -9,8 +9,7 @@
 namespace mecsched {
 
 // Online accumulator (Welford) for mean/variance plus min/max/sum. Cheap to
-// copy; merging two accumulators is supported so per-thread partials can be
-// combined.
+// copy.
 //
 // Edge-case contract (tested in stats_test.cpp): with zero samples, mean,
 // variance, stddev, min and max are all quiet NaN — "no data" is explicit,
@@ -20,7 +19,6 @@ namespace mecsched {
 class Summary {
  public:
   void add(double x);
-  void merge(const Summary& other);
 
   std::size_t count() const { return count_; }
   double sum() const { return sum_; }

@@ -1,9 +1,10 @@
 #include "exec/thread_pool.h"
 
+#include <atomic>
 #include <cstdlib>
-#include <string>
 
 #include "common/error.h"
+#include "common/parse.h"
 #include "obs/registry.h"
 
 namespace mecsched::exec {
@@ -21,9 +22,7 @@ std::size_t ThreadPool::default_jobs() {
   const std::size_t forced = jobs_override().load(std::memory_order_relaxed);
   if (forced > 0) return forced;
   if (const char* env = std::getenv("MECSCHED_JOBS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n > 0) return static_cast<std::size_t>(n);
+    return parse_positive_count("MECSCHED_JOBS", env);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -35,13 +34,9 @@ void ThreadPool::set_default_jobs(std::size_t n) {
 
 ThreadPool::ThreadPool(std::size_t workers) {
   const std::size_t n = workers > 0 ? workers : default_jobs();
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -49,7 +44,7 @@ ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::shutdown() {
   {
-    const MutexLock lock(wake_mu_);
+    const MutexLock lock(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
@@ -59,74 +54,45 @@ void ThreadPool::shutdown() {
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
+  std::size_t depth = 0;
   {
-    const MutexLock lock(wake_mu_);
+    const MutexLock lock(mu_);
     MECSCHED_REQUIRE(!stop_, "ThreadPool: submit after shutdown");
+    queue_.push_back(std::move(task));
+    depth = queue_.size();
   }
-  const std::size_t shard =
-      next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
-  {
-    const MutexLock lock(shards_[shard]->mu);
-    shards_[shard]->queue.push_back(std::move(task));
-  }
-  const std::size_t depth =
-      pending_.fetch_add(1, std::memory_order_relaxed) + 1;
   obs::Registry& reg = obs::Registry::global();
   reg.counter("exec.pool.tasks").add();
   reg.gauge("exec.pool.queue_depth").set(static_cast<double>(depth));
   wake_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t id, std::function<void()>& task) {
-  {
-    Shard& own = *shards_[id];
-    const MutexLock lock(own.mu);
-    if (!own.queue.empty()) {
-      task = std::move(own.queue.back());
-      own.queue.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  for (std::size_t k = 1; k < shards_.size(); ++k) {
-    Shard& victim = *shards_[(id + k) % shards_.size()];
-    const MutexLock lock(victim.mu);
-    if (!victim.queue.empty()) {
-      task = std::move(victim.queue.front());
-      victim.queue.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("exec.pool.steals").add();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    if (try_pop(id, task)) {
-      obs::Registry::global().gauge("exec.pool.queue_depth")
-          .set(static_cast<double>(pending_.load(std::memory_order_relaxed)));
-      try {
-        task();  // packaged_task captures any exception into its future
-      } catch (...) {
-        // A raw enqueue()d task (or a pathological functor) must not tear
-        // the worker down mid-drain: a dead worker strands the queue and
-        // deadlocks every future still waiting on it. Swallow, count, keep
-        // draining.
-        obs::Registry::global().counter("exec.pool.task_exceptions").add();
-      }
-      continue;
+    std::size_t depth = 0;
+    {
+      // Open-coded predicate wait: the analysis sees stop_ and queue_ read
+      // with mu_ held here, where a predicate lambda handed to a
+      // condition_variable would be analyzed as a lock-free function.
+      const MutexLock lock(mu_);
+      while (!stop_ && queue_.empty()) wake_cv_.wait(mu_);
+      if (queue_.empty()) return;  // stopping, and the queue is drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      depth = queue_.size();
     }
-    // Open-coded predicate wait: the analysis sees stop_ read with
-    // wake_mu_ held here, where a predicate lambda handed to a
-    // condition_variable would be analyzed as a lock-free function.
-    const MutexLock lock(wake_mu_);
-    while (!stop_ && pending_.load(std::memory_order_relaxed) == 0) {
-      wake_cv_.wait(wake_mu_);
+    obs::Registry::global().gauge("exec.pool.queue_depth")
+        .set(static_cast<double>(depth));
+    try {
+      task();  // packaged_task captures any exception into its future
+    } catch (...) {
+      // A raw enqueue()d task (or a pathological functor) must not tear
+      // the worker down mid-drain: a dead worker strands the queue and
+      // deadlocks every future still waiting on it. Swallow, count, keep
+      // draining.
+      obs::Registry::global().counter("exec.pool.task_exceptions").add();
     }
-    if (stop_ && pending_.load(std::memory_order_relaxed) == 0) return;
   }
 }
 

@@ -84,13 +84,4 @@ double norm_inf(const std::vector<double>& v) {
   return m;
 }
 
-double norm2(const std::vector<double>& v) {
-  return std::sqrt(dot(v, v));
-}
-
-void axpy(double s, const std::vector<double>& b, std::vector<double>& a) {
-  MECSCHED_REQUIRE(a.size() == b.size(), "axpy size mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
-
 }  // namespace mecsched::lp

@@ -58,8 +58,5 @@ class Matrix {
 // Dense vector helpers shared by the solvers.
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 double norm_inf(const std::vector<double>& v);
-double norm2(const std::vector<double>& v);
-// a += s * b
-void axpy(double s, const std::vector<double>& b, std::vector<double>& a);
 
 }  // namespace mecsched::lp

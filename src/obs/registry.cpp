@@ -57,22 +57,6 @@ std::vector<std::uint64_t> Histogram::cumulative_buckets() const {
   return out;
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  // Snapshot `other` under its own lock (via the accessors) before taking
-  // ours, so self-merge and concurrent writers stay safe.
-  const Summary s = other.summary();
-  const std::vector<std::uint64_t> cumulative = other.cumulative_buckets();
-  const MutexLock lock(mu_);
-  if (s.count() == 0) return;
-  summary_.merge(s);
-  if (buckets_.empty()) buckets_.assign(bucket_bounds().size(), 0);
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < cumulative.size(); ++i) {
-    buckets_[i] += cumulative[i] - prev;
-    prev = cumulative[i];
-  }
-}
-
 void Histogram::reset() {
   const MutexLock lock(mu_);
   summary_ = Summary{};
@@ -173,17 +157,6 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-}
-
-void Registry::merge_from(const Registry& other) {
-  // The snapshot accessors lock `other`; counter()/gauge()/histogram()
-  // lock us while resolving the entry, then write through the returned
-  // reference. No lock is ever held across both registries.
-  for (const auto& [name, value] : other.counters()) counter(name).add(value);
-  for (const auto& [name, value] : other.gauges()) gauge(name).set(value);
-  for (const auto& [name, h] : other.histograms()) {
-    histogram(name).merge_from(*h);
-  }
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {

@@ -57,8 +57,8 @@ class Gauge {
 // Distribution of observed values: a streaming Summary (count/mean/var/
 // min/max) plus fixed log10 buckets spanning 1e-9 .. 1e9. The bucket grid
 // is deliberately static — durations in seconds, iteration counts and
-// energy all land inside it, and a fixed grid keeps merge and Prometheus
-// export trivial.
+// energy all land inside it, and a fixed grid keeps Prometheus export
+// trivial.
 class Histogram {
  public:
   // Upper bounds of the finite buckets; an implicit +Inf bucket follows.
@@ -78,10 +78,6 @@ class Histogram {
   // good enough for p50/p90/p99 summary columns, not for assertions on
   // exact values.
   double approx_percentile(double q) const;
-  // Folds another histogram's samples in: summaries merge via
-  // Summary::merge, buckets add element-wise (the shared static grid makes
-  // this exact). Safe against concurrent observers of either side.
-  void merge_from(const Histogram& other);
   void reset();
 
  private:
@@ -113,13 +109,6 @@ class Registry {
   // Zeroes every metric in place. Entries (and references to them) remain
   // valid — callers caching references across reset() keep working.
   void reset();
-
-  // Folds another registry's values into this one: counters add,
-  // histograms merge sample-exactly, gauges take the other's value (last
-  // merge wins — merge shards in a deterministic order when gauge values
-  // matter). This is how the sweep runner reduces per-cell metric shards
-  // into the global registry after a parallel join.
-  void merge_from(const Registry& other);
 
   // Stable-ordered snapshots for the exporters.
   std::vector<std::pair<std::string, std::uint64_t>> counters() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <limits>
 #include <optional>
 #include <string>
@@ -453,18 +452,13 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
       stage.emplace("serve.stage.solve", "serve");
       const auto solve_t0 = std::chrono::steady_clock::now();
+      // Shard order, not finish order. map joins every solve before it
+      // rethrows a failure, so no task outlives this epoch's locals.
       std::vector<ShardOutcome> outcomes;
-      outcomes.reserve(shards.size());
       if (pool) {
-        std::vector<std::future<ShardOutcome>> futures;
-        futures.reserve(shards.size());
-        for (ShardProblem& sp : shards) {
-          futures.push_back(
-              pool->submit([&solve_shard, &sp] { return solve_shard(sp); }));
-        }
-        for (std::future<ShardOutcome>& f : futures) {
-          outcomes.push_back(f.get());  // shard order, not finish order
-        }
+        outcomes = pool->map(shards.size(), [&](std::size_t i) {
+          return solve_shard(shards[i]);
+        });
       } else {
         outcomes.push_back(solve_shard(shards.front()));
       }

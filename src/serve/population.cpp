@@ -6,8 +6,7 @@ Population::Population(const mec::Topology& universe)
     : up_(universe.num_devices(), 1),
       station_(universe.num_devices()),
       link_(universe.num_devices(), 1.0),
-      station_up_(universe.num_base_stations(), 1),
-      num_up_(universe.num_devices()) {
+      station_up_(universe.num_base_stations(), 1) {
   for (std::size_t i = 0; i < universe.num_devices(); ++i) {
     station_[i] = universe.device(i).base_station;
   }
@@ -18,17 +17,11 @@ void Population::apply(const Event& e) {
     case EventKind::kTaskArrival:
       break;
     case EventKind::kDeviceJoin:
-      if (!up_[e.device]) {
-        up_[e.device] = 1;
-        ++num_up_;
-      }
+      up_[e.device] = 1;
       station_[e.device] = e.station;
       break;
     case EventKind::kDeviceLeave:
-      if (up_[e.device]) {
-        up_[e.device] = 0;
-        --num_up_;
-      }
+      up_[e.device] = 0;
       break;
     case EventKind::kDeviceMigrate:
       if (up_[e.device]) station_[e.device] = e.station;

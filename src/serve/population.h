@@ -29,7 +29,6 @@ class Population {
   std::size_t size() const { return up_.size(); }
   bool up(std::size_t device) const { return up_[device]; }
   std::size_t station(std::size_t device) const { return station_[device]; }
-  std::size_t num_up() const { return num_up_; }
   // Multiplier on the device's nominal radio rates (1 = healthy).
   double link_factor(std::size_t device) const { return link_[device]; }
   bool station_up(std::size_t station) const { return station_up_[station]; }
@@ -45,7 +44,6 @@ class Population {
   std::vector<std::size_t> station_;
   std::vector<double> link_;
   std::vector<char> station_up_;
-  std::size_t num_up_ = 0;
 };
 
 }  // namespace mecsched::serve

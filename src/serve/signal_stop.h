@@ -25,7 +25,6 @@ class ScopedSignalStop {
   ScopedSignalStop& operator=(const ScopedSignalStop&) = delete;
 
   CancellationToken token() const { return source_.token(); }
-  bool triggered() const { return source_.cancel_requested(); }
 
  private:
   CancellationSource source_;

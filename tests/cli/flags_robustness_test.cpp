@@ -65,6 +65,13 @@ TEST_F(FlagsTest, RemovedWarmStartFlagsAreUnknown) {
                   "unknown flag: --no-warm-start");
 }
 
+// Sweep cells seed themselves from their grid position; a sweep-wide seed
+// flag would change nothing.
+TEST_F(FlagsTest, SweepHasNoSeedFlag) {
+  expect_rejected({"sweep", "--grid", "smoke", "--seed", "5"},
+                  "unknown flag: --seed");
+}
+
 TEST_F(FlagsTest, CountFlagsRejectNegativesEverywhere) {
   expect_rejected({"generate", "--tasks", "-10"}, "--tasks");
   expect_rejected({"generate", "--devices", "1e3"}, "--devices");

@@ -40,26 +40,6 @@ TEST(Deadline, RejectsNegativeAndNonFiniteBudgets) {
   EXPECT_THROW(Deadline::after_ms(-5.0), ModelError);
 }
 
-TEST(Deadline, ChildNeverOutlivesParent) {
-  const Deadline parent = Deadline::after_s(10.0);
-  const Deadline half = parent.child(0.5);
-  EXPECT_FALSE(half.is_unlimited());
-  EXPECT_LE(half.remaining_s(), parent.remaining_s());
-  // A full-fraction child is still capped by the parent.
-  EXPECT_LE(parent.child(1.0).remaining_s(), parent.remaining_s() + 1e-9);
-}
-
-TEST(Deadline, ChildOfUnlimitedIsUnlimited) {
-  EXPECT_TRUE(Deadline().child(0.5).is_unlimited());
-}
-
-TEST(Deadline, ChildRejectsBadFractions) {
-  const Deadline parent = Deadline::after_s(10.0);
-  EXPECT_THROW(parent.child(0.0), ModelError);
-  EXPECT_THROW(parent.child(-0.5), ModelError);
-  EXPECT_THROW(parent.child(1.5), ModelError);
-}
-
 TEST(Deadline, EarlierPrefersTheBoundedAndSoonerOne) {
   const Deadline never;
   const Deadline soon = Deadline::after_s(1.0);

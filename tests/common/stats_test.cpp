@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "common/rng.h"
-
 namespace mecsched {
 namespace {
 
@@ -46,34 +44,6 @@ TEST(SummaryTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(SummaryTest, MergeMatchesSequential) {
-  Rng rng(5);
-  Summary whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(-10, 10);
-    whole.add(v);
-    (i % 2 == 0 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(SummaryTest, MergeWithEmptyIsIdentity) {
-  Summary a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  Summary b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
 }
 
 TEST(PercentileTest, MedianOfOddCount) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "mec/parameters.h"
+#include "obs/registry.h"
 #include "workload/serve_trace.h"
 
 namespace mecsched::serve {
@@ -128,6 +130,41 @@ TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   EXPECT_GT(r.decisions, 0u);
   EXPECT_GT(r.orphaned + r.lost_issuer, 0u);
   EXPECT_EQ(log.digest(), 0x258de30fbc0db8b0ull);
+}
+
+// The city-scale run of bench/serve_steady_state (100k devices, 250 cells,
+// 4 x 0.5 s epochs, 24k arrivals/s with churn, 16 shards), pinned at one
+// and four workers: the decision log, and two work counters the digest
+// cannot see — simplex pivots, and devices materialized into shards.
+TEST(ServeDaemonTest, CityScaleRunIsPinned) {
+  workload::ServeTraceConfig cfg;
+  cfg.scenario.num_devices = 100000;
+  cfg.scenario.num_base_stations = 250;
+  cfg.scenario.seed = 1;
+  cfg.epochs = 4;
+  cfg.epoch_s = 0.5;
+  cfg.arrival_rate_per_s = 24000.0;
+  cfg.join_rate_per_s = 10.0;
+  cfg.leave_rate_per_s = 10.0;
+  cfg.migrate_rate_per_s = 40.0;
+  const workload::ServeWorkload w = workload::make_serve_workload(cfg);
+  ServeOptions opts;
+  opts.batching.window_s = cfg.epoch_s;
+  opts.sharding.num_shards = 16;
+
+  obs::Registry& reg = obs::Registry::global();
+  for (const std::size_t jobs : {1u, 4u}) {
+    opts.jobs = jobs;
+    const std::uint64_t pivots0 = reg.counter("lp.simplex.pivots").value();
+    const std::uint64_t devices0 = reg.counter("serve.shard.devices").value();
+    DecisionLog log;
+    ServeDaemon(opts).run(w.universe, w.trace, &log);
+    EXPECT_EQ(log.digest(), 0xee78c830074d499dull) << "jobs " << jobs;
+    EXPECT_EQ(reg.counter("lp.simplex.pivots").value() - pivots0, 2223u)
+        << "jobs " << jobs;
+    EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 88204u)
+        << "jobs " << jobs;
+  }
 }
 
 TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
