@@ -46,13 +46,14 @@ bool crash_started(const LpHtaOptions& options) {
 }
 
 lp::Solution solve_relaxation(const ClusterLp& cluster,
-                              const LpHtaOptions& options) {
+                              const LpHtaOptions& options,
+                              const CancellationToken& cancel) {
   const lp::Problem& p = cluster.problem;
   const std::size_t budget = options.max_lp_iterations;
   if (options.engine == LpEngine::kInteriorPoint) {
     lp::InteriorPointOptions ipm;
     if (budget > 0) ipm.max_iterations = budget;
-    ipm.cancel = options.cancel;
+    ipm.cancel = cancel;
     const lp::Solution s = lp::InteriorPointSolver(ipm).solve(p);
     if (s.optimal()) return s;
     if (usable_anytime(s)) {
@@ -64,7 +65,7 @@ lp::Solution solve_relaxation(const ClusterLp& cluster,
   }
   lp::SimplexOptions smx;
   if (budget > 0) smx.max_iterations = budget;
-  smx.cancel = options.cancel;
+  smx.cancel = cancel;
   const lp::SimplexSolver solver(smx);
   const lp::Solution s = crash_started(options)
                              ? solver.solve(p, cluster.crash)
@@ -102,7 +103,8 @@ std::string cluster_args(std::size_t b) {
 }
 
 ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
-                             const LpHtaOptions& options) {
+                             const LpHtaOptions& options,
+                             const CancellationToken& cancel) {
   static obs::Histogram& cluster_seconds =
       obs::Registry::global().histogram("lp_hta.cluster.seconds");
   const obs::ScopedTimer cluster_span(cluster_seconds, "lp_hta.cluster",
@@ -142,7 +144,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
         obs::Registry::global().histogram("lp_hta.relax.seconds");
     const obs::ScopedTimer relax_span(relax_seconds, "lp_hta.relax", "assign",
                                       cluster_args(b));
-    relax = solve_relaxation(cluster, options);
+    relax = solve_relaxation(cluster, options, cancel);
   }
   out.lp_iterations = relax.iterations;
   out.deadline_degraded = relax.status == lp::SolveStatus::kDeadline;
@@ -308,17 +310,13 @@ Assignment LpHta::assign(const HtaInstance& instance) const {
 
 Assignment LpHta::assign(const HtaInstance& instance,
                          const CancellationToken& cancel) const {
-  if (cancel.unlimited()) return assign(instance);
-  LpHtaOptions budgeted = options_;
-  // The caller's token wins (its cancel flag is honoured), tightened to the
-  // sooner of the two deadlines when the options carry one as well.
-  budgeted.cancel = cancel.with_deadline(options_.cancel.deadline());
   LpHtaReport unused;
-  return LpHta(budgeted).assign_with_report(instance, unused);
+  return assign_with_report(instance, unused, cancel);
 }
 
 Assignment LpHta::assign_with_report(const HtaInstance& instance,
-                                     LpHtaReport& report) const {
+                                     LpHtaReport& report,
+                                     const CancellationToken& cancel) const {
   const obs::ScopedTimer span("lp_hta.assign", "assign");
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
   const std::uint64_t chaos_before =
@@ -337,7 +335,7 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
     r.seconds = span.elapsed_s();
     r.iterations = iterations;
     r.deadline_residual_ms =
-        obs::FlightRecorder::residual_ms(options_.cancel.deadline());
+        obs::FlightRecorder::residual_ms(cancel.deadline());
     r.deadline_hit = degraded;
     r.warm_start = crash_started(options_);
     r.chaos_hits = chaos::local_injections() - chaos_before;
@@ -353,7 +351,7 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
   try {
     for (std::size_t b = 0; b < clusters; ++b) {
       if (instance.cluster_tasks(b).empty()) continue;
-      outcomes[b] = solve_cluster(instance, b, options_);
+      outcomes[b] = solve_cluster(instance, b, options_, cancel);
     }
   } catch (const SolverError& e) {
     if (flight.enabled()) cut_record("error", e.what(), "", 0, false);

@@ -39,13 +39,6 @@ struct LpHtaOptions {
   // ("not optimal (iteration-limit)") — callers that must never abort wrap
   // LP-HTA in a control::FallbackChain.
   std::size_t max_lp_iterations = 0;
-  // Cooperative solve budget, forwarded to the Step-1 LP engines. On expiry
-  // a cluster whose LP holds a usable anytime point (see solution.h) keeps
-  // it — Steps 2-6 round and repair it like any relaxation, and the final
-  // assignment audit still applies — otherwise Step 1 throws SolverError
-  // ("not optimal (deadline)") and a wrapping control::FallbackChain
-  // escalates with whatever budget remains.
-  CancellationToken cancel{};
 };
 
 struct LpHtaReport {
@@ -79,14 +72,18 @@ class LpHta : public Assigner {
 
   Assignment assign(const HtaInstance& instance) const override;
 
-  // Budgeted entry point: runs with `options_` plus the given token (the
-  // sooner of the two deadlines wins when both are set).
+  // Budgeted entry point: the token is the Step-1 LP engines' solve
+  // budget. On expiry a cluster whose LP holds a usable anytime point (see
+  // solution.h) keeps it and Steps 2-6 repair it as usual; otherwise
+  // Step 1 throws SolverError ("not optimal (deadline)") and a wrapping
+  // control::FallbackChain escalates with whatever budget remains.
   Assignment assign(const HtaInstance& instance,
                     const CancellationToken& cancel) const override;
 
   // Like assign(), but also returns the Theorem-2 diagnostics.
   Assignment assign_with_report(const HtaInstance& instance,
-                                LpHtaReport& report) const;
+                                LpHtaReport& report,
+                                const CancellationToken& cancel = {}) const;
 
   std::string name() const override {
     return options_.engine == LpEngine::kSimplex ? "LP-HTA"

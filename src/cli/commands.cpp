@@ -834,8 +834,8 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
       args.get_count("batch-max", opts.batching.max_batch);
   opts.sharding.num_shards =
       args.get_count("shards", opts.sharding.num_shards);
-  opts.admission.max_queue =
-      args.get_count("max-queue", opts.admission.max_queue);
+  opts.readmission.max_queue =
+      args.get_count("max-queue", opts.readmission.max_queue);
   opts.readmission.max_attempts =
       args.get_count("max-attempts", opts.readmission.max_attempts);
   // 0 (the default) disables the budget; get_positive_num validates the

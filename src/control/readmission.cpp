@@ -12,13 +12,16 @@ ReadmissionQueue::ReadmissionQueue(ReadmissionOptions options)
   MECSCHED_REQUIRE(options_.max_attempts >= 1,
                    "max_attempts must be >= 1, got " +
                        std::to_string(options_.max_attempts));
-  MECSCHED_REQUIRE(options_.backoff_base_epochs >= 1,
-                   "backoff_base_epochs must be >= 1, got " +
-                       std::to_string(options_.backoff_base_epochs));
 }
 
-void ReadmissionQueue::admit(std::size_t id, std::size_t epoch) {
-  waiting_.push_back({id, epoch, 0});
+bool ReadmissionQueue::admit(std::size_t id, std::size_t epoch) {
+  if (options_.max_queue > 0 && waiting_.size() >= options_.max_queue) {
+    ++rejected_;
+    return false;
+  }
+  waiting_.push_back({id, epoch});
+  ++admitted_;
+  return true;
 }
 
 bool ReadmissionQueue::retry(std::size_t id, std::size_t attempts,
@@ -26,9 +29,9 @@ bool ReadmissionQueue::retry(std::size_t id, std::size_t attempts,
   if (attempts >= options_.max_attempts) return false;
   // Shift caps at 2^20 epochs: far beyond any horizon, and safely below
   // the point where the shift itself would overflow.
-  const std::size_t delay = options_.backoff_base_epochs
+  const std::size_t delay = std::size_t{1}
                             << std::min<std::size_t>(attempts - 1, 20);
-  waiting_.push_back({id, epoch + delay, attempts});
+  waiting_.push_back({id, epoch + delay});
   ++retries_;
   return true;
 }

@@ -57,7 +57,7 @@ void ThreadPool::enqueue(std::function<void()> task) {
   std::size_t depth = 0;
   {
     const MutexLock lock(mu_);
-    MECSCHED_REQUIRE(!stop_, "ThreadPool: submit after shutdown");
+    MECSCHED_REQUIRE(!stop_, "ThreadPool: used after shutdown");
     queue_.push_back(std::move(task));
     depth = queue_.size();
   }
@@ -85,12 +85,11 @@ void ThreadPool::worker_loop() {
     obs::Registry::global().gauge("exec.pool.queue_depth")
         .set(static_cast<double>(depth));
     try {
-      task();  // packaged_task captures any exception into its future
+      task();  // a map task stores its own exception for the caller
     } catch (...) {
-      // A raw enqueue()d task (or a pathological functor) must not tear
-      // the worker down mid-drain: a dead worker strands the queue and
-      // deadlocks every future still waiting on it. Swallow, count, keep
-      // draining.
+      // Anything that still escapes a task must not tear the worker down
+      // mid-drain: a dead worker strands the queue and deadlocks every map
+      // still waiting on it. Swallow, count, keep draining.
       obs::Registry::global().counter("exec.pool.task_exceptions").add();
     }
   }

@@ -4,11 +4,10 @@
 // from one producer at a time, so a shared queue balances them as well as
 // anything finer would. Design points:
 //
-//   * submit() returns a std::future; a task that throws stores the
-//     exception in its future instead of tearing the pool down,
-//   * map(n, fn) is the join-all fan-out both parallel callers use: it
-//     runs fn(i) for every i < n and returns the results in index order,
-//     waiting for every task before it returns or rethrows,
+//   * map(n, fn) is the one way in, the join-all fan-out both parallel
+//     callers use: it runs fn(i) for every i < n and returns the results
+//     in index order, waiting for every task before it returns or
+//     rethrows; a task that throws fails the map, never the pool,
 //   * shutdown is graceful: the destructor (or shutdown()) stops intake,
 //     drains every queued task, then joins the workers,
 //   * observable: exec.pool.queue_depth (gauge), exec.pool.tasks and
@@ -24,8 +23,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <optional>
 #include <thread>
 #include <type_traits>
@@ -45,22 +42,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Schedules `f` and returns the future of its result. Exceptions thrown
-  // by `f` surface from future::get(). Throws ModelError after shutdown.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
   // Runs fn(i) for every i < n on the pool and returns the results in
   // index order, whatever order the tasks finished in. Every task has
   // finished before map returns or throws, so `fn` may capture locals by
   // reference; if any task threw, the lowest-index failure is rethrown.
+  // Throws ModelError after shutdown.
   template <typename F>
   auto map(std::size_t n, const F& fn)
       -> std::vector<std::invoke_result_t<const F&, std::size_t>> {

@@ -10,6 +10,11 @@
 namespace mecsched::ilp {
 namespace {
 
+// A relaxation value within this of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+// Nodes whose LP bound is within this of the incumbent are pruned.
+constexpr double kObjectiveTolerance = 1e-9;
+
 // A node is the root problem plus tightened bounds on the integer vars,
 // carrying its parent relaxation's objective as a proven lower bound on
 // every completion below it (-infinity for the root).
@@ -127,11 +132,11 @@ BnbResult BranchAndBound::solve(
       return stop_early(BnbStatus::kDeadline);
     }
     if (relax.status != lp::SolveStatus::kOptimal) continue;
-    if (relax.objective >= incumbent - options_.objective_tolerance) continue;
+    if (relax.objective >= incumbent - kObjectiveTolerance) continue;
 
     // Branch on the most fractional integer variable (closest to 0.5).
     std::size_t branch_var = problem.num_variables();
-    double best_dist = options_.integrality_tolerance;
+    double best_dist = kIntegralityTolerance;
     for (std::size_t v : integer_vars) {
       const double frac = relax.x[v] - std::floor(relax.x[v]);
       const double dist = std::min(frac, 1.0 - frac);

@@ -50,9 +50,6 @@ struct BnbResult {
 
 struct BnbOptions {
   std::size_t max_nodes = 200'000;
-  double integrality_tolerance = 1e-6;
-  // Prune nodes whose LP bound is within this of the incumbent.
-  double objective_tolerance = 1e-9;
   // Cooperative budget, checked at every node expansion and threaded into
   // the node LP relaxations. On expiry the search stops with kDeadline and
   // the incumbent/bound pair above. A token without its own deadline picks

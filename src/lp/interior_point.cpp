@@ -24,6 +24,9 @@ namespace {
 
 // Fraction of the longest step to the boundary the corrector takes.
 constexpr double kStepDamping = 0.99;
+// Convergence target: relative duality gap and scaled primal/dual
+// residuals.
+constexpr double kTolerance = 1e-8;
 
 // Max t in [0,1] with v + t*dv >= 0 (componentwise), damped by `damping`.
 double max_step(const std::vector<double>& v, const std::vector<double>& dv,
@@ -173,9 +176,8 @@ Solution ipm_loop(const Problem& problem, const StandardForm& sf,
     reg.gauge("lp.ipm.last_rel_gap").set(rel_gap);
     reg.gauge("lp.ipm.last_primal_residual").set(norm_inf(rb));
     reg.gauge("lp.ipm.last_dual_residual").set(norm_inf(rc));
-    if (norm_inf(rb) <= options.tolerance * b_scale &&
-        norm_inf(rc) <= options.tolerance * c_scale &&
-        rel_gap <= options.tolerance) {
+    if (norm_inf(rb) <= kTolerance * b_scale &&
+        norm_inf(rc) <= kTolerance * c_scale && rel_gap <= kTolerance) {
       out.status = SolveStatus::kOptimal;
       out.iterations = iter;
       out.x = sf.recover(x);

@@ -42,27 +42,26 @@ struct ShardOutcome {
   std::vector<double> energy_j;
 };
 
-// The universe as it is now: devices in their current cells on their
-// current radios. A dark-cell task's local placement is priced on it.
-mec::Topology live_universe(const mec::Topology& universe,
-                            const Population& pop) {
-  std::vector<mec::Device> devices;
-  devices.reserve(universe.num_devices());
-  for (std::size_t i = 0; i < universe.num_devices(); ++i) {
-    mec::Device d = universe.device(i);
-    d.base_station = pop.station(i);
-    const double factor = pop.link_factor(i);
-    d.radio.upload_bps *= factor;
-    d.radio.download_bps *= factor;
-    devices.push_back(d);
+// A dark-cell task's local run, priced on a topology of just the issuer
+// and the device it fetches external data from (if any), as they are now
+// and in the cell they share: the operands the cost model reads for a
+// local run, and nothing else.
+mec::CostEntry dark_cell_local_cost(const mec::Topology& universe,
+                                    const Population& pop, mec::Task task) {
+  const bool fetch =
+      task.external_bytes > 0.0 && task.external_owner != task.id.user;
+  std::vector<mec::Device> devices{pop.device(task.id.user)};
+  if (fetch) devices.push_back(pop.device(task.external_owner));
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    devices[i].id = i;
+    devices[i].base_station = 0;
   }
-  std::vector<mec::BaseStation> stations;
-  stations.reserve(universe.num_base_stations());
-  for (std::size_t b = 0; b < universe.num_base_stations(); ++b) {
-    stations.push_back(universe.base_station(b));
-  }
-  return mec::Topology(std::move(devices), std::move(stations),
-                       universe.params());
+  mec::BaseStation cell = universe.base_station(pop.station(task.id.user));
+  cell.id = 0;
+  task.id.user = 0;
+  task.external_owner = fetch ? 1 : 0;
+  const mec::Topology topo(std::move(devices), {cell}, universe.params());
+  return mec::CostModel(topo).evaluate(task, mec::Placement::kLocal);
 }
 
 struct Rescue {
@@ -144,7 +143,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   control::Reconciler recon;
   control::ReadmissionQueue waiting(options_.readmission);
   IngestCursor cursor(trace, options_.batching);
-  AdmissionControl admission(options_.admission);
   const Sharder sharder(universe, options_.sharding);
   // Shard solves run on a pool of at most one worker per shard; a single
   // shard is solved on this thread.
@@ -156,9 +154,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   }
   const control::FallbackChain chain(options_.lp);
   // One slot per arrival, rejected ones included, so an id is the
-  // arrival's ordinal in the trace. Reserved up front: growing by doubling
-  // would copy the vector and briefly hold old and new buffers, the run's
-  // memory peak.
+  // arrival's ordinal in the trace; each slot points at its arrival event
+  // in the trace. Reserved up front: growing by doubling would copy the
+  // vector and briefly hold old and new buffers.
   std::vector<PendingTask> pending;
   pending.reserve(trace.arrivals());
 
@@ -186,10 +184,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   auto retry_or_exhaust = [&](std::size_t id, double t) {
     const PendingTask& p = pending[id];
     if (waiting.retry(id, p.attempts, epoch)) {
-      append(t, p.task.id, DecisionKind::kRetry, p.attempts);
+      append(t, p.task().id, DecisionKind::kRetry, p.attempts);
     } else {
       ++result.exhausted;
-      append(t, p.task.id, DecisionKind::kExhausted, p.attempts);
+      append(t, p.task().id, DecisionKind::kExhausted, p.attempts);
     }
   };
 
@@ -197,16 +195,17 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   auto start = [&](std::size_t id, Decision d, std::size_t shard,
                    double latency_s, double energy_j) {
     const PendingTask& p = pending[id];
+    const mec::Task& task = p.task();
     const double finish = now + latency_s;
-    const double wait_s = now - p.arrival_s;
+    const double wait_s = now - p.arrival_s();
     result.total_energy_j += energy_j;
     result.makespan_s = std::max(result.makespan_s, finish);
     ++result.decisions;
-    const std::size_t issuer = p.task.id.user;
-    recon.start({id, finish, d, issuer, pop.station(issuer), p.task.resource,
-                 p.task.external_bytes > 0.0, p.task.external_owner});
+    const std::size_t issuer = task.id.user;
+    recon.start({id, finish, d, issuer, pop.station(issuer), task.resource,
+                 task.external_bytes > 0.0, task.external_owner});
     if (log != nullptr) {
-      log->append({epoch, now, p.task.id, DecisionKind::kDecide, d, shard,
+      log->append({epoch, now, task.id, DecisionKind::kDecide, d, shard,
                    p.attempts, wait_s, energy_j, finish});
     }
     waits_ms.push_back(wait_s * 1e3);
@@ -221,12 +220,12 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       for (const ReadmissionEntry& w : waiting.take_ready(
                std::numeric_limits<std::size_t>::max())) {
         ++result.abandoned;
-        append(now, pending[w.id].task.id, DecisionKind::kAbandoned,
+        append(now, pending[w.id].task().id, DecisionKind::kAbandoned,
                pending[w.id].attempts);
       }
       for (const RunningTask& r : recon.running()) {
         ++result.abandoned;
-        append(now, pending[r.id].task.id, DecisionKind::kAbandoned,
+        append(now, pending[r.id].task().id, DecisionKind::kAbandoned,
                pending[r.id].attempts);
       }
       break;
@@ -259,10 +258,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       if (e.kind == EventKind::kTaskArrival) {
         ++result.arrivals;
         const std::size_t id = pending.size();
-        pending.push_back(PendingTask{id, e.task, e.time_s, 0});
-        if (admission.offer(waiting.waiting())) {
-          waiting.admit(id, epoch);
-        } else {
+        pending.push_back(PendingTask{id, &e, 0});
+        if (!waiting.admit(id, epoch)) {
           append(e.time_s, e.task.id, DecisionKind::kReject, 0);
         }
       } else {
@@ -277,7 +274,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         }
         for (const std::size_t id : hit.lost_issuer) {
           ++result.lost_issuer;
-          append(e.time_s, pending[id].task.id, DecisionKind::kLostIssuer,
+          append(e.time_s, pending[id].task().id, DecisionKind::kLostIssuer,
                  pending[id].attempts);
         }
         for (const std::size_t id : hit.orphaned) {
@@ -304,34 +301,33 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     waits_ms.clear();
     std::vector<const PendingTask*> batch;
     std::vector<double> residuals;
-    // Built for the epoch's first dark-cell task, if any.
-    std::optional<mec::Topology> live;
     for (const ReadmissionEntry& wte : ready) {
       PendingTask& p = pending[wte.id];
-      p.attempts = wte.attempts + 1;
+      ++p.attempts;
+      const mec::Task& task = p.task();
       // Residual slack, net of the time this epoch's decision is allowed
       // to burn (the configured budget, for determinism).
       const double residual =
-          p.task.deadline_s - (now - p.arrival_s) - budget_s;
+          task.deadline_s - (now - p.arrival_s()) - budget_s;
       if (residual <= 0.0) {
         ++result.expired;
-        append(now, p.task.id, DecisionKind::kExpire, p.attempts);
+        append(now, task.id, DecisionKind::kExpire, p.attempts);
         continue;
       }
-      const std::size_t issuer = p.task.id.user;
+      const std::size_t issuer = task.id.user;
       if (!pop.up(issuer)) {
         ++result.lost_issuer;
-        append(now, p.task.id, DecisionKind::kLostIssuer, p.attempts);
+        append(now, task.id, DecisionKind::kLostIssuer, p.attempts);
         continue;
       }
-      if (p.task.external_bytes > 0.0 && !pop.up(p.task.external_owner)) {
+      if (task.external_bytes > 0.0 && !pop.up(task.external_owner)) {
         // Re-divide the data across the surviving replicas, or park the
         // task until the owner rejoins.
         const std::optional<Rescue> r =
             shared == nullptr
                 ? std::nullopt
                 : rescue(universe, pop, *shared, shared->task_items[wte.id],
-                         p.task, residual);
+                         task, residual);
         if (!r) {
           retry_or_exhaust(wte.id, now);
           continue;
@@ -342,11 +338,11 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         result.total_energy_j += r->energy_j;
         result.makespan_s = std::max(result.makespan_s, finish);
         if (log != nullptr) {
-          log->append({epoch, now, p.task.id, DecisionKind::kRescue,
+          log->append({epoch, now, task.id, DecisionKind::kRescue,
                        Decision::kLocal,
                        sharder.shard_of_station(pop.station(issuer)),
                        p.attempts,
-                       now - p.arrival_s, r->energy_j, finish});
+                       now - p.arrival_s(), r->energy_j, finish});
         }
         continue;
       }
@@ -355,8 +351,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         // only if its external data (if any) is in the same cell. Local
         // runs placed earlier in this pass already hold the device.
         const bool routable =
-            p.task.external_bytes <= 0.0 ||
-            pop.station(p.task.external_owner) == pop.station(issuer);
+            task.external_bytes <= 0.0 ||
+            pop.station(task.external_owner) == pop.station(issuer);
         double used = 0.0;
         for (const RunningTask& r : recon.running()) {
           if (r.where == Decision::kLocal && r.issuer == issuer) {
@@ -364,11 +360,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           }
         }
         const bool fits =
-            used + p.task.resource <= universe.device(issuer).max_resource;
+            used + task.resource <= universe.device(issuer).max_resource;
         if (routable && fits) {
-          if (!live) live.emplace(live_universe(universe, pop));
-          const mec::CostEntry local = mec::CostModel(*live).evaluate(
-              p.task, mec::Placement::kLocal);
+          const mec::CostEntry local =
+              dark_cell_local_cost(universe, pop, task);
           if (local.latency_s() <= residual) {
             start(wte.id, Decision::kLocal,
                   sharder.shard_of_station(pop.station(issuer)),
@@ -397,8 +392,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           dev_res[g] = universe.device(g).max_resource - dev_used[g];
         };
         for (const PendingTask* p : batch) {
-          price(p->task.id.user);
-          if (p->task.external_bytes > 0.0) price(p->task.external_owner);
+          const mec::Task& task = p->task();
+          price(task.id.user);
+          if (task.external_bytes > 0.0) price(task.external_owner);
         }
         for (std::size_t b = 0; b < ns; ++b) {
           st_res[b] = universe.base_station(b).max_resource - st_used[b];
@@ -492,8 +488,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     }
   }
 
-  result.admitted = admission.admitted();
-  result.rejected = admission.rejected();
+  result.admitted = waiting.admitted();
+  result.rejected = waiting.rejected();
   result.retries = waiting.retries();
 
   reg.counter("serve.runs").add();

@@ -4,11 +4,11 @@
 // Epoch lifecycle (docs/serve.md):
 //
 //   1. ingest  — close the next batching window (IngestCursor): arrivals
-//      pass admission control into the waiting room (ReadmissionQueue),
-//      churn and fault events update the Population and are reconciled
-//      against in-flight work (issuer gone -> lost; owner gone / issuer
-//      migrated off-cell / cell gone dark -> orphaned and re-admitted with
-//      backoff);
+//      enter the waiting room (ReadmissionQueue) or are rejected at its
+//      depth cap; churn and fault events update the Population and are
+//      reconciled against in-flight work (issuer gone -> lost; owner gone /
+//      issuer migrated off-cell / cell gone dark -> orphaned and
+//      re-admitted with backoff);
 //   2. triage  — pull the epoch batch in admission order; expire tasks
 //      whose residual slack (net of the configured epoch budget) is gone,
 //      drop tasks whose issuer left, rescue tasks whose external owner is
@@ -67,9 +67,9 @@ namespace mecsched::serve {
 
 struct ServeOptions {
   BatchingOptions batching{};     // epoch window + size cap
-  AdmissionOptions admission{};   // waiting-room depth cap
   ShardingOptions sharding{};
-  control::ReadmissionOptions readmission{};  // retry budget + backoff
+  // The waiting room: depth cap on new arrivals + retry budget.
+  control::ReadmissionOptions readmission{};
   // Per-epoch decision budget (0 = unlimited). Shared by all shards of
   // the epoch as one absolute deadline, and charged against each task's
   // residual slack at triage — deterministically, as the *configured*

@@ -45,13 +45,4 @@ Window IngestCursor::next_window() {
   return w;
 }
 
-bool AdmissionControl::offer(std::size_t queue_depth) {
-  if (options_.max_queue > 0 && queue_depth >= options_.max_queue) {
-    ++rejected_;
-    return false;
-  }
-  ++admitted_;
-  return true;
-}
-
 }  // namespace mecsched::serve

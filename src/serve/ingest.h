@@ -1,5 +1,4 @@
-// Ingest path: batching windows over the event trace, plus admission
-// control on the arrival queue.
+// Ingest path: batching windows over the event trace.
 //
 // The daemon does not decide per arrival — it accumulates a *window* of
 // events and decides at the window boundary (the epoch). A window closes
@@ -10,10 +9,6 @@
 //   * the size cap: the max_batch'th task arrival (when max_batch > 0) —
 //     a burst closes the window early so queueing delay stays bounded.
 //     The grid then restarts at that arrival's timestamp.
-//
-// AdmissionControl bounds the undecided backlog: when the waiting queue
-// already holds max_queue tasks, further arrivals are rejected at ingest
-// (counted, logged, never solved). 0 = accept everything.
 #pragma once
 
 #include <cstddef>
@@ -44,8 +39,6 @@ class IngestCursor {
   // Throws ModelError for a non-positive or non-finite window_s.
   IngestCursor(const Trace& trace, BatchingOptions batching);
 
-  bool exhausted() const { return next_ >= trace_->events().size(); }
-
   // Closes and returns the next window, which opens where the previous
   // one closed (at 0 for the first). Includes every remaining event with
   // time_s <= close; when max_batch is set, the max_batch'th arrival is
@@ -59,27 +52,6 @@ class IngestCursor {
   std::size_t next_ = 0;     // first unconsumed event
   double anchor_s_ = 0.0;    // the grid origin: 0, or the last size close
   std::size_t ticks_ = 0;    // deadline closes since the anchor
-};
-
-struct AdmissionOptions {
-  std::size_t max_queue = 0;  // undecided-task cap; 0 = unlimited
-};
-
-class AdmissionControl {
- public:
-  explicit AdmissionControl(AdmissionOptions options = {})
-      : options_(options) {}
-
-  // One arrival against the current undecided backlog. True = admitted.
-  bool offer(std::size_t queue_depth);
-
-  std::size_t admitted() const { return admitted_; }
-  std::size_t rejected() const { return rejected_; }
-
- private:
-  AdmissionOptions options_;
-  std::size_t admitted_ = 0;
-  std::size_t rejected_ = 0;
 };
 
 }  // namespace mecsched::serve

@@ -3,13 +3,23 @@
 namespace mecsched::serve {
 
 Population::Population(const mec::Topology& universe)
-    : up_(universe.num_devices(), 1),
+    : universe_(&universe),
+      up_(universe.num_devices(), 1),
       station_(universe.num_devices()),
       link_(universe.num_devices(), 1.0),
       station_up_(universe.num_base_stations(), 1) {
   for (std::size_t i = 0; i < universe.num_devices(); ++i) {
     station_[i] = universe.device(i).base_station;
   }
+}
+
+mec::Device Population::device(std::size_t device) const {
+  mec::Device d = universe_->device(device);
+  d.base_station = station_[device];
+  const double factor = link_[device];
+  d.radio.upload_bps *= factor;
+  d.radio.download_bps *= factor;
+  return d;
 }
 
 void Population::apply(const Event& e) {

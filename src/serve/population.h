@@ -23,15 +23,18 @@ namespace mecsched::serve {
 class Population {
  public:
   // Everyone starts up at full link rate, attached to their home
-  // (topology) station; every station starts up.
+  // (topology) station; every station starts up. Keeps a reference to the
+  // universe, which must outlive the population.
   explicit Population(const mec::Topology& universe);
 
   std::size_t size() const { return up_.size(); }
   bool up(std::size_t device) const { return up_[device]; }
   std::size_t station(std::size_t device) const { return station_[device]; }
-  // Multiplier on the device's nominal radio rates (1 = healthy).
-  double link_factor(std::size_t device) const { return link_[device]; }
   bool station_up(std::size_t station) const { return station_up_[station]; }
+  // The universe's device as it is now: attached to its current station,
+  // its radio rates scaled by the current link factor. Every other field
+  // (id, capacity, CPU, radio powers) is the universe's.
+  mec::Device device(std::size_t device) const;
 
   // Applies one churn or fault event (arrival events are ignored here —
   // they do not move devices). Join re-attaches at the event's target
@@ -40,9 +43,10 @@ class Population {
   void apply(const Event& e);
 
  private:
+  const mec::Topology* universe_;
   std::vector<char> up_;  // vector<bool> is bit-packed; char keeps it simple
   std::vector<std::size_t> station_;
-  std::vector<double> link_;
+  std::vector<double> link_;  // multiplier on nominal radio rates
   std::vector<char> station_up_;
 };
 

@@ -50,7 +50,7 @@ std::vector<ShardProblem> Sharder::build(
   // Route each task to the shard of its issuer's current cell.
   std::vector<std::vector<std::size_t>> shard_tasks(num_shards_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t issuer = batch[i]->task.id.user;
+    const std::size_t issuer = batch[i]->task().id.user;
     MECSCHED_REQUIRE(population.up(issuer),
                      "batch task issuer " + std::to_string(issuer) +
                          " is not up (triage must run first)");
@@ -70,7 +70,7 @@ std::vector<ShardProblem> Sharder::build(
     tasks.reserve(shard_tasks[s].size());
     task_ids.reserve(shard_tasks[s].size());
     for (const std::size_t i : shard_tasks[s]) {
-      tasks.push_back(batch[i]->task);
+      tasks.push_back(batch[i]->task());
       tasks.back().deadline_s = residual_deadline_s[i];
       task_ids.push_back(batch[i]->id);
     }
@@ -151,16 +151,13 @@ std::vector<ShardProblem> Sharder::build(
     shard_dev.reserve(roster.size());
     for (std::size_t local = 0; local < roster.size(); ++local) {
       const std::size_t g = roster[local];
-      mec::Device d = universe_->device(g);
+      // Current cell and radio rates (a faded link stretches every
+      // transfer through it).
+      mec::Device d = population.device(g);
       d.id = local;
-      d.base_station = station_local[population.station(g)];
+      d.base_station = station_local[d.base_station];
       d.max_resource =
           local < core_devices ? std::max(0.0, device_residual[g]) : 0.0;
-      // Radios at their current rates (a faded link stretches every
-      // transfer through it).
-      const double factor = population.link_factor(g);
-      d.radio.upload_bps *= factor;
-      d.radio.download_bps *= factor;
       shard_dev.push_back(d);
     }
 

@@ -23,6 +23,7 @@
 
 #include "mec/task.h"
 #include "mec/topology.h"
+#include "serve/event.h"
 #include "serve/population.h"
 
 namespace mecsched::serve {
@@ -31,12 +32,17 @@ struct ShardingOptions {
   std::size_t num_shards = 1;  // clamped to the station count at build
 };
 
-// An admitted task waiting for (or re-entering) a decision.
+// One arrival of a run. The task and its arrival time are read from the
+// trace event, which the trace keeps for the whole ServeDaemon::run.
 struct PendingTask {
-  std::size_t id = 0;       // the arrival's ordinal in the trace
-  mec::Task task{};         // global ids; deadline_s as issued
-  double arrival_s = 0.0;   // admission time on the virtual clock
-  std::size_t attempts = 0; // admissions consumed so far
+  std::size_t id = 0;              // the arrival's ordinal in the trace
+  const Event* arrival = nullptr;  // the kTaskArrival event
+  std::size_t attempts = 0;        // admissions consumed so far
+
+  // Global ids; deadline_s as issued.
+  const mec::Task& task() const { return arrival->task; }
+  // Admission time on the virtual clock.
+  double arrival_s() const { return arrival->time_s; }
 };
 
 // One shard's cut of an epoch: a self-contained HTA problem.
@@ -61,9 +67,9 @@ class Sharder {
 
   // Cuts one epoch: routes each batch task to its issuer's shard and
   // builds one topology per shard from the devices its tasks name — the
-  // issuers and in-shard external owners in ascending universe id, with
-  // their residual capacities and radios scaled by their current link
-  // factors, then the halo owners — plus the shard's cells (zero capacity
+  // issuers and in-shard external owners in ascending universe id, as
+  // they are now (Population::device) with their residual capacities,
+  // then the halo owners — plus the shard's cells (zero capacity
   // while down) and any halo cells. Devices no task names stay out: no solver
   // reads them, and local ids stay monotone in universe ids, so the LP
   // rows and decisions are those of a roster holding every up device of

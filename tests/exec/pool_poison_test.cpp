@@ -1,4 +1,4 @@
-// Exception-safe shutdown: a task that throws while the pool is draining —
+// Exception-safe shutdown: tasks that throw while the pool is draining —
 // or a whole grid of poisoned sweep cells — must never strand the queue or
 // deadlock the join; the pool keeps draining, the runner rethrows the
 // lowest-index failure after all cells complete, and both stay reusable.
@@ -6,45 +6,48 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
+#include "obs/registry.h"
 
 namespace mecsched::exec {
 namespace {
 
-TEST(PoolPoisonTest, SubmittedExceptionSurfacesInTheFutureOnly) {
-  ThreadPool pool(2);
-  auto poisoned = pool.submit([]() -> int { throw SolverError("boom"); });
-  auto healthy = pool.submit([] { return 41 + 1; });
-  EXPECT_THROW(poisoned.get(), SolverError);
-  EXPECT_EQ(healthy.get(), 42);  // the worker survived the poisoned task
-}
-
 TEST(PoolPoisonTest, ThrowingTasksDuringDrainDoNotDeadlockShutdown) {
-  // Queue far more throwing tasks than workers, then destroy the pool
-  // immediately: shutdown() must drain every one of them and join. Before
-  // the worker_loop guard, the first throw killed its worker and the join
-  // hung on the stranded queue.
+  // A map whose tasks all throw is in flight on another thread when the
+  // pool shuts down: shutdown() must drain every queued task and join, and
+  // the map must end with a failure — completing at all is most of the
+  // test.
+  obs::Counter& queued = obs::Registry::global().counter("exec.pool.tasks");
+  const std::uint64_t queued0 = queued.value();
   std::atomic<int> drained{0};
-  std::vector<std::future<void>> futures;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      futures.push_back(pool.submit([&drained]() -> void {
+  bool map_threw = false;
+  ThreadPool pool(2);
+  std::thread producer([&] {
+    try {
+      pool.map(64, [&drained](std::size_t) -> int {
         drained.fetch_add(1, std::memory_order_relaxed);
         throw std::runtime_error("poison");
-      }));
+      });
+    } catch (const std::exception&) {
+      map_threw = true;  // "poison", or ModelError if intake stopped first
     }
-  }  // ~ThreadPool: graceful drain + join — completing at all is the test
-  EXPECT_EQ(drained.load(), 64);
-  for (auto& f : futures) EXPECT_THROW(f.get(), std::runtime_error);
+  });
+  while (drained.load() == 0) std::this_thread::yield();
+  pool.shutdown();
+  producer.join();
+  EXPECT_TRUE(map_threw);
+  EXPECT_EQ(static_cast<std::uint64_t>(drained.load()),
+            queued.value() - queued0);
 }
 
 TEST(PoolPoisonTest, PoisonedCellCannotDeadlockTheSweepRunner) {

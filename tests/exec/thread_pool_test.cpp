@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/registry.h"
 
 namespace mecsched::exec {
 namespace {
@@ -18,91 +20,86 @@ namespace {
 TEST(ThreadPoolTest, RunsSubmittedTasksAndReturnsValues) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  const std::vector<int> out = pool.map(100, [&](std::size_t i) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    return static_cast<int>(i * i);
+  });
+  ASSERT_EQ(out.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * i);
+  EXPECT_EQ(on_caller.load(), 0);  // the workers ran them, not the caller
 }
 
 TEST(ThreadPoolTest, SingleWorkerRunsEverything) {
   ThreadPool pool(1);
   std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
+  const std::vector<std::thread::id> ids = pool.map(50, [&ran](std::size_t) {
+    ran.fetch_add(1);
+    return std::this_thread::get_id();
+  });
   EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughTheFuture) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 7; });
-  auto bad = pool.submit(
-      []() -> int { throw std::runtime_error("cell exploded"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(
-      {
-        try {
-          bad.get();
-        } catch (const std::runtime_error& e) {
-          EXPECT_STREQ(e.what(), "cell exploded");
-          throw;
-        }
-      },
-      std::runtime_error);
+  ASSERT_EQ(ids.size(), 50u);
+  for (const std::thread::id& id : ids) EXPECT_EQ(id, ids.front());
 }
 
 TEST(ThreadPoolTest, OneFailureDoesNotPoisonOtherTasks) {
   ThreadPool pool(2);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(pool.submit([i]() -> int {
-      if (i == 13) throw std::runtime_error("unlucky");
-      return i;
-    }));
-  }
-  int failures = 0;
-  int sum = 0;
-  for (auto& f : futures) {
-    try {
-      sum += f.get();
-    } catch (const std::runtime_error&) {
-      ++failures;
-    }
-  }
-  EXPECT_EQ(failures, 1);
-  EXPECT_EQ(sum, 20 * 19 / 2 - 13);
+  std::atomic<int> ran{0};
+  std::atomic<int> sum{0};
+  EXPECT_THROW(pool.map(20,
+                        [&](std::size_t i) -> int {
+                          ran.fetch_add(1);
+                          if (i == 13) throw std::runtime_error("unlucky");
+                          sum.fetch_add(static_cast<int>(i));
+                          return static_cast<int>(i);
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 20);
+  EXPECT_EQ(sum.load(), 20 * 19 / 2 - 13);
+  // Both workers survived the failure.
+  EXPECT_EQ(pool.map(4, [](std::size_t i) { return i; }),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
+// shutdown() is what the destructor runs: it stops intake but finishes
+// every task already queued. A map in flight on another thread sees that:
+// every task it queued runs, and the map ends (returning, or throwing
+// ModelError for the tasks it could not queue) instead of waiting on a
+// stranded queue.
 TEST(ThreadPoolTest, DestructorDrainsPendingWorkUnderLoad) {
+  obs::Counter& queued = obs::Registry::global().counter("exec.pool.tasks");
+  const std::uint64_t queued0 = queued.value();
   std::atomic<int> ran{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&ran] {
+  ThreadPool pool(3);
+  std::thread producer([&] {
+    try {
+      pool.map(200, [&ran](std::size_t) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ran.fetch_add(1);
+        return ran.fetch_add(1);
       });
+    } catch (const ModelError&) {
+      // Intake stopped before the map queued all 200.
     }
-    // Destructor must block until all 200 tasks executed.
-  }
-  EXPECT_EQ(ran.load(), 200);
+  });
+  while (ran.load() == 0) std::this_thread::yield();
+  pool.shutdown();
+  producer.join();
+  EXPECT_EQ(static_cast<std::uint64_t>(ran.load()), queued.value() - queued0);
 }
 
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
   ThreadPool pool(2);
   pool.shutdown();
-  EXPECT_THROW(pool.submit([] { return 1; }), ModelError);
+  EXPECT_THROW(pool.map(3, [](std::size_t i) { return i; }), ModelError);
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
   ThreadPool pool(2);
-  auto f = pool.submit([] { return 3; });
+  const std::vector<int> out = pool.map(3, [](std::size_t) { return 3; });
   pool.shutdown();
   pool.shutdown();
-  EXPECT_EQ(f.get(), 3);
+  EXPECT_EQ(out, (std::vector<int>{3, 3, 3}));
 }
 
 TEST(ThreadPoolTest, DefaultJobsHonorsOverrideThenEnv) {

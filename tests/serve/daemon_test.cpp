@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <sstream>
 
+#include "mec/cost_model.h"
 #include "mec/parameters.h"
 #include "obs/registry.h"
 #include "workload/serve_trace.h"
@@ -206,6 +207,40 @@ TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
   EXPECT_GE(r.shard_solves, 1u);
 }
 
+// A dark-cell local run is priced on the devices as they are now: the
+// issuer and its in-cell data owner with their faded radios, exactly as
+// the cost model prices the task on a universe holding those radios.
+TEST(ServeDaemonTest, DarkCellLocalRunIsPricedOnTheLiveDevices) {
+  const mec::Topology universe = make_universe(4, 2);
+  mec::Task task = slow_task(0, 2, 200e3);  // owner 2 shares cell 0
+  task.local_bytes = 1e3;
+  const Trace trace({Event::station_down(0.0, 0),
+                     Event::link_fade(0.0, 0, 0.25),
+                     Event::link_fade(0.0, 2, 0.5), Event::arrival(0.1, task)});
+  DecisionLog log;
+  ServeDaemon(ServeOptions{}).run(universe, trace, &log);
+  ASSERT_EQ(log.size(), 1u);
+  const DecisionRecord& rec = log.records()[0];
+  ASSERT_EQ(rec.kind, DecisionKind::kDecide);
+  ASSERT_EQ(rec.decision, assign::Decision::kLocal);
+
+  std::vector<mec::Device> faded;
+  for (std::size_t i = 0; i < universe.num_devices(); ++i) {
+    faded.push_back(universe.device(i));
+  }
+  faded[0].radio.upload_bps *= 0.25;
+  faded[0].radio.download_bps *= 0.25;
+  faded[2].radio.upload_bps *= 0.5;
+  faded[2].radio.download_bps *= 0.5;
+  const mec::Topology live(std::move(faded),
+                           {universe.base_station(0), universe.base_station(1)},
+                           universe.params());
+  const mec::CostEntry expected =
+      mec::CostModel(live).evaluate(task, mec::Placement::kLocal);
+  EXPECT_EQ(rec.energy_j, expected.energy_j);
+  EXPECT_EQ(rec.finish_s, rec.time_s + expected.latency_s());
+}
+
 TEST(ServeDaemonTest, StationDownOrphansOffloadedWorkThroughTheCell) {
   const mec::Topology universe = make_universe(4, 2);
   // Compute-heavy enough that LP-HTA offloads it and it is still running
@@ -333,7 +368,7 @@ TEST(ServeDaemonTest, RunEndsWhenTheLastTaskSettles) {
 TEST(ServeDaemonTest, AdmissionRejectionsAreCountedAndLogged) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;
-  opts.admission.max_queue = 3;
+  opts.readmission.max_queue = 3;
   DecisionLog log;
   const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace, &log);
   EXPECT_GT(r.rejected, 0u);
@@ -343,6 +378,21 @@ TEST(ServeDaemonTest, AdmissionRejectionsAreCountedAndLogged) {
     reject_records += rec.kind == DecisionKind::kReject ? 1 : 0;
   }
   EXPECT_EQ(reject_records, r.rejected);
+}
+
+// A pinned decision log for a run that hits the waiting-room cap: most
+// arrivals are rejected, and retries in backoff count toward the depth.
+TEST(ServeDaemonTest, QueueCapRunIsPinned) {
+  const workload::ServeWorkload w = churny_workload();
+  ServeOptions opts;
+  opts.readmission.max_queue = 3;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace, &log);
+  EXPECT_EQ(r.arrivals, 54u);
+  EXPECT_EQ(r.rejected, 42u);
+  EXPECT_EQ(r.retries, 4u);
+  EXPECT_EQ(log.size(), 59u);
+  EXPECT_EQ(log.digest(), 0x070f53f1c3f2a384ull);
 }
 
 TEST(ServeDaemonTest, PreCancelledStopTokenEndsTheRunImmediately) {

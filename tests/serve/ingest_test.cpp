@@ -43,7 +43,7 @@ TEST(IngestCursorTest, WindowClosesOnDeadline) {
   EXPECT_EQ(w1.events.size(), 1u);
   const Window w2 = cursor.next_window();
   EXPECT_EQ(w2.events.size(), 1u);
-  EXPECT_TRUE(cursor.exhausted());
+  EXPECT_TRUE(cursor.next_window().events.empty());  // trace consumed
 }
 
 TEST(IngestCursorTest, DeadlineClosesLieOnAnExactGrid) {
@@ -83,25 +83,6 @@ TEST(IngestCursorTest, ChurnDoesNotCountTowardTheSizeCap) {
   const Window w = cursor.next_window();
   EXPECT_TRUE(w.closed_by_size);
   EXPECT_EQ(w.events.size(), 4u);  // both churn events ride along
-}
-
-TEST(AdmissionControlTest, UnlimitedByDefault) {
-  AdmissionControl admission;
-  for (std::size_t depth = 0; depth < 100; depth += 10) {
-    EXPECT_TRUE(admission.offer(depth));
-  }
-  EXPECT_EQ(admission.admitted(), 10u);
-  EXPECT_EQ(admission.rejected(), 0u);
-}
-
-TEST(AdmissionControlTest, RejectsWhenQueueIsFull) {
-  AdmissionControl admission({2});
-  EXPECT_TRUE(admission.offer(0));
-  EXPECT_TRUE(admission.offer(1));
-  EXPECT_FALSE(admission.offer(2));
-  EXPECT_FALSE(admission.offer(3));
-  EXPECT_EQ(admission.admitted(), 2u);
-  EXPECT_EQ(admission.rejected(), 2u);
 }
 
 }  // namespace

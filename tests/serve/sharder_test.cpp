@@ -31,17 +31,17 @@ mec::Topology make_universe(std::size_t num_devices = 8,
                        mec::SystemParameters{});
 }
 
-PendingTask pending(std::size_t id, std::size_t user, std::size_t owner,
-                    double external_bytes) {
-  PendingTask p;
-  p.id = id;
-  p.task.id = {user, 0};
-  p.task.local_bytes = 500e3;
-  p.task.external_bytes = external_bytes;
-  p.task.external_owner = owner;
-  p.task.resource = 1.0;
-  p.task.deadline_s = 10.0;
-  return p;
+// A task arrival at t = 0; a batch entry points at it, as the daemon's
+// waiting tasks point at their trace events.
+Event arrival(std::size_t user, std::size_t owner, double external_bytes) {
+  mec::Task t;
+  t.id = {user, 0};
+  t.local_bytes = 500e3;
+  t.external_bytes = external_bytes;
+  t.external_owner = owner;
+  t.resource = 1.0;
+  t.deadline_s = 10.0;
+  return Event::arrival(0.0, t);
 }
 
 std::vector<double> full_device_residual(const mec::Topology& topo) {
@@ -80,7 +80,8 @@ TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
   // Device 0 lives at station 0 (shard 0) but has migrated to station 3.
   pop.apply(Event::migrate(0.0, 0, 3));
 
-  const PendingTask p = pending(0, 0, 0, 0.0);
+  const Event e = arrival(0, 0, 0.0);
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
@@ -97,7 +98,8 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   const Population pop(universe);
   // Issuer 0 sits in shard 0; its external data lives on device 2 whose
   // cell (station 2) is in shard 1, so the owner comes in as a halo copy.
-  const PendingTask p = pending(0, 0, 2, 200e3);
+  const Event e = arrival(0, 2, 200e3);
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
@@ -116,7 +118,7 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   // Cost parity: the shard topology prices every placement of the task
   // exactly as the universe does — the halo carries the owner's radio and
   // its cell, so the cross-neighborhood fetch leg is identical.
-  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(p.task);
+  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(p.task());
   ASSERT_EQ(shard.tasks.size(), 1u);
   const mec::TaskCosts in_shard =
       mec::CostModel(shard.topology).evaluate(shard.tasks[0]);
@@ -137,7 +139,8 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   pop.apply(Event::link_fade(0.0, 2, 0.5));
   pop.apply(Event::link_fade(0.5, 2, 1.0));  // restored
   // Issuer 0 (station 0) fetches from device 2 (station 2).
-  const PendingTask p = pending(0, 0, 2, 200e3);
+  const Event e = arrival(0, 2, 200e3);
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
@@ -165,7 +168,8 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   std::vector<double> sta = full_station_residual(universe);
   dev[0] = 2.5;
   sta[0] = 7.0;
-  const PendingTask p = pending(0, 0, 0, 0.0);
+  const Event e = arrival(0, 0, 0.0);
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems = sharder.build(pop, dev, sta, batch, {10.0});
   ASSERT_EQ(problems.size(), 1u);
@@ -181,7 +185,8 @@ TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   const Sharder sharder(universe, {2});
   Population pop(universe);
   pop.apply(Event::leave(0.0, 4));  // station 0, shard 0
-  const PendingTask p = pending(0, 0, 0, 0.0);
+  const Event e = arrival(0, 0, 0.0);
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
@@ -198,9 +203,12 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   const mec::Topology universe = make_universe(12, 4);
   const Sharder sharder(universe, {2});
   const Population pop(universe);
-  const PendingTask a = pending(0, 9, 6, 200e3);  // owner 6: station 2, halo
-  const PendingTask b = pending(1, 5, 5, 0.0);
-  const PendingTask c = pending(2, 1, 8, 200e3);  // owner 8: in-shard
+  const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, halo
+                     arrival(5, 5, 0.0),
+                     arrival(1, 8, 200e3)});  // owner 8: in-shard
+  const PendingTask a{0, &trace.events()[0], 0};
+  const PendingTask b{1, &trace.events()[1], 0};
+  const PendingTask c{2, &trace.events()[2], 0};
   const std::vector<const PendingTask*> batch{&a, &b, &c};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
@@ -229,7 +237,7 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   // Every task still prices exactly as in the universe.
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const mec::TaskCosts in_universe =
-        mec::CostModel(universe).evaluate(batch[t]->task);
+        mec::CostModel(universe).evaluate(batch[t]->task());
     const mec::TaskCosts in_shard =
         mec::CostModel(shard.topology).evaluate(shard.tasks[t]);
     for (const mec::Placement placement : mec::kAllPlacements) {
@@ -245,7 +253,8 @@ TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const mec::Topology universe = make_universe();
   const Sharder sharder(universe, {2});
   const Population pop(universe);
-  const PendingTask p = pending(0, 0, 0, 0.0);  // issued deadline 10s
+  const Event e = arrival(0, 0, 0.0);  // issued deadline 10s
+  const PendingTask p{0, &e, 0};
   const std::vector<const PendingTask*> batch{&p};
   const auto problems =
       sharder.build(pop, full_device_residual(universe),
