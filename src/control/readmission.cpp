@@ -36,14 +36,19 @@ bool ReadmissionQueue::retry(std::size_t id, std::size_t attempts,
   return true;
 }
 
-std::vector<ReadmissionEntry> ReadmissionQueue::take_ready(std::size_t epoch) {
-  std::vector<ReadmissionEntry> batch;
-  std::vector<ReadmissionEntry> later;
+const std::vector<ReadmissionEntry>& ReadmissionQueue::take_ready(
+    std::size_t epoch) {
+  ready_.clear();
+  std::size_t kept = 0;
   for (const ReadmissionEntry& w : waiting_) {
-    (w.ready_epoch <= epoch ? batch : later).push_back(w);
+    if (w.ready_epoch <= epoch) {
+      ready_.push_back(w);
+    } else {
+      waiting_[kept++] = w;
+    }
   }
-  waiting_.swap(later);
-  return batch;
+  waiting_.resize(kept);
+  return ready_;
 }
 
 }  // namespace mecsched::control

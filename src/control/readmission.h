@@ -55,8 +55,10 @@ class ReadmissionQueue {
   bool retry(std::size_t id, std::size_t attempts, std::size_t epoch);
 
   // Pops every entry with ready_epoch <= epoch, preserving admission
-  // order; later entries keep waiting.
-  std::vector<ReadmissionEntry> take_ready(std::size_t epoch);
+  // order; later entries keep waiting. The batch lives in a buffer the
+  // queue reuses: it stays valid until the next take_ready(), across
+  // admit() and retry() calls.
+  const std::vector<ReadmissionEntry>& take_ready(std::size_t epoch);
 
   std::size_t waiting() const { return waiting_.size(); }
   bool empty() const { return waiting_.empty(); }
@@ -69,6 +71,7 @@ class ReadmissionQueue {
  private:
   ReadmissionOptions options_;
   std::vector<ReadmissionEntry> waiting_;
+  std::vector<ReadmissionEntry> ready_;  // take_ready()'s batch
   std::size_t admitted_ = 0;
   std::size_t rejected_ = 0;
   std::size_t retries_ = 0;

@@ -84,14 +84,7 @@ void ThreadPool::worker_loop() {
     }
     obs::Registry::global().gauge("exec.pool.queue_depth")
         .set(static_cast<double>(depth));
-    try {
-      task();  // a map task stores its own exception for the caller
-    } catch (...) {
-      // Anything that still escapes a task must not tear the worker down
-      // mid-drain: a dead worker strands the queue and deadlocks every map
-      // still waiting on it. Swallow, count, keep draining.
-      obs::Registry::global().counter("exec.pool.task_exceptions").add();
-    }
+    task();  // a map task stores its own exception for the caller
   }
 }
 

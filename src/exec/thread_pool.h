@@ -10,9 +10,8 @@
 //     rethrows; a task that throws fails the map, never the pool,
 //   * shutdown is graceful: the destructor (or shutdown()) stops intake,
 //     drains every queued task, then joins the workers,
-//   * observable: exec.pool.queue_depth (gauge), exec.pool.tasks and
-//     exec.pool.task_exceptions (counters) report into
-//     obs::Registry::global().
+//   * observable: exec.pool.queue_depth (gauge) and exec.pool.tasks
+//     (counter) report into obs::Registry::global().
 //
 // The worker count defaults to default_jobs(): the CLI-wide --jobs flag
 // (set_default_jobs) wins, then the MECSCHED_JOBS environment variable,

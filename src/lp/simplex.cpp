@@ -183,8 +183,12 @@ class Tableau {
   // the phase status. `token` is checked once per pivot; on expiry the
   // current point is left intact (it is a basic solution of the phase's
   // system) and kDeadline is returned — the caller decides what of it is
-  // reportable.
-  SolveStatus optimize(const double* costs, const CancellationToken& token) {
+  // reportable. `priced_out` says the caller knows that no column prices
+  // in at the current basis: the first pass makes its checks (budget,
+  // chaos hook, refactorization) and returns kOptimal without pricing,
+  // unless the chaos hook poisoned the basis.
+  SolveStatus optimize(const double* costs, const CancellationToken& token,
+                       bool priced_out = false) {
     const std::size_t m = m_;
     const double cost_scale = 1.0 + max_abs(costs, n_total_);
     const double dj_tol = opt_.tolerance * cost_scale;
@@ -208,12 +212,14 @@ class Tableau {
             return SolveStatus::kDeadline;
           case chaos::Action::kPoisonNan:
             lu_.poison();
+            priced_out = false;  // the pricing guard must see the NaNs
             break;
           case chaos::Action::kError:
             throw SolverError("simplex: injected solver fault");
         }
       }
       if (lu_.needs_refactor()) refactorize();
+      if (priced_out) return SolveStatus::kOptimal;
 
       // Dual prices y = B^-T c_B.
       for (std::size_t r = 0; r < m; ++r) cb_[r] = costs[basis_[r]];
@@ -302,6 +308,15 @@ class Tableau {
       }
     }
     return SolveStatus::kIterationLimit;
+  }
+
+  // True when the start basis holds no artificial: the crash point is
+  // feasible as labelled, so phase 1 has nothing to drive out.
+  bool start_is_feasible() const {
+    for (std::size_t r = 0; r < m_; ++r) {
+      if (basis_[r] >= art_begin_) return false;
+    }
+    return true;
   }
 
   // Magnitude of the right-hand side; scales the phase-1 feasibility test.
@@ -642,9 +657,19 @@ Solution SimplexSolver::solve_impl(const Problem& problem,
     eta_rejections.add(t.eta_rejections());
   };
 
+  static obs::Counter& crash_feasible =
+      reg.counter("lp.simplex.crash_feasible");
+  static obs::Counter& phase1_pivots = reg.counter("lp.simplex.phase1_pivots");
+  const bool start_is_feasible = t.start_is_feasible();
+  if (start_is_feasible) crash_feasible.add();
+
   // Phase 1: drive the artificials to zero. On expiry here there is no
-  // feasible point to report yet: kDeadline with an empty x.
-  const SolveStatus phase1 = t.optimize(t.phase1_costs(), token);
+  // feasible point to report yet: kDeadline with an empty x. From a start
+  // with no artificial basic the phase-1 duals are zero and every reduced
+  // cost is non-negative, so phase 1 ends on its first pass, unpriced.
+  const SolveStatus phase1 =
+      t.optimize(t.phase1_costs(), token, start_is_feasible);
+  phase1_pivots.add(t.iterations());
   if (phase1 == SolveStatus::kIterationLimit ||
       phase1 == SolveStatus::kDeadline) {
     out.status = phase1;

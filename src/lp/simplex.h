@@ -49,9 +49,9 @@ class SimplexSolver {
   explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
 
   // Solves and reports into the obs layer: span "lp.simplex.solve",
-  // counters lp.simplex.{solves,pivots,non_optimal,refactorizations,
-  // eta_updates,eta_rejections,workspace_reuses,workspace_grows} and the
-  // pivots-per-solve histogram.
+  // counters lp.simplex.{solves,pivots,phase1_pivots,crash_feasible,
+  // non_optimal,refactorizations,eta_updates,eta_rejections,
+  // workspace_reuses,workspace_grows} and the pivots-per-solve histogram.
   Solution solve(const Problem& problem) const;
 
   // Warm-started solve. `guess` holds one value per problem variable and

@@ -143,7 +143,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   control::Reconciler recon;
   control::ReadmissionQueue waiting(options_.readmission);
   IngestCursor cursor(trace, options_.batching);
-  const Sharder sharder(universe, options_.sharding);
+  Sharder sharder(universe, options_.sharding);
   // Shard solves run on a pool of at most one worker per shard; a single
   // shard is solved on this thread.
   std::optional<exec::ThreadPool> pool;
@@ -159,6 +159,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   // vector and briefly hold old and new buffers.
   std::vector<PendingTask> pending;
   pending.reserve(trace.arrivals());
+  // Every arrival settles at least once, so the log gets at least one
+  // record per arrival; retries add the rest.
+  if (log != nullptr) log->reserve(log->size() + trace.arrivals());
 
   obs::Registry& reg = obs::Registry::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
@@ -170,7 +173,16 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   double now = 0.0;
   std::size_t epoch = 0;
   std::size_t shard_devices = 0;  // devices materialized into shards
-  std::vector<double> waits_ms;   // one epoch's admit-to-decision waits
+  // Per-epoch buffers, kept across epochs: the epoch batch with each
+  // task's residual slack, the capacity in use and left per device and
+  // per station, and the epoch's admit-to-decision waits.
+  std::vector<const PendingTask*> batch;
+  std::vector<double> residuals;
+  std::vector<double> dev_used(nd);
+  std::vector<double> dev_res(nd);
+  std::vector<double> st_used(ns);
+  std::vector<double> st_res(ns);
+  std::vector<double> waits_ms;
 
   auto append = [&](double t, const mec::TaskId& id, DecisionKind kind,
                     std::size_t attempt) {
@@ -292,15 +304,15 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     // ---- 2. Triage the epoch batch.
     stage.emplace("serve.stage.triage", "serve");
-    const std::vector<ReadmissionEntry> ready = waiting.take_ready(epoch);
+    const std::vector<ReadmissionEntry>& ready = waiting.take_ready(epoch);
     reg.gauge("serve.queue.depth")
         .set(static_cast<double>(waiting.waiting()));
     if (ready.empty()) continue;
     ++result.decide_epochs;
 
     waits_ms.clear();
-    std::vector<const PendingTask*> batch;
-    std::vector<double> residuals;
+    batch.clear();
+    residuals.clear();
     for (const ReadmissionEntry& wte : ready) {
       PendingTask& p = pending[wte.id];
       ++p.attempts;
@@ -380,25 +392,22 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     if (!batch.empty()) {
       // ---- 3. Shard against the residual system. Only the devices the
-      // batch names can enter a shard roster, so only theirs are priced.
+      // batch names can enter a shard roster, so only theirs are priced;
+      // the other dev_res entries keep older epochs' values, unread.
       stage.emplace("serve.stage.occupancy", "serve");
-      std::vector<double> dev_res(nd, 0.0);
-      std::vector<double> st_res(ns);
-      {
-        std::vector<double> dev_used(nd, 0.0);
-        std::vector<double> st_used(ns, 0.0);
-        recon.occupancy(now, dev_used, st_used);
-        const auto price = [&](std::size_t g) {
-          dev_res[g] = universe.device(g).max_resource - dev_used[g];
-        };
-        for (const PendingTask* p : batch) {
-          const mec::Task& task = p->task();
-          price(task.id.user);
-          if (task.external_bytes > 0.0) price(task.external_owner);
-        }
-        for (std::size_t b = 0; b < ns; ++b) {
-          st_res[b] = universe.base_station(b).max_resource - st_used[b];
-        }
+      std::fill(dev_used.begin(), dev_used.end(), 0.0);
+      std::fill(st_used.begin(), st_used.end(), 0.0);
+      recon.occupancy(now, dev_used, st_used);
+      const auto price = [&](std::size_t g) {
+        dev_res[g] = universe.device(g).max_resource - dev_used[g];
+      };
+      for (const PendingTask* p : batch) {
+        const mec::Task& task = p->task();
+        price(task.id.user);
+        if (task.external_bytes > 0.0) price(task.external_owner);
+      }
+      for (std::size_t b = 0; b < ns; ++b) {
+        st_res[b] = universe.base_station(b).max_resource - st_used[b];
       }
       stage.emplace("serve.stage.shard", "serve");
       std::vector<ShardProblem> shards =

@@ -57,6 +57,8 @@ struct DecisionRecord {
 class DecisionLog {
  public:
   void append(DecisionRecord r) { records_.push_back(std::move(r)); }
+  // Room for `records` records in all without a reallocation.
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   const std::vector<DecisionRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }

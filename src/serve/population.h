@@ -27,7 +27,6 @@ class Population {
   // universe, which must outlive the population.
   explicit Population(const mec::Topology& universe);
 
-  std::size_t size() const { return up_.size(); }
   bool up(std::size_t device) const { return up_[device]; }
   std::size_t station(std::size_t device) const { return station_[device]; }
   bool station_up(std::size_t station) const { return station_up_[station]; }

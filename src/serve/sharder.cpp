@@ -1,6 +1,8 @@
 #include "serve/sharder.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -15,7 +17,9 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 }  // namespace
 
 Sharder::Sharder(const mec::Topology& universe, ShardingOptions options)
-    : universe_(&universe) {
+    : universe_(&universe),
+      named_((2 * universe.num_devices() + 63) / 64, 0),
+      rank_(named_.size()) {
   MECSCHED_REQUIRE(options.num_shards >= 1, "num_shards must be >= 1");
   const std::size_t ns = universe.num_base_stations();
   num_shards_ = std::min(options.num_shards, ns);
@@ -38,7 +42,7 @@ std::vector<ShardProblem> Sharder::build(
     const std::vector<double>& device_residual,
     const std::vector<double>& station_residual,
     const std::vector<const PendingTask*>& batch,
-    const std::vector<double>& residual_deadline_s) const {
+    const std::vector<double>& residual_deadline_s) {
   const std::size_t nd = universe_->num_devices();
   const std::size_t ns = universe_->num_base_stations();
   MECSCHED_REQUIRE(device_residual.size() == nd &&
@@ -47,13 +51,20 @@ std::vector<ShardProblem> Sharder::build(
   MECSCHED_REQUIRE(residual_deadline_s.size() == batch.size(),
                    "residual deadlines must align with the batch");
 
-  // Route each task to the shard of its issuer's current cell.
+  // Route each task to the shard of its issuer's current cell. Every
+  // precondition is checked here, before any roster bit is set, so a
+  // failed build leaves the roster scratch clean.
   std::vector<std::vector<std::size_t>> shard_tasks(num_shards_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t issuer = batch[i]->task().id.user;
+    const mec::Task& task = batch[i]->task();
+    const std::size_t issuer = task.id.user;
     MECSCHED_REQUIRE(population.up(issuer),
                      "batch task issuer " + std::to_string(issuer) +
                          " is not up (triage must run first)");
+    MECSCHED_REQUIRE(
+        task.external_bytes <= 0.0 || population.up(task.external_owner),
+        "external owner " + std::to_string(task.external_owner) +
+            " is not up (triage must run first)");
     shard_tasks[station_shard_[population.station(issuer)]].push_back(i);
   }
 
@@ -79,36 +90,52 @@ std::vector<ShardProblem> Sharder::build(
     // external owners (core) come first, then the owners serving external
     // data from another shard (halo), each part in universe-id order; a
     // device no task names would never enter a solver, so it stays out.
-    // Each reference is (sort key, 2 * task + is_owner) with halo keys
-    // offset by nd, so one sort yields the roster and every local id.
-    std::vector<std::pair<std::size_t, std::size_t>> refs;
-    refs.reserve(2 * tasks.size());
-    for (std::size_t k = 0; k < tasks.size(); ++k) {
-      mec::Task& t = tasks[k];
-      refs.emplace_back(t.id.user, 2 * k);
+    // Each named device sets the bit of its key — its universe id, offset
+    // by nd for a halo owner — so the set bits in ascending order are the
+    // roster, and a key's local id is its rank among them. The task's user
+    // and owner hold their keys until the ranks are known.
+    std::size_t lo = named_.size();  // the touched words: [lo, hi]
+    std::size_t hi = 0;
+    const auto name = [&](std::size_t key) {
+      const std::size_t w = key / 64;
+      named_[w] |= std::uint64_t{1} << (key % 64);
+      lo = std::min(lo, w);
+      hi = std::max(hi, w);
+    };
+    for (mec::Task& t : tasks) {
+      name(t.id.user);
       if (t.external_bytes <= 0.0) {
         t.external_owner = 0;
         continue;
       }
-      MECSCHED_REQUIRE(population.up(t.external_owner),
-                       "external owner " + std::to_string(t.external_owner) +
-                           " is not up (triage must run first)");
       const bool in_shard =
           station_shard_[population.station(t.external_owner)] == s;
-      refs.emplace_back(t.external_owner + (in_shard ? 0 : nd), 2 * k + 1);
+      if (!in_shard) t.external_owner += nd;
+      name(t.external_owner);
     }
-    std::sort(refs.begin(), refs.end());
     std::vector<std::size_t> roster;
     std::size_t core_devices = 0;
-    for (std::size_t r = 0; r < refs.size(); ++r) {
-      const auto [key, slot] = refs[r];
-      if (r == 0 || key != refs[r - 1].first) {
+    for (std::size_t w = lo; w <= hi; ++w) {
+      rank_[w] = roster.size();
+      for (std::uint64_t bits = named_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t key =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         roster.push_back(key < nd ? key : key - nd);
         if (key < nd) ++core_devices;
       }
-      mec::Task& t = tasks[slot / 2];
-      (slot % 2 == 0 ? t.id.user : t.external_owner) = roster.size() - 1;
     }
+    const auto local_id = [&](std::size_t key) {
+      const std::uint64_t below =
+          named_[key / 64] & ((std::uint64_t{1} << (key % 64)) - 1);
+      return rank_[key / 64] + static_cast<std::size_t>(std::popcount(below));
+    };
+    for (mec::Task& t : tasks) {
+      t.id.user = local_id(t.id.user);
+      if (t.external_bytes > 0.0) {
+        t.external_owner = local_id(t.external_owner);
+      }
+    }
+    std::fill(named_.begin() + lo, named_.begin() + hi + 1, 0);
     const std::size_t halo_devices = roster.size() - core_devices;
 
     // Station roster: the shard's own block, then halo cells (sorted).

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "mec/task.h"
@@ -80,18 +81,25 @@ class Sharder {
   // deadline (the slack left after waiting). Shards with no tasks are
   // omitted; the returned problems are in shard order. Every batch issuer
   // — and every external owner — must be up (the daemon triages the rest
-  // away before building).
+  // away before building). Not const: the roster scratch below is reused
+  // from call to call, so one Sharder builds on one thread at a time.
   std::vector<ShardProblem> build(
       const Population& population,
       const std::vector<double>& device_residual,
       const std::vector<double>& station_residual,
       const std::vector<const PendingTask*>& batch,
-      const std::vector<double>& residual_deadline_s) const;
+      const std::vector<double>& residual_deadline_s);
 
  private:
   const mec::Topology* universe_;
   std::size_t num_shards_;
   std::vector<std::size_t> station_shard_;  // station -> shard
+  // Roster scratch over the 2 * num_devices roster keys (a halo owner's
+  // key is offset by num_devices): one bit per key named by the shard
+  // being built, all clear between shards, and per 64-key word the number
+  // of roster devices whose keys lie below that word.
+  std::vector<std::uint64_t> named_;
+  std::vector<std::size_t> rank_;
 };
 
 }  // namespace mecsched::serve

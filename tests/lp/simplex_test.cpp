@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "common/chaos_hook.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "lp/problem.h"
+#include "obs/registry.h"
 
 namespace mecsched::lp {
 namespace {
@@ -283,6 +287,90 @@ TEST(SimplexTest, CrashKeepsArtificialWhenColumnSpansTwoEqualityRows) {
   ASSERT_EQ(warm.x.size(), cold.x.size());
   for (std::size_t i = 0; i < warm.x.size(); ++i) {
     EXPECT_NEAR(warm.x[i], cold.x[i], 1e-9) << "x" << i;
+  }
+}
+
+// min x + 2y s.t. x + y = 1 with the guess x = 1: the crash makes x basic
+// in the row, so no artificial is basic at the start.
+Problem one_row_lp() {
+  Problem p;
+  const auto x = p.add_variable(1.0, 0.0, 1.0);
+  const auto y = p.add_variable(2.0, 0.0, 1.0);
+  p.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kEqual, 1.0);
+  return p;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+// lp.simplex.crash_feasible counts solves whose start basis holds no
+// artificial; lp.simplex.phase1_pivots counts the pivots made before
+// phase 2 begins.
+TEST(SimplexTest, PhaseOneCountersSplitCrashFeasibleStarts) {
+  using Deltas = std::pair<std::uint64_t, std::uint64_t>;
+  const auto run = [](const Problem& p, const std::vector<double>* guess) {
+    const std::uint64_t feasible0 = counter("lp.simplex.crash_feasible");
+    const std::uint64_t phase1_0 = counter("lp.simplex.phase1_pivots");
+    const Solution s = guess != nullptr ? SimplexSolver().solve(p, *guess)
+                                        : SimplexSolver().solve(p);
+    EXPECT_TRUE(s.optimal());
+    return Deltas{counter("lp.simplex.crash_feasible") - feasible0,
+                  counter("lp.simplex.phase1_pivots") - phase1_0};
+  };
+  const std::vector<double> at_x = {1.0, 0.0};
+  EXPECT_EQ(run(one_row_lp(), &at_x), (Deltas{1, 0}));
+  // Cold, the row starts on its artificial and phase 1 pivots it out.
+  EXPECT_EQ(run(one_row_lp(), nullptr), (Deltas{0, 1}));
+}
+
+// Records every probe and answers the first one with `first`.
+class FirstProbeHook : public chaos::Hook {
+ public:
+  explicit FirstProbeHook(chaos::Action first) : first_(first) {}
+  chaos::Action probe(const char*, std::size_t, std::size_t,
+                      std::size_t iteration) override {
+    iterations.push_back(iteration);
+    return iterations.size() == 1 ? first_ : chaos::Action::kNone;
+  }
+  std::vector<std::size_t> iterations;
+
+ private:
+  chaos::Action first_;
+};
+
+struct Armed {
+  explicit Armed(chaos::Hook* hook) { chaos::arm(hook); }
+  ~Armed() { chaos::arm(nullptr); }
+};
+
+// From a start with no artificial basic, phase 1 ends without pricing,
+// but its one pass still makes the budget check and the chaos probe: a
+// fault injected there lands exactly as when phase 1 priced.
+TEST(SimplexTest, CrashFeasibleStartStillProbesInPhaseOne) {
+  const Problem p = one_row_lp();
+  const std::vector<double> guess = {1.0, 0.0};
+  {
+    FirstProbeHook hook(chaos::Action::kNone);
+    const Armed armed(&hook);
+    const Solution s = SimplexSolver().solve(p, guess);
+    ASSERT_TRUE(s.optimal());
+    EXPECT_EQ(s.iterations, 0u);
+    // Phase 1's pass and phase 2's pass, both at iteration 0.
+    EXPECT_EQ(hook.iterations, (std::vector<std::size_t>{0, 0}));
+  }
+  {
+    FirstProbeHook hook(chaos::Action::kStall);
+    const Armed armed(&hook);
+    const Solution s = SimplexSolver().solve(p, guess);
+    EXPECT_EQ(s.status, SolveStatus::kDeadline);
+    EXPECT_TRUE(s.x.empty());  // stopped in phase 1
+  }
+  for (const chaos::Action fault :
+       {chaos::Action::kPoisonNan, chaos::Action::kError}) {
+    FirstProbeHook hook(fault);
+    const Armed armed(&hook);
+    EXPECT_THROW(SimplexSolver().solve(p, guess), SolverError);
   }
 }
 

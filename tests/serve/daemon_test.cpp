@@ -133,11 +133,9 @@ TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   EXPECT_EQ(log.digest(), 0x258de30fbc0db8b0ull);
 }
 
-// The city-scale run of bench/serve_steady_state (100k devices, 250 cells,
-// 4 x 0.5 s epochs, 24k arrivals/s with churn, 16 shards), pinned at one
-// and four workers: the decision log, and two work counters the digest
-// cannot see — simplex pivots, and devices materialized into shards.
-TEST(ServeDaemonTest, CityScaleRunIsPinned) {
+// The city-scale run of bench/serve_steady_state: 100k devices, 250
+// cells, 4 x 0.5 s epochs, 24k arrivals/s with churn.
+workload::ServeWorkload city_workload() {
   workload::ServeTraceConfig cfg;
   cfg.scenario.num_devices = 100000;
   cfg.scenario.num_base_stations = 250;
@@ -148,9 +146,16 @@ TEST(ServeDaemonTest, CityScaleRunIsPinned) {
   cfg.join_rate_per_s = 10.0;
   cfg.leave_rate_per_s = 10.0;
   cfg.migrate_rate_per_s = 40.0;
-  const workload::ServeWorkload w = workload::make_serve_workload(cfg);
+  return workload::make_serve_workload(cfg);
+}
+
+// The city run at 16 shards, pinned at one and four workers: the decision
+// log, and two work counters the digest cannot see — simplex pivots, and
+// devices materialized into shards.
+TEST(ServeDaemonTest, CityScaleRunIsPinned) {
+  const workload::ServeWorkload w = city_workload();
   ServeOptions opts;
-  opts.batching.window_s = cfg.epoch_s;
+  opts.batching.window_s = 0.5;
   opts.sharding.num_shards = 16;
 
   obs::Registry& reg = obs::Registry::global();
@@ -166,6 +171,28 @@ TEST(ServeDaemonTest, CityScaleRunIsPinned) {
     EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 88204u)
         << "jobs " << jobs;
   }
+}
+
+// The same city run at the two ends of the shard range: one shard (no
+// halo) and 64 shards (the most halo devices and cells). Shard rosters
+// and the decision log must not depend on how the roster is assembled.
+std::uint64_t city_digest(std::size_t num_shards) {
+  const workload::ServeWorkload w = city_workload();
+  ServeOptions opts;
+  opts.batching.window_s = 0.5;
+  opts.sharding.num_shards = num_shards;
+  opts.jobs = 1;
+  DecisionLog log;
+  ServeDaemon(opts).run(w.universe, w.trace, &log);
+  return log.digest();
+}
+
+TEST(ServeDaemonTest, CityScaleRunIsPinnedAtOneShard) {
+  EXPECT_EQ(city_digest(1), 0x232c586191f07487ull);
+}
+
+TEST(ServeDaemonTest, CityScaleRunIsPinnedAtSixtyFourShards) {
+  EXPECT_EQ(city_digest(64), 0x9b96e9b79362d6ffull);
 }
 
 TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {

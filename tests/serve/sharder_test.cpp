@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "mec/cost_model.h"
 #include "mec/parameters.h"
 #include "serve/population.h"
@@ -75,7 +79,7 @@ TEST(SharderTest, StationBlocksAreContiguousAndMonotone) {
 
 TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   Population pop(universe);
   // Device 0 lives at station 0 (shard 0) but has migrated to station 3.
   pop.apply(Event::migrate(0.0, 0, 3));
@@ -94,7 +98,7 @@ TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
 
 TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   const Population pop(universe);
   // Issuer 0 sits in shard 0; its external data lives on device 2 whose
   // cell (station 2) is in shard 1, so the owner comes in as a halo copy.
@@ -132,7 +136,7 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
 
 TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {1});
+  Sharder sharder(universe, {1});
   Population pop(universe);
   pop.apply(Event::station_down(0.0, 1));
   pop.apply(Event::link_fade(0.0, 0, 0.25));
@@ -162,7 +166,7 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
 
 TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   const Population pop(universe);
   std::vector<double> dev = full_device_residual(universe);
   std::vector<double> sta = full_station_residual(universe);
@@ -182,7 +186,7 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
 
 TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   Population pop(universe);
   pop.apply(Event::leave(0.0, 4));  // station 0, shard 0
   const Event e = arrival(0, 0, 0.0);
@@ -201,7 +205,7 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   // 12 devices over 4 stations; shard 0 (stations 0-1) holds devices
   // 0, 1, 4, 5, 8 and 9, of which 0 and 4 issue nothing and own nothing.
   const mec::Topology universe = make_universe(12, 4);
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   const Population pop(universe);
   const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, halo
                      arrival(5, 5, 0.0),
@@ -251,7 +255,7 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
 
 TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
+  Sharder sharder(universe, {2});
   const Population pop(universe);
   const Event e = arrival(0, 0, 0.0);  // issued deadline 10s
   const PendingTask p{0, &e, 0};
@@ -261,6 +265,151 @@ TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
                     full_station_residual(universe), batch, {3.25});
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_DOUBLE_EQ(problems[0].tasks[0].deadline_s, 3.25);
+}
+
+// A build that fails a precondition (here: a data owner that is away)
+// throws before it touches the roster scratch, so the next build on the
+// same sharder sees a clean bitmap.
+TEST(SharderTest, FailedBuildLeavesTheRosterScratchClean) {
+  const mec::Topology universe = make_universe();
+  Sharder sharder(universe, {1});
+  Population pop(universe);
+  pop.apply(Event::leave(0.0, 6));
+  const Trace trace({arrival(1, 5, 200e3), arrival(3, 6, 200e3),
+                     arrival(7, 7, 0.0)});
+  const PendingTask a{0, &trace.events()[0], 0};
+  const PendingTask b{1, &trace.events()[1], 0};
+  const PendingTask c{2, &trace.events()[2], 0};
+  EXPECT_THROW(sharder.build(pop, full_device_residual(universe),
+                             full_station_residual(universe), {&a, &b},
+                             {10.0, 10.0}),
+               ModelError);
+  const auto problems =
+      sharder.build(pop, full_device_residual(universe),
+                    full_station_residual(universe), {&c}, {10.0});
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0].device_global, (std::vector<std::size_t>{7}));
+  EXPECT_EQ(problems[0].tasks[0].id.user, 0u);
+}
+
+// The roster as a sort builds it: every (key, slot) reference of a shard's
+// tasks — key the universe id, offset by num_devices for an owner outside
+// the shard; slot 2 * task + is_owner — sorted, so the distinct keys in
+// order are the roster and each reference's rank is its local id.
+struct SortedRoster {
+  std::size_t shard = 0;
+  std::vector<std::size_t> device_global;
+  std::size_t halo_devices = 0;
+  std::vector<std::size_t> users;   // local id per task
+  std::vector<std::size_t> owners;  // local id per task, 0 without data
+  std::vector<std::size_t> task_ids;
+};
+
+std::vector<SortedRoster> sorted_rosters(
+    const Sharder& sharder, const Population& pop, std::size_t nd,
+    const std::vector<const PendingTask*>& batch) {
+  const auto shard_of = [&](std::size_t device) {
+    return sharder.shard_of_station(pop.station(device));
+  };
+  std::vector<SortedRoster> out;
+  for (std::size_t s = 0; s < sharder.num_shards(); ++s) {
+    std::vector<std::size_t> members;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (shard_of(batch[i]->task().id.user) == s) members.push_back(i);
+    }
+    if (members.empty()) continue;
+    SortedRoster r;
+    r.shard = s;
+    std::vector<std::pair<std::size_t, std::size_t>> refs;
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const mec::Task& t = batch[members[k]]->task();
+      r.task_ids.push_back(batch[members[k]]->id);
+      refs.emplace_back(t.id.user, 2 * k);
+      if (t.external_bytes > 0.0) {
+        refs.emplace_back(
+            t.external_owner + (shard_of(t.external_owner) == s ? 0 : nd),
+            2 * k + 1);
+      }
+    }
+    std::sort(refs.begin(), refs.end());
+    r.users.assign(members.size(), 0);
+    r.owners.assign(members.size(), 0);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const auto [key, slot] = refs[i];
+      if (i == 0 || key != refs[i - 1].first) {
+        r.device_global.push_back(key < nd ? key : key - nd);
+        if (key >= nd) ++r.halo_devices;
+      }
+      (slot % 2 == 0 ? r.users : r.owners)[slot / 2] =
+          r.device_global.size() - 1;
+    }
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
+  // 600 devices over 80 stations; a fifth of them migrate to a random
+  // cell, so a device's shard is not its home shard.
+  const std::size_t nd = 600;
+  const mec::Topology universe = make_universe(nd, 80);
+  Population pop(universe);
+  Rng rng(41);
+  for (std::size_t g = 0; g < nd; ++g) {
+    if (rng.bernoulli(0.2)) {
+      pop.apply(Event::migrate(
+          0.0, g, static_cast<std::size_t>(rng.uniform_int(0, 79))));
+    }
+  }
+  const auto device = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, nd - 1));
+  };
+  for (const std::size_t shards : {1u, 4u, 16u, 64u}) {
+    Sharder sharder(universe, {shards});
+    // Several epochs through one sharder: its scratch must come back
+    // clean after every build.
+    for (int epoch = 0; epoch < 6; ++epoch) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 400));
+      std::vector<Event> events;
+      events.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t user = device();
+        const double roll = rng.uniform(0.0, 1.0);
+        // No data, own data, or another device's (often in another shard).
+        events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
+                         : roll < 0.3 ? arrival(user, user, 100e3)
+                                      : arrival(user, device(), 100e3));
+      }
+      std::vector<PendingTask> pending;
+      pending.reserve(n);
+      std::vector<const PendingTask*> batch;
+      for (std::size_t i = 0; i < n; ++i) {
+        pending.push_back(PendingTask{i, &events[i], 0});
+        batch.push_back(&pending.back());
+      }
+      const auto problems = sharder.build(
+          pop, full_device_residual(universe), full_station_residual(universe),
+          batch, std::vector<double>(n, 10.0));
+      const std::vector<SortedRoster> want =
+          sorted_rosters(sharder, pop, nd, batch);
+      ASSERT_EQ(problems.size(), want.size()) << shards << " shards";
+      for (std::size_t p = 0; p < want.size(); ++p) {
+        const ShardProblem& got = problems[p];
+        SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
+                                          << epoch << ", shard " << got.shard);
+        EXPECT_EQ(got.shard, want[p].shard);
+        EXPECT_EQ(got.device_global, want[p].device_global);
+        EXPECT_EQ(got.halo_devices, want[p].halo_devices);
+        EXPECT_EQ(got.task_ids, want[p].task_ids);
+        ASSERT_EQ(got.tasks.size(), want[p].users.size());
+        for (std::size_t k = 0; k < got.tasks.size(); ++k) {
+          EXPECT_EQ(got.tasks[k].id.user, want[p].users[k]) << "task " << k;
+          EXPECT_EQ(got.tasks[k].external_owner, want[p].owners[k])
+              << "task " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
