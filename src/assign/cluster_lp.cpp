@@ -1,7 +1,6 @@
 #include "assign/cluster_lp.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace mecsched::assign {
 
@@ -69,23 +68,34 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   }
 
   // Bucket the task slots by issuing device: ascending device ids, slots
-  // in `active` order within a device.
-  const auto owner = [&](std::size_t idx) {
+  // in `active` order within a device. Every issuer is in the cluster's
+  // device list, which ascends, so a count per device, one pass over that
+  // list turning counts into first slots, and a scatter in `active` order
+  // fill the buckets. The counts live in a per-thread scratch indexed by
+  // device id whose entries for this cluster's devices are zeroed first,
+  // so a build costs O(cluster), not O(devices).
+  thread_local std::vector<std::size_t> slot_of;
+  if (slot_of.size() < topo.num_devices()) slot_of.resize(topo.num_devices());
+  const auto issuer = [&](std::size_t idx) {
     return instance.task(out.active[idx]).id.user;
   };
-  out.device_slots.resize(n);
-  std::iota(out.device_slots.begin(), out.device_slots.end(), 0);
-  std::stable_sort(
-      out.device_slots.begin(), out.device_slots.end(),
-      [&](std::size_t a, std::size_t c) { return owner(a) < owner(c); });
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t device = owner(out.device_slots[k]);
-    if (out.device_ids.empty() || out.device_ids.back() != device) {
-      out.device_ids.push_back(device);
-      out.device_begin.push_back(k);
-    }
+  const std::vector<std::size_t>& members = topo.cluster(b);
+  for (const std::size_t device : members) slot_of[device] = 0;
+  for (std::size_t idx = 0; idx < n; ++idx) ++slot_of[issuer(idx)];
+  std::size_t next = 0;
+  for (const std::size_t device : members) {
+    const std::size_t count = slot_of[device];
+    if (count == 0) continue;
+    out.device_ids.push_back(device);
+    out.device_begin.push_back(next);
+    slot_of[device] = next;
+    next += count;
   }
   out.device_begin.push_back(n);
+  out.device_slots.resize(n);
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    out.device_slots[slot_of[issuer(idx)]++] = idx;
+  }
 
   // One term buffer serves every device row and then the station row.
   std::vector<lp::Term> terms;

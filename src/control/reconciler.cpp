@@ -74,33 +74,21 @@ Interruptions Reconciler::sweep(Cause cause, std::size_t target, double t) {
   return out;
 }
 
-std::vector<std::size_t> Reconciler::collect_completions(double now) {
-  std::vector<std::size_t> done;
+std::size_t Reconciler::settle(double now, std::vector<double>& device_used,
+                              std::vector<double>& station_used) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < running_.size(); ++i) {
     const RunningTask& r = running_[i];
     if (r.finish_s <= now) {
-      done.push_back(r.id);
       release(r);
     } else {
+      charge(r, now, device_used, station_used);
       running_[kept++] = r;
     }
   }
-  running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(kept),
-                 running_.end());
+  const std::size_t done = running_.size() - kept;
+  running_.resize(kept);
   return done;
-}
-
-void Reconciler::occupancy(double now, std::vector<double>& device_used,
-                           std::vector<double>& station_used) const {
-  for (const RunningTask& r : running_) {
-    if (r.finish_s <= now) continue;
-    if (r.where == assign::Decision::kLocal) {
-      device_used[r.issuer] += r.resource;
-    } else if (r.where == assign::Decision::kEdge) {
-      station_used[r.station] += r.resource;
-    }
-  }
 }
 
 }  // namespace mecsched::control

@@ -33,23 +33,39 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "assign/assignment.h"
 
 namespace mecsched::control {
 
-// One placed task occupying capacity somewhere.
+// One placed task occupying capacity somewhere. The two narrow fields
+// come last, so an entry takes 56 bytes of the running list, not 64.
 struct RunningTask {
   std::size_t id = 0;  // caller-scoped task id
   double finish_s = 0.0;
-  assign::Decision where = assign::Decision::kCancelled;
   std::size_t issuer = 0;
   std::size_t station = 0;  // issuer's serving cell at decision time
   double resource = 0.0;
-  bool has_external = false;
   std::size_t owner = 0;  // external data owner (valid if has_external)
+  assign::Decision where = assign::Decision::kCancelled;
+  bool has_external = false;
 };
+
+// Adds what t holds at `now`, if it is still running then: its resource
+// on the issuing device for a local placement, on the issuer's cell for an
+// edge placement (the cloud is uncapacitated).
+inline void charge(const RunningTask& t, double now,
+                   std::vector<double>& device_used,
+                   std::vector<double>& station_used) {
+  if (t.finish_s <= now) return;
+  if (t.where == assign::Decision::kLocal) {
+    device_used[t.issuer] += t.resource;
+  } else if (t.where == assign::Decision::kEdge) {
+    station_used[t.station] += t.resource;
+  }
+}
 
 // Tasks an event tore out of the running set, each list in start order.
 struct Interruptions {
@@ -71,25 +87,28 @@ class Reconciler {
   // orphaned.
   Interruptions station_down(std::size_t station, double t);
 
-  // Removes and returns (in start order) the ids of tasks with
-  // finish_s <= now.
-  std::vector<std::size_t> collect_completions(double now);
+  // Room for n running tasks, so that starts do not regrow the list.
+  void reserve(std::size_t n) { running_.reserve(n); }
+
+  // One sweep in start order: removes the tasks with finish_s <= now and
+  // returns how many, and charges each task still running to the capacity
+  // it holds (see charge). Callers subtract the sums from the base
+  // capacities to price an epoch against the residual system; work started
+  // later at the same `now` is charged by the caller, after the sweep, so
+  // each sum keeps start order.
+  std::size_t settle(double now, std::vector<double>& device_used,
+                     std::vector<double>& station_used);
 
   const std::vector<RunningTask>& running() const { return running_; }
 
-  // Occupancy of still-running work at `now`: per-device resource for
-  // local placements, per-station resource for edge placements. Callers
-  // subtract these from the base capacities to price each epoch against
-  // the residual system.
-  void occupancy(double now, std::vector<double>& device_used,
-                 std::vector<double>& station_used) const;
-
  private:
-  // Running tasks a churn event on one device could interrupt.
+  // Running tasks a churn event on one device could interrupt. 32 bits
+  // each keep the index at 8 bytes a device (it is read at random on
+  // every start and end); no device names 2^32 running tasks.
   struct Refs {
-    std::size_t named = 0;      // issuer or owner: a leave (a task owning
-                                // its own external data counts twice)
-    std::size_t offloaded = 0;  // edge/cloud issuer: a migrate
+    std::uint32_t named = 0;      // issuer or owner: a leave (a task owning
+                                  // its own external data counts twice)
+    std::uint32_t offloaded = 0;  // edge/cloud issuer: a migrate
   };
   enum class Cause { kDeviceLeft, kDeviceMigrated, kStationDown };
 

@@ -10,7 +10,18 @@ Topology::Topology(std::vector<Device> devices,
       stations_(std::move(stations)),
       params_(params) {
   MECSCHED_REQUIRE(!stations_.empty(), "topology needs >= 1 base station");
+  // One allocation per cluster: count its devices first (an unknown
+  // station is skipped here and rejected below).
   clusters_.resize(stations_.size());
+  {
+    std::vector<std::size_t> size(stations_.size(), 0);
+    for (const Device& d : devices_) {
+      if (d.base_station < size.size()) ++size[d.base_station];
+    }
+    for (std::size_t b = 0; b < size.size(); ++b) {
+      clusters_[b].reserve(size[b]);
+    }
+  }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     Device& d = devices_[i];
     MECSCHED_REQUIRE(d.id == i, "device ids must be dense 0..n-1 (slot " +

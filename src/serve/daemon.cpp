@@ -27,6 +27,19 @@ using assign::Decision;
 using control::ReadmissionEntry;
 using control::RunningTask;
 
+// One arrival of a run. The task and its arrival time are read from the
+// trace event, which the trace keeps for the whole ServeDaemon::run.
+struct PendingTask {
+  std::size_t id = 0;              // the arrival's ordinal in the trace
+  const Event* arrival = nullptr;  // the kTaskArrival event
+  std::size_t attempts = 0;        // admissions consumed so far
+
+  // Global ids; deadline_s as issued.
+  const mec::Task& task() const { return arrival->task; }
+  // Admission time on the virtual clock.
+  double arrival_s() const { return arrival->time_s; }
+};
+
 double wall_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -160,8 +173,10 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   std::vector<PendingTask> pending;
   pending.reserve(trace.arrivals());
   // Every arrival settles at least once, so the log gets at least one
-  // record per arrival; retries add the rest.
+  // record per arrival; retries add the rest. An arrival runs at most once
+  // at a time, so the in-flight list never outgrows the arrivals.
   if (log != nullptr) log->reserve(log->size() + trace.arrivals());
+  recon.reserve(trace.arrivals());
 
   obs::Registry& reg = obs::Registry::global();
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
@@ -173,15 +188,12 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   double now = 0.0;
   std::size_t epoch = 0;
   std::size_t shard_devices = 0;  // devices materialized into shards
-  // Per-epoch buffers, kept across epochs: the epoch batch with each
-  // task's residual slack, the capacity in use and left per device and
-  // per station, and the epoch's admit-to-decision waits.
-  std::vector<const PendingTask*> batch;
-  std::vector<double> residuals;
+  // Per-epoch buffers, kept across epochs: the epoch batch, the capacity
+  // running work holds per device and per station, and the epoch's
+  // admit-to-decision waits.
+  std::vector<BatchTask> batch;
   std::vector<double> dev_used(nd);
-  std::vector<double> dev_res(nd);
   std::vector<double> st_used(ns);
-  std::vector<double> st_res(ns);
   std::vector<double> waits_ms;
 
   auto append = [&](double t, const mec::TaskId& id, DecisionKind kind,
@@ -192,33 +204,36 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
     }
   };
 
-  // Re-admit with backoff, or settle as exhausted.
-  auto retry_or_exhaust = [&](std::size_t id, double t) {
-    const PendingTask& p = pending[id];
-    if (waiting.retry(id, p.attempts, epoch)) {
-      append(t, p.task().id, DecisionKind::kRetry, p.attempts);
+  // Re-admit arrival `id` with backoff, or settle it as exhausted.
+  auto retry_or_exhaust = [&](std::size_t id, std::size_t attempts,
+                              const mec::TaskId& task, double t) {
+    if (waiting.retry(id, attempts, epoch)) {
+      append(t, task, DecisionKind::kRetry, attempts);
     } else {
       ++result.exhausted;
-      append(t, p.task().id, DecisionKind::kExhausted, p.attempts);
+      append(t, task, DecisionKind::kExhausted, attempts);
     }
   };
 
   // Start a placement made now: it runs until its analytic finish.
-  auto start = [&](std::size_t id, Decision d, std::size_t shard,
+  auto start = [&](const BatchTask& b, Decision d, std::size_t shard,
                    double latency_s, double energy_j) {
-    const PendingTask& p = pending[id];
-    const mec::Task& task = p.task();
     const double finish = now + latency_s;
-    const double wait_s = now - p.arrival_s();
+    const double wait_s = now - b.arrival_s;
     result.total_energy_j += energy_j;
     result.makespan_s = std::max(result.makespan_s, finish);
     ++result.decisions;
-    const std::size_t issuer = task.id.user;
-    recon.start({id, finish, d, issuer, pop.station(issuer), task.resource,
-                 task.external_bytes > 0.0, task.external_owner});
+    recon.start({.id = b.id,
+                 .finish_s = finish,
+                 .issuer = b.task_id.user,
+                 .station = b.station,
+                 .resource = b.resource,
+                 .owner = b.owner,
+                 .where = d,
+                 .has_external = b.has_external});
     if (log != nullptr) {
-      log->append({epoch, now, task.id, DecisionKind::kDecide, d, shard,
-                   p.attempts, wait_s, energy_j, finish});
+      log->append({epoch, now, b.task_id, DecisionKind::kDecide, d, shard,
+                   b.attempts, wait_s, energy_j, finish});
     }
     waits_ms.push_back(wait_s * 1e3);
   };
@@ -291,14 +306,19 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         }
         for (const std::size_t id : hit.orphaned) {
           ++result.orphaned;
-          retry_or_exhaust(id, e.time_s);
+          retry_or_exhaust(id, pending[id].attempts, pending[id].task().id,
+                           e.time_s);
         }
         pop.apply(e);
       }
     }
 
-    // ---- Completions free their reservations.
-    result.completed += recon.collect_completions(now).size();
+    // ---- Completions free their reservations; what still runs is
+    // charged to the capacity it holds (triage's dark-cell runs add theirs
+    // as they start).
+    std::fill(dev_used.begin(), dev_used.end(), 0.0);
+    std::fill(st_used.begin(), st_used.end(), 0.0);
+    result.completed += recon.settle(now, dev_used, st_used);
 
     ++result.epochs;
 
@@ -312,7 +332,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     waits_ms.clear();
     batch.clear();
-    residuals.clear();
     for (const ReadmissionEntry& wte : ready) {
       PendingTask& p = pending[wte.id];
       ++p.attempts;
@@ -341,7 +360,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
                 : rescue(universe, pop, *shared, shared->task_items[wte.id],
                          task, residual);
         if (!r) {
-          retry_or_exhaust(wte.id, now);
+          retry_or_exhaust(wte.id, p.attempts, task.id, now);
           continue;
         }
         const double finish = now + r->seconds;
@@ -358,13 +377,13 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         }
         continue;
       }
-      if (!pop.station_up(pop.station(issuer))) {
+      const BatchTask b = make_batch_task(wte.id, task, p.attempts,
+                                          p.arrival_s(), residual, pop);
+      if (!pop.station_up(b.station)) {
         // The cell is dark: only the issuer itself can run the task, and
         // only if its external data (if any) is in the same cell. Local
         // runs placed earlier in this pass already hold the device.
-        const bool routable =
-            task.external_bytes <= 0.0 ||
-            pop.station(task.external_owner) == pop.station(issuer);
+        const bool routable = !b.has_external || b.owner_station == b.station;
         double used = 0.0;
         for (const RunningTask& r : recon.running()) {
           if (r.where == Decision::kLocal && r.issuer == issuer) {
@@ -377,41 +396,24 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
           const mec::CostEntry local =
               dark_cell_local_cost(universe, pop, task);
           if (local.latency_s() <= residual) {
-            start(wte.id, Decision::kLocal,
-                  sharder.shard_of_station(pop.station(issuer)),
+            start(b, Decision::kLocal, sharder.shard_of_station(b.station),
                   local.latency_s(), local.energy_j);
+            control::charge(recon.running().back(), now, dev_used, st_used);
             continue;
           }
         }
-        retry_or_exhaust(wte.id, now);
+        retry_or_exhaust(wte.id, p.attempts, task.id, now);
         continue;
       }
-      batch.push_back(&p);
-      residuals.push_back(residual);
+      batch.push_back(b);
     }
 
     if (!batch.empty()) {
-      // ---- 3. Shard against the residual system. Only the devices the
-      // batch names can enter a shard roster, so only theirs are priced;
-      // the other dev_res entries keep older epochs' values, unread.
-      stage.emplace("serve.stage.occupancy", "serve");
-      std::fill(dev_used.begin(), dev_used.end(), 0.0);
-      std::fill(st_used.begin(), st_used.end(), 0.0);
-      recon.occupancy(now, dev_used, st_used);
-      const auto price = [&](std::size_t g) {
-        dev_res[g] = universe.device(g).max_resource - dev_used[g];
-      };
-      for (const PendingTask* p : batch) {
-        const mec::Task& task = p->task();
-        price(task.id.user);
-        if (task.external_bytes > 0.0) price(task.external_owner);
-      }
-      for (std::size_t b = 0; b < ns; ++b) {
-        st_res[b] = universe.base_station(b).max_resource - st_used[b];
-      }
+      // ---- 3. Shard against the residual system: the sharder prices
+      // the devices and cells it names from what running work holds.
       stage.emplace("serve.stage.shard", "serve");
       std::vector<ShardProblem> shards =
-          sharder.build(pop, dev_res, st_res, batch, residuals);
+          sharder.build(pop, dev_used, st_used, batch);
 
       // ---- 4. Solve every shard in parallel under one epoch deadline.
       CancellationToken epoch_token = stop;
@@ -420,7 +422,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
             stop.with_deadline(Deadline::after_ms(options_.epoch_budget_ms));
       }
       // The instance takes the shard's tasks by move; apply reads only
-      // task_ids and the outcome.
+      // batch_index and the outcome.
       auto solve_shard = [&](ShardProblem& sp) -> ShardOutcome {
         const auto t0 = std::chrono::steady_clock::now();
         const assign::HtaInstance inst = [&] {
@@ -482,13 +484,14 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         ++result.shard_solves;
         ++result.rungs[oc.rung];
         shard_devices += sp.topology.num_devices();
-        for (std::size_t t = 0; t < sp.task_ids.size(); ++t) {
+        for (std::size_t t = 0; t < sp.batch_index.size(); ++t) {
+          const BatchTask& b = batch[sp.batch_index[t]];
           const Decision d = oc.plan.decisions[t];
           if (d == Decision::kCancelled) {
-            retry_or_exhaust(sp.task_ids[t], now);
+            retry_or_exhaust(b.id, b.attempts, b.task_id, now);
             continue;
           }
-          start(sp.task_ids[t], d, sp.shard, oc.latency_s[t], oc.energy_j[t]);
+          start(b, d, sp.shard, oc.latency_s[t], oc.energy_j[t]);
         }
       }
     }

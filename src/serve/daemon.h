@@ -8,14 +8,16 @@
 //      depth cap; churn and fault events update the Population and are
 //      reconciled against in-flight work (issuer gone -> lost; owner gone /
 //      issuer migrated off-cell / cell gone dark -> orphaned and
-//      re-admitted with backoff);
+//      re-admitted with backoff); then one sweep of the in-flight list
+//      drops finished work and adds up what the rest holds per device
+//      and per station (Reconciler::settle);
 //   2. triage  — pull the epoch batch in admission order; expire tasks
 //      whose residual slack (net of the configured epoch budget) is gone,
 //      drop tasks whose issuer left, rescue tasks whose external owner is
 //      away by re-dividing their data across the surviving replicas (DTA,
 //      when a SharedDataView is given) or park them, and run tasks whose
 //      cell is dark locally when that fits and meets the deadline, or park
-//      them;
+//      them; each survivor becomes one BatchTask record;
 //   3. shard   — cut the survivors into per-neighborhood HtaInstances
 //      against the residual capacities and current radios (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,

@@ -5,21 +5,11 @@ namespace mecsched::serve {
 Population::Population(const mec::Topology& universe)
     : universe_(&universe),
       up_(universe.num_devices(), 1),
-      station_(universe.num_devices()),
-      link_(universe.num_devices(), 1.0),
       station_up_(universe.num_base_stations(), 1) {
+  devices_.reserve(universe.num_devices());
   for (std::size_t i = 0; i < universe.num_devices(); ++i) {
-    station_[i] = universe.device(i).base_station;
+    devices_.push_back(universe.device(i));
   }
-}
-
-mec::Device Population::device(std::size_t device) const {
-  mec::Device d = universe_->device(device);
-  d.base_station = station_[device];
-  const double factor = link_[device];
-  d.radio.upload_bps *= factor;
-  d.radio.download_bps *= factor;
-  return d;
 }
 
 void Population::apply(const Event& e) {
@@ -28,13 +18,13 @@ void Population::apply(const Event& e) {
       break;
     case EventKind::kDeviceJoin:
       up_[e.device] = 1;
-      station_[e.device] = e.station;
+      devices_[e.device].base_station = e.station;
       break;
     case EventKind::kDeviceLeave:
       up_[e.device] = 0;
       break;
     case EventKind::kDeviceMigrate:
-      if (up_[e.device]) station_[e.device] = e.station;
+      if (up_[e.device]) devices_[e.device].base_station = e.station;
       break;
     case EventKind::kStationDown:
       station_up_[e.station] = 0;
@@ -42,9 +32,15 @@ void Population::apply(const Event& e) {
     case EventKind::kStationUp:
       station_up_[e.station] = 1;
       break;
-    case EventKind::kLinkFade:
-      link_[e.device] = e.factor;
+    case EventKind::kLinkFade: {
+      // Scaled from the nominal rates, so a factor of 1 restores them bit
+      // for bit.
+      const mec::RadioProfile& nominal = universe_->device(e.device).radio;
+      mec::RadioProfile& radio = devices_[e.device].radio;
+      radio.upload_bps = nominal.upload_bps * e.factor;
+      radio.download_bps = nominal.download_bps * e.factor;
       break;
+    }
   }
 }
 

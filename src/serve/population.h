@@ -28,12 +28,16 @@ class Population {
   explicit Population(const mec::Topology& universe);
 
   bool up(std::size_t device) const { return up_[device]; }
-  std::size_t station(std::size_t device) const { return station_[device]; }
+  std::size_t station(std::size_t device) const {
+    return devices_[device].base_station;
+  }
   bool station_up(std::size_t station) const { return station_up_[station]; }
   // The universe's device as it is now: attached to its current station,
   // its radio rates scaled by the current link factor. Every other field
   // (id, capacity, CPU, radio powers) is the universe's.
-  mec::Device device(std::size_t device) const;
+  const mec::Device& device(std::size_t device) const {
+    return devices_[device];
+  }
 
   // Applies one churn or fault event (arrival events are ignored here —
   // they do not move devices). Join re-attaches at the event's target
@@ -44,8 +48,9 @@ class Population {
  private:
   const mec::Topology* universe_;
   std::vector<char> up_;  // vector<bool> is bit-packed; char keeps it simple
-  std::vector<std::size_t> station_;
-  std::vector<double> link_;  // multiplier on nominal radio rates
+  // Each device as it is now, kept current by apply(): one record per
+  // device, so a reader of a device's cell and radio reads one place.
+  std::vector<mec::Device> devices_;
   std::vector<char> station_up_;
 };
 

@@ -37,35 +37,46 @@ std::size_t Sharder::shard_of_station(std::size_t station) const {
   return station_shard_[station];
 }
 
+BatchTask make_batch_task(std::size_t id, const mec::Task& task,
+                          std::size_t attempts, double arrival_s,
+                          double residual_s, const Population& population) {
+  const bool has_external = task.external_bytes > 0.0;
+  return BatchTask{id,
+                   task.id,
+                   population.station(task.id.user),
+                   task.external_owner,
+                   has_external ? population.station(task.external_owner) : 0,
+                   has_external,
+                   task.resource,
+                   attempts,
+                   arrival_s,
+                   residual_s,
+                   &task};
+}
+
 std::vector<ShardProblem> Sharder::build(
     const Population& population,
-    const std::vector<double>& device_residual,
-    const std::vector<double>& station_residual,
-    const std::vector<const PendingTask*>& batch,
-    const std::vector<double>& residual_deadline_s) {
+    const std::vector<double>& device_used,
+    const std::vector<double>& station_used,
+    const std::vector<BatchTask>& batch) {
   const std::size_t nd = universe_->num_devices();
   const std::size_t ns = universe_->num_base_stations();
-  MECSCHED_REQUIRE(device_residual.size() == nd &&
-                       station_residual.size() == ns,
-                   "residual vectors must match the universe topology");
-  MECSCHED_REQUIRE(residual_deadline_s.size() == batch.size(),
-                   "residual deadlines must align with the batch");
+  MECSCHED_REQUIRE(device_used.size() == nd && station_used.size() == ns,
+                   "usage vectors must match the universe topology");
 
   // Route each task to the shard of its issuer's current cell. Every
   // precondition is checked here, before any roster bit is set, so a
   // failed build leaves the roster scratch clean.
   std::vector<std::vector<std::size_t>> shard_tasks(num_shards_);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const mec::Task& task = batch[i]->task();
-    const std::size_t issuer = task.id.user;
-    MECSCHED_REQUIRE(population.up(issuer),
-                     "batch task issuer " + std::to_string(issuer) +
+    const BatchTask& b = batch[i];
+    MECSCHED_REQUIRE(population.up(b.task_id.user),
+                     "batch task issuer " + std::to_string(b.task_id.user) +
                          " is not up (triage must run first)");
-    MECSCHED_REQUIRE(
-        task.external_bytes <= 0.0 || population.up(task.external_owner),
-        "external owner " + std::to_string(task.external_owner) +
-            " is not up (triage must run first)");
-    shard_tasks[station_shard_[population.station(issuer)]].push_back(i);
+    MECSCHED_REQUIRE(!b.has_external || population.up(b.owner),
+                     "external owner " + std::to_string(b.owner) +
+                         " is not up (triage must run first)");
+    shard_tasks[station_shard_[b.station]].push_back(i);
   }
 
   // Scratch global->local station map, reset per shard.
@@ -73,17 +84,15 @@ std::vector<ShardProblem> Sharder::build(
 
   std::vector<ShardProblem> problems;
   for (std::size_t s = 0; s < num_shards_; ++s) {
-    if (shard_tasks[s].empty()) continue;
+    std::vector<std::size_t>& members = shard_tasks[s];
+    if (members.empty()) continue;
 
     // The shard's tasks; user and owner become local ids below.
     std::vector<mec::Task> tasks;
-    std::vector<std::size_t> task_ids;
-    tasks.reserve(shard_tasks[s].size());
-    task_ids.reserve(shard_tasks[s].size());
-    for (const std::size_t i : shard_tasks[s]) {
-      tasks.push_back(batch[i]->task());
-      tasks.back().deadline_s = residual_deadline_s[i];
-      task_ids.push_back(batch[i]->id);
+    tasks.reserve(members.size());
+    for (const std::size_t i : members) {
+      tasks.push_back(*batch[i].task);
+      tasks.back().deadline_s = batch[i].residual_s;
     }
 
     // Device roster: the devices the tasks name. Issuers and in-shard
@@ -102,18 +111,24 @@ std::vector<ShardProblem> Sharder::build(
       lo = std::min(lo, w);
       hi = std::max(hi, w);
     };
-    for (mec::Task& t : tasks) {
+    // A halo owner's cell joins the station roster; station_local marks
+    // it until the local ids are handed out.
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      const BatchTask& b = batch[members[k]];
+      mec::Task& t = tasks[k];
       name(t.id.user);
-      if (t.external_bytes <= 0.0) {
+      if (!b.has_external) {
         t.external_owner = 0;
         continue;
       }
-      const bool in_shard =
-          station_shard_[population.station(t.external_owner)] == s;
-      if (!in_shard) t.external_owner += nd;
+      if (station_shard_[b.owner_station] != s) {
+        t.external_owner += nd;
+        station_local[b.owner_station] = 0;
+      }
       name(t.external_owner);
     }
     std::vector<std::size_t> roster;
+    roster.reserve(2 * tasks.size());
     std::size_t core_devices = 0;
     for (std::size_t w = lo; w <= hi; ++w) {
       rank_[w] = roster.size();
@@ -138,23 +153,15 @@ std::vector<ShardProblem> Sharder::build(
     std::fill(named_.begin() + lo, named_.begin() + hi + 1, 0);
     const std::size_t halo_devices = roster.size() - core_devices;
 
-    // Station roster: the shard's own block, then halo cells (sorted).
+    // Station roster: the shard's own block, then the marked halo cells
+    // in ascending id.
     std::vector<std::size_t> stations;
     for (std::size_t b = 0; b < ns; ++b) {
       if (station_shard_[b] == s) stations.push_back(b);
     }
     const std::size_t core_stations = stations.size();
-    {
-      std::vector<std::size_t> halo_stations;
-      for (std::size_t local = core_devices; local < roster.size(); ++local) {
-        halo_stations.push_back(population.station(roster[local]));
-      }
-      std::sort(halo_stations.begin(), halo_stations.end());
-      halo_stations.erase(
-          std::unique(halo_stations.begin(), halo_stations.end()),
-          halo_stations.end());
-      stations.insert(stations.end(), halo_stations.begin(),
-                      halo_stations.end());
+    for (std::size_t b = 0; b < ns; ++b) {
+      if (station_local[b] != kNone) stations.push_back(b);
     }
     for (std::size_t local = 0; local < stations.size(); ++local) {
       station_local[stations[local]] = local;
@@ -167,24 +174,40 @@ std::vector<ShardProblem> Sharder::build(
       bs.id = local;
       // Halo cells carry zero capacity: their ledger belongs to the
       // owning shard. So do dark cells.
-      bs.max_resource = local < core_stations &&
-                                population.station_up(stations[local])
-                            ? std::max(0.0, station_residual[stations[local]])
-                            : 0.0;
+      bs.max_resource =
+          local < core_stations && population.station_up(stations[local])
+              ? std::max(0.0, bs.max_resource - station_used[stations[local]])
+              : 0.0;
       shard_stations.push_back(bs);
     }
 
+    // The roster's universe ids ascend with gaps too wide for the
+    // hardware prefetcher, so the gather asks for each device's entries a
+    // few roster slots ahead.
+    constexpr std::size_t kAhead = 8;
+    const auto prefetch = [&](std::size_t local) {
+      const std::size_t g = roster[local];
+      __builtin_prefetch(&population.device(g));
+      __builtin_prefetch(&device_used[g]);
+    };
+    for (std::size_t local = 0; local < std::min(kAhead, roster.size());
+         ++local) {
+      prefetch(local);
+    }
     std::vector<mec::Device> shard_dev;
     shard_dev.reserve(roster.size());
     for (std::size_t local = 0; local < roster.size(); ++local) {
+      if (local + kAhead < roster.size()) prefetch(local + kAhead);
       const std::size_t g = roster[local];
       // Current cell and radio rates (a faded link stretches every
-      // transfer through it).
+      // transfer through it), and the universe's capacity less what
+      // running work holds.
       mec::Device d = population.device(g);
       d.id = local;
       d.base_station = station_local[d.base_station];
-      d.max_resource =
-          local < core_devices ? std::max(0.0, device_residual[g]) : 0.0;
+      d.max_resource = local < core_devices
+                           ? std::max(0.0, d.max_resource - device_used[g])
+                           : 0.0;
       shard_dev.push_back(d);
     }
 
@@ -195,7 +218,7 @@ std::vector<ShardProblem> Sharder::build(
         s,
         mec::Topology(std::move(shard_dev), std::move(shard_stations),
                       universe_->params()),
-        std::move(tasks), std::move(task_ids), std::move(roster),
+        std::move(tasks), std::move(members), std::move(roster),
         halo_devices});
   }
   return problems;

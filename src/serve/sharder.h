@@ -24,7 +24,6 @@
 
 #include "mec/task.h"
 #include "mec/topology.h"
-#include "serve/event.h"
 #include "serve/population.h"
 
 namespace mecsched::serve {
@@ -33,18 +32,28 @@ struct ShardingOptions {
   std::size_t num_shards = 1;  // clamped to the station count at build
 };
 
-// One arrival of a run. The task and its arrival time are read from the
-// trace event, which the trace keeps for the whole ServeDaemon::run.
-struct PendingTask {
-  std::size_t id = 0;              // the arrival's ordinal in the trace
-  const Event* arrival = nullptr;  // the kTaskArrival event
-  std::size_t attempts = 0;        // admissions consumed so far
-
-  // Global ids; deadline_s as issued.
-  const mec::Task& task() const { return arrival->task; }
-  // Admission time on the virtual clock.
-  double arrival_s() const { return arrival->time_s; }
+// One task of an epoch batch, as triage reads it once from its trace
+// event and the population: what routing, roster naming and apply need,
+// so that none of them goes back to the event or the population.
+struct BatchTask {
+  std::size_t id = 0;               // the arrival's ordinal in the trace
+  mec::TaskId task_id{};            // global ids; task_id.user issues it
+  std::size_t station = 0;          // the issuer's current cell
+  std::size_t owner = 0;            // the task's external_owner
+  std::size_t owner_station = 0;    // its current cell (has_external only)
+  bool has_external = false;        // external_bytes > 0
+  double resource = 0.0;
+  std::size_t attempts = 0;         // admissions consumed, this one included
+  double arrival_s = 0.0;           // admission time on the virtual clock
+  double residual_s = 0.0;          // deadline left: the shard's deadline_s
+  const mec::Task* task = nullptr;  // as issued, for the shard's copy
 };
+
+// The record of `task`, which arrived at arrival_s as arrival `id`, as the
+// population is now.
+BatchTask make_batch_task(std::size_t id, const mec::Task& task,
+                          std::size_t attempts, double arrival_s,
+                          double residual_s, const Population& population);
 
 // One shard's cut of an epoch: a self-contained HTA problem.
 struct ShardProblem {
@@ -52,7 +61,7 @@ struct ShardProblem {
   mec::Topology topology;  // local dense ids, residual capacities
   std::vector<mec::Task> tasks;          // user/owner remapped to local ids;
                                          // the solve moves them out
-  std::vector<std::size_t> task_ids;     // local task -> PendingTask::id
+  std::vector<std::size_t> batch_index;  // local task -> batch position
   std::vector<std::size_t> device_global;  // local device -> universe id
   std::size_t halo_devices = 0;          // trailing zero-capacity entries
 };
@@ -75,20 +84,22 @@ class Sharder {
   // reads them, and local ids stay monotone in universe ids, so the LP
   // rows and decisions are those of a roster holding every up device of
   // the shard's cells.
-  // device_residual is indexed by universe ids and only the rosters'
-  // core entries are read; station_residual covers every station.
-  // residual_deadline_s aligns with batch and overrides each task's
-  // deadline (the slack left after waiting). Shards with no tasks are
-  // omitted; the returned problems are in shard order. Every batch issuer
-  // — and every external owner — must be up (the daemon triages the rest
-  // away before building). Not const: the roster scratch below is reused
+  // device_used and station_used hold the capacity that running work
+  // takes (Reconciler::settle), by universe id; a core device or an up
+  // core cell gets max(0, capacity - used), and only the rosters' core
+  // entries of device_used are read.
+  // batch holds records made by make_batch_task from `population` as it
+  // is now; each shard task's deadline is its record's residual_s (the
+  // slack left after waiting). Shards with no tasks are omitted; the returned
+  // problems are in shard order. Every batch issuer — and every external
+  // owner — must be up (the daemon triages the rest away before
+  // building). Not const: the roster scratch below is reused
   // from call to call, so one Sharder builds on one thread at a time.
   std::vector<ShardProblem> build(
       const Population& population,
-      const std::vector<double>& device_residual,
-      const std::vector<double>& station_residual,
-      const std::vector<const PendingTask*>& batch,
-      const std::vector<double>& residual_deadline_s);
+      const std::vector<double>& device_used,
+      const std::vector<double>& station_used,
+      const std::vector<BatchTask>& batch);
 
  private:
   const mec::Topology* universe_;

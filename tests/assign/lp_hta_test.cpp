@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "assign/cluster_lp.h"
 #include "assign/evaluator.h"
 #include "assign/exact.h"
+#include "common/rng.h"
 #include "lp/simplex.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
@@ -163,6 +165,58 @@ TEST(LpHtaTest, EmptyInstance) {
   const HtaInstance inst(s.topology, s.tasks);
   const Assignment a = LpHta().assign(inst);
   EXPECT_EQ(a.size(), 0u);
+}
+
+// The device rows group each cluster's task slots by issuer: devices in
+// ascending id, slots in `active` order within a device — the order a
+// stable sort of the slots by issuer gives.
+TEST(LpHtaTest, DeviceSlotsMatchAStableSortByIssuer) {
+  Rng rng(29);
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    workload::ScenarioConfig cfg;
+    cfg.seed = seed;
+    cfg.num_base_stations = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    cfg.num_devices = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(cfg.num_base_stations), 40));
+    cfg.num_tasks = static_cast<std::size_t>(rng.uniform_int(0, 120));
+    // Some deadlines below the fastest placement, so that `active` skips
+    // unschedulable tasks.
+    cfg.deadline_slack_min = seed % 2 == 0 ? 0.2 : 1.3;
+    const auto s = workload::make_scenario(cfg);
+    const HtaInstance inst(s.topology, s.tasks);
+    for (std::size_t b = 0; b < inst.topology().num_base_stations(); ++b) {
+      const ClusterLp c = build_cluster_lp(inst, b);
+      const auto issuer = [&](std::size_t slot) {
+        return inst.task(c.active[slot]).id.user;
+      };
+      std::vector<std::size_t> slots(c.active.size());
+      std::iota(slots.begin(), slots.end(), 0);
+      std::stable_sort(slots.begin(), slots.end(),
+                       [&](std::size_t x, std::size_t y) {
+                         return issuer(x) < issuer(y);
+                       });
+      std::vector<std::size_t> ids;
+      std::vector<std::size_t> begin;
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        if (ids.empty() || ids.back() != issuer(slots[k])) {
+          ids.push_back(issuer(slots[k]));
+          begin.push_back(k);
+        }
+      }
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", cluster "
+                                        << b);
+      EXPECT_EQ(c.device_slots, slots);
+      EXPECT_EQ(c.device_ids, ids);
+      if (c.active.empty()) continue;
+      begin.push_back(slots.size());
+      EXPECT_EQ(c.device_begin, begin);
+      ASSERT_EQ(c.device_row.size(), ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        EXPECT_EQ(c.device_row[i], c.active.size() + i);
+      }
+      EXPECT_EQ(c.station_row, c.active.size() + ids.size());
+    }
+  }
 }
 
 // E_LP^(OPT) from a cold (all-artificial) simplex solve of every cluster

@@ -81,9 +81,9 @@ TEST(ReconcilerTest, FinishedWorkSurvivesLaterChurn) {
   rec.start(running(1, assign::Decision::kEdge, 0.5));
   const Interruptions i = rec.device_left(0, 1.0);
   EXPECT_TRUE(i.lost_issuer.empty());
-  const std::vector<std::size_t> done = rec.collect_completions(1.0);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0], 1u);
+  std::vector<double> dev(1, 0.0), sta(1, 0.0);
+  EXPECT_EQ(rec.settle(1.0, dev, sta), 1u);
+  EXPECT_TRUE(rec.running().empty());
 }
 
 TEST(ReconcilerTest, OccupancyChargesDevicesForLocalAndStationsForEdge) {
@@ -93,21 +93,27 @@ TEST(ReconcilerTest, OccupancyChargesDevicesForLocalAndStationsForEdge) {
   rec.start(running(3, assign::Decision::kCloud, 5.0));
   rec.start(running(4, assign::Decision::kEdge, 0.5));  // already finished
   std::vector<double> dev(2, 0.0), sta(2, 0.0);
-  rec.occupancy(1.0, dev, sta);
+  EXPECT_EQ(rec.settle(1.0, dev, sta), 1u);
   EXPECT_DOUBLE_EQ(dev[0], 2.0);  // the local run
   EXPECT_DOUBLE_EQ(sta[0], 2.0);  // the live edge run only
   EXPECT_DOUBLE_EQ(dev[1], 0.0);
   EXPECT_DOUBLE_EQ(sta[1], 0.0);
 }
 
-TEST(ReconcilerTest, CollectCompletionsReturnsStartOrder) {
+TEST(ReconcilerTest, SettleKeepsTheRestInStartOrder) {
   Reconciler rec;
   rec.start(running(5, assign::Decision::kEdge, 0.2));
-  rec.start(running(6, assign::Decision::kEdge, 0.1));
-  const std::vector<std::size_t> done = rec.collect_completions(0.3);
-  ASSERT_EQ(done.size(), 2u);
-  EXPECT_EQ(done[0], 5u);
-  EXPECT_EQ(done[1], 6u);
+  rec.start(running(6, assign::Decision::kEdge, 0.4));
+  rec.start(running(7, assign::Decision::kEdge, 0.1));
+  rec.start(running(8, assign::Decision::kLocal, 0.3));  // ends at `now`
+  rec.start(running(9, assign::Decision::kLocal, 0.5));
+  std::vector<double> dev(1, 0.0), sta(1, 0.0);
+  EXPECT_EQ(rec.settle(0.3, dev, sta), 3u);
+  ASSERT_EQ(rec.running().size(), 2u);
+  EXPECT_EQ(rec.running()[0].id, 6u);
+  EXPECT_EQ(rec.running()[1].id, 9u);
+  EXPECT_DOUBLE_EQ(dev[0], 2.0);
+  EXPECT_DOUBLE_EQ(sta[0], 2.0);
 }
 
 TEST(ReconcilerTest, ChurnOnIdleDeviceIsANoOp) {
@@ -127,7 +133,10 @@ TEST(ReconcilerTest, ChurnOnIdleDeviceIsANoOp) {
   }
   ASSERT_EQ(rec.running().size(), 2u);
   // A busy device still interrupts: the owner leaving orphans task 1.
-  EXPECT_EQ(rec.collect_completions(0.5), (std::vector<std::size_t>{2}));
+  std::vector<double> dev(4, 0.0), sta(1, 0.0);
+  EXPECT_EQ(rec.settle(0.5, dev, sta), 1u);
+  ASSERT_EQ(rec.running().size(), 1u);
+  EXPECT_EQ(rec.running()[0].id, 1u);
   EXPECT_EQ(rec.device_left(3, 1.0).orphaned,
             (std::vector<std::size_t>{1}));
   EXPECT_TRUE(rec.running().empty());
@@ -238,6 +247,11 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          });
 }
 
+// Per epoch the serve loop settles the ledger in one sweep and then
+// starts more work at the same `now` (triage's dark-cell runs), which
+// charges its own usage: the per-device and per-station sums must be bit
+// for bit those of collecting, starting and then adding up, as the
+// reference does.
 TEST(ReconcilerTest, MatchesCopyAndScanReferenceOnRandomStreams) {
   constexpr std::size_t kDevices = 12;
   constexpr std::size_t kStations = 3;
@@ -254,19 +268,24 @@ TEST(ReconcilerTest, MatchesCopyAndScanReferenceOnRandomStreams) {
       return static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(kDevices) - 1));
     };
+    // A task started at `now`; some end at `now` itself.
+    const auto task = [&] {
+      RunningTask t;
+      t.id = next_id++;
+      t.finish_s = rng.bernoulli(0.1) ? now : now + rng.uniform(0.0, 3.0);
+      t.where = kWhere[rng.uniform_int(0, 2)];
+      t.issuer = device();
+      t.station = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kStations) - 1));
+      t.resource = rng.uniform(0.1, 2.0);
+      t.has_external = rng.bernoulli(0.5);
+      t.owner = t.has_external ? device() : 0;
+      return t;
+    };
     for (int step = 0; step < 400; ++step) {
       const double u = rng.uniform(0.0, 1.0);
       if (u < 0.45) {  // start
-        RunningTask t;
-        t.id = next_id++;
-        t.finish_s = now + rng.uniform(0.0, 3.0);
-        t.where = kWhere[rng.uniform_int(0, 2)];
-        t.issuer = device();
-        t.station = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(kStations) - 1));
-        t.resource = rng.uniform(0.1, 2.0);
-        t.has_external = rng.bernoulli(0.5);
-        t.owner = t.has_external ? device() : 0;
+        const RunningTask t = task();
         rec.start(t);
         ref.start(t);
       } else if (u < 0.85) {  // churn, possibly timed before some finishes
@@ -288,23 +307,29 @@ TEST(ReconcilerTest, MatchesCopyAndScanReferenceOnRandomStreams) {
         const Interruptions want = ref.observe(kind, target, t);
         ASSERT_EQ(got.lost_issuer, want.lost_issuer) << "seed " << seed;
         ASSERT_EQ(got.orphaned, want.orphaned) << "seed " << seed;
-      } else {  // the clock moves and completions are collected
+      } else {  // the clock moves: one sweep, then starts after it
         now += rng.uniform(0.0, 1.0);
-        ASSERT_EQ(rec.collect_completions(now), ref.collect_completions(now))
+        std::vector<double> dev(kDevices, 0.0), sta(kStations, 0.0);
+        ASSERT_EQ(rec.settle(now, dev, sta),
+                  ref.collect_completions(now).size())
             << "seed " << seed;
+        const auto after = rng.uniform_int(0, 3);
+        for (std::int64_t k = 0; k < after; ++k) {
+          const RunningTask t = task();
+          rec.start(t);
+          ref.start(t);
+          charge(t, now, dev, sta);
+        }
+        std::vector<double> ref_dev(kDevices, 0.0), ref_sta(kStations, 0.0);
+        ref.occupancy(now, ref_dev, ref_sta);
+        ASSERT_TRUE(same_bits(dev, ref_dev)) << "seed " << seed;
+        ASSERT_TRUE(same_bits(sta, ref_sta)) << "seed " << seed;
       }
       ASSERT_EQ(rec.running().size(), ref.running().size());
       for (std::size_t i = 0; i < ref.running().size(); ++i) {
         ASSERT_EQ(rec.running()[i].id, ref.running()[i].id)
             << "seed " << seed;
       }
-      std::vector<double> dev(kDevices, 0.0), sta(kStations, 0.0);
-      std::vector<double> ref_dev(kDevices, 0.0), ref_sta(kStations, 0.0);
-      const double at = now + rng.uniform(0.0, 0.5);
-      rec.occupancy(at, dev, sta);
-      ref.occupancy(at, ref_dev, ref_sta);
-      ASSERT_TRUE(same_bits(dev, ref_dev)) << "seed " << seed;
-      ASSERT_TRUE(same_bits(sta, ref_sta)) << "seed " << seed;
     }
   }
 }

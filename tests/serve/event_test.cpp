@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 
@@ -97,6 +98,83 @@ TEST(TraceTest, ValidateRejectsExternalOwnerOutOfRange) {
   t.external_owner = 9;
   const Trace trace({Event::arrival(0.0, t)});
   EXPECT_THROW(trace.validate_against(2, 1), ModelError);
+}
+
+// The message of the first bad event, as validate_against throws it.
+std::string validation_error(const Trace& trace, std::size_t num_devices,
+                             std::size_t num_stations) {
+  try {
+    trace.validate_against(num_devices, num_stations);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+bool names(const std::string& error, const std::string& message) {
+  return error.find(message) != std::string::npos;
+}
+
+// An arrival by `user` that fetches external data from `owner`.
+Event fetching_arrival(double time_s, std::size_t user, std::size_t owner) {
+  mec::Task t = small_task(user);
+  t.external_bytes = 10.0;
+  t.external_owner = owner;
+  return Event::arrival(time_s, t);
+}
+
+// Names devices up to 6, owners up to 5 and stations up to 3: valid in a
+// universe of 7 devices and 4 stations.
+std::vector<Event> valid_events() {
+  return {Event::arrival(0.0, small_task(2)), fetching_arrival(0.5, 6, 5),
+          Event::join(1.0, 1, 3), Event::station_down(1.5, 2),
+          Event::link_fade(2.0, 4, 0.5)};
+}
+
+TEST(TraceTest, ValidateNamesTheFirstOutOfRangeDevice) {
+  std::vector<Event> events = valid_events();
+  events.push_back(Event::leave(3.0, 7));
+  events.push_back(Event::leave(4.0, 9));
+  const Trace trace(std::move(events));
+  EXPECT_EQ(validation_error(trace, 10, 4), "no error");
+  EXPECT_PRED2(names, validation_error(trace, 8, 4),
+               "event 6: device 9 out of range (8 devices)");
+  EXPECT_PRED2(names, validation_error(trace, 7, 4),
+               "event 5: device 7 out of range (7 devices)");
+}
+
+TEST(TraceTest, ValidateNamesTheFirstOutOfRangeOwner) {
+  std::vector<Event> events = valid_events();
+  events.push_back(fetching_arrival(3.0, 1, 8));
+  events.push_back(fetching_arrival(4.0, 1, 9));
+  const Trace trace(std::move(events));
+  EXPECT_EQ(validation_error(trace, 10, 4), "no error");
+  EXPECT_PRED2(names, validation_error(trace, 9, 4),
+               "event 6: external owner 9 out of range");
+  EXPECT_PRED2(names, validation_error(trace, 8, 4),
+               "event 5: external owner 8 out of range");
+}
+
+TEST(TraceTest, ValidateNamesTheFirstOutOfRangeStation) {
+  const Trace trace(valid_events());
+  EXPECT_EQ(validation_error(trace, 7, 4), "no error");
+  EXPECT_PRED2(names, validation_error(trace, 7, 3),
+               "event 2: station 3 out of range (3 stations)");
+  EXPECT_PRED2(names, validation_error(trace, 7, 2),
+               "event 2: station 3 out of range (2 stations)");
+}
+
+TEST(TraceTest, ValidateNamesABadFadeFactorBeforeALaterRangeError) {
+  std::vector<Event> events = valid_events();
+  events.push_back(Event::link_fade(3.0, 0, 1.5));
+  events.push_back(Event::leave(4.0, 20));
+  const Trace trace(std::move(events));
+  // The fade (event 5) fails in any universe; the leave (event 6) only in
+  // one of at most 20 devices.
+  for (const std::size_t nd : {7u, 100u}) {
+    EXPECT_PRED2(names, validation_error(trace, nd, 4),
+                 "event 5: link fade factor must be in (0, 1]");
+  }
 }
 
 }  // namespace

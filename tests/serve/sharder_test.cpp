@@ -35,8 +35,8 @@ mec::Topology make_universe(std::size_t num_devices = 8,
                        mec::SystemParameters{});
 }
 
-// A task arrival at t = 0; a batch entry points at it, as the daemon's
-// waiting tasks point at their trace events.
+// A task arrival at t = 0; a batch record points at its task, as the
+// daemon's records point at their trace events.
 Event arrival(std::size_t user, std::size_t owner, double external_bytes) {
   mec::Task t;
   t.id = {user, 0};
@@ -48,18 +48,20 @@ Event arrival(std::size_t user, std::size_t owner, double external_bytes) {
   return Event::arrival(0.0, t);
 }
 
-std::vector<double> full_device_residual(const mec::Topology& topo) {
-  std::vector<double> r(topo.num_devices());
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = topo.device(i).max_resource;
-  return r;
+// The record triage writes for arrival `id` (the event e) on its first
+// admission, with residual_s of slack left.
+BatchTask record(std::size_t id, const Event& e, const Population& pop,
+                 double residual_s = 10.0) {
+  return make_batch_task(id, e.task, 1, e.time_s, residual_s, pop);
 }
 
-std::vector<double> full_station_residual(const mec::Topology& topo) {
-  std::vector<double> r(topo.num_base_stations());
-  for (std::size_t b = 0; b < r.size(); ++b) {
-    r[b] = topo.base_station(b).max_resource;
-  }
-  return r;
+// Capacity in use by running work: none.
+std::vector<double> no_device_usage(const mec::Topology& topo) {
+  return std::vector<double>(topo.num_devices(), 0.0);
+}
+
+std::vector<double> no_station_usage(const mec::Topology& topo) {
+  return std::vector<double>(topo.num_base_stations(), 0.0);
 }
 
 TEST(SharderTest, RejectsZeroShardsAndClampsExcess) {
@@ -85,15 +87,14 @@ TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
   pop.apply(Event::migrate(0.0, 0, 3));
 
   const Event e = arrival(0, 0, 0.0);
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
+  const std::vector<BatchTask> batch{record(0, e, pop)};
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch, {10.0});
+      sharder.build(pop, no_device_usage(universe),
+                    no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);  // empty shard 0 omitted
   EXPECT_EQ(problems[0].shard, 1u);
-  ASSERT_EQ(problems[0].task_ids.size(), 1u);
-  EXPECT_EQ(problems[0].task_ids[0], 0u);
+  ASSERT_EQ(problems[0].batch_index.size(), 1u);
+  EXPECT_EQ(problems[0].batch_index[0], 0u);
 }
 
 TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
@@ -103,11 +104,10 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   // Issuer 0 sits in shard 0; its external data lives on device 2 whose
   // cell (station 2) is in shard 1, so the owner comes in as a halo copy.
   const Event e = arrival(0, 2, 200e3);
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
+  const std::vector<BatchTask> batch{record(0, e, pop)};
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch, {10.0});
+      sharder.build(pop, no_device_usage(universe),
+                    no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);
   const ShardProblem& shard = problems[0];
   EXPECT_EQ(shard.shard, 0u);
@@ -122,7 +122,7 @@ TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
   // Cost parity: the shard topology prices every placement of the task
   // exactly as the universe does — the halo carries the owner's radio and
   // its cell, so the cross-neighborhood fetch leg is identical.
-  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(p.task());
+  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(e.task);
   ASSERT_EQ(shard.tasks.size(), 1u);
   const mec::TaskCosts in_shard =
       mec::CostModel(shard.topology).evaluate(shard.tasks[0]);
@@ -144,11 +144,10 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   pop.apply(Event::link_fade(0.5, 2, 1.0));  // restored
   // Issuer 0 (station 0) fetches from device 2 (station 2).
   const Event e = arrival(0, 2, 200e3);
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
+  const std::vector<BatchTask> batch{record(0, e, pop)};
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch, {10.0});
+      sharder.build(pop, no_device_usage(universe),
+                    no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);
   const mec::Topology& topo = problems[0].topology;
   EXPECT_DOUBLE_EQ(topo.base_station(0).max_resource, 40.0);
@@ -168,14 +167,13 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   const mec::Topology universe = make_universe();
   Sharder sharder(universe, {2});
   const Population pop(universe);
-  std::vector<double> dev = full_device_residual(universe);
-  std::vector<double> sta = full_station_residual(universe);
-  dev[0] = 2.5;
-  sta[0] = 7.0;
+  std::vector<double> dev = no_device_usage(universe);
+  std::vector<double> sta = no_station_usage(universe);
+  dev[0] = 5.5;   // of 8: 2.5 left
+  sta[0] = 33.0;  // of 40: 7 left
   const Event e = arrival(0, 0, 0.0);
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
-  const auto problems = sharder.build(pop, dev, sta, batch, {10.0});
+  const std::vector<BatchTask> batch{record(0, e, pop)};
+  const auto problems = sharder.build(pop, dev, sta, batch);
   ASSERT_EQ(problems.size(), 1u);
   const ShardProblem& shard = problems[0];
   // Local device 0 of shard 0 is universe device 0.
@@ -190,11 +188,10 @@ TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   Population pop(universe);
   pop.apply(Event::leave(0.0, 4));  // station 0, shard 0
   const Event e = arrival(0, 0, 0.0);
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
+  const std::vector<BatchTask> batch{record(0, e, pop)};
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch, {10.0});
+      sharder.build(pop, no_device_usage(universe),
+                    no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);
   for (const std::size_t global : problems[0].device_global) {
     EXPECT_NE(global, 4u);
@@ -210,14 +207,11 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, halo
                      arrival(5, 5, 0.0),
                      arrival(1, 8, 200e3)});  // owner 8: in-shard
-  const PendingTask a{0, &trace.events()[0], 0};
-  const PendingTask b{1, &trace.events()[1], 0};
-  const PendingTask c{2, &trace.events()[2], 0};
-  const std::vector<const PendingTask*> batch{&a, &b, &c};
-  const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch,
-                    {10.0, 10.0, 10.0});
+  const std::vector<BatchTask> batch{record(0, trace.events()[0], pop),
+                                     record(1, trace.events()[1], pop),
+                                     record(2, trace.events()[2], pop)};
+  const auto problems = sharder.build(pop, no_device_usage(universe),
+                                      no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);
   const ShardProblem& shard = problems[0];
 
@@ -241,7 +235,7 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   // Every task still prices exactly as in the universe.
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const mec::TaskCosts in_universe =
-        mec::CostModel(universe).evaluate(batch[t]->task());
+        mec::CostModel(universe).evaluate(*batch[t].task);
     const mec::TaskCosts in_shard =
         mec::CostModel(shard.topology).evaluate(shard.tasks[t]);
     for (const mec::Placement placement : mec::kAllPlacements) {
@@ -258,11 +252,10 @@ TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   Sharder sharder(universe, {2});
   const Population pop(universe);
   const Event e = arrival(0, 0, 0.0);  // issued deadline 10s
-  const PendingTask p{0, &e, 0};
-  const std::vector<const PendingTask*> batch{&p};
+  const std::vector<BatchTask> batch{record(0, e, pop, 3.25)};
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), batch, {3.25});
+      sharder.build(pop, no_device_usage(universe),
+                    no_station_usage(universe), batch);
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_DOUBLE_EQ(problems[0].tasks[0].deadline_s, 3.25);
 }
@@ -277,16 +270,14 @@ TEST(SharderTest, FailedBuildLeavesTheRosterScratchClean) {
   pop.apply(Event::leave(0.0, 6));
   const Trace trace({arrival(1, 5, 200e3), arrival(3, 6, 200e3),
                      arrival(7, 7, 0.0)});
-  const PendingTask a{0, &trace.events()[0], 0};
-  const PendingTask b{1, &trace.events()[1], 0};
-  const PendingTask c{2, &trace.events()[2], 0};
-  EXPECT_THROW(sharder.build(pop, full_device_residual(universe),
-                             full_station_residual(universe), {&a, &b},
-                             {10.0, 10.0}),
+  EXPECT_THROW(sharder.build(pop, no_device_usage(universe),
+                             no_station_usage(universe),
+                             {record(0, trace.events()[0], pop),
+                              record(1, trace.events()[1], pop)}),
                ModelError);
   const auto problems =
-      sharder.build(pop, full_device_residual(universe),
-                    full_station_residual(universe), {&c}, {10.0});
+      sharder.build(pop, no_device_usage(universe), no_station_usage(universe),
+                    {record(2, trace.events()[2], pop)});
   ASSERT_EQ(problems.size(), 1u);
   EXPECT_EQ(problems[0].device_global, (std::vector<std::size_t>{7}));
   EXPECT_EQ(problems[0].tasks[0].id.user, 0u);
@@ -302,12 +293,12 @@ struct SortedRoster {
   std::size_t halo_devices = 0;
   std::vector<std::size_t> users;   // local id per task
   std::vector<std::size_t> owners;  // local id per task, 0 without data
-  std::vector<std::size_t> task_ids;
+  std::vector<std::size_t> batch_index;
 };
 
 std::vector<SortedRoster> sorted_rosters(
     const Sharder& sharder, const Population& pop, std::size_t nd,
-    const std::vector<const PendingTask*>& batch) {
+    const std::vector<BatchTask>& batch) {
   const auto shard_of = [&](std::size_t device) {
     return sharder.shard_of_station(pop.station(device));
   };
@@ -315,15 +306,15 @@ std::vector<SortedRoster> sorted_rosters(
   for (std::size_t s = 0; s < sharder.num_shards(); ++s) {
     std::vector<std::size_t> members;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (shard_of(batch[i]->task().id.user) == s) members.push_back(i);
+      if (shard_of(batch[i].task->id.user) == s) members.push_back(i);
     }
     if (members.empty()) continue;
     SortedRoster r;
     r.shard = s;
     std::vector<std::pair<std::size_t, std::size_t>> refs;
     for (std::size_t k = 0; k < members.size(); ++k) {
-      const mec::Task& t = batch[members[k]]->task();
-      r.task_ids.push_back(batch[members[k]]->id);
+      const mec::Task& t = *batch[members[k]].task;
+      r.batch_index.push_back(members[k]);
       refs.emplace_back(t.id.user, 2 * k);
       if (t.external_bytes > 0.0) {
         refs.emplace_back(
@@ -380,16 +371,12 @@ TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
                          : roll < 0.3 ? arrival(user, user, 100e3)
                                       : arrival(user, device(), 100e3));
       }
-      std::vector<PendingTask> pending;
-      pending.reserve(n);
-      std::vector<const PendingTask*> batch;
+      std::vector<BatchTask> batch;
       for (std::size_t i = 0; i < n; ++i) {
-        pending.push_back(PendingTask{i, &events[i], 0});
-        batch.push_back(&pending.back());
+        batch.push_back(record(i, events[i], pop));
       }
       const auto problems = sharder.build(
-          pop, full_device_residual(universe), full_station_residual(universe),
-          batch, std::vector<double>(n, 10.0));
+          pop, no_device_usage(universe), no_station_usage(universe), batch);
       const std::vector<SortedRoster> want =
           sorted_rosters(sharder, pop, nd, batch);
       ASSERT_EQ(problems.size(), want.size()) << shards << " shards";
@@ -400,12 +387,178 @@ TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
         EXPECT_EQ(got.shard, want[p].shard);
         EXPECT_EQ(got.device_global, want[p].device_global);
         EXPECT_EQ(got.halo_devices, want[p].halo_devices);
-        EXPECT_EQ(got.task_ids, want[p].task_ids);
+        EXPECT_EQ(got.batch_index, want[p].batch_index);
         ASSERT_EQ(got.tasks.size(), want[p].users.size());
         for (std::size_t k = 0; k < got.tasks.size(); ++k) {
           EXPECT_EQ(got.tasks[k].id.user, want[p].users[k]) << "task " << k;
           EXPECT_EQ(got.tasks[k].external_owner, want[p].owners[k])
               << "task " << k;
+        }
+      }
+    }
+  }
+}
+
+// Every field of a shard device or station, for exact comparison.
+void expect_same_device(const mec::Device& got, const mec::Device& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.base_station, want.base_station);
+  EXPECT_EQ(got.cpu_hz, want.cpu_hz);
+  EXPECT_EQ(got.radio.download_bps, want.radio.download_bps);
+  EXPECT_EQ(got.radio.upload_bps, want.radio.upload_bps);
+  EXPECT_EQ(got.radio.tx_power_w, want.radio.tx_power_w);
+  EXPECT_EQ(got.radio.rx_power_w, want.radio.rx_power_w);
+  EXPECT_EQ(got.max_resource, want.max_resource);
+}
+
+void expect_same_station(const mec::BaseStation& got,
+                         const mec::BaseStation& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.cpu_hz, want.cpu_hz);
+  EXPECT_EQ(got.max_resource, want.max_resource);
+}
+
+// Building from the capacity in use prices every core roster device at
+// max(0, cap - used) and every up core cell at max(0, cap - used), as the
+// residual vectors the epoch loop once computed did; halo entries and dark
+// cells carry nothing. The reference prices a sort-built roster that way.
+TEST(SharderTest, UsageBuildMatchesResidualPricingOnRandomBatches) {
+  const std::size_t nd = 500;
+  const std::size_t ns = 70;
+  Rng rng(57);
+  std::vector<mec::Device> devices(nd);
+  for (std::size_t i = 0; i < nd; ++i) {
+    devices[i].id = i;
+    devices[i].base_station = i % ns;
+    devices[i].cpu_hz = rng.uniform(0.5e9, 2.5e9);
+    devices[i].radio = rng.bernoulli(0.5) ? mec::kWiFi : mec::k4G;
+    devices[i].max_resource = rng.uniform(2.0, 12.0);
+  }
+  std::vector<mec::BaseStation> stations(ns);
+  for (std::size_t b = 0; b < ns; ++b) {
+    stations[b].id = b;
+    stations[b].cpu_hz = mec::SystemParameters{}.base_station_hz;
+    stations[b].max_resource = rng.uniform(20.0, 60.0);
+  }
+  const mec::Topology universe(std::move(devices), std::move(stations),
+                               mec::SystemParameters{});
+  Population pop(universe);
+  const auto device = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, nd - 1));
+  };
+  const auto station = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, ns - 1));
+  };
+  for (const std::size_t shards : {1u, 4u, 16u, 64u}) {
+    Sharder sharder(universe, {shards});
+    for (int epoch = 0; epoch < 5; ++epoch) {
+      // The population moves between epochs: migrations, fades and cells
+      // going dark or coming back.
+      for (int k = 0; k < 40; ++k) pop.apply(Event::migrate(0.0, device(), station()));
+      for (int k = 0; k < 20; ++k) {
+        pop.apply(Event::link_fade(0.0, device(), rng.uniform(0.1, 1.0)));
+      }
+      pop.apply(Event::station_down(0.0, station()));
+      pop.apply(Event::station_up(0.0, station()));
+      // Usage: most devices idle, some partly used, some past their cap
+      // (the residual clamps at 0); the same for cells.
+      std::vector<double> dev_used(nd, 0.0);
+      for (std::size_t g = 0; g < nd; ++g) {
+        const double u = rng.uniform(0.0, 1.0);
+        if (u < 0.3) {
+          dev_used[g] = rng.uniform(0.0, 8.0);
+        } else if (u < 0.4) {
+          dev_used[g] = universe.device(g).max_resource + rng.uniform(0.0, 3.0);
+        }
+      }
+      std::vector<double> st_used(ns, 0.0);
+      for (std::size_t b = 0; b < ns; ++b) {
+        st_used[b] = rng.bernoulli(0.1) ? rng.uniform(60.0, 80.0)
+                                        : rng.uniform(0.0, 40.0);
+      }
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+      std::vector<Event> events;
+      events.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t user = device();
+        const double roll = rng.uniform(0.0, 1.0);
+        events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
+                         : roll < 0.3 ? arrival(user, user, 100e3)
+                                      : arrival(user, device(), 100e3));
+      }
+      std::vector<double> deadlines(n);
+      for (double& d : deadlines) d = rng.uniform(0.1, 10.0);
+      std::vector<BatchTask> batch;
+      for (std::size_t i = 0; i < n; ++i) {
+        batch.push_back(record(i, events[i], pop, deadlines[i]));
+      }
+
+      const auto problems = sharder.build(pop, dev_used, st_used, batch);
+      const std::vector<SortedRoster> want =
+          sorted_rosters(sharder, pop, nd, batch);
+      ASSERT_EQ(problems.size(), want.size()) << shards << " shards";
+      for (std::size_t p = 0; p < want.size(); ++p) {
+        const ShardProblem& got = problems[p];
+        const SortedRoster& r = want[p];
+        SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
+                                          << epoch << ", shard " << got.shard);
+        ASSERT_EQ(got.device_global, r.device_global);
+        EXPECT_EQ(got.halo_devices, r.halo_devices);
+        EXPECT_EQ(got.batch_index, r.batch_index);
+
+        // Cells: the shard's block, then the halo owners' cells ascending.
+        std::vector<std::size_t> cells;
+        for (std::size_t b = 0; b < ns; ++b) {
+          if (sharder.shard_of_station(b) == r.shard) cells.push_back(b);
+        }
+        const std::size_t core_cells = cells.size();
+        std::vector<std::size_t> halo_cells;
+        const std::size_t core = r.device_global.size() - r.halo_devices;
+        for (std::size_t l = core; l < r.device_global.size(); ++l) {
+          halo_cells.push_back(pop.station(r.device_global[l]));
+        }
+        std::sort(halo_cells.begin(), halo_cells.end());
+        halo_cells.erase(std::unique(halo_cells.begin(), halo_cells.end()),
+                         halo_cells.end());
+        cells.insert(cells.end(), halo_cells.begin(), halo_cells.end());
+        const auto local_cell = [&](std::size_t b) {
+          return static_cast<std::size_t>(
+              std::find(cells.begin(), cells.end(), b) - cells.begin());
+        };
+
+        ASSERT_EQ(got.topology.num_base_stations(), cells.size());
+        for (std::size_t l = 0; l < cells.size(); ++l) {
+          mec::BaseStation bs = universe.base_station(cells[l]);
+          bs.id = l;
+          const double residual = bs.max_resource - st_used[cells[l]];
+          bs.max_resource = l < core_cells && pop.station_up(cells[l])
+                                ? std::max(0.0, residual)
+                                : 0.0;
+          expect_same_station(got.topology.base_station(l), bs);
+        }
+        ASSERT_EQ(got.topology.num_devices(), r.device_global.size());
+        for (std::size_t l = 0; l < r.device_global.size(); ++l) {
+          const std::size_t g = r.device_global[l];
+          mec::Device d = pop.device(g);
+          d.id = l;
+          d.base_station = local_cell(d.base_station);
+          const double residual =
+              universe.device(g).max_resource - dev_used[g];
+          d.max_resource = l < core ? std::max(0.0, residual) : 0.0;
+          expect_same_device(got.topology.device(l), d);
+        }
+        ASSERT_EQ(got.tasks.size(), r.users.size());
+        for (std::size_t k = 0; k < got.tasks.size(); ++k) {
+          mec::Task t = events[r.batch_index[k]].task;
+          t.id.user = r.users[k];
+          t.external_owner = r.owners[k];
+          t.deadline_s = deadlines[r.batch_index[k]];
+          EXPECT_EQ(got.tasks[k].id.user, t.id.user) << "task " << k;
+          EXPECT_EQ(got.tasks[k].id.index, t.id.index) << "task " << k;
+          EXPECT_EQ(got.tasks[k].external_owner, t.external_owner);
+          EXPECT_EQ(got.tasks[k].deadline_s, t.deadline_s);
+          EXPECT_EQ(got.tasks[k].resource, t.resource);
+          EXPECT_EQ(got.tasks[k].external_bytes, t.external_bytes);
         }
       }
     }
