@@ -187,7 +187,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   const std::size_t ns = universe.num_base_stations();
   double now = 0.0;
   std::size_t epoch = 0;
-  std::size_t shard_devices = 0;  // devices materialized into shards
+  std::size_t shard_devices = 0;  // devices in the epoch topologies
   // Per-epoch buffers, kept across epochs: the epoch batch, the capacity
   // running work holds per device and per station, and the epoch's
   // admit-to-decision waits.
@@ -381,17 +381,12 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
                                           p.arrival_s(), residual, pop);
       if (!pop.station_up(b.station)) {
         // The cell is dark: only the issuer itself can run the task, and
-        // only if its external data (if any) is in the same cell. Local
-        // runs placed earlier in this pass already hold the device.
+        // only if its external data (if any) is in the same cell. The
+        // ledger holds the device's running local work, the runs placed
+        // earlier in this pass included.
         const bool routable = !b.has_external || b.owner_station == b.station;
-        double used = 0.0;
-        for (const RunningTask& r : recon.running()) {
-          if (r.where == Decision::kLocal && r.issuer == issuer) {
-            used += r.resource;
-          }
-        }
-        const bool fits =
-            used + task.resource <= universe.device(issuer).max_resource;
+        const bool fits = dev_used[issuer] + task.resource <=
+                          universe.device(issuer).max_resource;
         if (routable && fits) {
           const mec::CostEntry local =
               dark_cell_local_cost(universe, pop, task);
@@ -410,10 +405,11 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     if (!batch.empty()) {
       // ---- 3. Shard against the residual system: the sharder prices
-      // the devices and cells it names from what running work holds.
+      // the epoch's devices and cells from what running work holds.
       stage.emplace("serve.stage.shard", "serve");
-      std::vector<ShardProblem> shards =
-          sharder.build(pop, dev_used, st_used, batch);
+      EpochProblem cut = sharder.build(pop, dev_used, st_used, batch);
+      std::vector<ShardProblem>& shards = cut.shards;
+      shard_devices += cut.topology.num_devices();
 
       // ---- 4. Solve every shard in parallel under one epoch deadline.
       CancellationToken epoch_token = stop;
@@ -421,13 +417,14 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         epoch_token =
             stop.with_deadline(Deadline::after_ms(options_.epoch_budget_ms));
       }
-      // The instance takes the shard's tasks by move; apply reads only
-      // batch_index and the outcome.
+      // Every shard's instance is over the one epoch topology and takes
+      // the shard's tasks by move; apply reads only batch_index and the
+      // outcome.
       auto solve_shard = [&](ShardProblem& sp) -> ShardOutcome {
         const auto t0 = std::chrono::steady_clock::now();
         const assign::HtaInstance inst = [&] {
           const obs::ScopedTimer span("assign.instance", "assign");
-          return assign::HtaInstance(sp.topology, std::move(sp.tasks));
+          return assign::HtaInstance(cut.topology, std::move(sp.tasks));
         }();
         const std::size_t num_tasks = inst.num_tasks();
         ShardOutcome oc;
@@ -483,7 +480,6 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         const ShardOutcome& oc = outcomes[i];
         ++result.shard_solves;
         ++result.rungs[oc.rung];
-        shard_devices += sp.topology.num_devices();
         for (std::size_t t = 0; t < sp.batch_index.size(); ++t) {
           const BatchTask& b = batch[sp.batch_index[t]];
           const Decision d = oc.plan.decisions[t];

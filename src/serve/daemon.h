@@ -18,12 +18,15 @@
 //      when a SharedDataView is given) or park them, and run tasks whose
 //      cell is dark locally when that fits and meets the deadline, or park
 //      them; each survivor becomes one BatchTask record;
-//   3. shard   — cut the survivors into per-neighborhood HtaInstances
-//      against the residual capacities and current radios (Sharder);
+//   3. shard   — build one epoch topology of the devices the survivors
+//      name and every cell, priced against the residual capacities and
+//      current radios, and split the survivors into per-neighborhood
+//      task lists on it (Sharder);
 //   4. solve   — shards run in parallel on one long-lived thread pool,
-//      each through the FallbackChain under the shared epoch deadline
-//      (anytime degradation per shard); each cluster LP starts from its
-//      tasks' cheapest whole placements (assign/cluster_lp.h);
+//      each as an HtaInstance over the epoch topology through the
+//      FallbackChain under the shared epoch deadline (anytime degradation
+//      per shard); each cluster LP starts from its tasks' cheapest whole
+//      placements (assign/cluster_lp.h);
 //   5. apply   — outcomes are gathered and committed *in shard order*:
 //      placements start running (capacity reserved until the analytic
 //      finish time), cancellations go back to the waiting room.

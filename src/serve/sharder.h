@@ -1,21 +1,22 @@
-// Sharder: partitions the city into base-station neighborhoods and cuts
-// one HtaInstance-sized problem per shard per epoch.
+// Sharder: builds one epoch's topology and splits its batch into
+// base-station neighborhoods.
 //
 // The paper's LP-HTA already decomposes by cluster (Sec. III.A treats each
-// cluster separately); the sharder lifts that one level: stations are
-// split into num_shards contiguous blocks ("neighborhoods"), each epoch
-// batch is routed to the shard of its issuer's *current* cell, and every
-// shard becomes an independent topology + task list with dense local ids
-// that the solvers consume unchanged. Shards are then solvable in
-// parallel — results are gathered and applied in shard order, which keeps
-// the decision log byte-identical at any worker count.
+// cluster separately), and LpHta::assign loops over the clusters of
+// whatever topology it is given. The sharder builds that topology once per
+// epoch — the devices the batch names and every cell, priced against what
+// running work holds — and splits the batch into num_shards contiguous
+// blocks of stations ("neighborhoods") by the issuer's *current* cell.
+// Each shard is a task list with ids local to the one topology, which the
+// solvers consume unchanged. Shards are then solvable in parallel —
+// results are gathered and applied in shard order, which keeps the
+// decision log byte-identical at any worker count.
 //
-// Shard-boundary data sharing is handled with *halo* entries: a task
-// whose external owner sits in another shard gets a zero-capacity copy of
-// the owner device (and, when needed, the owner's cell as a zero-capacity
-// halo station) so the cost model prices the cross-neighborhood fetch
-// exactly as the universe topology would. Halo entries carry no capacity,
-// so the owning shard's ledger is never double-spent.
+// A task only ever spends the capacity of its issuer and of its issuer's
+// cell, and both belong to the task's own shard; a data owner in another
+// neighborhood is read for its radio and cell alone. So shards share the
+// topology without sharing a ledger entry, and a cross-neighborhood fetch
+// is priced exactly as the universe topology prices it.
 #pragma once
 
 #include <cstddef>
@@ -55,15 +56,19 @@ BatchTask make_batch_task(std::size_t id, const mec::Task& task,
                           std::size_t attempts, double arrival_s,
                           double residual_s, const Population& population);
 
-// One shard's cut of an epoch: a self-contained HTA problem.
+// One shard's cut of an epoch: the tasks of one station block.
 struct ShardProblem {
   std::size_t shard = 0;
-  mec::Topology topology;  // local dense ids, residual capacities
-  std::vector<mec::Task> tasks;          // user/owner remapped to local ids;
-                                         // the solve moves them out
+  std::vector<mec::Task> tasks;          // user/owner are epoch-topology
+                                         // ids; the solve moves them out
   std::vector<std::size_t> batch_index;  // local task -> batch position
-  std::vector<std::size_t> device_global;  // local device -> universe id
-  std::size_t halo_devices = 0;          // trailing zero-capacity entries
+};
+
+// One epoch's cut: the topology every shard solves against, and the shards.
+struct EpochProblem {
+  mec::Topology topology;             // roster devices, every cell
+  std::vector<std::size_t> roster;    // local device -> universe id
+  std::vector<ShardProblem> shards;   // in shard order, none empty
 };
 
 class Sharder {
@@ -75,40 +80,35 @@ class Sharder {
   std::size_t num_shards() const { return num_shards_; }
   std::size_t shard_of_station(std::size_t station) const;
 
-  // Cuts one epoch: routes each batch task to its issuer's shard and
-  // builds one topology per shard from the devices its tasks name — the
-  // issuers and in-shard external owners in ascending universe id, as
-  // they are now (Population::device) with their residual capacities,
-  // then the halo owners — plus the shard's cells (zero capacity
-  // while down) and any halo cells. Devices no task names stay out: no solver
-  // reads them, and local ids stay monotone in universe ids, so the LP
-  // rows and decisions are those of a roster holding every up device of
-  // the shard's cells.
+  // Cuts one epoch. The topology's devices are the ones the batch names —
+  // issuers and external owners — in ascending universe id, as they are
+  // now (Population::device); its cells are the universe's, with their
+  // universe ids. Devices no task names stay out: no solver reads them,
+  // and local ids stay monotone in universe ids, so the LP rows and
+  // decisions are those of a roster holding every up device.
   // device_used and station_used hold the capacity that running work
-  // takes (Reconciler::settle), by universe id; a core device or an up
-  // core cell gets max(0, capacity - used), and only the rosters' core
-  // entries of device_used are read.
-  // batch holds records made by make_batch_task from `population` as it
-  // is now; each shard task's deadline is its record's residual_s (the
-  // slack left after waiting). Shards with no tasks are omitted; the returned
-  // problems are in shard order. Every batch issuer — and every external
-  // owner — must be up (the daemon triages the rest away before
-  // building). Not const: the roster scratch below is reused
-  // from call to call, so one Sharder builds on one thread at a time.
-  std::vector<ShardProblem> build(
-      const Population& population,
-      const std::vector<double>& device_used,
-      const std::vector<double>& station_used,
-      const std::vector<BatchTask>& batch);
+  // takes (Reconciler::settle), by universe id; a roster device and an up
+  // cell get max(0, capacity - used), a dark cell 0.
+  // Each task goes to the shard of its issuer's current cell, in batch
+  // order. batch holds records made by make_batch_task from `population`
+  // as it is now; each shard task's deadline is its record's residual_s
+  // (the slack left after waiting). Shards with no tasks are omitted.
+  // Every batch issuer — and every external owner — must be up (the
+  // daemon triages the rest away before building). Not const: the roster
+  // scratch below is reused from call to call, so one Sharder builds on
+  // one thread at a time.
+  EpochProblem build(const Population& population,
+                     const std::vector<double>& device_used,
+                     const std::vector<double>& station_used,
+                     const std::vector<BatchTask>& batch);
 
  private:
   const mec::Topology* universe_;
   std::size_t num_shards_;
   std::vector<std::size_t> station_shard_;  // station -> shard
-  // Roster scratch over the 2 * num_devices roster keys (a halo owner's
-  // key is offset by num_devices): one bit per key named by the shard
-  // being built, all clear between shards, and per 64-key word the number
-  // of roster devices whose keys lie below that word.
+  // Roster scratch over the universe ids: one bit per device the batch
+  // names, all clear between builds, and per 64-id word the number of
+  // roster devices whose ids lie below that word.
   std::vector<std::uint64_t> named_;
   std::vector<std::size_t> rank_;
 };

@@ -347,8 +347,8 @@ TEST(LpHtaTest, ClusterWithSlackCapacityTakesNoPivots) {
   EXPECT_NEAR(report.lp_objective, cold, 1e-9 * (1.0 + cold));
 }
 
-// Stations without tasks contribute nothing (halo stations of a serve
-// shard), so LP-HTA skips them: same decisions and report, and one
+// Stations without tasks contribute nothing (a serve shard's instance
+// holds every cell of the epoch), so LP-HTA skips them: same decisions and report, and one
 // lp_hta.cluster span per station that holds tasks.
 TEST(LpHtaTest, StationsWithoutTasksAreSkipped) {
   const auto s = small_scenario(3, 40, 12, 3);

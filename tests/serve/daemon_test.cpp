@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mec/cost_model.h"
 #include "mec/parameters.h"
@@ -89,8 +91,8 @@ TEST(ServeDaemonTest, DecisionLogIsByteIdenticalAcrossWorkerCounts) {
 
 // A pinned decision log. The worker-count comparison above cannot catch a
 // change that moves the log the same way at every --jobs; this can. The
-// run mixes churn (lost and orphaned work), cross-shard owners (halo
-// entries) and devices that never issue a task.
+// run mixes churn (lost and orphaned work), owners in another shard than
+// their tasks' issuers and devices that never issue a task.
 TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   workload::ServeTraceConfig cfg;
   cfg.scenario.num_devices = 120;
@@ -151,7 +153,7 @@ workload::ServeWorkload city_workload() {
 
 // The city run at 16 shards, pinned at one and four workers: the decision
 // log, and two work counters the digest cannot see — simplex pivots, and
-// devices materialized into shards.
+// devices materialized into the epoch topologies.
 TEST(ServeDaemonTest, CityScaleRunIsPinned) {
   const workload::ServeWorkload w = city_workload();
   ServeOptions opts;
@@ -168,15 +170,15 @@ TEST(ServeDaemonTest, CityScaleRunIsPinned) {
     EXPECT_EQ(log.digest(), 0xee78c830074d499dull) << "jobs " << jobs;
     EXPECT_EQ(reg.counter("lp.simplex.pivots").value() - pivots0, 2223u)
         << "jobs " << jobs;
-    EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 88204u)
+    EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 85540u)
         << "jobs " << jobs;
   }
 }
 
-// The same city run at the two ends of the shard range: one shard (no
-// halo) and 64 shards (the most halo devices and cells). Shard rosters
-// and the decision log must not depend on how the roster is assembled.
-std::uint64_t city_digest(std::size_t num_shards) {
+// The same city run at the two ends of the shard range: one shard and 64
+// shards (the most tasks whose data owner sits in another shard). The
+// decision log must not depend on how the batch is split.
+DecisionLog city_log(std::size_t num_shards) {
   const workload::ServeWorkload w = city_workload();
   ServeOptions opts;
   opts.batching.window_s = 0.5;
@@ -184,15 +186,43 @@ std::uint64_t city_digest(std::size_t num_shards) {
   opts.jobs = 1;
   DecisionLog log;
   ServeDaemon(opts).run(w.universe, w.trace, &log);
-  return log.digest();
+  return log;
 }
 
 TEST(ServeDaemonTest, CityScaleRunIsPinnedAtOneShard) {
-  EXPECT_EQ(city_digest(1), 0x232c586191f07487ull);
+  EXPECT_EQ(city_log(1).digest(), 0x232c586191f07487ull);
 }
 
 TEST(ServeDaemonTest, CityScaleRunIsPinnedAtSixtyFourShards) {
-  EXPECT_EQ(city_digest(64), 0x9b96e9b79362d6ffull);
+  EXPECT_EQ(city_log(64).digest(), 0x9b96e9b79362d6ffull);
+}
+
+// The decision rows of the city run with the shard column cut, sorted:
+// what was decided for which task, whatever shard decided it.
+std::vector<std::string> city_rows_without_shard(std::size_t num_shards) {
+  const DecisionLog log = city_log(num_shards);
+  DecisionLog unsharded;
+  for (DecisionRecord r : log.records()) {
+    r.shard = 0;
+    unsharded.append(r);
+  }
+  std::ostringstream csv;
+  unsharded.write_csv(csv);
+  std::istringstream lines(csv.str());
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Splitting the stations into shards changes no decision: the LP-HTA
+// clusters are the stations whichever shard holds them, so the rows at
+// 1, 4 and 16 shards are one multiset; only the apply order differs.
+TEST(ServeDaemonTest, ShardCountChangesNoDecision) {
+  const std::vector<std::string> one = city_rows_without_shard(1);
+  EXPECT_GT(one.size(), 1000u);
+  EXPECT_EQ(city_rows_without_shard(4), one);
+  EXPECT_EQ(city_rows_without_shard(16), one);
 }
 
 TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
@@ -266,6 +296,80 @@ TEST(ServeDaemonTest, DarkCellLocalRunIsPricedOnTheLiveDevices) {
       mec::CostModel(live).evaluate(task, mec::Placement::kLocal);
   EXPECT_EQ(rec.energy_j, expected.energy_j);
   EXPECT_EQ(rec.finish_s, rec.time_s + expected.latency_s());
+}
+
+// Dark-cell local runs of one issuer share its capacity: in one epoch a
+// run that no longer fits next to the runs started before it waits, and a
+// smaller one after it still starts; the waiting run starts once the
+// device is free again.
+TEST(ServeDaemonTest, DarkCellRunsOfOneIssuerShareItsCapacity) {
+  const mec::Topology universe = make_universe(4, 2);  // 8 units a device
+  mec::Task first = slow_task(0, 0, 0.0);  // 1.1 s of device CPU
+  first.resource = 5.0;
+  first.id.index = 1;
+  mec::Task second = slow_task(0, 0, 0.0);
+  second.local_bytes = 1e3;
+  second.resource = 5.0;  // 5 + 5 > 8
+  second.id.index = 2;
+  mec::Task third = slow_task(0, 0, 0.0);
+  third.local_bytes = 1e3;
+  third.resource = 3.0;  // 5 + 3 <= 8
+  third.id.index = 3;
+  const Trace trace({Event::station_down(0.0, 0), Event::arrival(0.1, first),
+                     Event::arrival(0.1, second), Event::arrival(0.1, third)});
+  ServeOptions opts;
+  opts.readmission.max_attempts = 6;
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
+  EXPECT_EQ(r.completed, 3u);
+  EXPECT_EQ(r.shard_solves, 0u);
+  ASSERT_GE(log.size(), 5u);
+  const std::vector<DecisionRecord>& recs = log.records();
+  EXPECT_EQ(recs[0].task.index, 1u);
+  EXPECT_EQ(recs[0].kind, DecisionKind::kDecide);
+  EXPECT_EQ(recs[0].decision, assign::Decision::kLocal);
+  EXPECT_EQ(recs[1].task.index, 2u);
+  EXPECT_EQ(recs[1].kind, DecisionKind::kRetry);
+  EXPECT_EQ(recs[2].task.index, 3u);
+  EXPECT_EQ(recs[2].kind, DecisionKind::kDecide);
+  EXPECT_EQ(recs[2].decision, assign::Decision::kLocal);
+  EXPECT_EQ(recs[2].time_s, recs[0].time_s);
+  // The second task retries while the first runs and starts once it ends.
+  const double first_done = recs[0].finish_s;
+  for (std::size_t i = 3; i + 1 < recs.size(); ++i) {
+    EXPECT_EQ(recs[i].task.index, 2u);
+    EXPECT_EQ(recs[i].kind, DecisionKind::kRetry);
+    EXPECT_LT(recs[i].time_s, first_done);
+  }
+  EXPECT_EQ(recs.back().task.index, 2u);
+  EXPECT_EQ(recs.back().kind, DecisionKind::kDecide);
+  EXPECT_EQ(recs.back().decision, assign::Decision::kLocal);
+  EXPECT_GE(recs.back().time_s, first_done);
+}
+
+// A task with no input takes no time: its dark-cell local run ends at
+// the instant it starts, so like any run that has ended it holds nothing,
+// and the issuer's next task in the same epoch fits beside it.
+TEST(ServeDaemonTest, DarkCellRunOfNoInputHoldsNoCapacity) {
+  const mec::Topology universe = make_universe(4, 2);  // 8 units a device
+  mec::Task empty = slow_task(0, 0, 0.0);
+  empty.local_bytes = 0.0;
+  empty.resource = 5.0;
+  empty.id.index = 1;
+  mec::Task next = empty;  // 5 + 5 > 8 only if the first still held 5
+  next.id.index = 2;
+  const Trace trace({Event::station_down(0.0, 0), Event::arrival(0.1, empty),
+                     Event::arrival(0.1, next)});
+  DecisionLog log;
+  const ServeResult r = ServeDaemon(ServeOptions{}).run(universe, trace, &log);
+  EXPECT_EQ(r.completed, 2u);
+  ASSERT_EQ(log.size(), 2u);
+  for (const DecisionRecord& rec : log.records()) {
+    EXPECT_EQ(rec.kind, DecisionKind::kDecide);
+    EXPECT_EQ(rec.decision, assign::Decision::kLocal);
+    EXPECT_EQ(rec.finish_s, rec.time_s);
+    EXPECT_EQ(rec.epoch, 0u);
+  }
 }
 
 TEST(ServeDaemonTest, StationDownOrphansOffloadedWorkThroughTheCell) {

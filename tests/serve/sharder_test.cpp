@@ -88,49 +88,45 @@ TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
 
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
-  const auto problems =
-      sharder.build(pop, no_device_usage(universe),
-                    no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);  // empty shard 0 omitted
-  EXPECT_EQ(problems[0].shard, 1u);
-  ASSERT_EQ(problems[0].batch_index.size(), 1u);
-  EXPECT_EQ(problems[0].batch_index[0], 0u);
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);  // empty shard 0 omitted
+  EXPECT_EQ(cut.shards[0].shard, 1u);
+  ASSERT_EQ(cut.shards[0].batch_index.size(), 1u);
+  EXPECT_EQ(cut.shards[0].batch_index[0], 0u);
+  EXPECT_EQ(cut.topology.device(0).base_station, 3u);
 }
 
-TEST(SharderTest, HaloOwnerPricesCrossShardFetchExactly) {
+TEST(SharderTest, CrossShardOwnerPricesFetchExactly) {
   const mec::Topology universe = make_universe();
   Sharder sharder(universe, {2});
   const Population pop(universe);
   // Issuer 0 sits in shard 0; its external data lives on device 2 whose
-  // cell (station 2) is in shard 1, so the owner comes in as a halo copy.
+  // cell (station 2) is in shard 1.
   const Event e = arrival(0, 2, 200e3);
   const std::vector<BatchTask> batch{record(0, e, pop)};
-  const auto problems =
-      sharder.build(pop, no_device_usage(universe),
-                    no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);
-  const ShardProblem& shard = problems[0];
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  const ShardProblem& shard = cut.shards[0];
   EXPECT_EQ(shard.shard, 0u);
-  ASSERT_EQ(shard.halo_devices, 1u);
 
-  // The halo entry is the trailing device, maps back to universe id 2 and
-  // carries no schedulable capacity.
-  const std::size_t halo = shard.topology.num_devices() - 1;
-  EXPECT_EQ(shard.device_global[halo], 2u);
-  EXPECT_DOUBLE_EQ(shard.topology.device(halo).max_resource, 0.0);
-
-  // Cost parity: the shard topology prices every placement of the task
-  // exactly as the universe does — the halo carries the owner's radio and
-  // its cell, so the cross-neighborhood fetch leg is identical.
-  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(e.task);
+  // The owner is a roster device like any other: in its own cell, with
+  // its capacity, named once in the one epoch topology.
+  EXPECT_EQ(cut.roster, (std::vector<std::size_t>{0, 2}));
   ASSERT_EQ(shard.tasks.size(), 1u);
-  const mec::TaskCosts in_shard =
-      mec::CostModel(shard.topology).evaluate(shard.tasks[0]);
+  EXPECT_EQ(shard.tasks[0].external_owner, 1u);
+  EXPECT_EQ(cut.topology.device(1).base_station, 2u);
+  EXPECT_DOUBLE_EQ(cut.topology.device(1).max_resource, 8.0);
+
+  // Cost parity: the epoch topology prices every placement of the task
+  // exactly as the universe does, the cross-neighborhood fetch included.
+  const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(e.task);
+  const mec::TaskCosts in_epoch =
+      mec::CostModel(cut.topology).evaluate(shard.tasks[0]);
   for (const mec::Placement placement : mec::kAllPlacements) {
-    EXPECT_DOUBLE_EQ(in_shard.latency(placement),
-                     in_universe.latency(placement));
-    EXPECT_DOUBLE_EQ(in_shard.energy(placement),
-                     in_universe.energy(placement));
+    EXPECT_EQ(in_epoch.latency(placement), in_universe.latency(placement));
+    EXPECT_EQ(in_epoch.energy(placement), in_universe.energy(placement));
   }
 }
 
@@ -145,14 +141,13 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   // Issuer 0 (station 0) fetches from device 2 (station 2).
   const Event e = arrival(0, 2, 200e3);
   const std::vector<BatchTask> batch{record(0, e, pop)};
-  const auto problems =
-      sharder.build(pop, no_device_usage(universe),
-                    no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);
-  const mec::Topology& topo = problems[0].topology;
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  const mec::Topology& topo = cut.topology;
   EXPECT_DOUBLE_EQ(topo.base_station(0).max_resource, 40.0);
   EXPECT_DOUBLE_EQ(topo.base_station(1).max_resource, 0.0);  // dark
-  ASSERT_EQ(problems[0].device_global.size(), 2u);
+  ASSERT_EQ(cut.roster.size(), 2u);
   const mec::RadioProfile& nominal = universe.device(0).radio;
   EXPECT_EQ(topo.device(0).radio.upload_bps, nominal.upload_bps * 0.25);
   EXPECT_EQ(topo.device(0).radio.download_bps, nominal.download_bps * 0.25);
@@ -173,13 +168,12 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   sta[0] = 33.0;  // of 40: 7 left
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
-  const auto problems = sharder.build(pop, dev, sta, batch);
-  ASSERT_EQ(problems.size(), 1u);
-  const ShardProblem& shard = problems[0];
-  // Local device 0 of shard 0 is universe device 0.
-  ASSERT_EQ(shard.device_global[0], 0u);
-  EXPECT_DOUBLE_EQ(shard.topology.device(0).max_resource, 2.5);
-  EXPECT_DOUBLE_EQ(shard.topology.base_station(0).max_resource, 7.0);
+  const EpochProblem cut = sharder.build(pop, dev, sta, batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  // Local device 0 is universe device 0; cells keep their universe ids.
+  ASSERT_EQ(cut.roster[0], 0u);
+  EXPECT_DOUBLE_EQ(cut.topology.device(0).max_resource, 2.5);
+  EXPECT_DOUBLE_EQ(cut.topology.base_station(0).max_resource, 7.0);
 }
 
 TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
@@ -189,13 +183,10 @@ TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   pop.apply(Event::leave(0.0, 4));  // station 0, shard 0
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
-  const auto problems =
-      sharder.build(pop, no_device_usage(universe),
-                    no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);
-  for (const std::size_t global : problems[0].device_global) {
-    EXPECT_NE(global, 4u);
-  }
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  for (const std::size_t global : cut.roster) EXPECT_NE(global, 4u);
 }
 
 TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
@@ -204,47 +195,68 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   const mec::Topology universe = make_universe(12, 4);
   Sharder sharder(universe, {2});
   const Population pop(universe);
-  const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, halo
+  const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, shard 1
                      arrival(5, 5, 0.0),
-                     arrival(1, 8, 200e3)});  // owner 8: in-shard
+                     arrival(1, 8, 200e3)});  // owner 8: same shard
   const std::vector<BatchTask> batch{record(0, trace.events()[0], pop),
                                      record(1, trace.events()[1], pop),
                                      record(2, trace.events()[2], pop)};
-  const auto problems = sharder.build(pop, no_device_usage(universe),
-                                      no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);
-  const ShardProblem& shard = problems[0];
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  const ShardProblem& shard = cut.shards[0];
 
-  // Core devices in ascending universe id, then the halo owner.
-  EXPECT_EQ(shard.device_global, (std::vector<std::size_t>{1, 5, 8, 9, 6}));
-  EXPECT_EQ(shard.halo_devices, 1u);
-  EXPECT_EQ(shard.topology.num_devices(), 5u);
-  for (std::size_t local = 0; local < 4; ++local) {
-    EXPECT_DOUBLE_EQ(shard.topology.device(local).max_resource, 8.0);
+  // The named devices in ascending universe id, each with its capacity;
+  // every cell, with its universe id.
+  EXPECT_EQ(cut.roster, (std::vector<std::size_t>{1, 5, 6, 8, 9}));
+  ASSERT_EQ(cut.topology.num_devices(), 5u);
+  for (std::size_t local = 0; local < 5; ++local) {
+    EXPECT_EQ(cut.topology.device(local).id, local);
+    EXPECT_DOUBLE_EQ(cut.topology.device(local).max_resource, 8.0);
   }
-  EXPECT_DOUBLE_EQ(shard.topology.device(4).max_resource, 0.0);
+  EXPECT_EQ(cut.topology.num_base_stations(), 4u);
 
   // Tasks keep batch order and point at their devices' local ids.
   ASSERT_EQ(shard.tasks.size(), 3u);
-  EXPECT_EQ(shard.tasks[0].id.user, 3u);
-  EXPECT_EQ(shard.tasks[0].external_owner, 4u);
+  EXPECT_EQ(shard.tasks[0].id.user, 4u);
+  EXPECT_EQ(shard.tasks[0].external_owner, 2u);
   EXPECT_EQ(shard.tasks[1].id.user, 1u);
   EXPECT_EQ(shard.tasks[2].id.user, 0u);
-  EXPECT_EQ(shard.tasks[2].external_owner, 2u);
+  EXPECT_EQ(shard.tasks[2].external_owner, 3u);
 
   // Every task still prices exactly as in the universe.
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const mec::TaskCosts in_universe =
         mec::CostModel(universe).evaluate(*batch[t].task);
-    const mec::TaskCosts in_shard =
-        mec::CostModel(shard.topology).evaluate(shard.tasks[t]);
+    const mec::TaskCosts in_epoch =
+        mec::CostModel(cut.topology).evaluate(shard.tasks[t]);
     for (const mec::Placement placement : mec::kAllPlacements) {
-      EXPECT_DOUBLE_EQ(in_shard.latency(placement),
-                       in_universe.latency(placement));
-      EXPECT_DOUBLE_EQ(in_shard.energy(placement),
-                       in_universe.energy(placement));
+      EXPECT_EQ(in_epoch.latency(placement), in_universe.latency(placement));
+      EXPECT_EQ(in_epoch.energy(placement), in_universe.energy(placement));
     }
   }
+}
+
+// A device that issues in one shard and owns another shard's data is one
+// roster entry: both shards' tasks name it by the same local id.
+TEST(SharderTest, ShardsNameOneRoster) {
+  const mec::Topology universe = make_universe();
+  Sharder sharder(universe, {2});
+  const Population pop(universe);
+  const Trace trace({arrival(3, 1, 200e3),  // shard 1, owner in shard 0
+                     arrival(1, 1, 0.0)});  // shard 0
+  const EpochProblem cut =
+      sharder.build(pop, no_device_usage(universe), no_station_usage(universe),
+                    {record(0, trace.events()[0], pop),
+                     record(1, trace.events()[1], pop)});
+  EXPECT_EQ(cut.roster, (std::vector<std::size_t>{1, 3}));
+  ASSERT_EQ(cut.shards.size(), 2u);
+  EXPECT_EQ(cut.shards[0].shard, 0u);
+  EXPECT_EQ(cut.shards[0].batch_index, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(cut.shards[0].tasks[0].id.user, 0u);
+  EXPECT_EQ(cut.shards[1].shard, 1u);
+  EXPECT_EQ(cut.shards[1].tasks[0].id.user, 1u);
+  EXPECT_EQ(cut.shards[1].tasks[0].external_owner, 0u);
 }
 
 TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
@@ -253,11 +265,10 @@ TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const Population pop(universe);
   const Event e = arrival(0, 0, 0.0);  // issued deadline 10s
   const std::vector<BatchTask> batch{record(0, e, pop, 3.25)};
-  const auto problems =
-      sharder.build(pop, no_device_usage(universe),
-                    no_station_usage(universe), batch);
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_DOUBLE_EQ(problems[0].tasks[0].deadline_s, 3.25);
+  const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
+                                         no_station_usage(universe), batch);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  EXPECT_DOUBLE_EQ(cut.shards[0].tasks[0].deadline_s, 3.25);
 }
 
 // A build that fails a precondition (here: a data owner that is away)
@@ -275,68 +286,66 @@ TEST(SharderTest, FailedBuildLeavesTheRosterScratchClean) {
                              {record(0, trace.events()[0], pop),
                               record(1, trace.events()[1], pop)}),
                ModelError);
-  const auto problems =
+  const EpochProblem cut =
       sharder.build(pop, no_device_usage(universe), no_station_usage(universe),
                     {record(2, trace.events()[2], pop)});
-  ASSERT_EQ(problems.size(), 1u);
-  EXPECT_EQ(problems[0].device_global, (std::vector<std::size_t>{7}));
-  EXPECT_EQ(problems[0].tasks[0].id.user, 0u);
+  ASSERT_EQ(cut.shards.size(), 1u);
+  EXPECT_EQ(cut.roster, (std::vector<std::size_t>{7}));
+  EXPECT_EQ(cut.shards[0].tasks[0].id.user, 0u);
 }
 
-// The roster as a sort builds it: every (key, slot) reference of a shard's
-// tasks — key the universe id, offset by num_devices for an owner outside
-// the shard; slot 2 * task + is_owner — sorted, so the distinct keys in
-// order are the roster and each reference's rank is its local id.
+// The roster as a sort builds it: every (universe id, slot) reference of
+// the batch — slot 2 * task + is_owner — sorted, so the distinct ids in
+// order are the roster and each reference's rank is its local id. Each
+// shard is the batch positions routed to it, in batch order.
 struct SortedRoster {
-  std::size_t shard = 0;
-  std::vector<std::size_t> device_global;
-  std::size_t halo_devices = 0;
-  std::vector<std::size_t> users;   // local id per task
-  std::vector<std::size_t> owners;  // local id per task, 0 without data
-  std::vector<std::size_t> batch_index;
+  std::vector<std::size_t> roster;
+  std::vector<std::size_t> users;   // local id per batch task
+  std::vector<std::size_t> owners;  // local id per batch task, 0 without data
+  std::vector<std::vector<std::size_t>> shards;  // batch positions by shard
 };
 
-std::vector<SortedRoster> sorted_rosters(
-    const Sharder& sharder, const Population& pop, std::size_t nd,
-    const std::vector<BatchTask>& batch) {
-  const auto shard_of = [&](std::size_t device) {
-    return sharder.shard_of_station(pop.station(device));
-  };
-  std::vector<SortedRoster> out;
-  for (std::size_t s = 0; s < sharder.num_shards(); ++s) {
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (shard_of(batch[i].task->id.user) == s) members.push_back(i);
-    }
-    if (members.empty()) continue;
-    SortedRoster r;
-    r.shard = s;
-    std::vector<std::pair<std::size_t, std::size_t>> refs;
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const mec::Task& t = *batch[members[k]].task;
-      r.batch_index.push_back(members[k]);
-      refs.emplace_back(t.id.user, 2 * k);
-      if (t.external_bytes > 0.0) {
-        refs.emplace_back(
-            t.external_owner + (shard_of(t.external_owner) == s ? 0 : nd),
-            2 * k + 1);
-      }
-    }
-    std::sort(refs.begin(), refs.end());
-    r.users.assign(members.size(), 0);
-    r.owners.assign(members.size(), 0);
-    for (std::size_t i = 0; i < refs.size(); ++i) {
-      const auto [key, slot] = refs[i];
-      if (i == 0 || key != refs[i - 1].first) {
-        r.device_global.push_back(key < nd ? key : key - nd);
-        if (key >= nd) ++r.halo_devices;
-      }
-      (slot % 2 == 0 ? r.users : r.owners)[slot / 2] =
-          r.device_global.size() - 1;
-    }
-    out.push_back(std::move(r));
+SortedRoster sorted_roster(const Sharder& sharder, const Population& pop,
+                           const std::vector<BatchTask>& batch) {
+  SortedRoster r;
+  r.shards.resize(sharder.num_shards());
+  std::vector<std::pair<std::size_t, std::size_t>> refs;
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    const mec::Task& t = *batch[k].task;
+    r.shards[sharder.shard_of_station(pop.station(t.id.user))].push_back(k);
+    refs.emplace_back(t.id.user, 2 * k);
+    if (t.external_bytes > 0.0) refs.emplace_back(t.external_owner, 2 * k + 1);
   }
-  return out;
+  std::sort(refs.begin(), refs.end());
+  r.users.assign(batch.size(), 0);
+  r.owners.assign(batch.size(), 0);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    const auto [g, slot] = refs[i];
+    if (i == 0 || g != refs[i - 1].first) r.roster.push_back(g);
+    (slot % 2 == 0 ? r.users : r.owners)[slot / 2] = r.roster.size() - 1;
+  }
+  return r;
+}
+
+// The shards of a build, against the reference: the same non-empty shards
+// in shard order, each with its batch positions and local ids.
+void expect_shards_match(const EpochProblem& cut, const SortedRoster& want) {
+  std::size_t p = 0;
+  for (std::size_t s = 0; s < want.shards.size(); ++s) {
+    if (want.shards[s].empty()) continue;
+    ASSERT_LT(p, cut.shards.size());
+    const ShardProblem& got = cut.shards[p++];
+    SCOPED_TRACE(::testing::Message() << "shard " << s);
+    EXPECT_EQ(got.shard, s);
+    EXPECT_EQ(got.batch_index, want.shards[s]);
+    ASSERT_EQ(got.tasks.size(), want.shards[s].size());
+    for (std::size_t k = 0; k < got.tasks.size(); ++k) {
+      const std::size_t i = want.shards[s][k];
+      EXPECT_EQ(got.tasks[k].id.user, want.users[i]) << "task " << k;
+      EXPECT_EQ(got.tasks[k].external_owner, want.owners[i]) << "task " << k;
+    }
+  }
+  EXPECT_EQ(p, cut.shards.size());
 }
 
 TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
@@ -375,31 +384,18 @@ TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
       for (std::size_t i = 0; i < n; ++i) {
         batch.push_back(record(i, events[i], pop));
       }
-      const auto problems = sharder.build(
+      const EpochProblem cut = sharder.build(
           pop, no_device_usage(universe), no_station_usage(universe), batch);
-      const std::vector<SortedRoster> want =
-          sorted_rosters(sharder, pop, nd, batch);
-      ASSERT_EQ(problems.size(), want.size()) << shards << " shards";
-      for (std::size_t p = 0; p < want.size(); ++p) {
-        const ShardProblem& got = problems[p];
-        SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
-                                          << epoch << ", shard " << got.shard);
-        EXPECT_EQ(got.shard, want[p].shard);
-        EXPECT_EQ(got.device_global, want[p].device_global);
-        EXPECT_EQ(got.halo_devices, want[p].halo_devices);
-        EXPECT_EQ(got.batch_index, want[p].batch_index);
-        ASSERT_EQ(got.tasks.size(), want[p].users.size());
-        for (std::size_t k = 0; k < got.tasks.size(); ++k) {
-          EXPECT_EQ(got.tasks[k].id.user, want[p].users[k]) << "task " << k;
-          EXPECT_EQ(got.tasks[k].external_owner, want[p].owners[k])
-              << "task " << k;
-        }
-      }
+      const SortedRoster want = sorted_roster(sharder, pop, batch);
+      SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
+                                        << epoch);
+      EXPECT_EQ(cut.roster, want.roster);
+      expect_shards_match(cut, want);
     }
   }
 }
 
-// Every field of a shard device or station, for exact comparison.
+// Every field of a topology device or station, for exact comparison.
 void expect_same_device(const mec::Device& got, const mec::Device& want) {
   EXPECT_EQ(got.id, want.id);
   EXPECT_EQ(got.base_station, want.base_station);
@@ -418,10 +414,12 @@ void expect_same_station(const mec::BaseStation& got,
   EXPECT_EQ(got.max_resource, want.max_resource);
 }
 
-// Building from the capacity in use prices every core roster device at
-// max(0, cap - used) and every up core cell at max(0, cap - used), as the
-// residual vectors the epoch loop once computed did; halo entries and dark
-// cells carry nothing. The reference prices a sort-built roster that way.
+// Building from the capacity in use prices every roster device at
+// max(0, cap - used) and every up cell at max(0, cap - used), as the
+// residual vectors the epoch loop once computed did; dark cells carry
+// nothing. The reference prices a sort-built roster that way, and every
+// task prices in the epoch topology exactly as in the universe with the
+// devices as they are now.
 TEST(SharderTest, UsageBuildMatchesResidualPricingOnRandomBatches) {
   const std::size_t nd = 500;
   const std::size_t ns = 70;
@@ -493,72 +491,59 @@ TEST(SharderTest, UsageBuildMatchesResidualPricingOnRandomBatches) {
         batch.push_back(record(i, events[i], pop, deadlines[i]));
       }
 
-      const auto problems = sharder.build(pop, dev_used, st_used, batch);
-      const std::vector<SortedRoster> want =
-          sorted_rosters(sharder, pop, nd, batch);
-      ASSERT_EQ(problems.size(), want.size()) << shards << " shards";
-      for (std::size_t p = 0; p < want.size(); ++p) {
-        const ShardProblem& got = problems[p];
-        const SortedRoster& r = want[p];
-        SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
-                                          << epoch << ", shard " << got.shard);
-        ASSERT_EQ(got.device_global, r.device_global);
-        EXPECT_EQ(got.halo_devices, r.halo_devices);
-        EXPECT_EQ(got.batch_index, r.batch_index);
+      const EpochProblem cut = sharder.build(pop, dev_used, st_used, batch);
+      const SortedRoster want = sorted_roster(sharder, pop, batch);
+      SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
+                                        << epoch);
+      ASSERT_EQ(cut.roster, want.roster);
+      expect_shards_match(cut, want);
 
-        // Cells: the shard's block, then the halo owners' cells ascending.
-        std::vector<std::size_t> cells;
-        for (std::size_t b = 0; b < ns; ++b) {
-          if (sharder.shard_of_station(b) == r.shard) cells.push_back(b);
-        }
-        const std::size_t core_cells = cells.size();
-        std::vector<std::size_t> halo_cells;
-        const std::size_t core = r.device_global.size() - r.halo_devices;
-        for (std::size_t l = core; l < r.device_global.size(); ++l) {
-          halo_cells.push_back(pop.station(r.device_global[l]));
-        }
-        std::sort(halo_cells.begin(), halo_cells.end());
-        halo_cells.erase(std::unique(halo_cells.begin(), halo_cells.end()),
-                         halo_cells.end());
-        cells.insert(cells.end(), halo_cells.begin(), halo_cells.end());
-        const auto local_cell = [&](std::size_t b) {
-          return static_cast<std::size_t>(
-              std::find(cells.begin(), cells.end(), b) - cells.begin());
-        };
+      // Cells: every one, with its universe id.
+      ASSERT_EQ(cut.topology.num_base_stations(), ns);
+      for (std::size_t b = 0; b < ns; ++b) {
+        mec::BaseStation bs = universe.base_station(b);
+        bs.max_resource = pop.station_up(b)
+                              ? std::max(0.0, bs.max_resource - st_used[b])
+                              : 0.0;
+        expect_same_station(cut.topology.base_station(b), bs);
+      }
+      ASSERT_EQ(cut.topology.num_devices(), want.roster.size());
+      for (std::size_t l = 0; l < want.roster.size(); ++l) {
+        const std::size_t g = want.roster[l];
+        mec::Device d = pop.device(g);
+        d.id = l;
+        d.max_resource =
+            std::max(0.0, universe.device(g).max_resource - dev_used[g]);
+        expect_same_device(cut.topology.device(l), d);
+      }
 
-        ASSERT_EQ(got.topology.num_base_stations(), cells.size());
-        for (std::size_t l = 0; l < cells.size(); ++l) {
-          mec::BaseStation bs = universe.base_station(cells[l]);
-          bs.id = l;
-          const double residual = bs.max_resource - st_used[cells[l]];
-          bs.max_resource = l < core_cells && pop.station_up(cells[l])
-                                ? std::max(0.0, residual)
-                                : 0.0;
-          expect_same_station(got.topology.base_station(l), bs);
-        }
-        ASSERT_EQ(got.topology.num_devices(), r.device_global.size());
-        for (std::size_t l = 0; l < r.device_global.size(); ++l) {
-          const std::size_t g = r.device_global[l];
-          mec::Device d = pop.device(g);
-          d.id = l;
-          d.base_station = local_cell(d.base_station);
-          const double residual =
-              universe.device(g).max_resource - dev_used[g];
-          d.max_resource = l < core ? std::max(0.0, residual) : 0.0;
-          expect_same_device(got.topology.device(l), d);
-        }
-        ASSERT_EQ(got.tasks.size(), r.users.size());
-        for (std::size_t k = 0; k < got.tasks.size(); ++k) {
-          mec::Task t = events[r.batch_index[k]].task;
-          t.id.user = r.users[k];
-          t.external_owner = r.owners[k];
-          t.deadline_s = deadlines[r.batch_index[k]];
-          EXPECT_EQ(got.tasks[k].id.user, t.id.user) << "task " << k;
-          EXPECT_EQ(got.tasks[k].id.index, t.id.index) << "task " << k;
-          EXPECT_EQ(got.tasks[k].external_owner, t.external_owner);
-          EXPECT_EQ(got.tasks[k].deadline_s, t.deadline_s);
-          EXPECT_EQ(got.tasks[k].resource, t.resource);
-          EXPECT_EQ(got.tasks[k].external_bytes, t.external_bytes);
+      // Each shard task is its batch task with local ids and the residual
+      // deadline, and prices as the task does against the live devices.
+      std::vector<mec::Device> live;
+      for (std::size_t g = 0; g < nd; ++g) live.push_back(pop.device(g));
+      std::vector<mec::BaseStation> cells;
+      for (std::size_t b = 0; b < ns; ++b) {
+        cells.push_back(universe.base_station(b));
+      }
+      const mec::Topology now(std::move(live), std::move(cells),
+                              universe.params());
+      for (const ShardProblem& sp : cut.shards) {
+        for (std::size_t k = 0; k < sp.tasks.size(); ++k) {
+          const std::size_t i = sp.batch_index[k];
+          mec::Task t = events[i].task;
+          t.deadline_s = deadlines[i];
+          const mec::Task& got = sp.tasks[k];
+          EXPECT_EQ(got.id.index, t.id.index) << "task " << i;
+          EXPECT_EQ(got.deadline_s, t.deadline_s) << "task " << i;
+          EXPECT_EQ(got.resource, t.resource) << "task " << i;
+          EXPECT_EQ(got.external_bytes, t.external_bytes) << "task " << i;
+          const mec::TaskCosts in_epoch =
+              mec::CostModel(cut.topology).evaluate(got);
+          const mec::TaskCosts live_costs = mec::CostModel(now).evaluate(t);
+          for (const mec::Placement pl : mec::kAllPlacements) {
+            EXPECT_EQ(in_epoch.latency(pl), live_costs.latency(pl));
+            EXPECT_EQ(in_epoch.energy(pl), live_costs.energy(pl));
+          }
         }
       }
     }

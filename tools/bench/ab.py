@@ -16,9 +16,11 @@ The two sides then run `perfbench/run.py --workload W --seconds S --trace T`
 in alternation, N times each, the side that runs first alternating from
 pair to pair so that a drift in host speed falls on both. For every metric
 of BENCHMARK.json's end_to_end (--trace 0) or per_layer (--trace 1) list
-it prints both medians, both sides' quartiles, head's change in the
-median and head's wins k/N (a pair is a win when head's value is better in
-the metric's direction; a tie is not). A metric whose wins are at least
+it prints both medians, both sides' quartiles and median absolute
+deviations (MAD), head's change in the median, head's wins k/N (a pair is
+a win when head's value is better in the metric's direction; a tie is
+not) and the exact two-sided sign-test p of those wins against the losses
+(ties dropped). A metric whose wins are at least
 9 in 10 and whose median moved by more than the base's interquartile
 range is marked `clear`. Every run's value follows, in pair order.
 
@@ -30,6 +32,7 @@ within one), and 2 if a run fails or prints no result.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -97,10 +100,26 @@ def quartiles(values):
     return q[0], q[2]
 
 
+def mad(values):
+    """Median absolute deviation from the median."""
+    med = statistics.median(values)
+    return statistics.median(abs(v - med) for v in values)
+
+
+def sign_test_p(wins, losses):
+    """Exact two-sided sign-test p: the chance under a fair coin of a
+    split at least as uneven as wins:losses (ties already dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarize(spec_metrics, base_runs, head_runs):
     """Rows of (name, unit, base median, base q1, base q3, head median,
-    head q1, head q3, change, wins, pairs, clear) over the metrics both
-    sides report."""
+    head q1, head q3, change, wins, pairs, clear, base MAD, head MAD,
+    sign-test p) over the metrics both sides report."""
     rows = []
     for m in spec_metrics:
         name = m["name"]
@@ -112,6 +131,7 @@ def summarize(spec_metrics, base_runs, head_runs):
         head = [h for _, h in pairs]
         lower = m["better"] == "lower"
         wins = sum(1 for b, h in pairs if (h < b if lower else h > b))
+        losses = sum(1 for b, h in pairs if (h > b if lower else h < b))
         b_med, h_med = statistics.median(base), statistics.median(head)
         b_q1, b_q3 = quartiles(base)
         h_q1, h_q3 = quartiles(head)
@@ -120,7 +140,8 @@ def summarize(spec_metrics, base_runs, head_runs):
         clear = (gained and 10 * wins >= 9 * len(pairs) and
                  abs(h_med - b_med) > b_q3 - b_q1)
         rows.append((name, m["unit"], b_med, b_q1, b_q3, h_med, h_q1, h_q3,
-                     change, wins, len(pairs), clear))
+                     change, wins, len(pairs), clear, mad(base), mad(head),
+                     sign_test_p(wins, losses)))
     return rows
 
 
@@ -141,13 +162,15 @@ def counter_diffs(base_counters, head_counters, expect_moved):
 
 
 def print_rows(rows):
-    print(f"{'metric':<30} {'base median [q1, q3]':>34} "
-          f"{'head median [q1, q3]':>34} {'change':>8} {'wins':>6}")
+    print(f"{'metric':<30} {'base median [q1, q3]':>34} {'MAD':>9} "
+          f"{'head median [q1, q3]':>34} {'MAD':>9} {'change':>8} "
+          f"{'wins':>6} {'sign p':>7}")
     for (name, unit, b_med, b_q1, b_q3, h_med, h_q1, h_q3, change, wins, n,
-         clear) in rows:
+         clear, b_mad, h_mad, p) in rows:
         print(f"{name:<30} {b_med:>12.6g} [{b_q1:.6g}, {b_q3:.6g}] "
-              f"{h_med:>12.6g} [{h_q1:.6g}, {h_q3:.6g}] {100 * change:>+7.1f}% "
-              f"{wins:>3}/{n:<2}{'  clear' if clear else ''}  {unit}")
+              f"{b_mad:>9.3g} {h_med:>12.6g} [{h_q1:.6g}, {h_q3:.6g}] "
+              f"{h_mad:>9.3g} {100 * change:>+7.1f}% {wins:>3}/{n:<2} "
+              f"{p:>7.3g}{'  clear' if clear else ''}  {unit}")
 
 
 def self_test():
@@ -172,6 +195,20 @@ def self_test():
         ("decisions not clear", rows["decisions_per_s"][11], False),
         ("identical metric: no wins", rows["placed_share"][9], 0),
         ("identical metric not clear", rows["placed_share"][11], False),
+        ("solve base MAD", rows["solve_ms_p50"][12], 7.5),
+        ("solve head MAD", rows["solve_ms_p50"][13], 2.0),
+        ("identical metric: MAD 0", rows["placed_share"][12], 0.0),
+        # 9 wins, 1 loss: 2 * (C(10,0) + C(10,1)) / 2^10.
+        ("solve sign p", rows["solve_ms_p50"][14], 22 / 1024),
+        # 4 wins, 3 losses, 3 ties dropped: no evidence either way.
+        ("decisions sign p", rows["decisions_per_s"][14], 1.0),
+        ("all ties: sign p 1", rows["placed_share"][14], 1.0),
+        ("sign p is two-sided", sign_test_p(0, 10), sign_test_p(10, 0)),
+        ("sign p of 10 of 10", sign_test_p(10, 0), 2 / 1024),
+        ("sign p of 7 of 9", sign_test_p(7, 2), 2 * 46 / 512),
+        ("sign p never above 1", sign_test_p(5, 5), 1.0),
+        ("MAD of one run", mad([3.0]), 0.0),
+        ("MAD", mad([1.0, 2.0, 3.0, 4.0, 100.0]), 1.0),
         ("quartiles of one run", quartiles([3.0]), (3.0, 3.0)),
         ("quartiles", quartiles([1.0, 2.0, 3.0, 4.0, 5.0]), (2.0, 4.0)),
     ]
