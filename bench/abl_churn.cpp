@@ -81,6 +81,7 @@ int main() {
 
       serve::ServeOptions opts;
       opts.readmission.max_attempts = 4;
+      opts.jobs = 1;  // the cells already run on the sweep pool
       const serve::StreamResult r =
           serve::run_stream(opts, s.topology, s.tasks, faults, &shared);
       CellResult cell;

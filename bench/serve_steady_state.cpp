@@ -1,9 +1,10 @@
 // Steady-state throughput of the `mecsched serve` daemon at city scale:
 // 100k devices across 250 cells, ~12k task arrivals per 0.5 s epoch with
-// live churn, solved over 16 shards. Headlines are decisions/sec and the
-// p50/p99s of the serve.* histograms (admission-to-decision latency,
-// per-epoch solve time); bench/baselines/serve_steady_state.json gates
-// them in CI via tools/bench/trajectory.py.
+// live churn, each epoch solved as one problem. Headlines are
+// decisions/sec and the p50/p99s of the serve.* histograms
+// (admission-to-decision latency, per-epoch solve time);
+// bench/baselines/serve_steady_state.json gates them in CI via
+// tools/bench/trajectory.py.
 //
 // The run is deterministic at any worker count (same contract the
 // daemon's CI determinism diff checks), so the only machine-dependent
@@ -41,7 +42,7 @@ int main() {
   bench::print_header(
       "serve_steady_state", "online daemon throughput at city scale",
       "100k devices, 250 cells, 24k arrivals/s over 4x0.5s epochs, "
-      "16 shards, live join/leave/migrate churn");
+      "live join/leave/migrate churn");
 
   workload::ServeTraceConfig cfg;
   cfg.scenario.num_devices = kCityDevices;
@@ -61,7 +62,6 @@ int main() {
 
   serve::ServeOptions opts;
   opts.batching.window_s = kEpochSeconds;
-  opts.sharding.num_shards = 16;
   opts.jobs = bench::sweep_jobs();
 
   const auto run0 = std::chrono::steady_clock::now();

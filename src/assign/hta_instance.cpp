@@ -1,6 +1,9 @@
 #include "assign/hta_instance.h"
 
+#include <bit>
+
 #include "common/error.h"
+#include "exec/hash.h"
 
 namespace mecsched::assign {
 
@@ -48,6 +51,35 @@ bool HtaInstance::schedulable(std::size_t t) const {
     if (meets_deadline(t, p)) return true;
   }
   return false;
+}
+
+std::uint64_t fingerprint(const HtaInstance& instance) {
+  // Canonicalize -0.0 so numerically equal instances hash equal.
+  const auto mix_double = [](std::uint64_t h, double v) {
+    return exec::mix(h, std::bit_cast<std::uint64_t>(v == 0.0 ? 0.0 : v));
+  };
+  const mec::Topology& topo = instance.topology();
+  std::uint64_t h = exec::mix(topo.num_devices(), topo.num_base_stations());
+  for (std::size_t d = 0; d < topo.num_devices(); ++d) {
+    const mec::Device& dev = topo.device(d);
+    h = exec::mix(h, dev.base_station);
+    h = mix_double(h, dev.max_resource);
+  }
+  for (std::size_t b = 0; b < topo.num_base_stations(); ++b) {
+    h = mix_double(h, topo.base_station(b).max_resource);
+  }
+  h = exec::mix(h, instance.num_tasks());
+  for (std::size_t t = 0; t < instance.num_tasks(); ++t) {
+    const mec::Task& task = instance.task(t);
+    h = exec::mix(h, task.id.user);
+    h = mix_double(h, task.resource);
+    h = mix_double(h, task.deadline_s);
+    for (const mec::Placement p : mec::kAllPlacements) {
+      h = mix_double(h, instance.latency(t, p));
+      h = mix_double(h, instance.energy(t, p));
+    }
+  }
+  return h;
 }
 
 }  // namespace mecsched::assign

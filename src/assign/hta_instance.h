@@ -4,6 +4,7 @@
 // "each cluster can be considered separately").
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -55,5 +56,12 @@ class HtaInstance {
   std::vector<mec::TaskCosts> costs_;
   std::vector<std::vector<std::size_t>> tasks_by_cluster_;
 };
+
+// Canonical 64-bit hash of exactly what the assigners read — per-placement
+// latencies and energies, deadlines, resource demands, cluster membership
+// and the device and station capacities — so two instances with the same
+// fingerprint are solver-indistinguishable (the `mecsched chaos` per-cell
+// digest).
+std::uint64_t fingerprint(const HtaInstance& instance);
 
 }  // namespace mecsched::assign

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <exception>
 #include <limits>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "audit/audit.h"
 #include "common/chaos_hook.h"
 #include "common/error.h"
+#include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "lp/interior_point.h"
 #include "lp/problem.h"
@@ -82,8 +85,8 @@ lp::Solution solve_relaxation(const ClusterLp& cluster,
 }
 
 // Everything one cluster contributes: its tasks' decisions plus its share
-// of the Theorem-2 diagnostics. Clusters are independent (Sec. III.A);
-// their outcomes are merged in station order.
+// of the Theorem-2 diagnostics, or the error its solve threw. Clusters are
+// independent (Sec. III.A); their outcomes are merged in station order.
 struct ClusterOutcome {
   std::vector<std::pair<std::size_t, Decision>> decisions;
   double lp_objective = 0.0;
@@ -93,6 +96,10 @@ struct ClusterOutcome {
   std::size_t lp_iterations = 0;
   // The relaxation ran out of budget and served its anytime point.
   bool deadline_degraded = false;
+  // Chaos faults injected during this cluster's solve. The injection count
+  // is per thread, so it is taken on the thread that solved the cluster.
+  std::uint64_t chaos_hits = 0;
+  std::exception_ptr error;
 };
 
 // Renders the per-cluster span args only when a trace is being captured —
@@ -319,8 +326,7 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
                                      const CancellationToken& cancel) const {
   const obs::ScopedTimer span("lp_hta.assign", "assign");
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
-  const std::uint64_t chaos_before =
-      flight.enabled() ? chaos::local_injections() : 0;
+  std::uint64_t chaos_hits = 0;  // summed over the clusters below
   // Assign-layer flight record: one per LP-HTA run, aggregating the
   // cluster solves (the per-LP records come from the lp layer itself).
   const auto cut_record = [&](const std::string& status,
@@ -338,24 +344,53 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
         obs::FlightRecorder::residual_ms(cancel.deadline());
     r.deadline_hit = degraded;
     r.warm_start = crash_started(options_);
-    r.chaos_hits = chaos::local_injections() - chaos_before;
+    r.chaos_hits = chaos_hits;
     r.audit = audit_verdict;
     flight.record(std::move(r));
   };
   report = LpHtaReport{};
   Assignment out;
   out.decisions.assign(instance.num_tasks(), Decision::kCancelled);
-  const std::size_t clusters = instance.topology().num_base_stations();
 
-  std::vector<ClusterOutcome> outcomes(clusters);
-  try {
-    for (std::size_t b = 0; b < clusters; ++b) {
-      if (instance.cluster_tasks(b).empty()) continue;
-      outcomes[b] = solve_cluster(instance, b, options_, cancel);
+  // Every cluster with tasks is solved; a failure stays in its outcome
+  // instead of ending the loop, so the same clusters run at any worker
+  // count.
+  std::vector<std::size_t> stations;
+  for (std::size_t b = 0; b < instance.topology().num_base_stations(); ++b) {
+    if (!instance.cluster_tasks(b).empty()) stations.push_back(b);
+  }
+  const auto solve = [&](std::size_t i) {
+    const std::uint64_t chaos_before = chaos::local_injections();
+    ClusterOutcome c;
+    try {
+      c = solve_cluster(instance, stations[i], options_, cancel);
+    } catch (...) {
+      c.error = std::current_exception();
     }
-  } catch (const SolverError& e) {
-    if (flight.enabled()) cut_record("error", e.what(), "", 0, false);
-    throw;
+    c.chaos_hits = chaos::local_injections() - chaos_before;
+    return c;
+  };
+  std::vector<ClusterOutcome> outcomes;
+  if (pool_ != nullptr) {
+    outcomes = pool_->map(stations.size(), solve);
+  } else {
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+      outcomes.push_back(solve(i));
+    }
+  }
+
+  std::exception_ptr error;  // the lowest station's
+  for (const ClusterOutcome& c : outcomes) {
+    chaos_hits += c.chaos_hits;
+    if (!error) error = c.error;
+  }
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const SolverError& e) {
+      if (flight.enabled()) cut_record("error", e.what(), "", 0, false);
+      throw;
+    }
   }
 
   bool deadline_degraded = false;

@@ -28,6 +28,10 @@
 
 #include "assign/assigner.h"
 
+namespace mecsched::exec {
+class ThreadPool;
+}  // namespace mecsched::exec
+
 namespace mecsched::assign {
 
 enum class LpEngine { kSimplex, kInteriorPoint };
@@ -68,7 +72,12 @@ struct LpHtaReport {
 
 class LpHta : public Assigner {
  public:
-  explicit LpHta(LpHtaOptions options = {}) : options_(options) {}
+  // The clusters with tasks run on `pool` (ThreadPool::map), or inline
+  // without one; either way all of them run, fold in station order and
+  // rethrow the lowest station's failure, so the plan, report and error
+  // do not depend on the worker count. The pool must outlive this.
+  explicit LpHta(LpHtaOptions options = {}, exec::ThreadPool* pool = nullptr)
+      : options_(options), pool_(pool) {}
 
   Assignment assign(const HtaInstance& instance) const override;
 
@@ -92,6 +101,7 @@ class LpHta : public Assigner {
 
  private:
   LpHtaOptions options_;
+  exec::ThreadPool* pool_;
 };
 
 }  // namespace mecsched::assign

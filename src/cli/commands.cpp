@@ -10,6 +10,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "assign/baselines.h"
@@ -32,7 +33,7 @@
 #include "common/table.h"
 #include "control/fallback.h"
 #include "dta/pipeline.h"
-#include "exec/fingerprint.h"
+#include "exec/hash.h"
 #include "exec/sweep_runner.h"
 #include "exec/thread_pool.h"
 #include "io/codec.h"
@@ -229,13 +230,16 @@ std::string usage() {
       "            [--epoch-s E] [--rate R] [--join-rate R] [--leave-rate R]\n"
       "            [--migrate-rate R] [--max-input-kb X] [--out workload.json]\n"
       "  serve     [--replay workload.json | generator knobs as above]\n"
-      "            [--epoch-s E] [--batch-max N] [--shards N] [--max-queue N]\n"
+      "            [--epoch-s E] [--batch-max N] [--max-queue N]\n"
       "            [--max-attempts K] [--epoch-budget-ms MS]\n"
       "            [--decisions-out log.csv] [--out result.json]\n"
-      "            (online sharded scheduling daemon; see docs/serve.md)\n"
+      "            (online scheduling daemon; see docs/serve.md)\n"
       "  report    --flight records.jsonl [--top N]\n"
       "            (render a flight-record post-mortem; see\n"
       "            docs/observability.md)\n"
+      "  report    --diff A.csv B.csv\n"
+      "            (compare two serve decision logs on their shared\n"
+      "            columns; exit 1 unless they match in order)\n"
       "\n"
       "global flags (any command):\n"
       "  --trace out.json      write a Chrome trace_event file of the run\n"
@@ -708,7 +712,7 @@ int cmd_chaos(const std::vector<std::string>& tokens, std::ostream& out) {
         control::FallbackRung rung = control::FallbackRung::kLpHta;
         const assign::Assignment plan =
             chain.assign(instance, rung, CancellationToken());
-        std::uint64_t digest = exec::fingerprint(instance);
+        std::uint64_t digest = assign::fingerprint(instance);
         for (const assign::Decision d : plan.decisions) {
           digest = exec::mix(digest, static_cast<std::uint64_t>(d) + 1);
         }
@@ -808,7 +812,7 @@ int cmd_generate_serve(const std::vector<std::string>& tokens,
 int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   ArgParser args({"replay", "devices", "stations", "seed", "epochs", "rate",
                   "join-rate", "leave-rate", "migrate-rate", "max-input-kb",
-                  "epoch-s", "batch-max", "shards", "max-queue",
+                  "epoch-s", "batch-max", "max-queue",
                   "max-attempts", "epoch-budget-ms", "decisions-out", "out"},
                  {});
   args.parse(tokens);
@@ -832,8 +836,6 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   opts.batching.window_s = epoch_s;
   opts.batching.max_batch =
       args.get_count("batch-max", opts.batching.max_batch);
-  opts.sharding.num_shards =
-      args.get_count("shards", opts.sharding.num_shards);
   opts.readmission.max_queue =
       args.get_count("max-queue", opts.readmission.max_queue);
   opts.readmission.max_attempts =
@@ -875,7 +877,6 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   o["abandoned"] = r.abandoned;
   o["epochs"] = r.epochs;
   o["decide_epochs"] = r.decide_epochs;
-  o["shard_solves"] = r.shard_solves;
   o["total_energy_j"] = r.total_energy_j;
   o["makespan_s"] = r.makespan_s;
   o["virtual_now_s"] = r.virtual_now_s;
@@ -891,7 +892,96 @@ int cmd_serve(const std::vector<std::string>& tokens, std::ostream& out) {
   return 0;
 }
 
+namespace {
+
+// The rows of a decision-log CSV, header first, split on ','; the log
+// quotes no field (decision_log.cpp).
+std::vector<std::vector<std::string>> read_csv_rows(const std::string& path) {
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(io::read_file(path));
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    std::vector<std::string>& row = rows.emplace_back();
+    std::istringstream fields(line + ',');
+    for (std::string f; std::getline(fields, f, ',');) row.push_back(f);
+    MECSCHED_REQUIRE(row.size() == rows.front().size(),
+                     path + ": line " + std::to_string(rows.size()) +
+                         " has another field count than the header");
+  }
+  MECSCHED_REQUIRE(!rows.empty(), path + ": no CSV header");
+  return rows;
+}
+
+// `report --diff A B`: two decision logs compared on the columns both
+// headers name, in A's order, so a column only one of them has (an older
+// log's `shard`) does not count. Exits 1 unless they match in order.
+int report_diff(const std::string& path_a, const std::string& path_b,
+                std::ostream& out) {
+  const auto a = read_csv_rows(path_a);
+  const auto b = read_csv_rows(path_b);
+  std::vector<std::pair<std::size_t, std::size_t>> cols;  // (in A, in B)
+  for (std::size_t i = 0; i < a[0].size(); ++i) {
+    const auto it = std::find(b[0].begin(), b[0].end(), a[0][i]);
+    if (it != b[0].end()) cols.emplace_back(i, it - b[0].begin());
+  }
+  MECSCHED_REQUIRE(!cols.empty(), "the two logs share no column");
+  // Each log's lines on the shared columns, header first.
+  const auto project = [&](const auto& rows, bool in_b) {
+    std::vector<std::string> lines;
+    for (const std::vector<std::string>& row : rows) {
+      std::string& line = lines.emplace_back();
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        if (k > 0) line += ',';
+        line += row[in_b ? cols[k].second : cols[k].first];
+      }
+    }
+    return lines;
+  };
+  const std::vector<std::string> la = project(a, false);
+  const std::vector<std::string> lb = project(b, true);
+  std::vector<std::string> sa = la;  // the same header sorts alike
+  std::vector<std::string> sb = lb;
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+  out << "A: " << path_a << " (" << a.size() - 1 << " records)\nB: "
+      << path_b << " (" << b.size() - 1 << " records)\ncompared columns: "
+      << la[0] << "\nin order: " << (la == lb ? "match" : "differ")
+      << "\nas a multiset: " << (sa == sb ? "match" : "differ") << '\n';
+
+  std::map<std::string, std::pair<long long, long long>> counts;  // by kind
+  for (const auto& [ia, ib] : cols) {
+    if (a[0][ia] != "kind") continue;
+    for (std::size_t r = 1; r < a.size(); ++r) ++counts[a[r][ia]].first;
+    for (std::size_t r = 1; r < b.size(); ++r) ++counts[b[r][ib]].second;
+  }
+  if (!counts.empty()) {
+    Table table({"kind", "A", "B", "B - A"});
+    for (const auto& [k, n] : counts) {
+      table.add_row({k, std::to_string(n.first), std::to_string(n.second),
+                     std::to_string(n.second - n.first)});
+    }
+    out << "\nrecords per kind:\n" << table;
+  }
+  if (la == lb) return 0;
+  std::size_t i = 1;
+  while (i < la.size() && i < lb.size() && la[i] == lb[i]) ++i;
+  const auto line = [&](const std::vector<std::string>& l) {
+    return i < l.size() ? l[i] : std::string("(end of log)");
+  };
+  out << "\nfirst divergent record: " << i << "\n  " << la[0]
+      << "\n  A: " << line(la) << "\n  B: " << line(lb) << '\n';
+  return 1;
+}
+
+}  // namespace
+
 int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
+  if (!tokens.empty() && tokens[0] == "--diff") {
+    MECSCHED_REQUIRE(tokens.size() == 3,
+                     "--diff takes exactly two decision-log CSVs");
+    return report_diff(tokens[1], tokens[2], out);
+  }
   ArgParser args({"flight", "top"}, {});
   args.parse(tokens);
   const std::string flight_path = args.get("flight", "");
@@ -932,22 +1022,23 @@ int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
     std::size_t count = 0;
     double seconds = 0.0;
   };
-  std::map<std::string, Outcome> outcomes;
+  std::map<std::tuple<std::string, std::string, std::string>, Outcome>
+      outcomes;
   struct Miss {
     std::size_t count = 0;
     double min_residual_ms = std::numeric_limits<double>::quiet_NaN();
   };
-  std::map<std::string, Miss> misses;
+  std::map<std::pair<std::string, std::string>, Miss> misses;
   for (const io::Json& r : records) {
     const std::string layer = str_field(r, "layer");
     const std::string engine = str_field(r, "engine");
     const std::string status = str_field(r, "status");
-    Outcome& o = outcomes[layer + "\t" + engine + "\t" + status];
+    Outcome& o = outcomes[{layer, engine, status}];
     ++o.count;
     const double s = num_field(r, "seconds");
     if (std::isfinite(s)) o.seconds += s;
     if (status == "deadline" || bool_field(r, "deadline_hit")) {
-      Miss& m = misses[layer + "\t" + engine];
+      Miss& m = misses[{layer, engine}];
       ++m.count;
       const double residual = num_field(r, "deadline_residual_ms");
       if (std::isfinite(residual) &&
@@ -956,21 +1047,13 @@ int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
       }
     }
   }
-  const auto split3 = [](const std::string& key) {
-    std::vector<std::string> parts;
-    std::istringstream ss(key);
-    std::string part;
-    while (std::getline(ss, part, '\t')) parts.push_back(part);
-    while (parts.size() < 3) parts.emplace_back("-");
-    return parts;
-  };
 
   out << "\noutcomes by layer/engine/status:\n";
   Table outcome_table({"layer", "engine", "status", "count", "seconds"});
   for (const auto& [key, o] : outcomes) {
-    const std::vector<std::string> parts = split3(key);
-    outcome_table.add_row({parts[0], parts[1], parts[2],
-                           std::to_string(o.count), Table::num(o.seconds, 6)});
+    const auto& [layer, engine, status] = key;
+    outcome_table.add_row({layer, engine, status, std::to_string(o.count),
+                           Table::num(o.seconds, 6)});
   }
   out << outcome_table;
 
@@ -978,8 +1061,7 @@ int cmd_report(const std::vector<std::string>& tokens, std::ostream& out) {
     out << "\ndeadline misses (status deadline or expired budget):\n";
     Table miss_table({"layer", "engine", "misses", "min_residual_ms"});
     for (const auto& [key, m] : misses) {
-      const std::vector<std::string> parts = split3(key);
-      miss_table.add_row({parts[0], parts[1], std::to_string(m.count),
+      miss_table.add_row({key.first, key.second, std::to_string(m.count),
                           std::isfinite(m.min_residual_ms)
                               ? Table::num(m.min_residual_ms, 3)
                               : "-"});

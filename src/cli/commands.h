@@ -20,7 +20,7 @@
 //   sweep           — run a named figure grid on the parallel sweep runner
 //   chaos           — solver fault-injection drill over the fallback chain
 //   generate-serve  — build a serve workload (universe + event trace)
-//   serve           — online sharded scheduling daemon (replay or generate)
+//   serve           — online scheduling daemon (replay or generate)
 //   report          — render a flight-record post-mortem (see --flight-out)
 #pragma once
 

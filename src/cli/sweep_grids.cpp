@@ -58,9 +58,8 @@ std::vector<SweepGrid> make_grids() {
   grids.push_back({"fig4b", "average latency vs max input size (1000..5000 kB)",
                    "max input (kB)", range(1000, 5000, 1000), datasize_cell,
                    latency, "average latency (s)"});
-  // Deliberately tiny: exercises the full parallel path (pool, shards,
-  // cache) in well under a second, for unit tests and the CI determinism
-  // check.
+  // Deliberately tiny: exercises the full parallel path (the pool) in
+  // well under a second, for unit tests and the CI determinism check.
   grids.push_back({"smoke", "tiny fast grid for tests and CI determinism",
                    "tasks", range(20, 40, 10),
                    [](double x, std::uint64_t seed) {

@@ -28,8 +28,8 @@ std::size_t RungHistogram::total() const {
   return std::accumulate(served.begin(), served.end(), std::size_t{0});
 }
 
-FallbackChain::FallbackChain(assign::LpHtaOptions lp) {
-  rungs_.push_back(std::make_shared<assign::LpHta>(lp));
+FallbackChain::FallbackChain(assign::LpHtaOptions lp, exec::ThreadPool* pool) {
+  rungs_.push_back(std::make_shared<assign::LpHta>(lp, pool));
   rungs_.push_back(std::make_shared<assign::Hgos>());
   rungs_.push_back(std::make_shared<assign::LocalFirst>());
 }

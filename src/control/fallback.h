@@ -53,7 +53,10 @@ class FallbackChain {
  public:
   // The standard chain described above. `lp` configures rung 0;
   // lp.max_lp_iterations is the iteration budget (0 = engine default).
-  explicit FallbackChain(assign::LpHtaOptions lp = {});
+  // `pool`, when given, solves rung 0's clusters (see assign::LpHta) and
+  // must outlive the chain.
+  explicit FallbackChain(assign::LpHtaOptions lp = {},
+                         exec::ThreadPool* pool = nullptr);
 
   // A custom chain (tests use throwing stubs). Rungs map to histogram
   // slots by position; at most kNumRungs rungs.

@@ -1,4 +1,5 @@
-// Fixed-size thread pool — the fan-out under serve shards and sweep cells.
+// Fixed-size thread pool — the fan-out under LP-HTA's clusters and sweep
+// cells.
 //
 // One FIFO queue, guarded by the mutex the workers sleep on; tasks come
 // from one producer at a time, so a shared queue balances them as well as

@@ -4,8 +4,8 @@
 // per-pivot scratch (dual prices, entering column) and the basis storage
 // from the heap, then throw them away. At sweep
 // and serve scale the solver is re-entered thousands of times per second
-// with near-identical shapes (PR 3 cached sweep cells, PR 8 shard solves
-// with warm hints), so the allocator traffic dominates small solves.
+// with near-identical shapes (sweep cells, serve cluster solves), so the
+// allocator traffic dominates small solves.
 //
 // `SimplexWorkspace` replaces that with a bump arena: one capacity-
 // reserving block per thread from which a solve carves all of its state.
@@ -67,7 +67,7 @@ class SimplexWorkspace {
   std::size_t capacity_bytes() const;
 
   // The calling thread's workspace. Thread-locality gives sweep workers and
-  // serve shard threads allocation-free re-entry with no synchronisation;
+  // cluster-solve workers allocation-free re-entry with no synchronisation;
   // solves on different threads never share one.
   static SimplexWorkspace& tls();
 

@@ -18,22 +18,21 @@
 //      when a SharedDataView is given) or park them, and run tasks whose
 //      cell is dark locally when that fits and meets the deadline, or park
 //      them; each survivor becomes one BatchTask record;
-//   3. shard   — build one epoch topology of the devices the survivors
+//   3. build   — build one epoch topology of the devices the survivors
 //      name and every cell, priced against the residual capacities and
-//      current radios, and split the survivors into per-neighborhood
-//      task lists on it (Sharder);
-//   4. solve   — shards run in parallel on one long-lived thread pool,
-//      each as an HtaInstance over the epoch topology through the
-//      FallbackChain under the shared epoch deadline (anytime degradation
-//      per shard); each cluster LP starts from its tasks' cheapest whole
-//      placements (assign/cluster_lp.h);
-//   5. apply   — outcomes are gathered and committed *in shard order*:
-//      placements start running (capacity reserved until the analytic
-//      finish time), cancellations go back to the waiting room.
+//      current radios, and list the survivors on it (Sharder);
+//   4. solve   — the survivors are one HtaInstance over the epoch
+//      topology, run through the FallbackChain under the epoch deadline
+//      (anytime degradation); LP-HTA solves its clusters on one
+//      long-lived pool (more than one worker) or inline, each cluster LP
+//      from its tasks' cheapest whole placements (assign/cluster_lp.h);
+//   5. apply   — outcomes are committed *in batch order*: placements
+//      start running (capacity reserved until the analytic finish time),
+//      cancellations go back to the waiting room.
 //
-// Determinism contract: the virtual clock, batching, triage order,
-// sharding and the apply order are all independent of the worker count,
-// so the same (universe, trace, options) yields a byte-identical
+// Determinism contract: the virtual clock, batching, triage order, the
+// cluster fold and the apply order are all independent of the worker
+// count, so the same (universe, trace, options) yields a byte-identical
 // DecisionLog at --jobs 1 and --jobs N. The epoch budget is the exception
 // — a wall-clock deadline makes rung selection machine-dependent — so the
 // CI determinism gate runs unbudgeted (same trade the sweep path makes).
@@ -70,17 +69,24 @@
 
 namespace mecsched::serve {
 
+// Read by no code: an epoch is one solve. It stays only because
+// perfbench/src/serve_city.cpp sets opts.sharding.num_shards, and that
+// file changes only with the benchmark; it goes when that line does.
+struct ShardingOptions {
+  std::size_t num_shards = 1;
+};
+
 struct ServeOptions {
   BatchingOptions batching{};     // epoch window + size cap
-  ShardingOptions sharding{};
+  ShardingOptions sharding{};     // unread; see ShardingOptions
   // The waiting room: depth cap on new arrivals + retry budget.
   control::ReadmissionOptions readmission{};
-  // Per-epoch decision budget (0 = unlimited). Shared by all shards of
-  // the epoch as one absolute deadline, and charged against each task's
-  // residual slack at triage — deterministically, as the *configured*
-  // value, not measured wall time.
+  // Per-epoch decision budget (0 = unlimited): one absolute deadline for
+  // the epoch's solve, and charged against each task's residual slack at
+  // triage — deterministically, as the *configured* value, not measured
+  // wall time.
   double epoch_budget_ms = 0.0;
-  std::size_t jobs = 0;            // shard-solve workers; 0 = default_jobs
+  std::size_t jobs = 0;            // cluster-solve workers; 0 = default_jobs
   assign::LpHtaOptions lp{};       // rung-0 configuration
 };
 
@@ -111,8 +117,7 @@ struct ServeResult {
   std::size_t epochs = 0;        // loop heartbeats (drain included)
   std::size_t decide_epochs = 0; // epochs that pulled a non-empty batch
                                  // (before triage)
-  std::size_t shard_solves = 0;  // shard problems solved
-  control::RungHistogram rungs;  // which rung served each shard solve
+  control::RungHistogram rungs;  // which rung served each epoch solve
   double total_energy_j = 0.0;
   double makespan_s = 0.0;       // last analytic finish
   double virtual_now_s = 0.0;    // clock when the loop ended

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "exec/fingerprint.h"
+#include "exec/hash.h"
 
 namespace mecsched::serve {
 namespace {
@@ -39,11 +39,11 @@ std::string to_string(DecisionKind k) {
 }
 
 void DecisionLog::write_csv(std::ostream& out) const {
-  out << "epoch,time_s,user,index,kind,shard,decision,attempt,"
-         "latency_s,energy_j\n";
+  out << "epoch,time_s,user,index,kind,decision,attempt,latency_s,"
+         "energy_j\n";
   for (const DecisionRecord& r : records_) {
     out << r.epoch << ',' << fmt(r.time_s) << ',' << r.task.user << ','
-        << r.task.index << ',' << to_string(r.kind) << ',' << r.shard << ','
+        << r.task.index << ',' << to_string(r.kind) << ','
         << assign::to_string(r.decision) << ',' << r.attempt << ','
         << fmt(r.latency_s) << ',' << fmt(r.energy_j) << '\n';
   }
@@ -57,7 +57,6 @@ std::uint64_t DecisionLog::digest() const {
     h = exec::mix(h, r.task.user);
     h = exec::mix(h, r.task.index);
     h = exec::mix(h, static_cast<std::uint64_t>(r.kind));
-    h = exec::mix(h, r.shard);
     h = exec::mix(h, static_cast<std::uint64_t>(r.decision));
     h = exec::mix(h, r.attempt);
     h = exec::mix(h, exec::hash_string(fmt(r.latency_s)));

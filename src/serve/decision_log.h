@@ -4,9 +4,9 @@
 //
 // This is the daemon's externally-visible output and its determinism
 // witness: CI replays the same trace at --jobs 1 and --jobs 4 and diffs
-// the CSV byte-for-byte. Shard solves run in parallel, but dispositions
-// are appended from the epoch loop in shard order, so the log never sees
-// the worker schedule. Numbers are rendered with a fixed %.9g format —
+// the CSV byte-for-byte. An epoch's clusters are solved in parallel, but
+// dispositions are appended from the epoch loop in batch order, so the
+// log never sees the worker schedule. Numbers are rendered with a fixed %.9g format —
 // enough digits to be injective for the model's doubles, no
 // locale/stream-state dependence.
 #pragma once
@@ -36,7 +36,7 @@ enum class DecisionKind {
 
 std::string to_string(DecisionKind k);
 
-// The two enums sit side by side so the record stays 80 bytes with
+// The two enums sit side by side so the record stays 72 bytes with
 // finish_s in it: a serve run keeps one record per disposition.
 struct DecisionRecord {
   std::size_t epoch = 0;
@@ -44,7 +44,6 @@ struct DecisionRecord {
   mec::TaskId task{};
   DecisionKind kind = DecisionKind::kDecide;
   assign::Decision decision = assign::Decision::kCancelled;
-  std::size_t shard = 0;
   std::size_t attempt = 0;   // admissions consumed when disposed
   double latency_s = 0.0;    // admission-to-decision (kDecide only)
   double energy_j = 0.0;     // kDecide / kRescue only

@@ -10,27 +10,6 @@
 
 namespace mecsched::serve {
 
-Sharder::Sharder(const mec::Topology& universe, ShardingOptions options)
-    : universe_(&universe),
-      named_((universe.num_devices() + 63) / 64, 0),
-      rank_(named_.size()) {
-  MECSCHED_REQUIRE(options.num_shards >= 1, "num_shards must be >= 1");
-  const std::size_t ns = universe.num_base_stations();
-  num_shards_ = std::min(options.num_shards, ns);
-  station_shard_.resize(ns);
-  for (std::size_t b = 0; b < ns; ++b) {
-    // Contiguous near-equal blocks; monotone in b, so a shard's cells are
-    // a station-id range (the "neighborhood").
-    station_shard_[b] = b * num_shards_ / ns;
-  }
-}
-
-std::size_t Sharder::shard_of_station(std::size_t station) const {
-  MECSCHED_REQUIRE(station < station_shard_.size(),
-                   "station " + std::to_string(station) + " out of range");
-  return station_shard_[station];
-}
-
 BatchTask make_batch_task(std::size_t id, const mec::Task& task,
                           std::size_t attempts, double arrival_s,
                           double residual_s, const Population& population) {
@@ -57,19 +36,15 @@ EpochProblem Sharder::build(const Population& population,
   MECSCHED_REQUIRE(device_used.size() == nd && station_used.size() == ns,
                    "usage vectors must match the universe topology");
 
-  // Route each task to the shard of its issuer's current cell. Every
-  // precondition is checked here, before any roster bit is set, so a
-  // failed build leaves the roster scratch clean.
-  std::vector<std::vector<std::size_t>> shard_tasks(num_shards_);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const BatchTask& b = batch[i];
+  // Every precondition is checked here, before any roster bit is set, so
+  // a failed build leaves the roster scratch clean.
+  for (const BatchTask& b : batch) {
     MECSCHED_REQUIRE(population.up(b.task_id.user),
                      "batch task issuer " + std::to_string(b.task_id.user) +
                          " is not up (triage must run first)");
     MECSCHED_REQUIRE(!b.has_external || population.up(b.owner),
                      "external owner " + std::to_string(b.owner) +
                          " is not up (triage must run first)");
-    shard_tasks[station_shard_[b.station]].push_back(i);
   }
 
   // Device roster: the issuers and external owners the batch names, in
@@ -104,21 +79,14 @@ EpochProblem Sharder::build(const Population& population,
     return rank_[g / 64] + static_cast<std::size_t>(std::popcount(below));
   };
 
-  // Each shard's tasks, in batch order, with user and owner as roster ids.
-  std::vector<ShardProblem> shards;
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    std::vector<std::size_t>& members = shard_tasks[s];
-    if (members.empty()) continue;
-    std::vector<mec::Task> tasks;
-    tasks.reserve(members.size());
-    for (const std::size_t i : members) {
-      const BatchTask& b = batch[i];
-      mec::Task& t = tasks.emplace_back(*b.task);
-      t.deadline_s = b.residual_s;
-      t.id.user = local_id(b.task_id.user);
-      t.external_owner = b.has_external ? local_id(b.owner) : 0;
-    }
-    shards.push_back(ShardProblem{s, std::move(tasks), std::move(members)});
+  // The tasks, in batch order, with user and owner as roster ids.
+  std::vector<mec::Task> tasks;
+  tasks.reserve(batch.size());
+  for (const BatchTask& b : batch) {
+    mec::Task& t = tasks.emplace_back(*b.task);
+    t.deadline_s = b.residual_s;
+    t.id.user = local_id(b.task_id.user);
+    t.external_owner = b.has_external ? local_id(b.owner) : 0;
   }
   for (std::size_t w = lo; w < hi; ++w) named_[w] = 0;
 
@@ -162,7 +130,7 @@ EpochProblem Sharder::build(const Population& population,
 
   return EpochProblem{mec::Topology(std::move(devices), std::move(stations),
                                     universe_->params()),
-                      std::move(roster), std::move(shards)};
+                      std::move(roster), std::move(tasks)};
 }
 
 }  // namespace mecsched::serve

@@ -13,8 +13,8 @@
 // Simultaneous events keep their order: the tasks in input order, then
 // the faults in schedule order. The caller's ServeOptions pick the epoch
 // (batching.window_s), the retry budget (readmission) and the rung-0
-// solver; the presets run one shard, which is the paper's LP-HTA over the
-// whole topology each epoch.
+// solver; each epoch is one solve, the paper's LP-HTA over the whole
+// topology.
 //
 // Per-task outcomes are read back from the decision log, which names
 // tasks by TaskId, so a stream's task ids must be unique.

@@ -1,11 +1,10 @@
-#include "exec/fingerprint.h"
+#include "assign/hta_instance.h"
 
 #include <gtest/gtest.h>
 
-#include "assign/hta_instance.h"
 #include "workload/scenario.h"
 
-namespace mecsched::exec {
+namespace mecsched::assign {
 namespace {
 
 workload::Scenario small_scenario(std::uint64_t seed, std::size_t tasks = 12) {
@@ -20,8 +19,8 @@ workload::Scenario small_scenario(std::uint64_t seed, std::size_t tasks = 12) {
 TEST(FingerprintTest, IdenticalInstancesAgree) {
   const workload::Scenario a = small_scenario(11);
   const workload::Scenario b = small_scenario(11);
-  const assign::HtaInstance ia(a.topology, a.tasks);
-  const assign::HtaInstance ib(b.topology, b.tasks);
+  const HtaInstance ia(a.topology, a.tasks);
+  const HtaInstance ib(b.topology, b.tasks);
   EXPECT_EQ(fingerprint(ia), fingerprint(ib));
 }
 
@@ -29,9 +28,9 @@ TEST(FingerprintTest, SeedAndSizeChangeTheFingerprint) {
   const workload::Scenario base = small_scenario(11);
   const workload::Scenario reseeded = small_scenario(12);
   const workload::Scenario bigger = small_scenario(11, 13);
-  const assign::HtaInstance i0(base.topology, base.tasks);
-  const assign::HtaInstance i1(reseeded.topology, reseeded.tasks);
-  const assign::HtaInstance i2(bigger.topology, bigger.tasks);
+  const HtaInstance i0(base.topology, base.tasks);
+  const HtaInstance i1(reseeded.topology, reseeded.tasks);
+  const HtaInstance i2(bigger.topology, bigger.tasks);
   EXPECT_NE(fingerprint(i0), fingerprint(i1));
   EXPECT_NE(fingerprint(i0), fingerprint(i2));
 }
@@ -40,16 +39,10 @@ TEST(FingerprintTest, DeadlineTweakChangesTheFingerprint) {
   const workload::Scenario s = small_scenario(11);
   auto tweaked = s.tasks;
   tweaked[0].deadline_s += 0.125;
-  const assign::HtaInstance before(s.topology, s.tasks);
-  const assign::HtaInstance after(s.topology, tweaked);
+  const HtaInstance before(s.topology, s.tasks);
+  const HtaInstance after(s.topology, tweaked);
   EXPECT_NE(fingerprint(before), fingerprint(after));
 }
 
-TEST(MixTest, OrderAndStringSensitivity) {
-  EXPECT_NE(mix(1, 2), mix(2, 1));
-  EXPECT_NE(hash_string("LP-HTA"), hash_string("HGOS"));
-  EXPECT_EQ(hash_string("LP-HTA"), hash_string("LP-HTA"));
-}
-
 }  // namespace
-}  // namespace mecsched::exec
+}  // namespace mecsched::assign

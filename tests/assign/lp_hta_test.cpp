@@ -5,15 +5,21 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "assign/cluster_lp.h"
 #include "assign/evaluator.h"
 #include "assign/exact.h"
+#include "common/error.h"
 #include "common/rng.h"
+#include "exec/thread_pool.h"
 #include "lp/simplex.h"
+#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/tracer.h"
+#include "sim/solver_chaos.h"
 #include "workload/scenario.h"
 
 namespace mecsched::assign {
@@ -347,9 +353,9 @@ TEST(LpHtaTest, ClusterWithSlackCapacityTakesNoPivots) {
   EXPECT_NEAR(report.lp_objective, cold, 1e-9 * (1.0 + cold));
 }
 
-// Stations without tasks contribute nothing (a serve shard's instance
-// holds every cell of the epoch), so LP-HTA skips them: same decisions and report, and one
-// lp_hta.cluster span per station that holds tasks.
+// Stations without tasks contribute nothing (a serve epoch's instance
+// holds every cell), so LP-HTA skips them: same decisions and report, and
+// one lp_hta.cluster span per station that holds tasks.
 TEST(LpHtaTest, StationsWithoutTasksAreSkipped) {
   const auto s = small_scenario(3, 40, 12, 3);
   const HtaInstance inst(s.topology, s.tasks);
@@ -404,6 +410,63 @@ TEST(LpHtaTest, StationsWithoutTasksAreSkipped) {
     if (e.name == "lp_hta.cluster") ++spans;
   }
   EXPECT_EQ(spans, with_tasks);
+}
+
+// One LP-HTA run under armed solver chaos: its plan, or the message of
+// the SolverError it threw, and the chaos hits its assign-layer flight
+// record counted.
+struct ChaosRun {
+  std::vector<Decision> decisions;
+  std::string error;
+  std::uint64_t chaos_hits = 0;
+};
+
+ChaosRun run_under_chaos(const HtaInstance& inst,
+                         const sim::SolverChaosConfig& config,
+                         exec::ThreadPool* pool) {
+  sim::SolverChaos chaos(config);
+  const sim::ChaosArmed armed(chaos);
+  obs::FlightRecorder& flight = obs::FlightRecorder::global();
+  flight.enable();
+  ChaosRun run;
+  try {
+    run.decisions = LpHta({}, pool).assign(inst).decisions;
+  } catch (const SolverError& e) {
+    run.error = e.what();
+  }
+  for (const obs::SolveRecord& r : flight.snapshot()) {
+    if (r.layer == "assign" && r.engine == "lp_hta") {
+      run.chaos_hits = r.chaos_hits;
+    }
+  }
+  flight.disable();
+  return run;
+}
+
+// Clusters solved on pool workers count their chaos hits on those
+// workers; the run's record sums them, and the plan or the lowest
+// station's error is the one a solve on the calling thread gives.
+TEST(LpHtaTest, ChaosRunIsTheSameOnAPool) {
+  const auto s = small_scenario(5, 160, 40, 8);
+  const HtaInstance inst(s.topology, s.tasks);
+  exec::ThreadPool pool(2);
+  sim::SolverChaosConfig stalls;
+  stalls.seed = 3;
+  stalls.stall_prob = 0.05;
+  sim::SolverChaosConfig errors;
+  errors.seed = 3;
+  errors.error_prob = 0.2;
+  for (const auto& [config, fails] :
+       {std::pair{stalls, false}, std::pair{errors, true}}) {
+    const ChaosRun inline_run = run_under_chaos(inst, config, nullptr);
+    const ChaosRun pooled = run_under_chaos(inst, config, &pool);
+    SCOPED_TRACE(fails ? "errors" : "stalls");
+    EXPECT_EQ(inline_run.error.empty(), !fails) << inline_run.error;
+    EXPECT_GT(inline_run.chaos_hits, 1u);
+    EXPECT_EQ(pooled.decisions, inline_run.decisions);
+    EXPECT_EQ(pooled.error, inline_run.error);
+    EXPECT_EQ(pooled.chaos_hits, inline_run.chaos_hits);
+  }
 }
 
 // Pins LP-HTA(ipm) decisions, task for task, on six 20-task scenarios

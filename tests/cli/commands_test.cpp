@@ -401,10 +401,10 @@ TEST_F(CliTest, ObsFlagsEmitTraceMetricsAndSummary) {
   EXPECT_NE(out_.str().find("serve.epoch.solve_ms"), std::string::npos);
   EXPECT_EQ(out_.str().find(".window"), std::string::npos);
 
-  // A serve run times each shard's HtaInstance construction.
+  // A serve run times each epoch's HtaInstance construction.
   ASSERT_EQ(run_cli({"serve", "--devices", "60", "--stations", "4",
-                     "--epochs", "3", "--rate", "40", "--shards", "2",
-                     "--seed", "5", "--obs-summary"}),
+                     "--epochs", "3", "--rate", "40", "--seed", "5",
+                     "--obs-summary"}),
             0)
       << err_.str();
   EXPECT_NE(out_.str().find("assign.instance.seconds"), std::string::npos);

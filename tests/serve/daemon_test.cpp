@@ -68,7 +68,6 @@ workload::ServeWorkload churny_workload() {
 TEST(ServeDaemonTest, DecisionLogIsByteIdenticalAcrossWorkerCounts) {
   const workload::ServeWorkload w = churny_workload();
   ServeOptions opts;
-  opts.sharding.num_shards = 3;
 
   opts.jobs = 1;
   DecisionLog log1;
@@ -91,7 +90,7 @@ TEST(ServeDaemonTest, DecisionLogIsByteIdenticalAcrossWorkerCounts) {
 
 // A pinned decision log. The worker-count comparison above cannot catch a
 // change that moves the log the same way at every --jobs; this can. The
-// run mixes churn (lost and orphaned work), owners in another shard than
+// run mixes churn (lost and orphaned work), owners in another cell than
 // their tasks' issuers and devices that never issue a task.
 TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   workload::ServeTraceConfig cfg;
@@ -105,34 +104,29 @@ TEST(ServeDaemonTest, DecisionLogDigestIsPinned) {
   cfg.leave_rate_per_s = 4.0;
   cfg.migrate_rate_per_s = 6.0;
   const workload::ServeWorkload w = workload::make_serve_workload(cfg);
-  ServeOptions opts;
-  opts.sharding.num_shards = 3;
-
   // The trace exercises what the digest is meant to guard.
-  const Sharder sharder(w.universe, opts.sharding);
-  const auto shard_of_device = [&](std::size_t g) {
-    return sharder.shard_of_station(w.universe.device(g).base_station);
+  const auto cell = [&](std::size_t g) {
+    return w.universe.device(g).base_station;
   };
   std::vector<char> issues(w.universe.num_devices(), 0);
-  std::size_t cross_shard = 0;
+  std::size_t cross_cell = 0;
   for (const Event& e : w.trace.events()) {
     if (e.kind != EventKind::kTaskArrival) continue;
     issues[e.task.id.user] = 1;
     if (e.task.external_bytes > 0.0 &&
-        shard_of_device(e.task.external_owner) !=
-            shard_of_device(e.task.id.user)) {
-      ++cross_shard;
+        cell(e.task.external_owner) != cell(e.task.id.user)) {
+      ++cross_cell;
     }
   }
-  EXPECT_GT(cross_shard, 0u);
+  EXPECT_GT(cross_cell, 0u);
   EXPECT_LT(std::count(issues.begin(), issues.end(), 1),
             static_cast<std::ptrdiff_t>(issues.size()));
 
   DecisionLog log;
-  const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace, &log);
+  const ServeResult r = ServeDaemon().run(w.universe, w.trace, &log);
   EXPECT_GT(r.decisions, 0u);
   EXPECT_GT(r.orphaned + r.lost_issuer, 0u);
-  EXPECT_EQ(log.digest(), 0x258de30fbc0db8b0ull);
+  EXPECT_EQ(log.digest(), 0x1878f530418aa8bbull);
 }
 
 // The city-scale run of bench/serve_steady_state: 100k devices, 250
@@ -151,14 +145,13 @@ workload::ServeWorkload city_workload() {
   return workload::make_serve_workload(cfg);
 }
 
-// The city run at 16 shards, pinned at one and four workers: the decision
-// log, and two work counters the digest cannot see — simplex pivots, and
-// devices materialized into the epoch topologies.
+// The city run, pinned at one and four workers: the decision log, and two
+// work counters the digest cannot see — simplex pivots, and devices
+// materialized into the epoch topologies.
 TEST(ServeDaemonTest, CityScaleRunIsPinned) {
   const workload::ServeWorkload w = city_workload();
   ServeOptions opts;
   opts.batching.window_s = 0.5;
-  opts.sharding.num_shards = 16;
 
   obs::Registry& reg = obs::Registry::global();
   for (const std::size_t jobs : {1u, 4u}) {
@@ -167,62 +160,12 @@ TEST(ServeDaemonTest, CityScaleRunIsPinned) {
     const std::uint64_t devices0 = reg.counter("serve.shard.devices").value();
     DecisionLog log;
     ServeDaemon(opts).run(w.universe, w.trace, &log);
-    EXPECT_EQ(log.digest(), 0xee78c830074d499dull) << "jobs " << jobs;
+    EXPECT_EQ(log.digest(), 0xf7381f29a85cd31dull) << "jobs " << jobs;
     EXPECT_EQ(reg.counter("lp.simplex.pivots").value() - pivots0, 2223u)
         << "jobs " << jobs;
     EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 85540u)
         << "jobs " << jobs;
   }
-}
-
-// The same city run at the two ends of the shard range: one shard and 64
-// shards (the most tasks whose data owner sits in another shard). The
-// decision log must not depend on how the batch is split.
-DecisionLog city_log(std::size_t num_shards) {
-  const workload::ServeWorkload w = city_workload();
-  ServeOptions opts;
-  opts.batching.window_s = 0.5;
-  opts.sharding.num_shards = num_shards;
-  opts.jobs = 1;
-  DecisionLog log;
-  ServeDaemon(opts).run(w.universe, w.trace, &log);
-  return log;
-}
-
-TEST(ServeDaemonTest, CityScaleRunIsPinnedAtOneShard) {
-  EXPECT_EQ(city_log(1).digest(), 0x232c586191f07487ull);
-}
-
-TEST(ServeDaemonTest, CityScaleRunIsPinnedAtSixtyFourShards) {
-  EXPECT_EQ(city_log(64).digest(), 0x9b96e9b79362d6ffull);
-}
-
-// The decision rows of the city run with the shard column cut, sorted:
-// what was decided for which task, whatever shard decided it.
-std::vector<std::string> city_rows_without_shard(std::size_t num_shards) {
-  const DecisionLog log = city_log(num_shards);
-  DecisionLog unsharded;
-  for (DecisionRecord r : log.records()) {
-    r.shard = 0;
-    unsharded.append(r);
-  }
-  std::ostringstream csv;
-  unsharded.write_csv(csv);
-  std::istringstream lines(csv.str());
-  std::vector<std::string> rows;
-  for (std::string line; std::getline(lines, line);) rows.push_back(line);
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-// Splitting the stations into shards changes no decision: the LP-HTA
-// clusters are the stations whichever shard holds them, so the rows at
-// 1, 4 and 16 shards are one multiset; only the apply order differs.
-TEST(ServeDaemonTest, ShardCountChangesNoDecision) {
-  const std::vector<std::string> one = city_rows_without_shard(1);
-  EXPECT_GT(one.size(), 1000u);
-  EXPECT_EQ(city_rows_without_shard(4), one);
-  EXPECT_EQ(city_rows_without_shard(16), one);
 }
 
 TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
@@ -255,13 +198,13 @@ TEST(ServeDaemonTest, DarkCellTasksRunLocallyOrWaitForTheCell) {
   EXPECT_GT(log.records()[0].finish_s, log.records()[0].time_s);
   EXPECT_EQ(log.records()[1].task.index, 2u);
   EXPECT_EQ(log.records()[1].kind, DecisionKind::kRetry);
-  // Once the cell is back the heavy task is offloaded by a shard solve.
+  // Once the cell is back the heavy task is offloaded by an epoch solve.
   const DecisionRecord& last = log.records().back();
   EXPECT_EQ(last.task.index, 2u);
   EXPECT_EQ(last.kind, DecisionKind::kDecide);
   EXPECT_GE(last.time_s, 1.2);
   EXPECT_NE(last.decision, assign::Decision::kLocal);
-  EXPECT_GE(r.shard_solves, 1u);
+  EXPECT_GE(r.rungs.total(), 1u);
 }
 
 // A dark-cell local run is priced on the devices as they are now: the
@@ -322,7 +265,7 @@ TEST(ServeDaemonTest, DarkCellRunsOfOneIssuerShareItsCapacity) {
   DecisionLog log;
   const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
   EXPECT_EQ(r.completed, 3u);
-  EXPECT_EQ(r.shard_solves, 0u);
+  EXPECT_EQ(r.rungs.total(), 0u);
   ASSERT_GE(log.size(), 5u);
   const std::vector<DecisionRecord>& recs = log.records();
   EXPECT_EQ(recs[0].task.index, 1u);
@@ -396,9 +339,7 @@ TEST(ServeDaemonTest, StationDownOrphansOffloadedWorkThroughTheCell) {
 
 TEST(ServeDaemonTest, AdmittedTasksAllReachExactlyOneTerminalState) {
   const workload::ServeWorkload w = churny_workload();
-  ServeOptions opts;
-  opts.sharding.num_shards = 2;
-  const ServeResult r = ServeDaemon(opts).run(w.universe, w.trace);
+  const ServeResult r = ServeDaemon().run(w.universe, w.trace);
   EXPECT_FALSE(r.stopped_early);
   EXPECT_EQ(r.arrivals, r.admitted + r.rejected);
   EXPECT_EQ(r.admitted, r.completed + r.expired + r.lost_issuer +
@@ -445,10 +386,22 @@ TEST(ServeDaemonTest, DepartingIssuerLosesTheRunningTask) {
 }
 
 TEST(ServeDaemonTest, MidEpochMigrationReroutesTheTaskToTheNewCell) {
-  // Two stations, two shards. Device 0 issues from station 0, then
-  // migrates to station 1 before the window closes: the decision must be
-  // made in shard 1, against the device's current cell.
-  const mec::Topology universe = make_universe(4, 2);
+  // Device 0 issues from station 0, then migrates to station 1 before the
+  // window closes: the decision must be made against its current cell.
+  // Station 0 has no room and the device too little for the task, so only
+  // station 1 can take it at the edge, and station 1 computes twice as
+  // fast, so an edge run priced in station 0 would finish later.
+  const mec::Topology base = make_universe(4, 2);
+  std::vector<mec::Device> devices;
+  for (std::size_t i = 0; i < base.num_devices(); ++i) {
+    devices.push_back(base.device(i));
+  }
+  devices[0].max_resource = 0.5;
+  std::vector<mec::BaseStation> stations{base.base_station(0),
+                                         base.base_station(1)};
+  stations[0].max_resource = 0.0;
+  stations[1].cpu_hz *= 2.0;
+  const mec::Topology universe(devices, stations, base.params());
   mec::Task task = slow_task(0, 0, 0.0);
   task.local_bytes = 100e3;  // light: decided and completed promptly
   std::vector<Event> events;
@@ -456,16 +409,21 @@ TEST(ServeDaemonTest, MidEpochMigrationReroutesTheTaskToTheNewCell) {
   events.push_back(Event::migrate(0.2, 0, 1));
   const Trace trace(std::move(events));
 
-  ServeOptions opts;
-  opts.sharding.num_shards = 2;
   DecisionLog log;
-  const ServeResult r = ServeDaemon(opts).run(universe, trace, &log);
+  const ServeResult r = ServeDaemon().run(universe, trace, &log);
   EXPECT_EQ(r.decisions, 1u);
+  devices[0].base_station = 1;
+  const mec::Topology moved(std::move(devices), std::move(stations),
+                            base.params());
+  const mec::CostEntry edge =
+      mec::CostModel(moved).evaluate(task, mec::Placement::kEdge);
   bool saw_decide = false;
   for (const DecisionRecord& rec : log.records()) {
     if (rec.kind != DecisionKind::kDecide) continue;
     saw_decide = true;
-    EXPECT_EQ(rec.shard, 1u);
+    EXPECT_EQ(rec.decision, assign::Decision::kEdge);
+    EXPECT_EQ(rec.energy_j, edge.energy_j);
+    EXPECT_EQ(rec.finish_s, rec.time_s + edge.latency_s());
   }
   EXPECT_TRUE(saw_decide);
 }
@@ -523,7 +481,7 @@ TEST(ServeDaemonTest, QueueCapRunIsPinned) {
   EXPECT_EQ(r.rejected, 42u);
   EXPECT_EQ(r.retries, 4u);
   EXPECT_EQ(log.size(), 59u);
-  EXPECT_EQ(log.digest(), 0x070f53f1c3f2a384ull);
+  EXPECT_EQ(log.digest(), 0x4aa82a412842b0e1ull);
 }
 
 TEST(ServeDaemonTest, PreCancelledStopTokenEndsTheRunImmediately) {

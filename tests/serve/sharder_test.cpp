@@ -64,66 +64,48 @@ std::vector<double> no_station_usage(const mec::Topology& topo) {
   return std::vector<double>(topo.num_base_stations(), 0.0);
 }
 
-TEST(SharderTest, RejectsZeroShardsAndClampsExcess) {
-  const mec::Topology universe = make_universe();
-  EXPECT_THROW(Sharder(universe, {0}), ModelError);
-  EXPECT_EQ(Sharder(universe, {100}).num_shards(), 4u);
-}
-
-TEST(SharderTest, StationBlocksAreContiguousAndMonotone) {
-  const mec::Topology universe = make_universe();
-  const Sharder sharder(universe, {2});
-  EXPECT_EQ(sharder.shard_of_station(0), 0u);
-  EXPECT_EQ(sharder.shard_of_station(1), 0u);
-  EXPECT_EQ(sharder.shard_of_station(2), 1u);
-  EXPECT_EQ(sharder.shard_of_station(3), 1u);
-}
-
+// The issuer sits in its current cell, so LP-HTA solves the task in that
+// cell's cluster.
 TEST(SharderTest, RoutesTaskByIssuersCurrentCell) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   Population pop(universe);
-  // Device 0 lives at station 0 (shard 0) but has migrated to station 3.
+  // Device 0 lives at station 0 but has migrated to station 3.
   pop.apply(Event::migrate(0.0, 0, 3));
 
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);  // empty shard 0 omitted
-  EXPECT_EQ(cut.shards[0].shard, 1u);
-  ASSERT_EQ(cut.shards[0].batch_index.size(), 1u);
-  EXPECT_EQ(cut.shards[0].batch_index[0], 0u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
+  EXPECT_EQ(cut.tasks[0].id.user, 0u);
   EXPECT_EQ(cut.topology.device(0).base_station, 3u);
 }
 
 TEST(SharderTest, CrossShardOwnerPricesFetchExactly) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   const Population pop(universe);
-  // Issuer 0 sits in shard 0; its external data lives on device 2 whose
-  // cell (station 2) is in shard 1.
+  // Issuer 0 sits in station 0; its external data lives on device 2, in
+  // station 2.
   const Event e = arrival(0, 2, 200e3);
   const std::vector<BatchTask> batch{record(0, e, pop)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
-  const ShardProblem& shard = cut.shards[0];
-  EXPECT_EQ(shard.shard, 0u);
 
   // The owner is a roster device like any other: in its own cell, with
   // its capacity, named once in the one epoch topology.
   EXPECT_EQ(cut.roster, (std::vector<std::size_t>{0, 2}));
-  ASSERT_EQ(shard.tasks.size(), 1u);
-  EXPECT_EQ(shard.tasks[0].external_owner, 1u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
+  EXPECT_EQ(cut.tasks[0].external_owner, 1u);
   EXPECT_EQ(cut.topology.device(1).base_station, 2u);
   EXPECT_DOUBLE_EQ(cut.topology.device(1).max_resource, 8.0);
 
   // Cost parity: the epoch topology prices every placement of the task
-  // exactly as the universe does, the cross-neighborhood fetch included.
+  // exactly as the universe does, the cross-cell fetch included.
   const mec::TaskCosts in_universe = mec::CostModel(universe).evaluate(e.task);
   const mec::TaskCosts in_epoch =
-      mec::CostModel(cut.topology).evaluate(shard.tasks[0]);
+      mec::CostModel(cut.topology).evaluate(cut.tasks[0]);
   for (const mec::Placement placement : mec::kAllPlacements) {
     EXPECT_EQ(in_epoch.latency(placement), in_universe.latency(placement));
     EXPECT_EQ(in_epoch.energy(placement), in_universe.energy(placement));
@@ -132,7 +114,7 @@ TEST(SharderTest, CrossShardOwnerPricesFetchExactly) {
 
 TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {1});
+  Sharder sharder(universe);
   Population pop(universe);
   pop.apply(Event::station_down(0.0, 1));
   pop.apply(Event::link_fade(0.0, 0, 0.25));
@@ -143,7 +125,7 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
   const std::vector<BatchTask> batch{record(0, e, pop)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
   const mec::Topology& topo = cut.topology;
   EXPECT_DOUBLE_EQ(topo.base_station(0).max_resource, 40.0);
   EXPECT_DOUBLE_EQ(topo.base_station(1).max_resource, 0.0);  // dark
@@ -160,7 +142,7 @@ TEST(SharderTest, DarkCellsCarryNoCapacityAndFadedLinksStretchTransfers) {
 
 TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   const Population pop(universe);
   std::vector<double> dev = no_device_usage(universe);
   std::vector<double> sta = no_station_usage(universe);
@@ -169,7 +151,7 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
   const EpochProblem cut = sharder.build(pop, dev, sta, batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
   // Local device 0 is universe device 0; cells keep their universe ids.
   ASSERT_EQ(cut.roster[0], 0u);
   EXPECT_DOUBLE_EQ(cut.topology.device(0).max_resource, 2.5);
@@ -178,33 +160,31 @@ TEST(SharderTest, ResidualCapacitiesOverrideTheUniverseCaps) {
 
 TEST(SharderTest, DownDevicesAreExcludedFromTheShardTopology) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   Population pop(universe);
-  pop.apply(Event::leave(0.0, 4));  // station 0, shard 0
+  pop.apply(Event::leave(0.0, 4));  // station 0, the issuer's cell
   const Event e = arrival(0, 0, 0.0);
   const std::vector<BatchTask> batch{record(0, e, pop)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
   for (const std::size_t global : cut.roster) EXPECT_NE(global, 4u);
 }
 
 TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
-  // 12 devices over 4 stations; shard 0 (stations 0-1) holds devices
-  // 0, 1, 4, 5, 8 and 9, of which 0 and 4 issue nothing and own nothing.
+  // 12 devices over 4 stations; of the devices of stations 0 and 1 (0, 1,
+  // 4, 5, 8 and 9), 0 and 4 issue nothing and own nothing.
   const mec::Topology universe = make_universe(12, 4);
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   const Population pop(universe);
-  const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2, shard 1
+  const Trace trace({arrival(9, 6, 200e3),  // owner 6: station 2
                      arrival(5, 5, 0.0),
-                     arrival(1, 8, 200e3)});  // owner 8: same shard
+                     arrival(1, 8, 200e3)});  // owner 8: station 0
   const std::vector<BatchTask> batch{record(0, trace.events()[0], pop),
                                      record(1, trace.events()[1], pop),
                                      record(2, trace.events()[2], pop)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
-  const ShardProblem& shard = cut.shards[0];
 
   // The named devices in ascending universe id, each with its capacity;
   // every cell, with its universe id.
@@ -217,19 +197,19 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   EXPECT_EQ(cut.topology.num_base_stations(), 4u);
 
   // Tasks keep batch order and point at their devices' local ids.
-  ASSERT_EQ(shard.tasks.size(), 3u);
-  EXPECT_EQ(shard.tasks[0].id.user, 4u);
-  EXPECT_EQ(shard.tasks[0].external_owner, 2u);
-  EXPECT_EQ(shard.tasks[1].id.user, 1u);
-  EXPECT_EQ(shard.tasks[2].id.user, 0u);
-  EXPECT_EQ(shard.tasks[2].external_owner, 3u);
+  ASSERT_EQ(cut.tasks.size(), 3u);
+  EXPECT_EQ(cut.tasks[0].id.user, 4u);
+  EXPECT_EQ(cut.tasks[0].external_owner, 2u);
+  EXPECT_EQ(cut.tasks[1].id.user, 1u);
+  EXPECT_EQ(cut.tasks[2].id.user, 0u);
+  EXPECT_EQ(cut.tasks[2].external_owner, 3u);
 
   // Every task still prices exactly as in the universe.
   for (std::size_t t = 0; t < batch.size(); ++t) {
     const mec::TaskCosts in_universe =
         mec::CostModel(universe).evaluate(*batch[t].task);
     const mec::TaskCosts in_epoch =
-        mec::CostModel(cut.topology).evaluate(shard.tasks[t]);
+        mec::CostModel(cut.topology).evaluate(cut.tasks[t]);
     for (const mec::Placement placement : mec::kAllPlacements) {
       EXPECT_EQ(in_epoch.latency(placement), in_universe.latency(placement));
       EXPECT_EQ(in_epoch.energy(placement), in_universe.energy(placement));
@@ -237,38 +217,35 @@ TEST(SharderTest, RosterHoldsOnlyReferencedDevices) {
   }
 }
 
-// A device that issues in one shard and owns another shard's data is one
-// roster entry: both shards' tasks name it by the same local id.
+// A device that issues in one cell and owns data a task of another cell
+// reads is one roster entry: both tasks name it by the same local id.
 TEST(SharderTest, ShardsNameOneRoster) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   const Population pop(universe);
-  const Trace trace({arrival(3, 1, 200e3),  // shard 1, owner in shard 0
-                     arrival(1, 1, 0.0)});  // shard 0
+  const Trace trace({arrival(3, 1, 200e3),  // station 3, owner in station 1
+                     arrival(1, 1, 0.0)});  // station 1
   const EpochProblem cut =
       sharder.build(pop, no_device_usage(universe), no_station_usage(universe),
                     {record(0, trace.events()[0], pop),
                      record(1, trace.events()[1], pop)});
   EXPECT_EQ(cut.roster, (std::vector<std::size_t>{1, 3}));
-  ASSERT_EQ(cut.shards.size(), 2u);
-  EXPECT_EQ(cut.shards[0].shard, 0u);
-  EXPECT_EQ(cut.shards[0].batch_index, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(cut.shards[0].tasks[0].id.user, 0u);
-  EXPECT_EQ(cut.shards[1].shard, 1u);
-  EXPECT_EQ(cut.shards[1].tasks[0].id.user, 1u);
-  EXPECT_EQ(cut.shards[1].tasks[0].external_owner, 0u);
+  ASSERT_EQ(cut.tasks.size(), 2u);
+  EXPECT_EQ(cut.tasks[0].id.user, 1u);
+  EXPECT_EQ(cut.tasks[0].external_owner, 0u);
+  EXPECT_EQ(cut.tasks[1].id.user, 0u);
 }
 
 TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {2});
+  Sharder sharder(universe);
   const Population pop(universe);
   const Event e = arrival(0, 0, 0.0);  // issued deadline 10s
   const std::vector<BatchTask> batch{record(0, e, pop, 3.25)};
   const EpochProblem cut = sharder.build(pop, no_device_usage(universe),
                                          no_station_usage(universe), batch);
-  ASSERT_EQ(cut.shards.size(), 1u);
-  EXPECT_DOUBLE_EQ(cut.shards[0].tasks[0].deadline_s, 3.25);
+  ASSERT_EQ(cut.tasks.size(), 1u);
+  EXPECT_DOUBLE_EQ(cut.tasks[0].deadline_s, 3.25);
 }
 
 // A build that fails a precondition (here: a data owner that is away)
@@ -276,7 +253,7 @@ TEST(SharderTest, DeadlineOverrideReplacesTheIssuedDeadline) {
 // same sharder sees a clean bitmap.
 TEST(SharderTest, FailedBuildLeavesTheRosterScratchClean) {
   const mec::Topology universe = make_universe();
-  Sharder sharder(universe, {1});
+  Sharder sharder(universe);
   Population pop(universe);
   pop.apply(Event::leave(0.0, 6));
   const Trace trace({arrival(1, 5, 200e3), arrival(3, 6, 200e3),
@@ -289,30 +266,25 @@ TEST(SharderTest, FailedBuildLeavesTheRosterScratchClean) {
   const EpochProblem cut =
       sharder.build(pop, no_device_usage(universe), no_station_usage(universe),
                     {record(2, trace.events()[2], pop)});
-  ASSERT_EQ(cut.shards.size(), 1u);
+  ASSERT_EQ(cut.tasks.size(), 1u);
   EXPECT_EQ(cut.roster, (std::vector<std::size_t>{7}));
-  EXPECT_EQ(cut.shards[0].tasks[0].id.user, 0u);
+  EXPECT_EQ(cut.tasks[0].id.user, 0u);
 }
 
 // The roster as a sort builds it: every (universe id, slot) reference of
 // the batch — slot 2 * task + is_owner — sorted, so the distinct ids in
-// order are the roster and each reference's rank is its local id. Each
-// shard is the batch positions routed to it, in batch order.
+// order are the roster and each reference's rank is its local id.
 struct SortedRoster {
   std::vector<std::size_t> roster;
   std::vector<std::size_t> users;   // local id per batch task
   std::vector<std::size_t> owners;  // local id per batch task, 0 without data
-  std::vector<std::vector<std::size_t>> shards;  // batch positions by shard
 };
 
-SortedRoster sorted_roster(const Sharder& sharder, const Population& pop,
-                           const std::vector<BatchTask>& batch) {
+SortedRoster sorted_roster(const std::vector<BatchTask>& batch) {
   SortedRoster r;
-  r.shards.resize(sharder.num_shards());
   std::vector<std::pair<std::size_t, std::size_t>> refs;
   for (std::size_t k = 0; k < batch.size(); ++k) {
     const mec::Task& t = *batch[k].task;
-    r.shards[sharder.shard_of_station(pop.station(t.id.user))].push_back(k);
     refs.emplace_back(t.id.user, 2 * k);
     if (t.external_bytes > 0.0) refs.emplace_back(t.external_owner, 2 * k + 1);
   }
@@ -327,30 +299,19 @@ SortedRoster sorted_roster(const Sharder& sharder, const Population& pop,
   return r;
 }
 
-// The shards of a build, against the reference: the same non-empty shards
-// in shard order, each with its batch positions and local ids.
-void expect_shards_match(const EpochProblem& cut, const SortedRoster& want) {
-  std::size_t p = 0;
-  for (std::size_t s = 0; s < want.shards.size(); ++s) {
-    if (want.shards[s].empty()) continue;
-    ASSERT_LT(p, cut.shards.size());
-    const ShardProblem& got = cut.shards[p++];
-    SCOPED_TRACE(::testing::Message() << "shard " << s);
-    EXPECT_EQ(got.shard, s);
-    EXPECT_EQ(got.batch_index, want.shards[s]);
-    ASSERT_EQ(got.tasks.size(), want.shards[s].size());
-    for (std::size_t k = 0; k < got.tasks.size(); ++k) {
-      const std::size_t i = want.shards[s][k];
-      EXPECT_EQ(got.tasks[k].id.user, want.users[i]) << "task " << k;
-      EXPECT_EQ(got.tasks[k].external_owner, want.owners[i]) << "task " << k;
-    }
+// The tasks of a build, against the reference: every batch task in batch
+// order, with its local ids.
+void expect_tasks_match(const EpochProblem& cut, const SortedRoster& want) {
+  ASSERT_EQ(cut.tasks.size(), want.users.size());
+  for (std::size_t k = 0; k < cut.tasks.size(); ++k) {
+    EXPECT_EQ(cut.tasks[k].id.user, want.users[k]) << "task " << k;
+    EXPECT_EQ(cut.tasks[k].external_owner, want.owners[k]) << "task " << k;
   }
-  EXPECT_EQ(p, cut.shards.size());
 }
 
 TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
   // 600 devices over 80 stations; a fifth of them migrate to a random
-  // cell, so a device's shard is not its home shard.
+  // cell, so a device's cell is not its home cell.
   const std::size_t nd = 600;
   const mec::Topology universe = make_universe(nd, 80);
   Population pop(universe);
@@ -364,34 +325,31 @@ TEST(SharderTest, RosterMatchesASortBuiltRosterOnRandomBatches) {
   const auto device = [&] {
     return static_cast<std::size_t>(rng.uniform_int(0, nd - 1));
   };
-  for (const std::size_t shards : {1u, 4u, 16u, 64u}) {
-    Sharder sharder(universe, {shards});
-    // Several epochs through one sharder: its scratch must come back
-    // clean after every build.
-    for (int epoch = 0; epoch < 6; ++epoch) {
-      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 400));
-      std::vector<Event> events;
-      events.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t user = device();
-        const double roll = rng.uniform(0.0, 1.0);
-        // No data, own data, or another device's (often in another shard).
-        events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
-                         : roll < 0.3 ? arrival(user, user, 100e3)
-                                      : arrival(user, device(), 100e3));
-      }
-      std::vector<BatchTask> batch;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(record(i, events[i], pop));
-      }
-      const EpochProblem cut = sharder.build(
-          pop, no_device_usage(universe), no_station_usage(universe), batch);
-      const SortedRoster want = sorted_roster(sharder, pop, batch);
-      SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
-                                        << epoch);
-      EXPECT_EQ(cut.roster, want.roster);
-      expect_shards_match(cut, want);
+  Sharder sharder(universe);
+  // Many epochs through one sharder: its scratch must come back clean
+  // after every build.
+  for (int epoch = 0; epoch < 24; ++epoch) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 400));
+    std::vector<Event> events;
+    events.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t user = device();
+      const double roll = rng.uniform(0.0, 1.0);
+      // No data, own data, or another device's (often in another cell).
+      events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
+                       : roll < 0.3 ? arrival(user, user, 100e3)
+                                    : arrival(user, device(), 100e3));
     }
+    std::vector<BatchTask> batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(record(i, events[i], pop));
+    }
+    const EpochProblem cut = sharder.build(
+        pop, no_device_usage(universe), no_station_usage(universe), batch);
+    const SortedRoster want = sorted_roster(batch);
+    SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
+    EXPECT_EQ(cut.roster, want.roster);
+    expect_tasks_match(cut, want);
   }
 }
 
@@ -447,104 +405,98 @@ TEST(SharderTest, UsageBuildMatchesResidualPricingOnRandomBatches) {
   const auto station = [&] {
     return static_cast<std::size_t>(rng.uniform_int(0, ns - 1));
   };
-  for (const std::size_t shards : {1u, 4u, 16u, 64u}) {
-    Sharder sharder(universe, {shards});
-    for (int epoch = 0; epoch < 5; ++epoch) {
-      // The population moves between epochs: migrations, fades and cells
-      // going dark or coming back.
-      for (int k = 0; k < 40; ++k) pop.apply(Event::migrate(0.0, device(), station()));
-      for (int k = 0; k < 20; ++k) {
-        pop.apply(Event::link_fade(0.0, device(), rng.uniform(0.1, 1.0)));
+  Sharder sharder(universe);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    // The population moves between epochs: migrations, fades and cells
+    // going dark or coming back.
+    for (int k = 0; k < 40; ++k) pop.apply(Event::migrate(0.0, device(), station()));
+    for (int k = 0; k < 20; ++k) {
+      pop.apply(Event::link_fade(0.0, device(), rng.uniform(0.1, 1.0)));
+    }
+    pop.apply(Event::station_down(0.0, station()));
+    pop.apply(Event::station_up(0.0, station()));
+    // Usage: most devices idle, some partly used, some past their cap
+    // (the residual clamps at 0); the same for cells.
+    std::vector<double> dev_used(nd, 0.0);
+    for (std::size_t g = 0; g < nd; ++g) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.3) {
+        dev_used[g] = rng.uniform(0.0, 8.0);
+      } else if (u < 0.4) {
+        dev_used[g] = universe.device(g).max_resource + rng.uniform(0.0, 3.0);
       }
-      pop.apply(Event::station_down(0.0, station()));
-      pop.apply(Event::station_up(0.0, station()));
-      // Usage: most devices idle, some partly used, some past their cap
-      // (the residual clamps at 0); the same for cells.
-      std::vector<double> dev_used(nd, 0.0);
-      for (std::size_t g = 0; g < nd; ++g) {
-        const double u = rng.uniform(0.0, 1.0);
-        if (u < 0.3) {
-          dev_used[g] = rng.uniform(0.0, 8.0);
-        } else if (u < 0.4) {
-          dev_used[g] = universe.device(g).max_resource + rng.uniform(0.0, 3.0);
-        }
-      }
-      std::vector<double> st_used(ns, 0.0);
-      for (std::size_t b = 0; b < ns; ++b) {
-        st_used[b] = rng.bernoulli(0.1) ? rng.uniform(60.0, 80.0)
-                                        : rng.uniform(0.0, 40.0);
-      }
-      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
-      std::vector<Event> events;
-      events.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t user = device();
-        const double roll = rng.uniform(0.0, 1.0);
-        events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
-                         : roll < 0.3 ? arrival(user, user, 100e3)
-                                      : arrival(user, device(), 100e3));
-      }
-      std::vector<double> deadlines(n);
-      for (double& d : deadlines) d = rng.uniform(0.1, 10.0);
-      std::vector<BatchTask> batch;
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(record(i, events[i], pop, deadlines[i]));
-      }
+    }
+    std::vector<double> st_used(ns, 0.0);
+    for (std::size_t b = 0; b < ns; ++b) {
+      st_used[b] = rng.bernoulli(0.1) ? rng.uniform(60.0, 80.0)
+                                      : rng.uniform(0.0, 40.0);
+    }
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+    std::vector<Event> events;
+    events.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t user = device();
+      const double roll = rng.uniform(0.0, 1.0);
+      events.push_back(roll < 0.2   ? arrival(user, device(), 0.0)
+                       : roll < 0.3 ? arrival(user, user, 100e3)
+                                    : arrival(user, device(), 100e3));
+    }
+    std::vector<double> deadlines(n);
+    for (double& d : deadlines) d = rng.uniform(0.1, 10.0);
+    std::vector<BatchTask> batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.push_back(record(i, events[i], pop, deadlines[i]));
+    }
 
-      const EpochProblem cut = sharder.build(pop, dev_used, st_used, batch);
-      const SortedRoster want = sorted_roster(sharder, pop, batch);
-      SCOPED_TRACE(::testing::Message() << shards << " shards, epoch "
-                                        << epoch);
-      ASSERT_EQ(cut.roster, want.roster);
-      expect_shards_match(cut, want);
+    const EpochProblem cut = sharder.build(pop, dev_used, st_used, batch);
+    const SortedRoster want = sorted_roster(batch);
+    SCOPED_TRACE(::testing::Message() << "epoch " << epoch);
+    ASSERT_EQ(cut.roster, want.roster);
+    expect_tasks_match(cut, want);
 
-      // Cells: every one, with its universe id.
-      ASSERT_EQ(cut.topology.num_base_stations(), ns);
-      for (std::size_t b = 0; b < ns; ++b) {
-        mec::BaseStation bs = universe.base_station(b);
-        bs.max_resource = pop.station_up(b)
-                              ? std::max(0.0, bs.max_resource - st_used[b])
-                              : 0.0;
-        expect_same_station(cut.topology.base_station(b), bs);
-      }
-      ASSERT_EQ(cut.topology.num_devices(), want.roster.size());
-      for (std::size_t l = 0; l < want.roster.size(); ++l) {
-        const std::size_t g = want.roster[l];
-        mec::Device d = pop.device(g);
-        d.id = l;
-        d.max_resource =
-            std::max(0.0, universe.device(g).max_resource - dev_used[g]);
-        expect_same_device(cut.topology.device(l), d);
-      }
+    // Cells: every one, with its universe id.
+    ASSERT_EQ(cut.topology.num_base_stations(), ns);
+    for (std::size_t b = 0; b < ns; ++b) {
+      mec::BaseStation bs = universe.base_station(b);
+      bs.max_resource = pop.station_up(b)
+                            ? std::max(0.0, bs.max_resource - st_used[b])
+                            : 0.0;
+      expect_same_station(cut.topology.base_station(b), bs);
+    }
+    ASSERT_EQ(cut.topology.num_devices(), want.roster.size());
+    for (std::size_t l = 0; l < want.roster.size(); ++l) {
+      const std::size_t g = want.roster[l];
+      mec::Device d = pop.device(g);
+      d.id = l;
+      d.max_resource =
+          std::max(0.0, universe.device(g).max_resource - dev_used[g]);
+      expect_same_device(cut.topology.device(l), d);
+    }
 
-      // Each shard task is its batch task with local ids and the residual
-      // deadline, and prices as the task does against the live devices.
-      std::vector<mec::Device> live;
-      for (std::size_t g = 0; g < nd; ++g) live.push_back(pop.device(g));
-      std::vector<mec::BaseStation> cells;
-      for (std::size_t b = 0; b < ns; ++b) {
-        cells.push_back(universe.base_station(b));
-      }
-      const mec::Topology now(std::move(live), std::move(cells),
-                              universe.params());
-      for (const ShardProblem& sp : cut.shards) {
-        for (std::size_t k = 0; k < sp.tasks.size(); ++k) {
-          const std::size_t i = sp.batch_index[k];
-          mec::Task t = events[i].task;
-          t.deadline_s = deadlines[i];
-          const mec::Task& got = sp.tasks[k];
-          EXPECT_EQ(got.id.index, t.id.index) << "task " << i;
-          EXPECT_EQ(got.deadline_s, t.deadline_s) << "task " << i;
-          EXPECT_EQ(got.resource, t.resource) << "task " << i;
-          EXPECT_EQ(got.external_bytes, t.external_bytes) << "task " << i;
-          const mec::TaskCosts in_epoch =
-              mec::CostModel(cut.topology).evaluate(got);
-          const mec::TaskCosts live_costs = mec::CostModel(now).evaluate(t);
-          for (const mec::Placement pl : mec::kAllPlacements) {
-            EXPECT_EQ(in_epoch.latency(pl), live_costs.latency(pl));
-            EXPECT_EQ(in_epoch.energy(pl), live_costs.energy(pl));
-          }
-        }
+    // Each epoch task is its batch task with local ids and the residual
+    // deadline, and prices as the task does against the live devices.
+    std::vector<mec::Device> live;
+    for (std::size_t g = 0; g < nd; ++g) live.push_back(pop.device(g));
+    std::vector<mec::BaseStation> cells;
+    for (std::size_t b = 0; b < ns; ++b) {
+      cells.push_back(universe.base_station(b));
+    }
+    const mec::Topology now(std::move(live), std::move(cells),
+                            universe.params());
+    for (std::size_t i = 0; i < cut.tasks.size(); ++i) {
+      mec::Task t = events[i].task;
+      t.deadline_s = deadlines[i];
+      const mec::Task& got = cut.tasks[i];
+      EXPECT_EQ(got.id.index, t.id.index) << "task " << i;
+      EXPECT_EQ(got.deadline_s, t.deadline_s) << "task " << i;
+      EXPECT_EQ(got.resource, t.resource) << "task " << i;
+      EXPECT_EQ(got.external_bytes, t.external_bytes) << "task " << i;
+      const mec::TaskCosts in_epoch =
+          mec::CostModel(cut.topology).evaluate(got);
+      const mec::TaskCosts live_costs = mec::CostModel(now).evaluate(t);
+      for (const mec::Placement pl : mec::kAllPlacements) {
+        EXPECT_EQ(in_epoch.latency(pl), live_costs.latency(pl));
+        EXPECT_EQ(in_epoch.energy(pl), live_costs.energy(pl));
       }
     }
   }

@@ -20,9 +20,9 @@ it prints both medians, both sides' quartiles and median absolute
 deviations (MAD), head's change in the median, head's wins k/N (a pair is
 a win when head's value is better in the metric's direction; a tie is
 not) and the exact two-sided sign-test p of those wins against the losses
-(ties dropped). A metric whose wins are at least
-9 in 10 and whose median moved by more than the base's interquartile
-range is marked `clear`. Every run's value follows, in pair order.
+(ties dropped). A metric measured over at least 10 pairs, whose wins are
+at least 9 in 10 and whose median moved by more than the base's
+interquartile range is marked `clear`; fewer pairs are never clear. Every run's value follows, in pair order.
 
 With --trace 1 each run also prints its deterministic work counters.
 Exits 1 if a counter differs between any two runs, except the counters
@@ -116,6 +116,11 @@ def sign_test_p(wins, losses):
     return min(1.0, 2 * tail / 2 ** n)
 
 
+# A gain claim needs at least this many pairs: 3 wins of 3 is sign-test
+# p 0.25, which is no evidence.
+MIN_CLEAR_PAIRS = 10
+
+
 def summarize(spec_metrics, base_runs, head_runs):
     """Rows of (name, unit, base median, base q1, base q3, head median,
     head q1, head q3, change, wins, pairs, clear, base MAD, head MAD,
@@ -137,7 +142,8 @@ def summarize(spec_metrics, base_runs, head_runs):
         h_q1, h_q3 = quartiles(head)
         change = (h_med - b_med) / b_med if b_med else 0.0
         gained = h_med < b_med if lower else h_med > b_med
-        clear = (gained and 10 * wins >= 9 * len(pairs) and
+        clear = (gained and len(pairs) >= MIN_CLEAR_PAIRS and
+                 10 * wins >= 9 * len(pairs) and
                  abs(h_med - b_med) > b_q3 - b_q1)
         rows.append((name, m["unit"], b_med, b_q1, b_q3, h_med, h_q1, h_q3,
                      change, wins, len(pairs), clear, mad(base), mad(head),
@@ -217,6 +223,13 @@ def self_test():
     eight[0]["solve_ms_p50"] = 250
     checks.append(("8 of 10 not clear",
                    summarize(spec, base, eight)[0][11], False))
+    # Too few pairs are not clear, however one-sided: 3 of 3 is p 0.25.
+    three = summarize(spec, base[:3], head[:3])[0]
+    checks += [("3 of 3 wins", three[9], 3),
+               ("3 of 3 not clear", three[11], False),
+               ("10 of 10 clear",
+                summarize(spec, base, [dict(h, solve_ms_p50=160)
+                                       for h in head])[0][11], True)]
     same = {"lp.simplex.pivots": 8053, "serve.shard.devices": 265239}
     moved = dict(same, **{"lp.simplex.pivots": 8000})
     checks += [
