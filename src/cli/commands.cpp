@@ -248,8 +248,10 @@ std::string usage() {
       "                        Prometheus text format\n"
       "  --obs-summary         print a metric summary table after the run\n"
       "  --jobs N              worker threads for parallel sweeps (default:\n"
-      "                        MECSCHED_JOBS env, else all hardware threads);\n"
-      "                        sweep output is identical for every N\n"
+      "                        MECSCHED_JOBS env, else all hardware threads)\n"
+      "                        and serve/online/churn clusters (default:\n"
+      "                        MECSCHED_JOBS env, else inline); output is\n"
+      "                        identical for every N\n"
       "  --audit LEVEL         runtime solver certificates: off, cheap or\n"
       "                        full (default: MECSCHED_AUDIT env, else the\n"
       "                        build default; see docs/static-analysis.md)\n"

@@ -37,7 +37,7 @@ class SweepRunner {
   // in grid order. Waits for every cell even when one throws, then
   // rethrows the lowest-index failure. Each cell's wall-clock lands in the
   // global exec.sweep.cell_seconds histogram and, when the flight recorder
-  // is on, in an exec/sweep_cell record.
+  // is on, in an exec/sweep_cell record, handed back in grid order.
   template <typename T>
   std::vector<T> run(std::size_t num_cells,
                      const std::function<T(std::size_t)>& fn) const {

@@ -18,12 +18,13 @@ std::atomic<std::size_t>& jobs_override() {
 
 }  // namespace
 
-std::size_t ThreadPool::default_jobs() {
+std::size_t ThreadPool::default_jobs(std::size_t unasked) {
   const std::size_t forced = jobs_override().load(std::memory_order_relaxed);
   if (forced > 0) return forced;
   if (const char* env = std::getenv("MECSCHED_JOBS")) {
     return parse_positive_count("MECSCHED_JOBS", env);
   }
+  if (unasked > 0) return unasked;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -9,6 +9,8 @@
 //     callers use: it runs fn(i) for every i < n and returns the results
 //     in index order, waiting for every task before it returns or
 //     rethrows; a task that throws fails the map, never the pool,
+//   * map is the one place parallel flight records are ordered: it holds
+//     each task's records and appends them in index order after the join,
 //   * shutdown is graceful: the destructor (or shutdown()) stops intake,
 //     drains every queued task, then joins the workers,
 //   * observable: exec.pool.queue_depth (gauge) and exec.pool.tasks
@@ -30,6 +32,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/flight_recorder.h"
 
 namespace mecsched::exec {
 
@@ -45,18 +48,21 @@ class ThreadPool {
   // Runs fn(i) for every i < n on the pool and returns the results in
   // index order, whatever order the tasks finished in. Every task has
   // finished before map returns or throws, so `fn` may capture locals by
-  // reference; if any task threw, the lowest-index failure is rethrown.
-  // Throws ModelError after shutdown.
+  // reference; if any task threw, the lowest-index failure is rethrown,
+  // after every task's flight records are appended in index order (into
+  // the caller's Hold, if it is an outer map's task). Throws ModelError
+  // after shutdown.
   template <typename F>
   auto map(std::size_t n, const F& fn)
       -> std::vector<std::invoke_result_t<const F&, std::size_t>> {
     using R = std::invoke_result_t<const F&, std::size_t>;
-    // Results and failures land in slots this frame owns, and a task's
-    // last act is to count itself done under `mu`: once the count is
-    // complete no task touches anything here again, and no worker holds
-    // the last reference to a result or an exception.
+    // Results, failures and flight records land in slots this frame owns,
+    // and a task's last act is to count itself done under `mu`: once the
+    // count is complete no task touches anything here again, and no
+    // worker holds the last reference to a result or an exception.
     std::vector<std::optional<R>> slots(n);
     std::vector<std::exception_ptr> errors(n);
+    std::vector<std::vector<obs::SolveRecord>> records(n);
     Mutex mu;
     CondVar cv;
     std::size_t done = 0;  // guarded by mu
@@ -66,10 +72,13 @@ class ThreadPool {
       const std::size_t i = queued;
       try {
         enqueue([&, i] {
-          try {
-            slots[i].emplace(fn(i));
-          } catch (...) {
-            errors[i] = std::current_exception();
+          {
+            const obs::FlightRecorder::Hold hold(records[i]);
+            try {
+              slots[i].emplace(fn(i));
+            } catch (...) {
+              errors[i] = std::current_exception();
+            }
           }
           const MutexLock lock(mu);
           ++done;
@@ -83,6 +92,10 @@ class ThreadPool {
     {
       const MutexLock lock(mu);
       while (done < queued) cv.wait(mu);
+    }
+    obs::FlightRecorder& flight = obs::FlightRecorder::global();
+    for (std::vector<obs::SolveRecord>& held : records) {
+      for (obs::SolveRecord& r : held) flight.record(std::move(r));
     }
     if (enqueue_error) std::rethrow_exception(enqueue_error);
     for (const std::exception_ptr& e : errors) {
@@ -101,9 +114,10 @@ class ThreadPool {
   void shutdown();
 
   // Worker count used when a pool (or sweep) is built with jobs = 0:
-  // set_default_jobs() override > MECSCHED_JOBS env > hardware threads.
-  // A MECSCHED_JOBS that is not a positive integer throws ModelError.
-  static std::size_t default_jobs();
+  // set_default_jobs() override > MECSCHED_JOBS env > `unasked`, where 0
+  // means one per hardware thread. A MECSCHED_JOBS that is not a positive
+  // integer throws ModelError.
+  static std::size_t default_jobs(std::size_t unasked = 0);
   // Process-wide override (the CLI's --jobs). 0 clears the override.
   static void set_default_jobs(std::size_t n);
 

@@ -86,10 +86,6 @@ std::string to_chrome_json(const Tracer& tracer) {
   return os.str();
 }
 
-void write_chrome_trace(const Tracer& tracer, const std::string& path) {
-  write_text_file(path, to_chrome_json(tracer));
-}
-
 std::string to_prometheus(const Registry& registry) {
   std::ostringstream os;
   for (const auto& [name, value] : registry.counters()) {
@@ -116,10 +112,6 @@ std::string to_prometheus(const Registry& registry) {
        << p << "_count " << s.count() << "\n";
   }
   return os.str();
-}
-
-void write_prometheus(const Registry& registry, const std::string& path) {
-  write_text_file(path, to_prometheus(registry));
 }
 
 Table summary_table(const Registry& registry) {
@@ -176,17 +168,9 @@ std::string to_flight_jsonl(const FlightRecorder& recorder) {
   return os.str();
 }
 
-void write_flight_jsonl(const FlightRecorder& recorder,
-                        const std::string& path) {
-  write_text_file(path, to_flight_jsonl(recorder));
-}
-
 void start_recording(const OutputFiles& files) {
   if (!files.trace.empty()) Tracer::global().enable();
-  if (!files.flight.empty()) {
-    FlightRecorder::global().clear();
-    FlightRecorder::global().enable();
-  }
+  if (!files.flight.empty()) FlightRecorder::global().enable();
 }
 
 void flush_outputs(const OutputFiles& files, std::ostream& out,
@@ -194,7 +178,7 @@ void flush_outputs(const OutputFiles& files, std::ostream& out,
   if (!files.trace.empty()) {
     Tracer& tracer = Tracer::global();
     const std::uint64_t drops = tracer.dropped();
-    write_chrome_trace(tracer, files.trace);
+    write_text_file(files.trace, to_chrome_json(tracer));
     tracer.disable();
     out << "wrote trace " << files.trace << '\n';
     if (drops > 0) {
@@ -204,7 +188,7 @@ void flush_outputs(const OutputFiles& files, std::ostream& out,
   }
   if (!files.flight.empty()) {
     FlightRecorder& flight = FlightRecorder::global();
-    write_flight_jsonl(flight, files.flight);
+    write_text_file(files.flight, to_flight_jsonl(flight));
     out << "wrote flight record " << files.flight << '\n';
     if (flight.dropped() > 0) {
       err << "warning: flight recorder ring overflowed; dropped "
@@ -213,7 +197,7 @@ void flush_outputs(const OutputFiles& files, std::ostream& out,
     flight.disable();
   }
   if (!files.metrics.empty()) {
-    write_prometheus(Registry::global(), files.metrics);
+    write_text_file(files.metrics, to_prometheus(Registry::global()));
     out << "wrote metrics " << files.metrics << '\n';
   }
   if (files.summary) out << summary_table(Registry::global());

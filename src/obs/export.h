@@ -25,11 +25,9 @@ namespace mecsched::obs {
 // Renders the tracer's buffered events as a Chrome trace JSON document
 // ({"traceEvents":[...], ...}).
 std::string to_chrome_json(const Tracer& tracer);
-void write_chrome_trace(const Tracer& tracer, const std::string& path);
 
 // Renders the registry in the Prometheus text exposition format.
 std::string to_prometheus(const Registry& registry);
-void write_prometheus(const Registry& registry, const std::string& path);
 
 // One row per metric: kind, count, total, mean, min, max, p50, p90, p99.
 // Histogram percentiles come from Histogram::approx_percentile.
@@ -39,8 +37,6 @@ Table summary_table(const Registry& registry);
 // record object per line, seq-ordered) — the post-mortem artifact behind
 // the CLI's --flight-out flag and `mecsched report`.
 std::string to_flight_jsonl(const FlightRecorder& recorder);
-void write_flight_jsonl(const FlightRecorder& recorder,
-                        const std::string& path);
 
 // Where one run's artifacts go; an empty path writes nothing.
 struct OutputFiles {
@@ -50,8 +46,8 @@ struct OutputFiles {
   bool summary = false; // print summary_table() of the global registry
 };
 
-// Enables the tracer when a trace is asked for, and clears and enables the
-// flight recorder when a flight record is.
+// Enables the tracer when a trace is asked for, and the flight recorder
+// (emptied) when a flight record is.
 void start_recording(const OutputFiles& files);
 
 // Writes the trace, the flight record, the metrics and the summary table,

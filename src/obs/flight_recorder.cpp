@@ -1,10 +1,14 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
 
 namespace mecsched::obs {
+namespace {
+
+// Where this thread's records go instead of the ring; null for the ring.
+thread_local std::vector<SolveRecord>* held = nullptr;
+
+}  // namespace
 
 FlightRecorder& FlightRecorder::global() {
   // lint:allow-naked-new -- intentionally leaked singleton, like Registry.
@@ -12,10 +16,8 @@ FlightRecorder& FlightRecorder::global() {
   return *instance;
 }
 
-void FlightRecorder::enable(std::size_t capacity_per_shard) {
-  capacity_per_shard_.store(capacity_per_shard == 0 ? 1 : capacity_per_shard,
-                            std::memory_order_relaxed);
-  clear();
+void FlightRecorder::enable(std::size_t capacity) {
+  ring_.clear(std::max<std::size_t>(capacity, 1));
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -23,52 +25,26 @@ void FlightRecorder::disable() {
   enabled_.store(false, std::memory_order_relaxed);
 }
 
-FlightRecorder::Shard& FlightRecorder::shard_for_this_thread() {
-  const std::size_t h =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return shards_[h % kShards];
-}
-
 void FlightRecorder::record(SolveRecord r) {
   if (!enabled()) return;
-  r.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t capacity =
-      capacity_per_shard_.load(std::memory_order_relaxed);
-  Shard& s = shard_for_this_thread();
-  const MutexLock lock(s.mu);
-  if (s.ring.size() < capacity) {
-    s.ring.push_back(std::move(r));
-    s.head = s.ring.size() % capacity;
+  if (held != nullptr) {
+    held->push_back(std::move(r));
     return;
   }
-  s.ring[s.head] = std::move(r);
-  s.head = (s.head + 1) % capacity;
-  s.wrapped = true;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  ring_.push(std::move(r));
 }
 
 std::vector<SolveRecord> FlightRecorder::snapshot() const {
-  std::vector<SolveRecord> out;
-  for (const Shard& s : shards_) {
-    const MutexLock lock(s.mu);
-    out.insert(out.end(), s.ring.begin(), s.ring.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SolveRecord& a, const SolveRecord& b) {
-              return a.seq < b.seq;
-            });
+  std::uint64_t seq = 0;
+  std::vector<SolveRecord> out = ring_.snapshot(&seq);
+  for (SolveRecord& r : out) r.seq = seq++;
   return out;
 }
 
-void FlightRecorder::clear() {
-  for (Shard& s : shards_) {
-    const MutexLock lock(s.mu);
-    s.ring.clear();
-    s.head = 0;
-    s.wrapped = false;
-  }
-  seq_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+FlightRecorder::Hold::Hold(std::vector<SolveRecord>& into) : outer_(held) {
+  held = &into;
 }
+
+FlightRecorder::Hold::~Hold() { held = outer_; }
 
 }  // namespace mecsched::obs

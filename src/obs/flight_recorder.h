@@ -1,4 +1,4 @@
-// Per-solve flight recorder: a sharded ring of structured SolveRecords.
+// Per-solve flight recorder: one ring of structured SolveRecords.
 //
 // Aggregate metrics answer "how many solves missed their deadline"; the
 // flight recorder answers "which solve, in which layer, with how much
@@ -12,10 +12,14 @@
 //
 // Cost contract: disabled (the default), record() is never reached —
 // call sites gate on enabled(), a single relaxed atomic load, before
-// building the record. Enabled, records hash onto kShards independent
-// rings by thread id, so parallel cluster solves don't serialize on one
-// mutex; a global relaxed seq counter preserves a total order for
-// snapshot() and the JSONL dump.
+// building the record. Enabled, records append to one mutex-guarded ring
+// of 32,768 (obs/ring.h): the newest win, dropped() counts the rest.
+//
+// Order contract: seq is the append position. One thread's records
+// append in the order they are cut; a ThreadPool::map task's records are
+// held for it (Hold: thread-local, no shared lock) and appended in index
+// order after the join. So the record is one sequence at any worker
+// count; only `seconds` and `deadline_residual_ms` read the clock.
 #pragma once
 
 #include <atomic>
@@ -25,13 +29,13 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/thread_annotations.h"
+#include "obs/ring.h"
 
 namespace mecsched::obs {
 
 // One solve/decision/cell, as the flight recorder saw it end.
 struct SolveRecord {
-  std::uint64_t seq = 0;  // assigned by record(); global order
+  std::uint64_t seq = 0;  // append position, stamped by snapshot()
   // Which subsystem reported: "lp", "assign", "control", "exec".
   std::string layer;
   // The engine/rung inside the layer: "simplex", "ipm", "lp_hta",
@@ -62,26 +66,21 @@ class FlightRecorder {
   // The process-wide instance; disabled until enable() is called.
   static FlightRecorder& global();
 
-  // Starts (or restarts) recording, clearing previous records.
-  // `capacity_per_shard` bounds each of the kShards rings; the newest
-  // records win when a ring wraps (dropped() counts the overwritten).
-  void enable(std::size_t capacity_per_shard = 1 << 12);
+  // Starts (or restarts) recording into an empty ring of `capacity`.
+  void enable(std::size_t capacity = 1 << 15);
   void disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  // Appends a record (stamping its seq). No-op while disabled, but call
-  // sites should gate on enabled() and skip building the record at all.
+  // Appends a record to this thread's Hold, or else to the ring. No-op
+  // while disabled, but call sites should gate on enabled() and skip
+  // building the record at all.
   void record(SolveRecord r);
 
-  // Seq-ordered copy of every buffered record.
+  // Append-ordered copy of every buffered record, seq stamped.
   std::vector<SolveRecord> snapshot() const;
-  std::uint64_t recorded() const {
-    return seq_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  void clear();
+  std::uint64_t recorded() const { return ring_.pushed(); }
+  std::uint64_t dropped() const { return ring_.dropped(); }
+  void clear() { ring_.clear(); }
 
   // Convenience for call sites stamping deadline fields: remaining budget
   // in ms, NaN for an unlimited deadline.
@@ -90,25 +89,22 @@ class FlightRecorder {
                             : d.remaining_ms();
   }
 
-  static constexpr std::size_t kShards = 8;
+  // While alive, record() on this thread appends to `into`, not the
+  // ring; the hold it replaced comes back when it ends.
+  class Hold {
+   public:
+    explicit Hold(std::vector<SolveRecord>& into);
+    ~Hold();
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
 
- private:
-  struct Shard {
-    mutable Mutex mu;
-    std::vector<SolveRecord> ring MECSCHED_GUARDED_BY(mu);
-    std::size_t head MECSCHED_GUARDED_BY(mu) = 0;
-    bool wrapped MECSCHED_GUARDED_BY(mu) = false;
+   private:
+    std::vector<SolveRecord>* outer_;
   };
 
-  Shard& shard_for_this_thread();
-
+ private:
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> seq_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  // Written by enable() while record() reads it under a *shard* lock, not
-  // a common one — atomic, like enabled_, rather than guarded.
-  std::atomic<std::size_t> capacity_per_shard_{1 << 12};
-  Shard shards_[kShards];
+  Ring<SolveRecord> ring_{1 << 15};
 };
 
 }  // namespace mecsched::obs

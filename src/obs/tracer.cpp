@@ -1,5 +1,6 @@
 #include "obs/tracer.h"
 
+#include <algorithm>
 #include <functional>
 #include <thread>
 
@@ -27,13 +28,7 @@ std::int64_t Tracer::steady_now_ns() {
 }
 
 void Tracer::enable(std::size_t capacity) {
-  const MutexLock lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  ring_.reserve(capacity_);
-  head_ = 0;
-  wrapped_ = false;
-  dropped_.store(0, std::memory_order_relaxed);
+  ring_.clear(std::max<std::size_t>(capacity, 1));
   epoch_ns_.store(steady_now_ns(), std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
 }
@@ -48,16 +43,7 @@ std::int64_t Tracer::now_us() const {
 }
 
 void Tracer::push(TraceEvent ev) {
-  const MutexLock lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(ev));
-    head_ = ring_.size() % capacity_;
-    return;
-  }
-  ring_[head_] = std::move(ev);
-  head_ = (head_ + 1) % capacity_;
-  wrapped_ = true;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (!ring_.push(std::move(ev))) return;
   // Surface the overflow outside the trace file too: the CLI and bench
   // harness warn on exit when this counter moved (the trace JSON alone
   // buries the loss in otherData). The reference is stable across
@@ -92,28 +78,7 @@ void Tracer::instant(const std::string& name, const std::string& category,
         args_json});
 }
 
-std::vector<TraceEvent> Tracer::snapshot() const {
-  const MutexLock lock(mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  if (wrapped_) {
-    out.insert(out.end(), ring_.begin() + static_cast<long>(head_),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<long>(head_));
-  } else {
-    out = ring_;
-  }
-  return out;
-}
-
-void Tracer::clear() {
-  const MutexLock lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  wrapped_ = false;
-  dropped_.store(0, std::memory_order_relaxed);
-}
+std::vector<TraceEvent> Tracer::snapshot() const { return ring_.snapshot(); }
 
 ScopedTimer::ScopedTimer(std::string name, std::string category,
                          std::string args_json)

@@ -1,9 +1,10 @@
 // Ring-buffered structured event tracer + the ScopedTimer RAII span.
 //
 // The tracer records begin/end/complete spans and instant events into a
-// fixed-capacity ring buffer (oldest events are overwritten, a drop count
-// is kept) and exports them as Chrome `trace_event` JSON — loadable in
-// chrome://tracing and Perfetto (obs/export.h). It is:
+// fixed-capacity ring (obs/ring.h, shared with the flight recorder: the
+// oldest events are overwritten, and the drops are counted) and exports
+// them as Chrome `trace_event` JSON — loadable in chrome://tracing and
+// Perfetto (obs/export.h). It is:
 //
 //   * disabled by default and near-zero cost while disabled: every record
 //     call first checks one relaxed atomic and returns before touching the
@@ -25,7 +26,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/thread_annotations.h"
+#include "obs/ring.h"
 
 namespace mecsched::obs {
 
@@ -76,25 +77,17 @@ class Tracer {
   // Oldest-first copy of the buffered events.
   std::vector<TraceEvent> snapshot() const;
   // Events overwritten because the ring was full.
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  void clear();
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
  private:
   void push(TraceEvent ev);
   static std::int64_t steady_now_ns();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> dropped_{0};
-  // The epoch is read lock-free by now_us() on every record path while
-  // enable() rewrites it, so it lives in an atomic (nanoseconds on the
-  // steady clock) rather than under mu_ — the compile-time analysis
-  // rejects the previous unguarded time_point.
+  // Steady-clock nanoseconds; atomic, as now_us() reads it lock-free
+  // while enable() rewrites it.
   std::atomic<std::int64_t> epoch_ns_{steady_now_ns()};
-  mutable Mutex mu_;
-  std::vector<TraceEvent> ring_ MECSCHED_GUARDED_BY(mu_);
-  std::size_t capacity_ MECSCHED_GUARDED_BY(mu_) = 1 << 16;
-  std::size_t head_ MECSCHED_GUARDED_BY(mu_) = 0;  // next slot to write
-  bool wrapped_ MECSCHED_GUARDED_BY(mu_) = false;
+  Ring<TraceEvent> ring_{1 << 16};
 };
 
 // RAII span: times the enclosed scope. Duration always lands in the

@@ -142,9 +142,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   IngestCursor cursor(trace, options_.batching);
   Sharder sharder(universe);
   // LP-HTA solves an epoch's clusters on this pool, or on this thread
-  // when one worker is asked for.
+  // when one worker is asked for, or none is (by --jobs or MECSCHED_JOBS).
   const std::size_t jobs =
-      options_.jobs == 0 ? exec::ThreadPool::default_jobs() : options_.jobs;
+      options_.jobs == 0 ? exec::ThreadPool::default_jobs(1) : options_.jobs;
   std::optional<exec::ThreadPool> pool;
   if (jobs > 1) pool.emplace(jobs);
   const control::FallbackChain chain(options_.lp, pool ? &*pool : nullptr);
@@ -427,6 +427,9 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
         const mec::Placement pl = assign::to_placement(d);
         start(b, d, inst.latency(t, pl), inst.energy(t, pl));
       }
+      // Apply ends here: the epoch problem's teardown and the wait
+      // histogram below are no stage's work.
+      stage.reset();
     }
     if (!waits_ms.empty()) {
       reg.histogram("serve.admit_to_decision_ms").observe_all(waits_ms);

@@ -33,9 +33,13 @@
 // Determinism contract: the virtual clock, batching, triage order, the
 // cluster fold and the apply order are all independent of the worker
 // count, so the same (universe, trace, options) yields a byte-identical
-// DecisionLog at --jobs 1 and --jobs N. The epoch budget is the exception
-// — a wall-clock deadline makes rung selection machine-dependent — so the
-// CI determinism gate runs unbudgeted (same trade the sweep path makes).
+// DecisionLog at --jobs 1 and --jobs N. The flight record follows the
+// same fold: ThreadPool::map appends each cluster's records in station
+// order, as the inline path cuts them, so it too is the same sequence at
+// any worker count, all but its clock fields (`seconds`,
+// `deadline_residual_ms`). The epoch budget is the exception — a
+// wall-clock deadline makes rung selection machine-dependent — so the CI
+// determinism gate runs unbudgeted (same trade the sweep path makes).
 //
 // The run ends once the trace's last arrival has been ingested and every
 // admitted task has settled; churn later in the trace is not replayed.
@@ -86,7 +90,9 @@ struct ServeOptions {
   // triage — deterministically, as the *configured* value, not measured
   // wall time.
   double epoch_budget_ms = 0.0;
-  std::size_t jobs = 0;            // cluster-solve workers; 0 = default_jobs
+  // Cluster-solve workers; 0 = ThreadPool::default_jobs(1): --jobs or
+  // MECSCHED_JOBS, else one (inline).
+  std::size_t jobs = 0;
   assign::LpHtaOptions lp{};       // rung-0 configuration
 };
 

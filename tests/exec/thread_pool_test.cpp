@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 
 namespace mecsched::exec {
@@ -172,6 +173,102 @@ TEST(ThreadPoolTest, MapJoinsEveryTaskThenRethrowsTheLowestIndexFailure) {
     // The pool is still usable.
     EXPECT_EQ(pool.map(3, [](std::size_t i) { return i; }).size(), 3u);
   }
+}
+
+// Records `count` flight records "<tag>.0", "<tag>.1", ... on this thread.
+void cut_records(const std::string& tag, int count) {
+  for (int k = 0; k < count; ++k) {
+    obs::SolveRecord r;
+    r.layer = "exec";
+    r.detail = tag + "." + std::to_string(k);
+    obs::FlightRecorder::global().record(std::move(r));
+  }
+}
+
+std::vector<std::string> recorded_details() {
+  std::vector<std::string> out;
+  for (const obs::SolveRecord& r : obs::FlightRecorder::global().snapshot()) {
+    out.push_back(r.detail);
+  }
+  return out;
+}
+
+// The flight recorder is process-wide: a test that records starts it
+// clean and leaves it off for the rest of the suite.
+struct RecordingOn {
+  RecordingOn() { obs::FlightRecorder::global().enable(); }
+  ~RecordingOn() {
+    obs::FlightRecorder::global().disable();
+    obs::FlightRecorder::global().clear();
+  }
+};
+
+// Tasks finish in reverse index order and one throws; every task's
+// records still land in the ring, in index order, by the time map
+// rethrows.
+TEST(ThreadPoolTest, MapHandsBackRecordsInIndexOrder) {
+  const RecordingOn recording;
+  constexpr std::size_t kTasks = 8;
+  ThreadPool pool(4);
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    for (int k = 0; k < 2; ++k) {
+      expected.push_back("task" + std::to_string(i) + "." + std::to_string(k));
+    }
+  }
+  try {
+    pool.map(kTasks, [](std::size_t i) -> int {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2 * (kTasks - i)));
+      cut_records("task" + std::to_string(i), 2);
+      if (i == 5) throw std::runtime_error("task 5");
+      return static_cast<int>(i);
+    });
+    ADD_FAILURE() << "map swallowed the failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 5");
+    EXPECT_EQ(recorded_details(), expected);
+  }
+  const std::vector<obs::SolveRecord> records =
+      obs::FlightRecorder::global().snapshot();
+  for (std::size_t s = 0; s < records.size(); ++s) {
+    EXPECT_EQ(records[s].seq, s);
+  }
+}
+
+// A map run inside a map task hands its records to the outer task, so
+// they land in the outer task's slot, around that task's own records.
+TEST(ThreadPoolTest, NestedMapRecordsLandInTheOuterTasksSlot) {
+  const RecordingOn recording;
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  outer.map(2, [&inner](std::size_t i) {
+    const std::string tag = "outer" + std::to_string(i);
+    cut_records(tag + ".before", 1);
+    inner.map(2, [&tag](std::size_t j) {
+      cut_records(tag + ".inner" + std::to_string(j), 1);
+      return j;
+    });
+    cut_records(tag + ".after", 1);
+    return i;
+  });
+  EXPECT_EQ(recorded_details(),
+            (std::vector<std::string>{
+                "outer0.before.0", "outer0.inner0.0", "outer0.inner1.0",
+                "outer0.after.0", "outer1.before.0", "outer1.inner0.0",
+                "outer1.inner1.0", "outer1.after.0"}));
+}
+
+// The serve daemon's rule: one worker (inline) unless --jobs or
+// MECSCHED_JOBS asks for a count.
+TEST(ThreadPoolTest, DefaultJobsFallsBackToTheUnaskedCount) {
+  ASSERT_EQ(unsetenv("MECSCHED_JOBS"), 0);
+  EXPECT_EQ(ThreadPool::default_jobs(1), 1u);
+  ThreadPool::set_default_jobs(3);
+  EXPECT_EQ(ThreadPool::default_jobs(1), 3u);
+  ThreadPool::set_default_jobs(0);
+  ASSERT_EQ(setenv("MECSCHED_JOBS", "2", 1), 0);
+  EXPECT_EQ(ThreadPool::default_jobs(1), 2u);
+  ASSERT_EQ(unsetenv("MECSCHED_JOBS"), 0);
 }
 
 TEST(ThreadPoolTest, ZeroWorkerRequestUsesDefault) {

@@ -61,16 +61,37 @@ TEST_F(FlightRecorderTest, SnapshotIsInRecordOrder) {
 
 TEST_F(FlightRecorderTest, RingOverflowCountsDrops) {
   FlightRecorder& flight = FlightRecorder::global();
-  flight.disable();
-  flight.clear();
-  flight.enable(/*capacity_per_shard=*/4);
-  // Single thread -> single shard: the 5th record evicts the 1st.
-  for (int i = 0; i < 5; ++i) flight.record(make_record("ok", i * 1.0));
-  EXPECT_EQ(flight.recorded(), 5u);
+  // One ring of the old total, 8 rings x 4,096: the record past it
+  // evicts the first.
+  constexpr std::size_t kCapacity = 8 * 4096;
+  for (std::size_t i = 0; i <= kCapacity; ++i) {
+    flight.record(make_record("ok", static_cast<double>(i)));
+  }
+  EXPECT_EQ(flight.recorded(), kCapacity + 1);
   EXPECT_EQ(flight.dropped(), 1u);
   const std::vector<SolveRecord> records = flight.snapshot();
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), kCapacity);
   EXPECT_EQ(records.front().seq, 1u);  // seq 0 was overwritten
+  EXPECT_EQ(records.front().seconds, 1.0);
+  EXPECT_EQ(records.back().seq, kCapacity);
+}
+
+TEST_F(FlightRecorderTest, HoldDivertsThisThreadsRecordsUntilItEnds) {
+  FlightRecorder& flight = FlightRecorder::global();
+  std::vector<SolveRecord> held;
+  {
+    const FlightRecorder::Hold hold(held);
+    flight.record(make_record("held", 1.0));
+    std::thread other([&flight] { flight.record(make_record("ring", 2.0)); });
+    other.join();
+  }
+  flight.record(make_record("after", 3.0));
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].status, "held");
+  const std::vector<SolveRecord> records = flight.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].status, "ring");
+  EXPECT_EQ(records[1].status, "after");
 }
 
 TEST_F(FlightRecorderTest, ResidualMsIsNaNForUnlimitedDeadline) {

@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "exec/thread_pool.h"
 #include "mec/cost_model.h"
 #include "mec/parameters.h"
+#include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "workload/serve_trace.h"
 
@@ -165,6 +168,70 @@ TEST(ServeDaemonTest, CityScaleRunIsPinned) {
         << "jobs " << jobs;
     EXPECT_EQ(reg.counter("serve.shard.devices").value() - devices0, 85540u)
         << "jobs " << jobs;
+  }
+}
+
+// The city run's flight record at one and four workers: the same records
+// in the same order, all but the two fields that read the clock.
+TEST(ServeDaemonTest, FlightRecordIsTheSameAtAnyWorkerCount) {
+  const workload::ServeWorkload w = city_workload();
+  ServeOptions opts;
+  opts.batching.window_s = 0.5;
+  obs::FlightRecorder& flight = obs::FlightRecorder::global();
+  std::vector<std::vector<obs::SolveRecord>> runs;
+  for (const std::size_t jobs : {1u, 4u}) {
+    opts.jobs = jobs;
+    flight.enable();
+    ServeDaemon(opts).run(w.universe, w.trace);
+    flight.disable();
+    runs.push_back(flight.snapshot());
+    EXPECT_EQ(flight.dropped(), 0u) << "jobs " << jobs;
+  }
+  flight.clear();
+  const std::vector<obs::SolveRecord>& one = runs[0];
+  const std::vector<obs::SolveRecord>& four = runs[1];
+  EXPECT_GT(one.size(), 1000u);
+  ASSERT_EQ(one.size(), four.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    const obs::SolveRecord& a = one[i];
+    const obs::SolveRecord& b = four[i];
+    EXPECT_EQ(a.seq, b.seq) << "record " << i;
+    EXPECT_EQ(a.layer, b.layer) << "record " << i;
+    EXPECT_EQ(a.engine, b.engine) << "record " << i;
+    EXPECT_EQ(a.status, b.status) << "record " << i;
+    EXPECT_EQ(a.detail, b.detail) << "record " << i;
+    EXPECT_EQ(a.iterations, b.iterations) << "record " << i;
+    EXPECT_EQ(a.deadline_hit, b.deadline_hit) << "record " << i;
+    EXPECT_EQ(a.warm_start, b.warm_start) << "record " << i;
+    EXPECT_EQ(a.chaos_hits, b.chaos_hits) << "record " << i;
+    EXPECT_EQ(a.audit, b.audit) << "record " << i;
+  }
+}
+
+// A daemon built with jobs = 0 solves inline unless --jobs or
+// MECSCHED_JOBS asks for more than one worker: a pool on a host that
+// gives no in-process speedup only adds queueing.
+TEST(ServeDaemonTest, DefaultOptionsSolveInlineWhenNoWorkerCountIsAsked) {
+  const workload::ServeWorkload w = churny_workload();
+  obs::Counter& tasks = obs::Registry::global().counter("exec.pool.tasks");
+  const char* env = std::getenv("MECSCHED_JOBS");
+  const std::string saved = env == nullptr ? "" : env;
+  ASSERT_EQ(unsetenv("MECSCHED_JOBS"), 0);
+
+  const std::uint64_t tasks0 = tasks.value();
+  const ServeResult r = ServeDaemon().run(w.universe, w.trace);
+  EXPECT_GT(r.decisions, 0u);
+  EXPECT_EQ(tasks.value(), tasks0);
+
+  // Asked for, the same options fan out.
+  exec::ThreadPool::set_default_jobs(4);
+  const std::uint64_t tasks1 = tasks.value();
+  ServeDaemon().run(w.universe, w.trace);
+  exec::ThreadPool::set_default_jobs(0);
+  EXPECT_GT(tasks.value(), tasks1);
+
+  if (env != nullptr) {
+    ASSERT_EQ(setenv("MECSCHED_JOBS", saved.c_str(), 1), 0);
   }
 }
 
