@@ -37,6 +37,25 @@ struct Metrics {
 
 Metrics evaluate(const HtaInstance& instance, const Assignment& assignment);
 
+// One rule a plan breaks, as plan_violations finds it.
+struct PlanViolation {
+  enum class Kind { kDecision, kDeadline, kDevice, kStation };
+  Kind kind;
+  std::size_t index;  // the task (kDecision, kDeadline), device or station
+  double value;       // the raw decision, the latency or the load
+  double limit;       // the deadline or the capacity (0 for kDecision)
+};
+
+// The one check of a plan against (C1)-(C3), in one pass and in this
+// order: per task, a decision outside the enum, then — when `deadlines` —
+// a placed task that misses its deadline (C1, HtaInstance::meets_deadline);
+// then — when `capacity` — each device (C2) and each station (C3) whose
+// load exceeds its cap by more than 1e-9 (load - cap > 1e-9). Both
+// check_feasibility and audit::check_assignment judge plans by it.
+std::vector<PlanViolation> plan_violations(const HtaInstance& instance,
+                                           const Assignment& assignment,
+                                           bool deadlines, bool capacity);
+
 // Constraint audit of (C1)-(C5). `ok` is true iff every placed task meets
 // its deadline and no device/station exceeds its resource cap. Violations
 // are described in `problems` (one line each) for debuggability.

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "assign/evaluator.h"
 #include "audit/audit.h"
 #include "mec/cost_model.h"
 
@@ -13,11 +14,6 @@ namespace mecsched::audit {
 namespace {
 
 constexpr std::string_view kComponent = "assign";
-
-// Matches the slack assign/evaluator.cpp grants (C2)/(C3): the audit must
-// not be stricter than the predicate the algorithms optimized against.
-// Deadlines reuse HtaInstance::meets_deadline, which carries its own slack.
-constexpr double kCapacitySlack = 1e-9;
 
 std::string task_label(const assign::HtaInstance& instance, std::size_t t) {
   std::ostringstream os;
@@ -43,53 +39,32 @@ void check_assignment(const assign::HtaInstance& instance,
              " tasks" + tag);
   }
 
-  const mec::Topology& topo = instance.topology();
-  std::vector<double> device_load(topo.num_devices(), 0.0);
-  std::vector<double> station_load(topo.num_base_stations(), 0.0);
-
-  for (std::size_t t = 0; t < instance.num_tasks(); ++t) {
-    const assign::Decision d = assignment.decisions[t];
-    const int raw = static_cast<int>(d);
-    if (raw < 0 || raw > static_cast<int>(assign::Decision::kCancelled)) {
-      fail(kComponent, "shape:decision:task=" + std::to_string(t),
-           static_cast<double>(raw),
-           task_label(instance, t) + " carries out-of-range decision " +
-               std::to_string(raw) + tag);
-    }
-    if (d == assign::Decision::kCancelled) continue;
-    const mec::Placement p = assign::to_placement(d);
-
-    if (contract.deadlines && !instance.meets_deadline(t, p)) {
-      const double overshoot =
-          instance.latency(t, p) - instance.task(t).deadline_s;
-      fail(kComponent, "C1:deadline:task=" + std::to_string(t), overshoot,
-           task_label(instance, t) + " on " + mec::to_string(p) +
-               " misses its deadline by " + std::to_string(overshoot) + "s" +
-               tag);
-    }
-    const mec::Task& task = instance.task(t);
-    if (d == assign::Decision::kLocal) {
-      device_load[task.id.user] += task.resource;
-    } else if (d == assign::Decision::kEdge) {
-      station_load[topo.device(task.id.user).base_station] += task.resource;
-    }
-  }
-
-  if (contract.capacity) {
-    for (std::size_t i = 0; i < topo.num_devices(); ++i) {
-      const double over = device_load[i] - topo.device(i).max_resource;
-      if (over > kCapacitySlack) {
-        fail(kComponent, "C2:device=" + std::to_string(i), over,
-             "device " + std::to_string(i) + " over capacity by " +
-                 std::to_string(over) + tag);
+  for (const assign::PlanViolation& v : assign::plan_violations(
+           instance, assignment, contract.deadlines, contract.capacity)) {
+    const std::size_t i = v.index;
+    switch (v.kind) {
+      case assign::PlanViolation::Kind::kDecision:
+        fail(kComponent, "shape:decision:task=" + std::to_string(i), v.value,
+             task_label(instance, i) + " carries out-of-range decision " +
+                 std::to_string(static_cast<int>(v.value)) + tag);
+      case assign::PlanViolation::Kind::kDeadline: {
+        const double overshoot = v.value - v.limit;
+        const mec::Placement p =
+            assign::to_placement(assignment.decisions[i]);
+        fail(kComponent, "C1:deadline:task=" + std::to_string(i), overshoot,
+             task_label(instance, i) + " on " + mec::to_string(p) +
+                 " misses its deadline by " + std::to_string(overshoot) +
+                 "s" + tag);
       }
-    }
-    for (std::size_t b = 0; b < topo.num_base_stations(); ++b) {
-      const double over = station_load[b] - topo.base_station(b).max_resource;
-      if (over > kCapacitySlack) {
-        fail(kComponent, "C3:station=" + std::to_string(b), over,
-             "station " + std::to_string(b) + " over capacity by " +
-                 std::to_string(over) + tag);
+      case assign::PlanViolation::Kind::kDevice:
+      case assign::PlanViolation::Kind::kStation: {
+        const double over = v.value - v.limit;
+        const bool device = v.kind == assign::PlanViolation::Kind::kDevice;
+        fail(kComponent,
+             (device ? "C2:device=" : "C3:station=") + std::to_string(i),
+             over,
+             (device ? "device " : "station ") + std::to_string(i) +
+                 " over capacity by " + std::to_string(over) + tag);
       }
     }
   }
@@ -100,7 +75,7 @@ void check_assignment(const assign::HtaInstance& instance,
   // mec::CostModel at construction; re-deriving them must reproduce the
   // exact same doubles (same pure function, same inputs). A mismatch means
   // the cache was corrupted after construction.
-  const mec::CostModel model(topo);
+  const mec::CostModel model(instance.topology());
   for (std::size_t t = 0; t < instance.num_tasks(); ++t) {
     if (assignment.decisions[t] == assign::Decision::kCancelled) continue;
     const mec::TaskCosts fresh = model.evaluate(instance.task(t));

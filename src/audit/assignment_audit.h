@@ -3,7 +3,9 @@
 //
 // Each algorithm declares what its output *promises* via an
 // AssignmentContract, and check_assignment re-derives the promise from the
-// model instead of trusting the algorithm's own bookkeeping:
+// model instead of trusting the algorithm's own bookkeeping. The cheap
+// checks are assign::plan_violations, the pass check_feasibility reports
+// from; the first violation it finds is the one thrown:
 //
 //   cheap  shape           one decision per instance task, valid enum
 //          (C1) deadlines  every placed task meets t_ijl <= T_ij — only

@@ -31,17 +31,6 @@ double Rng::exponential(double mean) {
   return d(engine_);
 }
 
-double Rng::truncated_normal(double mean, double stddev, double lo) {
-  std::normal_distribution<double> d(mean, stddev);
-  // Resampling keeps the conditional distribution exact; the callers use
-  // truncation points well inside the bulk so this terminates quickly.
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const double x = d(engine_);
-    if (x >= lo) return x;
-  }
-  return lo;  // pathological parameters: fall back to the bound
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   MECSCHED_REQUIRE(!weights.empty(), "weighted_index needs weights");
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);

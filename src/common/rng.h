@@ -30,9 +30,6 @@ class Rng {
   // Exponentially distributed double with the given mean (> 0).
   double exponential(double mean);
 
-  // Normal draw, truncated below at `lo` (resampled).
-  double truncated_normal(double mean, double stddev, double lo);
-
   // Picks an index in [0, weights.size()) with probability proportional to
   // weights[i]. Weights must be non-negative and not all zero.
   std::size_t weighted_index(const std::vector<double>& weights);
@@ -41,12 +38,6 @@ class Rng {
   // uniformly over all such subsets, in increasing order.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  // In-place Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    std::shuffle(v.begin(), v.end(), engine_);
-  }
 
   // Forks an independent stream; the child's sequence is decorrelated from
   // the parent's by mixing the fork index into the seed.

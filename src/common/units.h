@@ -21,7 +21,6 @@ inline constexpr double kMegaByte = 1e6;
 inline constexpr double kGigaByte = 1e9;
 
 constexpr double kilobytes(double kb) { return kb * kKiloByte; }
-constexpr double megabytes(double mb) { return mb * kMegaByte; }
 
 // --- link rate (bits per second) ---
 inline constexpr double kKbps = 1e3;

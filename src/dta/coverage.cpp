@@ -18,12 +18,6 @@ std::size_t Coverage::max_share() const {
   return mx;
 }
 
-std::size_t Coverage::total_items() const {
-  std::size_t n = 0;
-  for (const ItemSet& s : assigned) n += s.size();
-  return n;
-}
-
 double Coverage::max_share_bytes(const DataUniverse& universe) const {
   double mx = 0.0;
   for (const ItemSet& s : assigned) {

@@ -23,7 +23,6 @@ struct Coverage {
   std::size_t involved_devices() const;
   // max_i |C_i| — the quantity DTA-Workload minimizes.
   std::size_t max_share() const;
-  std::size_t total_items() const;
   // max_i Σ_{r ∈ C_i} size(r) — the byte-weighted analogue.
   double max_share_bytes(const DataUniverse& universe) const;
 };

@@ -75,13 +75,6 @@ struct DtaResult {
   // source task's deadline).
   std::size_t partials_cancelled = 0;
   std::size_t partials_deadline_violations = 0;
-  double partial_unsatisfied_rate() const {
-    return rearranged.empty()
-               ? 0.0
-               : static_cast<double>(partials_cancelled +
-                                     partials_deadline_violations) /
-                     static_cast<double>(rearranged.size());
-  }
 };
 
 DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options = {});

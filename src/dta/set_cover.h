@@ -3,8 +3,6 @@
 // Sec. IV.B reduces "Optimal Coverage of D with Smallest Set Number" to Set
 // Cover over the family {UD_1, ..., UD_n}; the classical greedy algorithm
 // achieves the H_n <= ln(n)+1 ratio, the best possible unless P=NP [21].
-// Exposed as a standalone utility so the ratio property can be tested
-// against a brute-force oracle independent of the MEC context.
 #pragma once
 
 #include <vector>
@@ -13,10 +11,10 @@
 
 namespace mecsched::dta {
 
-// The greedy skeleton that greedy_set_cover and the divisions of
-// Sec. IV.A/B share: while some item is uncovered, pick one set by `rule`
-// among the sets that still hold an uncovered item (lowest index on ties)
-// and let it take every uncovered item it holds.
+// The greedy skeleton of set cover and of the divisions of Sec. IV.A/B:
+// while some item is uncovered, pick one set by `rule` among the sets
+// that still hold an uncovered item (lowest index on ties) and let it
+// take every uncovered item it holds.
 enum class GreedyRule {
   kFewest,    // fewest uncovered items (DTA-Workload)
   kMost,      // most uncovered items (set cover, DTA-Number)
@@ -39,14 +37,5 @@ struct GreedyCover {
 GreedyCover greedy_cover(const ItemSet& items, const std::vector<ItemSet>& sets,
                          GreedyRule rule, const char* uncoverable,
                          const DataUniverse* universe = nullptr);
-
-// Returns the indices of the chosen sets, in pick order. Throws ModelError
-// if the universe is not covered by the union of `sets`.
-std::vector<std::size_t> greedy_set_cover(const ItemSet& universe,
-                                          const std::vector<ItemSet>& sets);
-
-// Exact minimum cover by exhaustive search (sets.size() <= 20); test oracle.
-std::vector<std::size_t> exact_set_cover(const ItemSet& universe,
-                                         const std::vector<ItemSet>& sets);
 
 }  // namespace mecsched::dta

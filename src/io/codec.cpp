@@ -179,32 +179,6 @@ workload::Scenario scenario_from_json(const Json& j) {
                             std::move(tasks)};
 }
 
-Json config_to_json(const workload::ScenarioConfig& c) {
-  JsonObject o;
-  o["num_devices"] = c.num_devices;
-  o["num_base_stations"] = c.num_base_stations;
-  o["num_tasks"] = c.num_tasks;
-  o["max_input_kb"] = c.max_input_kb;
-  o["min_input_fraction"] = c.min_input_fraction;
-  o["external_ratio_max"] = c.external_ratio_max;
-  o["cross_cluster_prob"] = c.cross_cluster_prob;
-  o["wifi_prob"] = c.wifi_prob;
-  o["deadline_slack_min"] = c.deadline_slack_min;
-  o["deadline_slack_max"] = c.deadline_slack_max;
-  o["resource_max_units"] = c.resource_max_units;
-  o["device_capacity_min"] = c.device_capacity_min;
-  o["device_capacity_max"] = c.device_capacity_max;
-  o["station_capacity_per_device"] = c.station_capacity_per_device;
-  o["result_kind"] = std::string(
-      c.result_kind == mec::ResultSizeKind::kProportional ? "proportional"
-                                                          : "constant");
-  o["result_ratio"] = c.result_ratio;
-  o["result_const_kb"] = c.result_const_kb;
-  o["seed"] = static_cast<double>(c.seed);
-  o["params"] = params_to_json(c.params);
-  return Json(std::move(o));
-}
-
 workload::ScenarioConfig config_from_json(const Json& j) {
   workload::ScenarioConfig c;  // defaults for absent keys
   c.num_devices =

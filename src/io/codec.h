@@ -30,7 +30,6 @@ Json scenario_to_json(const workload::Scenario& scenario);
 workload::Scenario scenario_from_json(const Json& j);
 
 // --- generator config -----------------------------------------------------
-Json config_to_json(const workload::ScenarioConfig& config);
 // Missing keys keep their defaults, so configs can be sparse.
 workload::ScenarioConfig config_from_json(const Json& j);
 

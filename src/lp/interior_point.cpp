@@ -12,7 +12,6 @@
 #include "common/chaos_hook.h"
 #include "common/error.h"
 #include "obs/flight_recorder.h"
-#include "lp/matrix.h"
 #include "lp/sparse_cholesky.h"
 #include "lp/sparse_matrix.h"
 #include "lp/standard_form.h"

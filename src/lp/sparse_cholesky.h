@@ -42,8 +42,6 @@ class NormalEquationsSymbolic {
   explicit NormalEquationsSymbolic(const SparseMatrix& a);
 
   std::size_t dim() const { return m_; }
-  // Structural nonzeros of M (full symmetric pattern).
-  std::size_t normal_nnz() const { return m_col_.size(); }
   // Structural nonzeros of the Cholesky factor L.
   std::size_t factor_nnz() const { return l_ptr_.empty() ? 0 : l_ptr_[m_]; }
   // nnz(L) / nnz(upper(M)) — 1.0 means the ordering produced no fill-in.

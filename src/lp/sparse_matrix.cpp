@@ -42,36 +42,6 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return out;
 }
 
-SparseMatrix SparseMatrix::from_dense(const Matrix& dense,
-                                      double drop_tolerance) {
-  SparseMatrix out;
-  out.rows_ = dense.rows();
-  out.cols_ = dense.cols();
-  out.row_ptr_.assign(out.rows_ + 1, 0);
-  for (std::size_t r = 0; r < out.rows_; ++r) {
-    const double* row = dense.row(r);
-    for (std::size_t c = 0; c < out.cols_; ++c) {
-      if (std::fabs(row[c]) > drop_tolerance) {
-        out.col_idx_.push_back(c);
-        out.values_.push_back(row[c]);
-      }
-    }
-    out.row_ptr_[r + 1] = out.col_idx_.size();
-  }
-  return out;
-}
-
-Matrix SparseMatrix::to_dense() const {
-  Matrix out(rows_, cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* row = out.row(r);
-    for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      row[col_idx_[p]] = values_[p];
-    }
-  }
-  return out;
-}
-
 double SparseMatrix::density() const {
   if (rows_ == 0 || cols_ == 0) return 0.0;
   return static_cast<double>(nnz()) /
@@ -159,6 +129,19 @@ std::uint64_t SparseMatrix::pattern_fingerprint() const {
   for (const std::size_t p : row_ptr_) h = mix64(h, p);
   for (const std::size_t c : col_idx_) h = mix64(h, c);
   return h;
+}
+
+double dot(const std::vector<double>& a, const std::vector<double>& b) {
+  MECSCHED_REQUIRE(a.size() == b.size(), "dot size mismatch");
+  double acc = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+double norm_inf(const std::vector<double>& v) {
+  double m = 0.0;
+  for (double x : v) m = std::max(m, std::fabs(x));
+  return m;
 }
 
 }  // namespace mecsched::lp

@@ -12,8 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/matrix.h"
-
 namespace mecsched::lp {
 
 struct Triplet {
@@ -31,12 +29,6 @@ class SparseMatrix {
   // range.
   static SparseMatrix from_triplets(std::size_t rows, std::size_t cols,
                                     std::vector<Triplet> triplets);
-
-  // Compresses a dense matrix, dropping entries with |v| <= drop_tolerance.
-  static SparseMatrix from_dense(const Matrix& dense,
-                                 double drop_tolerance = 0.0);
-
-  Matrix to_dense() const;
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -77,5 +69,9 @@ class SparseMatrix {
   std::vector<std::size_t> col_idx_;
   std::vector<double> values_;
 };
+
+// Dense vector helpers of the interior-point iterates.
+double dot(const std::vector<double>& a, const std::vector<double>& b);
+double norm_inf(const std::vector<double>& v);
 
 }  // namespace mecsched::lp

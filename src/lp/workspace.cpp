@@ -53,12 +53,6 @@ void* SimplexWorkspace::raw_alloc(std::size_t bytes) {
   return chunks_.back().data.get();
 }
 
-std::size_t SimplexWorkspace::capacity_bytes() const {
-  std::size_t total = 0;
-  for (const Chunk& c : chunks_) total += c.size;
-  return total;
-}
-
 SimplexWorkspace& SimplexWorkspace::tls() {
   thread_local SimplexWorkspace ws;
   return ws;

@@ -64,7 +64,6 @@ class SimplexWorkspace {
   // deltas as lp.simplex.workspace_{reuses,grows} — see docs/observability).
   std::uint64_t reuses() const { return reuses_; }
   std::uint64_t grows() const { return grows_; }
-  std::size_t capacity_bytes() const;
 
   // The calling thread's workspace. Thread-locality gives sweep workers and
   // cluster-solve workers allocation-free re-entry with no synchronisation;

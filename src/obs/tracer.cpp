@@ -53,16 +53,6 @@ void Tracer::push(TraceEvent ev) {
   dropped_events.add();
 }
 
-void Tracer::begin(const std::string& name, const std::string& category) {
-  if (!enabled()) return;
-  push({name, category, Phase::kBegin, now_us(), 0, this_thread_id(), ""});
-}
-
-void Tracer::end(const std::string& name, const std::string& category) {
-  if (!enabled()) return;
-  push({name, category, Phase::kEnd, now_us(), 0, this_thread_id(), ""});
-}
-
 void Tracer::complete(std::string_view name, std::string_view category,
                       std::int64_t ts_us, std::int64_t dur_us,
                       const std::string& args_json) {

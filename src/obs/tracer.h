@@ -1,6 +1,6 @@
 // Ring-buffered structured event tracer + the ScopedTimer RAII span.
 //
-// The tracer records begin/end/complete spans and instant events into a
+// The tracer records complete spans and instant events into a
 // fixed-capacity ring (obs/ring.h, shared with the flight recorder: the
 // oldest events are overwritten, and the drops are counted) and exports
 // them as Chrome `trace_event` JSON — loadable in chrome://tracing and
@@ -34,8 +34,6 @@ class Histogram;
 
 // Chrome trace_event phases we emit.
 enum class Phase : char {
-  kBegin = 'B',
-  kEnd = 'E',
   kComplete = 'X',  // begin + duration in one event
   kInstant = 'i',
 };
@@ -62,8 +60,6 @@ class Tracer {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Record calls are no-ops while disabled.
-  void begin(const std::string& name, const std::string& category);
-  void end(const std::string& name, const std::string& category);
   void complete(std::string_view name, std::string_view category,
                 std::int64_t ts_us, std::int64_t dur_us,
                 const std::string& args_json = "");

@@ -140,7 +140,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
   control::Reconciler recon;
   control::ReadmissionQueue waiting(options_.readmission);
   IngestCursor cursor(trace, options_.batching);
-  Sharder sharder(universe);
+  EpochBuilder builder(universe);
   // LP-HTA solves an epoch's clusters on this pool, or on this thread
   // when one worker is asked for, or none is (by --jobs or MECSCHED_JOBS).
   const std::size_t jobs =
@@ -383,11 +383,11 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
 
     if (!batch.empty()) {
       // ---- 3. Build the epoch problem against the residual system: the
-      // sharder prices the epoch's devices and cells from what running
+      // builder prices the epoch's devices and cells from what running
       // work holds.
       stage.emplace("serve.stage.build", "serve");
-      EpochProblem cut = sharder.build(pop, dev_used, st_used, batch);
-      epoch_devices += cut.topology.num_devices();
+      EpochProblem problem = builder.build(pop, dev_used, st_used, batch);
+      epoch_devices += problem.topology.num_devices();
 
       // ---- 4. Solve the epoch under its deadline: one instance, which
       // takes the tasks by move, through the fallback chain; LP-HTA
@@ -401,7 +401,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       const auto solve_t0 = std::chrono::steady_clock::now();
       const assign::HtaInstance inst = [&] {
         const obs::ScopedTimer span("assign.instance", "assign");
-        return assign::HtaInstance(cut.topology, std::move(cut.tasks));
+        return assign::HtaInstance(problem.topology, std::move(problem.tasks));
       }();
       control::FallbackRung rung = control::FallbackRung::kLpHta;
       const assign::Assignment plan = chain.assign(inst, rung, epoch_token);

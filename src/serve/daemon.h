@@ -20,7 +20,7 @@
 //      them; each survivor becomes one BatchTask record;
 //   3. build   — build one epoch topology of the devices the survivors
 //      name and every cell, priced against the residual capacities and
-//      current radios, and list the survivors on it (Sharder);
+//      current radios, and list the survivors on it (EpochBuilder);
 //   4. solve   — the survivors are one HtaInstance over the epoch
 //      topology, run through the FallbackChain under the epoch deadline
 //      (anytime degradation); LP-HTA solves its clusters on one
@@ -67,9 +67,9 @@
 #include "dta/data_model.h"
 #include "mec/topology.h"
 #include "serve/decision_log.h"
+#include "serve/epoch_builder.h"
 #include "serve/event.h"
 #include "serve/ingest.h"
-#include "serve/sharder.h"
 
 namespace mecsched::serve {
 

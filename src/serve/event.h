@@ -62,7 +62,6 @@ class Trace {
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
   std::size_t arrivals() const { return arrivals_; }
-  std::size_t churn_events() const { return events_.size() - arrivals_; }
   // Time of the last event (0 for an empty trace).
   double horizon_s() const;
 

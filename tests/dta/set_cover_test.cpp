@@ -1,4 +1,4 @@
-#include "dta/set_cover.h"
+#include "set_cover_oracles.h"
 
 #include <gtest/gtest.h>
 

@@ -82,12 +82,9 @@ TEST(CodecTest, ScenarioRoundTripPreservesCosts) {
 }
 
 TEST(CodecTest, ConfigRoundTrip) {
-  workload::ScenarioConfig c;
-  c.num_tasks = 77;
-  c.max_input_kb = 1234.0;
-  c.result_kind = mec::ResultSizeKind::kConstant;
-  c.seed = 99;
-  const workload::ScenarioConfig r = config_from_json(config_to_json(c));
+  const workload::ScenarioConfig r = config_from_json(Json::parse(
+      R"({"num_tasks": 77, "max_input_kb": 1234.0,
+          "result_kind": "constant", "seed": 99})"));
   EXPECT_EQ(r.num_tasks, 77u);
   EXPECT_DOUBLE_EQ(r.max_input_kb, 1234.0);
   EXPECT_EQ(r.result_kind, mec::ResultSizeKind::kConstant);

@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "lp/matrix.h"
+#include "dense_matrix.h"
 
 namespace mecsched::lp {
 

@@ -1,8 +1,9 @@
-#include "lp/matrix.h"
+#include "dense_matrix.h"
 
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "lp/sparse_matrix.h"
 
 namespace mecsched::lp {
 namespace {

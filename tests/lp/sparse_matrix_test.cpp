@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "lp/matrix.h"
+#include "dense_matrix.h"
 #include "lp/sparse_matrix.h"
 
 namespace mecsched::lp {
@@ -31,9 +31,9 @@ TEST(SparseMatrixTest, DenseRoundtrip) {
   d(0, 0) = 1.5;
   d(1, 3) = -2.0;
   d(2, 1) = 0.25;
-  const SparseMatrix a = SparseMatrix::from_dense(d);
+  const SparseMatrix a = from_dense(d);
   EXPECT_EQ(a.nnz(), 3u);
-  const Matrix back = a.to_dense();
+  const Matrix back = to_dense(a);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {
       EXPECT_DOUBLE_EQ(back(r, c), d(r, c));
@@ -57,7 +57,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDenseReference) {
       if (rng.bernoulli(0.2)) d(r, c) = rng.uniform(-3.0, 3.0);
     }
   }
-  const SparseMatrix a = SparseMatrix::from_dense(d);
+  const SparseMatrix a = from_dense(d);
 
   std::vector<double> x(d.cols());
   for (double& v : x) v = rng.uniform(-1.0, 1.0);

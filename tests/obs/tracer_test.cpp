@@ -14,8 +14,6 @@ namespace {
 TEST(TracerTest, DisabledRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
-  t.begin("a", "cat");
-  t.end("a", "cat");
   t.instant("b", "cat");
   t.complete("c", "cat", 0, 10);
   EXPECT_TRUE(t.snapshot().empty());
@@ -25,23 +23,21 @@ TEST(TracerTest, DisabledRecordsNothing) {
 TEST(TracerTest, CapturesSpansAndInstants) {
   Tracer t;
   t.enable();
-  t.begin("solve", "lp");
+  t.instant("solve", "lp");
   t.instant("pivot", "lp", "\"col\":3");
-  t.end("solve", "lp");
   t.complete("round", "assign", 5, 17);
   t.disable();
 
   const std::vector<TraceEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].name, "solve");
-  EXPECT_EQ(events[0].phase, Phase::kBegin);
+  EXPECT_EQ(events[0].phase, Phase::kInstant);
   EXPECT_EQ(events[1].phase, Phase::kInstant);
   EXPECT_EQ(events[1].args_json, "\"col\":3");
-  EXPECT_EQ(events[2].phase, Phase::kEnd);
-  EXPECT_EQ(events[3].phase, Phase::kComplete);
-  EXPECT_EQ(events[3].ts_us, 5);
-  EXPECT_EQ(events[3].dur_us, 17);
-  EXPECT_LE(events[0].ts_us, events[2].ts_us);  // monotone within a thread
+  EXPECT_EQ(events[2].phase, Phase::kComplete);
+  EXPECT_EQ(events[2].ts_us, 5);
+  EXPECT_EQ(events[2].dur_us, 17);
+  EXPECT_LE(events[0].ts_us, events[1].ts_us);  // monotone within a thread
 }
 
 TEST(TracerTest, RingWrapsOldestFirstAndCountsDrops) {

@@ -41,7 +41,7 @@ TEST(TraceTest, CountsArrivalsSeparatelyFromChurn) {
   events.push_back(Event::arrival(1.5, small_task(1)));
   const Trace trace(std::move(events));
   EXPECT_EQ(trace.arrivals(), 2u);
-  EXPECT_EQ(trace.churn_events(), 1u);
+  EXPECT_EQ(trace.size() - trace.arrivals(), 1u);
 }
 
 TEST(TraceTest, ArrivalFactorySetsDeviceToIssuer) {

@@ -80,7 +80,8 @@ TEST(ResourceTest, FifoSerialization) {
   EXPECT_DOUBLE_EQ(r.acquire(1.0, 3.0), 2.0);   // queued behind the first
   EXPECT_DOUBLE_EQ(r.acquire(10.0, 1.0), 10.0); // idle gap, starts at arrival
   EXPECT_DOUBLE_EQ(r.busy_time(), 6.0);
-  EXPECT_DOUBLE_EQ(r.free_at(), 11.0);
+  // A zero-length request at t = 0 starts once the server is free.
+  EXPECT_DOUBLE_EQ(r.acquire(0.0, 0.0), 11.0);
 }
 
 TEST(ResourceTest, RejectsNegativeDuration) {

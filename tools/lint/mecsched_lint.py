@@ -58,6 +58,13 @@ Rules (each with a stable id used in messages and waivers):
                           or on the Matrix declaration to cover every
                           access of that identifier.
 
+  test-only-header        A header under src/ that no file outside tests/
+                          includes, its own .cpp aside: src/ holds what
+                          the binaries (src/, bench/, examples/, tools/,
+                          perfbench/) run, and a test's oracle or fixture
+                          lives under tests/. Reported on the header's
+                          first line, where a waiver goes.
+
   stale-waiver            A waiver comment whose rule no longer fires on
                           the line it covers. Stale waivers hide future
                           regressions of the same rule; delete them when
@@ -134,8 +141,16 @@ RULES = {
     "float-in-model",
     "todo-tag",
     "dense-scan-in-kernel",
+    "test-only-header",
     "stale-waiver",
 }
+
+# The sources of the shipped binaries: a src/ header that none of them
+# includes (its own .cpp aside) is reached only from tests/.
+BINARY_SOURCE_DIRS = ("src", "bench", "examples", "tools", "perfbench")
+RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"(?P<path>[^"]+)"', re.M)
+MSG_TEST_ONLY = ("header under src/ that only tests include: move it next "
+                 "to its tests, or delete what no binary calls")
 
 # Rules whose authoritative implementation is the libclang pass; the regex
 # versions are approximations (same-file type information only), so their
@@ -540,12 +555,42 @@ def stale_waiver_pass(fl: FileLint, ast_ran: bool) -> None:
             f"waiver for '{rule}' no longer suppresses anything; delete it"))
 
 
+def test_only_headers(root: Path) -> set[str]:
+    """Root-relative paths of the headers under src/ that no source in
+    BINARY_SOURCE_DIRS includes, not counting the header's own .cpp. An
+    include resolves against the includer's directory, then src/."""
+    root = root.resolve()
+    src = root / "src"
+    headers = {h.relative_to(root).as_posix() for h in src.rglob("*.h")}
+    included: set[str] = set()
+    for d in BINARY_SOURCE_DIRS:
+        for f in sorted((root / d).rglob("*")):
+            if f.suffix not in CXX_SUFFIXES or not f.is_file():
+                continue
+            own = f.with_suffix(".h").relative_to(root).as_posix()
+            text = f.read_text(encoding="utf-8", errors="replace")
+            for m in RE_INCLUDE.finditer(text):
+                for base in (f.parent, src):
+                    target = (base / m.group("path")).resolve()
+                    if not target.is_relative_to(root):
+                        continue
+                    rel = target.relative_to(root).as_posix()
+                    if rel in headers:
+                        if rel != own:
+                            included.add(rel)
+                        break
+    return headers - included
+
+
 def lint_file(sf: SourceFile,
-              ast_findings: list[tuple[int, str, str]] | None = None
-              ) -> list[Finding]:
+              ast_findings: list[tuple[int, str, str]] | None = None,
+              test_only: bool = False) -> list[Finding]:
     """Lints one file. `ast_findings` (line, rule, message) replaces the
-    regex determinism rules when the AST pass parsed the file."""
+    regex determinism rules when the AST pass parsed the file; `test_only`
+    marks a src/ header that test_only_headers found."""
     fl = FileLint(sf)
+    if test_only:
+        fl.report(1, "test-only-header", MSG_TEST_ONLY)
     if ast_findings is not None:
         for lineno, rule, message in ast_findings:
             fl.report(lineno, rule, message)
@@ -944,6 +989,38 @@ def self_test() -> int:
                       file=sys.stderr)
                 failures += 1
 
+        # test-only-header: a tree where one src/ header is included only
+        # by its own .cpp and a test, one by a tool, and one by a sibling
+        # src/ file (through a same-directory include).
+        tree = root / "tree"
+        for rel, text in {
+            "src/a/oracle.h": "int oracle();\n",
+            "src/a/oracle.cpp": '#include "a/oracle.h"\n',
+            "tests/a/oracle_test.cpp": '#include "a/oracle.h"\n',
+            "src/a/used.h": "int used();\n",
+            "tools/main.cpp": '#include "a/used.h"\n',
+            "src/a/helper.h": "int helper();\n",
+            "src/a/used.cpp": '#include "helper.h"\n',
+            "src/b/waived.h": "// lint:allow-test-only-header -- a "
+                              "fixture kept for its docs.\nint w();\n",
+        }.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
+        want = {"src/a/oracle.h", "src/b/waived.h"}
+        got = test_only_headers(tree)
+        if got != want:
+            print(f"SELF-TEST FAIL: test-only-header found {sorted(got)}, "
+                  f"want {sorted(want)}", file=sys.stderr)
+            failures += 1
+        for rel in sorted(want):
+            found = lint_file(SourceFile(tree / rel, rel), test_only=True)
+            fired = any(x.rule == "test-only-header" for x in found)
+            if fired != (rel == "src/a/oracle.h") or \
+                    any(x.rule == "stale-waiver" for x in found):
+                print(f"SELF-TEST FAIL: test-only-header on {rel}: "
+                      f"{[str(x) for x in found]}", file=sys.stderr)
+                failures += 1
+
         # GitHub annotation format.
         gh = Finding(root / "src/lp/x.cpp", "src/lp/x.cpp", 7, "naked-new",
                      "naked new: nope").github()
@@ -1041,13 +1118,14 @@ def main() -> int:
 
     findings: list[Finding] = []
     files = iter_sources(root, args.paths)
+    test_only = test_only_headers(root)
     ast_files = 0
     for path, rel in files:
         sf = SourceFile(path, rel)
         ast_findings = ast.findings_for(sf) if ast is not None else None
         if ast_findings is not None:
             ast_files += 1
-        findings.extend(lint_file(sf, ast_findings))
+        findings.extend(lint_file(sf, ast_findings, rel in test_only))
 
     for f in findings:
         print(f.github() if args.github else f)
