@@ -6,6 +6,7 @@
 // LP-HTA, and the gap widens as tasks (and thus avoided raw transfers)
 // grow.
 #include <iostream>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
@@ -45,8 +46,8 @@ int main() {
       opts.strategy = dta::DtaStrategy::kNumber;
       series.add(x, "DTA-Number", dta::run_dta(scenario, opts).total_energy_j);
 
-      const assign::HtaInstance inst(scenario.topology,
-                                     dta::to_holistic_tasks(scenario));
+      const std::vector<mec::Task> tasks = dta::to_holistic_tasks(scenario);
+      const assign::HtaInstance inst(scenario.topology, tasks);
       const auto a = assign::LpHta().assign(inst);
       series.add(x, "LP-HTA", assign::evaluate(inst, a).total_energy_j);
     }

@@ -8,6 +8,7 @@
 // Paper's reported shape: the DTA variants' energy shrinks with the result
 // size and stays far below LP-HTA; smaller results → bigger advantage.
 #include <iostream>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
@@ -57,8 +58,8 @@ int main() {
       series.add(ratio, "DTA-Number",
                  dta::run_dta(scenario, opts).total_energy_j);
 
-      const assign::HtaInstance inst(scenario.topology,
-                                     dta::to_holistic_tasks(scenario));
+      const std::vector<mec::Task> tasks = dta::to_holistic_tasks(scenario);
+      const assign::HtaInstance inst(scenario.topology, tasks);
       const auto a = assign::LpHta().assign(inst);
       series.add(ratio, "LP-HTA", assign::evaluate(inst, a).total_energy_j);
     }

@@ -11,6 +11,7 @@
 //
 //   $ ./build/examples/traffic_monitoring
 #include <iostream>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
@@ -64,8 +65,8 @@ int main() {
                  std::to_string(lean.involved_devices)});
 
   // Holistic strawman: ship each district's raw readings to one place.
-  const assign::HtaInstance holistic(city.topology,
-                                     dta::to_holistic_tasks(city));
+  const std::vector<mec::Task> holistic_tasks = dta::to_holistic_tasks(city);
+  const assign::HtaInstance holistic(city.topology, holistic_tasks);
   const auto plan = assign::LpHta().assign(holistic);
   const auto m = assign::evaluate(holistic, plan);
   table.add_row({"holistic LP-HTA (raw data moves)",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "audit/assignment_audit.h"
@@ -28,7 +29,8 @@ Assignment AllOffload::assign(const HtaInstance& instance) const {
   const mec::Topology& topo = instance.topology();
 
   for (std::size_t b = 0; b < topo.num_base_stations(); ++b) {
-    std::vector<std::size_t> tasks = instance.cluster_tasks(b);
+    const std::span<const std::size_t> members = instance.cluster_tasks(b);
+    std::vector<std::size_t> tasks(members.begin(), members.end());
     // Best energy saving per resource unit first.
     std::sort(tasks.begin(), tasks.end(), [&](std::size_t x, std::size_t y) {
       const auto gain = [&](std::size_t t) {

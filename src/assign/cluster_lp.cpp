@@ -1,6 +1,7 @@
 #include "assign/cluster_lp.h"
 
 #include <algorithm>
+#include <span>
 
 namespace mecsched::assign {
 
@@ -10,17 +11,13 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   const mec::Topology& topo = instance.topology();
   ClusterLp out;
 
-  const std::vector<std::size_t>& tasks = instance.cluster_tasks(b);
-  const auto n_active = static_cast<std::size_t>(
-      std::count_if(tasks.begin(), tasks.end(),
-                    [&](std::size_t t) { return instance.schedulable(t); }));
-  out.active.reserve(n_active);
-  out.unschedulable.reserve(tasks.size() - n_active);
-  for (std::size_t t : tasks) {
+  const std::span<const std::size_t> tasks = instance.cluster_tasks(b);
+  out.active.reserve(tasks.size());
+  for (const std::size_t t : tasks) {
     if (instance.schedulable(t)) {
       out.active.push_back(t);
     } else {
-      out.unschedulable.push_back(t);
+      ++out.unschedulable;
     }
   }
   if (out.active.empty()) return out;
@@ -28,11 +25,10 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   // Exact shape: 4 columns and one 4-term row per task, at most one
   // device row per task plus the station row, and one device-row and one
   // station-row term per task.
-  const std::size_t n = n_active;
+  const std::size_t n = out.active.size();
   out.problem.reserve(4 * n, 2 * n + 1, 6 * n);
   out.crash.assign(4 * n, 0.0);
   out.device_ids.reserve(n);
-  out.device_row.reserve(n);
   out.device_begin.reserve(n + 1);
 
   double penalty = 1.0;
@@ -79,7 +75,7 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
   const auto issuer = [&](std::size_t idx) {
     return instance.task(out.active[idx]).id.user;
   };
-  const std::vector<std::size_t>& members = topo.cluster(b);
+  const std::span<const std::size_t> members = topo.cluster(b);
   for (const std::size_t device : members) slot_of[device] = 0;
   for (std::size_t idx = 0; idx < n; ++idx) ++slot_of[issuer(idx)];
   std::size_t next = 0;
@@ -108,17 +104,16 @@ ClusterLp build_cluster_lp(const HtaInstance& instance, std::size_t b) {
       terms.push_back(
           {out.column(idx, 0), instance.task(out.active[idx]).resource});
     }
-    out.device_row.push_back(out.problem.add_constraint(
-        terms, lp::Relation::kLessEqual,
-        topo.device(out.device_ids[i]).max_resource));
+    out.problem.add_constraint(terms, lp::Relation::kLessEqual,
+                               topo.device(out.device_ids[i]).max_resource);
   }
   terms.clear();
   for (std::size_t idx = 0; idx < n; ++idx) {
     terms.push_back(
         {out.column(idx, 1), instance.task(out.active[idx]).resource});
   }
-  out.station_row = out.problem.add_constraint(
-      terms, lp::Relation::kLessEqual, topo.base_station(b).max_resource);
+  out.problem.add_constraint(terms, lp::Relation::kLessEqual,
+                             topo.base_station(b).max_resource);
   return out;
 }
 

@@ -6,7 +6,8 @@
 // Column layout: 4 consecutive columns per active task
 // (local, edge, cloud, cancel). Row layout: one equality row per task (in
 // `active` order), then one "<=" row per device (ids in `device_ids`
-// order), then the station row.
+// order), then the station row — ClusterLp::column, device_row and
+// station_row compute the indices.
 //
 // The builder also returns Step 1's simplex start point (`crash`). Each
 // task row is a sum-to-one choice over its columns, so putting the task's
@@ -21,6 +22,7 @@
 // a pivot.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "assign/hta_instance.h"
@@ -30,15 +32,14 @@ namespace mecsched::assign {
 
 struct ClusterLp {
   lp::Problem problem;
-  std::vector<std::size_t> active;      // schedulable task indices
-  std::vector<std::size_t> unschedulable;  // pre-cancelled task indices
+  std::vector<std::size_t> active;  // schedulable task indices, ascending
+  // Tasks no placement serves within the deadline: pre-cancelled, no row.
+  std::size_t unschedulable = 0;
   std::vector<std::size_t> device_ids;  // devices with a C2 row, ascending
-  std::vector<std::size_t> device_row;  // constraint index per device_ids[i]
   // Task slots (indices into `active`) issued by device_ids[i], in
   // `active` order: device_slots[device_begin[i] .. device_begin[i + 1]).
   std::vector<std::size_t> device_begin;
   std::vector<std::size_t> device_slots;
-  std::size_t station_row = 0;          // constraint index of the C3 row
   double cancel_penalty = 0.0;
   // Step 1's start point, passed to SimplexSolver::solve(problem, crash).
   // One value per column: 1.0 on each task's cheapest placement with
@@ -48,6 +49,11 @@ struct ClusterLp {
 
   std::size_t column(std::size_t task_slot, std::size_t l) const {
     return task_slot * 4 + l;
+  }
+  // Constraint index of device_ids[i]'s C2 row, and of the C3 row.
+  std::size_t device_row(std::size_t i) const { return active.size() + i; }
+  std::size_t station_row() const {
+    return active.size() + device_ids.size();
   }
 };
 

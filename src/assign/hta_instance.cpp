@@ -8,12 +8,10 @@
 namespace mecsched::assign {
 
 HtaInstance::HtaInstance(const mec::Topology& topology,
-                         std::vector<mec::Task> tasks)
-    : topology_(&topology), tasks_(std::move(tasks)) {
+                         std::span<const mec::Task> tasks)
+    : topology_(&topology), tasks_(tasks) {
   const mec::CostModel model(topology);
   costs_.reserve(tasks_.size());
-  // Tasks per cluster, so each cluster's list is one exact block.
-  std::vector<std::size_t> cluster_size(topology.num_base_stations(), 0);
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     const mec::Task& task = tasks_[t];
     MECSCHED_REQUIRE(task.id.user < topology.num_devices(),
@@ -34,16 +32,11 @@ HtaInstance::HtaInstance(const mec::Topology& topology,
                          ": negative resource occupation (" +
                          std::to_string(task.resource) + ")");
     costs_.push_back(model.evaluate(task));
-    ++cluster_size[topology.device(task.id.user).base_station];
   }
-  tasks_by_cluster_.resize(topology.num_base_stations());
-  for (std::size_t b = 0; b < cluster_size.size(); ++b) {
-    tasks_by_cluster_[b].reserve(cluster_size[b]);
-  }
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    tasks_by_cluster_[topology.device(tasks_[t].id.user).base_station]
-        .push_back(t);
-  }
+  cluster_tasks_ = Grouping(
+      tasks_.size(), topology.num_base_stations(), [&](std::size_t t) {
+        return topology.device(tasks_[t].id.user).base_station;
+      });
 }
 
 bool HtaInstance::schedulable(std::size_t t) const {

@@ -1,33 +1,34 @@
-// A fully materialized HTA problem instance (the "Input" block of Sec. II.C):
-// topology + tasks + precomputed per-placement costs + the per-cluster task
-// partition that lets LP-HTA treat each cluster independently (Sec. III.A,
-// "each cluster can be considered separately").
+// An HTA problem instance (the "Input" block of Sec. II.C): topology +
+// tasks + precomputed per-placement costs + the per-cluster task partition
+// that lets LP-HTA treat each cluster independently (Sec. III.A, "each
+// cluster can be considered separately").
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <span>
 #include <vector>
 
+#include "common/grouping.h"
 #include "mec/cost_model.h"
 #include "mec/task.h"
 #include "mec/topology.h"
 
 namespace mecsched::assign {
 
-// The instance owns its tasks. Callers that no longer need their vector
-// move it in (HtaInstance(topo, std::move(tasks))) instead of copying it,
-// and may take it back unchanged with std::move(instance).release_tasks().
+// The instance borrows its topology and its tasks: both must outlive it.
+// It owns what it computes from them — the cost table and the cluster
+// partition, one CSR index of the task indices by the issuer's base
+// station (common/grouping.h).
 class HtaInstance {
  public:
-  HtaInstance(const mec::Topology& topology, std::vector<mec::Task> tasks);
+  HtaInstance(const mec::Topology& topology, std::span<const mec::Task> tasks);
+  // A temporary task vector would be gone before the instance is.
+  HtaInstance(const mec::Topology& topology,
+              std::vector<mec::Task>&& tasks) = delete;
 
   const mec::Topology& topology() const { return *topology_; }
-  const std::vector<mec::Task>& tasks() const { return tasks_; }
   const mec::Task& task(std::size_t t) const { return tasks_[t]; }
   std::size_t num_tasks() const { return tasks_.size(); }
-  // Hands the tasks back; the instance is left empty and only fit to be
-  // destroyed.
-  std::vector<mec::Task> release_tasks() && { return std::move(tasks_); }
 
   // Precomputed Sec.-II costs for task `t`.
   const mec::TaskCosts& costs(std::size_t t) const { return costs_[t]; }
@@ -45,16 +46,17 @@ class HtaInstance {
   // True if at least one placement meets the deadline.
   bool schedulable(std::size_t t) const;
 
-  // Task indices whose issuing device belongs to base station `b`.
-  const std::vector<std::size_t>& cluster_tasks(std::size_t b) const {
-    return tasks_by_cluster_[b];
+  // Task indices whose issuing device belongs to base station `b`,
+  // ascending.
+  std::span<const std::size_t> cluster_tasks(std::size_t b) const {
+    return cluster_tasks_[b];
   }
 
  private:
   const mec::Topology* topology_;
-  std::vector<mec::Task> tasks_;
+  std::span<const mec::Task> tasks_;
   std::vector<mec::TaskCosts> costs_;
-  std::vector<std::vector<std::size_t>> tasks_by_cluster_;
+  Grouping cluster_tasks_;
 };
 
 // Canonical 64-bit hash of exactly what the assigners read — per-placement

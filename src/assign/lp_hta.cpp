@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "audit/assignment_audit.h"
@@ -28,10 +29,6 @@ namespace {
 using mec::Placement;
 
 constexpr std::array<Placement, 3> kPlacements = mec::kAllPlacements;
-
-// Column index of task-slot `idx` with placement `l` in the cluster LP.
-// Each task owns 4 consecutive columns: local, edge, cloud, cancel-slack.
-std::size_t column(std::size_t idx, std::size_t l) { return idx * 4 + l; }
 
 // A deadline-degraded relaxation is still usable when the engine kept its
 // anytime half of the kDeadline contract (a non-empty x): Steps 2-6 round
@@ -84,11 +81,10 @@ lp::Solution solve_relaxation(const ClusterLp& cluster,
   return s;
 }
 
-// Everything one cluster contributes: its tasks' decisions plus its share
-// of the Theorem-2 diagnostics, or the error its solve threw. Clusters are
+// One cluster's share of the Theorem-2 diagnostics, or the error its
+// solve threw; its decisions go straight into the plan. Clusters are
 // independent (Sec. III.A); their outcomes are merged in station order.
 struct ClusterOutcome {
-  std::vector<std::pair<std::size_t, Decision>> decisions;
   double lp_objective = 0.0;
   double rounded_energy = 0.0;
   std::size_t cancelled_infeasible = 0;
@@ -109,9 +105,13 @@ std::string cluster_args(std::size_t b) {
                                          : std::string();
 }
 
+// Solves cluster `b` and writes its tasks' decisions into `plan`, which
+// holds kCancelled for each of them on entry. Clusters own disjoint slots
+// of the plan, so concurrent solves never write the same one.
 ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
                              const LpHtaOptions& options,
-                             const CancellationToken& cancel) {
+                             const CancellationToken& cancel,
+                             std::span<Decision> plan) {
   static obs::Histogram& cluster_seconds =
       obs::Registry::global().histogram("lp_hta.cluster.seconds");
   const obs::ScopedTimer cluster_span(cluster_seconds, "lp_hta.cluster",
@@ -133,15 +133,14 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
                                       cluster_args(b));
     return build_cluster_lp(instance, b);
   }();
-  for (std::size_t t : cluster.unschedulable) {
-    out.decisions.emplace_back(t, Decision::kCancelled);
-    ++out.cancelled_infeasible;
-  }
+  out.cancelled_infeasible = cluster.unschedulable;  // they stay kCancelled
   const std::vector<std::size_t>& active = cluster.active;
   if (active.empty()) return out;
   const lp::Problem& p = cluster.problem;
-  // Decision per task slot (index into `active`).
-  std::vector<Decision> decide(active.size(), Decision::kCancelled);
+  // The plan's decision for task slot `idx` (an index into `active`).
+  const auto decide = [&](std::size_t idx) -> Decision& {
+    return plan[active[idx]];
+  };
 
   lp::Solution relax;
   {
@@ -155,11 +154,15 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   }
   out.lp_iterations = relax.iterations;
   out.deadline_degraded = relax.status == lp::SolveStatus::kDeadline;
+  // ξ of task slot `idx` on column `l` (3: the cancel slack).
+  const auto mass = [&](std::size_t idx, std::size_t l) {
+    return relax.x[cluster.column(idx, l)];
+  };
   // E_LP^(OPT) over the *real* placement columns (the cancel slack's
   // penalty is an artifact, not energy).
   for (std::size_t idx = 0; idx < active.size(); ++idx) {
     for (std::size_t l = 0; l < 3; ++l) {
-      out.lp_objective += p.cost(column(idx, l)) * relax.x[column(idx, l)];
+      out.lp_objective += p.cost(cluster.column(idx, l)) * mass(idx, l);
     }
   }
 
@@ -178,10 +181,10 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
       const std::size_t t = active[idx];
       std::size_t q = 0;
       for (std::size_t l = 1; l < 4; ++l) {
-        if (relax.x[column(idx, l)] > relax.x[column(idx, q)]) q = l;
+        if (mass(idx, l) > mass(idx, q)) q = l;
       }
       if (q == 3) {
-        ++out.cancelled_capacity;  // decide[idx] stays kCancelled
+        ++out.cancelled_capacity;  // decide(idx) stays kCancelled
         continue;
       }
       out.rounded_energy += instance.energy(t, kPlacements[q]);
@@ -193,15 +196,14 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
         std::size_t best = 3;
         for (std::size_t l = 0; l < 3; ++l) {
           if (!instance.meets_deadline(t, kPlacements[l])) continue;
-          if (best == 3 ||
-              relax.x[column(idx, l)] > relax.x[column(idx, best)]) {
+          if (best == 3 || mass(idx, l) > mass(idx, best)) {
             best = l;
           }
         }
         q = best;  // best < 3 by schedulability
         ++repair_moves;
       }
-      decide[idx] = to_decision(kPlacements[q]);
+      decide(idx) = to_decision(kPlacements[q]);
     }
   }
 
@@ -229,7 +231,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     for (std::size_t k = cluster.device_begin[i];
          k < cluster.device_begin[i + 1]; ++k) {
       const std::size_t idx = cluster.device_slots[k];
-      if (decide[idx] == Decision::kLocal) {
+      if (decide(idx) == Decision::kLocal) {
         local.push_back(idx);
         load += resource(idx);
       }
@@ -240,7 +242,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     for (std::size_t idx : local) {
       if (load <= cap) break;
       if (instance.meets_deadline(active[idx], Placement::kEdge)) {
-        decide[idx] = Decision::kEdge;
+        decide(idx) = Decision::kEdge;
         load -= resource(idx);
         ++repair_moves;
       }
@@ -248,8 +250,8 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     // Pass 2: still over — cancel greedily by resource occupation.
     for (std::size_t idx : local) {
       if (load <= cap) break;
-      if (decide[idx] == Decision::kLocal) {
-        decide[idx] = Decision::kCancelled;
+      if (decide(idx) == Decision::kLocal) {
+        decide(idx) = Decision::kCancelled;
         ++out.cancelled_capacity;
         load -= resource(idx);
         ++repair_moves;
@@ -262,7 +264,7 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     std::vector<std::size_t> on_edge;
     double load = 0.0;
     for (std::size_t idx = 0; idx < active.size(); ++idx) {
-      if (decide[idx] == Decision::kEdge) {
+      if (decide(idx) == Decision::kEdge) {
         on_edge.push_back(idx);
         load += resource(idx);
       }
@@ -272,15 +274,15 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
     for (std::size_t idx : on_edge) {
       if (load <= cap) break;
       if (instance.meets_deadline(active[idx], Placement::kCloud)) {
-        decide[idx] = Decision::kCloud;
+        decide(idx) = Decision::kCloud;
         load -= resource(idx);
         ++repair_moves;
       }
     }
     for (std::size_t idx : on_edge) {
       if (load <= cap) break;
-      if (decide[idx] == Decision::kEdge) {
-        decide[idx] = Decision::kCancelled;
+      if (decide(idx) == Decision::kEdge) {
+        decide(idx) = Decision::kCancelled;
         ++out.cancelled_capacity;
         load -= resource(idx);
         ++repair_moves;
@@ -300,11 +302,6 @@ ClusterOutcome solve_cluster(const HtaInstance& instance, std::size_t b,
   repair_moves_total.add(repair_moves);
   cancelled_infeasible.add(out.cancelled_infeasible);
   cancelled_capacity.add(out.cancelled_capacity);
-
-  out.decisions.reserve(out.decisions.size() + active.size());
-  for (std::size_t idx = 0; idx < active.size(); ++idx) {
-    out.decisions.emplace_back(active[idx], decide[idx]);
-  }
   return out;
 }
 
@@ -352,9 +349,11 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
   Assignment out;
   out.decisions.assign(instance.num_tasks(), Decision::kCancelled);
 
-  // Every cluster with tasks is solved; a failure stays in its outcome
-  // instead of ending the loop, so the same clusters run at any worker
-  // count.
+  // Every cluster with tasks is solved, writing its decisions into
+  // out.decisions; a failure stays in its outcome instead of ending the
+  // loop, so the same clusters run at any worker count. Pool workers write
+  // disjoint slots, and map's join orders their writes before the reads
+  // below; on any failure the plan is thrown away.
   std::vector<std::size_t> stations;
   for (std::size_t b = 0; b < instance.topology().num_base_stations(); ++b) {
     if (!instance.cluster_tasks(b).empty()) stations.push_back(b);
@@ -363,7 +362,7 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
     const std::uint64_t chaos_before = chaos::local_injections();
     ClusterOutcome c;
     try {
-      c = solve_cluster(instance, stations[i], options_, cancel);
+      c = solve_cluster(instance, stations[i], options_, cancel, out.decisions);
     } catch (...) {
       c.error = std::current_exception();
     }
@@ -395,7 +394,6 @@ Assignment LpHta::assign_with_report(const HtaInstance& instance,
 
   bool deadline_degraded = false;
   for (const ClusterOutcome& c : outcomes) {
-    for (const auto& [t, d] : c.decisions) out.decisions[t] = d;
     report.lp_objective += c.lp_objective;
     report.rounded_energy += c.rounded_energy;
     report.cancelled_infeasible += c.cancelled_infeasible;

@@ -26,9 +26,9 @@ ShadowPrices capacity_shadow_prices(const HtaInstance& instance) {
     // energy saved per unit of extra rhs, i.e. -dual.
     for (std::size_t i = 0; i < cluster.device_ids.size(); ++i) {
       out.device[cluster.device_ids[i]] =
-          std::max(0.0, -s.duals[cluster.device_row[i]]);
+          std::max(0.0, -s.duals[cluster.device_row(i)]);
     }
-    out.station[b] = std::max(0.0, -s.duals[cluster.station_row]);
+    out.station[b] = std::max(0.0, -s.duals[cluster.station_row()]);
   }
   return out;
 }

@@ -1,26 +1,16 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mecsched {
 
 void Summary::add(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double Summary::variance() const {
-  if (count_ == 0) return nan_();
-  return m2_ / static_cast<double>(count_);
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
@@ -31,11 +21,6 @@ double percentile(std::vector<double> values, double q) {
   const auto hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-bool approx_equal(double a, double b, double tol) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 }  // namespace mecsched

@@ -8,14 +8,14 @@
 
 namespace mecsched {
 
-// Online accumulator (Welford) for mean/variance plus min/max/sum. Cheap to
+// Online accumulator (Welford) for the mean plus min/max/sum. Cheap to
 // copy.
 //
 // Edge-case contract (tested in stats_test.cpp): with zero samples, mean,
-// variance, stddev, min and max are all quiet NaN — "no data" is explicit,
-// never a fabricated 0 or ±infinity. With one sample, variance and stddev
-// are exactly 0 and mean/min/max are that sample. sum() of an empty
-// summary is 0 (the additive identity is meaningful).
+// min and max are all quiet NaN — "no data" is explicit, never a
+// fabricated 0 or ±infinity. With one sample, mean/min/max are that
+// sample. sum() of an empty summary is 0 (the additive identity is
+// meaningful).
 class Summary {
  public:
   void add(double x);
@@ -23,8 +23,6 @@ class Summary {
   std::size_t count() const { return count_; }
   double sum() const { return sum_; }
   double mean() const { return count_ == 0 ? nan_() : mean_; }
-  double variance() const;  // population variance; NaN when empty
-  double stddev() const;    // NaN when empty
   double min() const { return count_ == 0 ? nan_() : min_; }
   double max() const { return count_ == 0 ? nan_() : max_; }
 
@@ -33,7 +31,6 @@ class Summary {
 
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
@@ -44,8 +41,5 @@ class Summary {
 // input returns quiet NaN (no data, no answer); a single sample is every
 // percentile of itself.
 double percentile(std::vector<double> values, double q);
-
-// True when |a - b| <= tol * max(1, |a|, |b|).
-bool approx_equal(double a, double b, double tol = 1e-9);
 
 }  // namespace mecsched

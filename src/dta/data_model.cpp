@@ -28,10 +28,6 @@ ItemSet set_minus(const ItemSet& a, const ItemSet& b) {
   return out;
 }
 
-bool set_contains(const ItemSet& a, std::size_t item) {
-  return std::binary_search(a.begin(), a.end(), item);
-}
-
 bool is_sorted_unique(const ItemSet& a) {
   for (std::size_t i = 1; i < a.size(); ++i) {
     if (a[i - 1] >= a[i]) return false;

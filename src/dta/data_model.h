@@ -25,7 +25,6 @@ using ItemSet = std::vector<std::size_t>;  // sorted, unique ids
 ItemSet set_intersect(const ItemSet& a, const ItemSet& b);
 ItemSet set_union(const ItemSet& a, const ItemSet& b);
 ItemSet set_minus(const ItemSet& a, const ItemSet& b);
-bool set_contains(const ItemSet& a, std::size_t item);
 bool is_sorted_unique(const ItemSet& a);
 
 // Item → owner index of a family of sorted unique `sets` (the D_i) over the

@@ -162,12 +162,12 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
   audit::check_division(scenario, result.coverage, result.rearranged,
                         to_string(options.strategy));
 
-  // ---- Step 3: schedule the rearranged tasks. The instance takes them
-  // by move and hands them back to the result at the end.
+  // ---- Step 3: schedule the rearranged tasks; the instance reads them
+  // where the result holds them.
   std::optional<obs::ScopedTimer> step_span;
   step_span.emplace(schedule_seconds, "dta.schedule", "dta");
-  assign::HtaInstance instance(topo, std::move(result.rearranged));
-  const std::vector<mec::Task>& partials = instance.tasks();
+  const std::vector<mec::Task>& partials = result.rearranged;
+  const assign::HtaInstance instance(topo, partials);
   if (options.scheduler == PartialScheduler::kLpHta) {
     result.assignment = assign::LpHta(options.lp).assign(instance);
   } else {
@@ -271,8 +271,6 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
   for (double b : device_busy) busy_max = std::max(busy_max, b);
   for (double b : station_busy) busy_max = std::max(busy_max, b);
   result.processing_time_s = busy_max + upload_tail + final_download_s;
-
-  result.rearranged = std::move(instance).release_tasks();
   return result;
 }
 

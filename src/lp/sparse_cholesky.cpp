@@ -255,16 +255,6 @@ std::shared_ptr<const NormalEquationsSymbolic> SymbolicFactorCache::analyze(
   return computed;
 }
 
-void SymbolicFactorCache::set_capacity(std::size_t capacity) {
-  const MutexLock lock(impl_->mu);
-  impl_->capacity = capacity == 0 ? 1 : capacity;
-  while (impl_->lru.size() > impl_->capacity) {
-    impl_->index.erase(impl_->lru.back().first);
-    impl_->lru.pop_back();
-    obs::Registry::global().counter("lp.sparse.pattern_cache_evictions").add();
-  }
-}
-
 std::size_t SymbolicFactorCache::size() const {
   const MutexLock lock(impl_->mu);
   return impl_->lru.size();
@@ -360,7 +350,6 @@ NormalCholesky::NormalCholesky(
       if (diag < -1e-6 * scale) {
         throw SolverError("sparse Cholesky: matrix is indefinite");
       }
-      regularization_ += floor - diag;
       diag = floor;
     }
     l_row_[next[k]] = k;

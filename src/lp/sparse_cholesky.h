@@ -93,7 +93,6 @@ class SymbolicFactorCache {
   // it on a miss.
   std::shared_ptr<const NormalEquationsSymbolic> analyze(const SparseMatrix& a);
 
-  void set_capacity(std::size_t capacity);
   std::size_t size() const;
   void clear();
 
@@ -114,10 +113,6 @@ class NormalCholesky {
   // Solves (A·D·Aᵀ) x = b through the permuted factor.
   std::vector<double> solve(const std::vector<double>& b) const;
 
-  // Total diagonal shift added during factorization (0 when the input was
-  // comfortably positive definite).
-  double regularization() const { return regularization_; }
-
  private:
   std::shared_ptr<const NormalEquationsSymbolic> sym_;
   // L in CSC over the symbolic column pointers; each column stores its
@@ -125,7 +120,6 @@ class NormalCholesky {
   // order.
   std::vector<std::size_t> l_row_;
   std::vector<double> l_val_;
-  double regularization_ = 0.0;
 };
 
 }  // namespace mecsched::lp

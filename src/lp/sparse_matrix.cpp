@@ -42,12 +42,6 @@ SparseMatrix SparseMatrix::from_triplets(std::size_t rows, std::size_t cols,
   return out;
 }
 
-double SparseMatrix::density() const {
-  if (rows_ == 0 || cols_ == 0) return 0.0;
-  return static_cast<double>(nnz()) /
-         (static_cast<double>(rows_) * static_cast<double>(cols_));
-}
-
 double SparseMatrix::operator()(std::size_t r, std::size_t c) const {
   MECSCHED_REQUIRE(r < rows_ && c < cols_, "sparse index out of range");
   const auto begin = col_idx_.begin() + static_cast<long>(row_ptr_[r]);
@@ -66,20 +60,6 @@ std::vector<double> SparseMatrix::multiply(const std::vector<double>& x) const {
       acc += values_[p] * x[col_idx_[p]];
     }
     y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> SparseMatrix::multiply_transpose(
-    const std::vector<double>& x) const {
-  MECSCHED_REQUIRE(x.size() == rows_, "sparse matrix^T-vector size mismatch");
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t p = row_ptr_[r]; p < row_ptr_[r + 1]; ++p) {
-      y[col_idx_[p]] += values_[p] * xr;
-    }
   }
   return y;
 }

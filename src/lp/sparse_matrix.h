@@ -33,8 +33,6 @@ class SparseMatrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
-  // nnz / (rows*cols); 0 for an empty shape.
-  double density() const;
 
   // Value at (r, c): binary search within row r, 0.0 when absent. For
   // tests and spot reads — kernels iterate the CSR arrays directly.
@@ -48,8 +46,6 @@ class SparseMatrix {
 
   // y = this * x  (x.size() == cols()).
   std::vector<double> multiply(const std::vector<double>& x) const;
-  // y = this^T * x  (x.size() == rows()).
-  std::vector<double> multiply_transpose(const std::vector<double>& x) const;
 
   // The transpose — also the CSC view of this matrix (row r of the result
   // is column r of *this), which is how the normal-equation assembly walks

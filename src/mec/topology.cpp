@@ -10,20 +10,8 @@ Topology::Topology(std::vector<Device> devices,
       stations_(std::move(stations)),
       params_(params) {
   MECSCHED_REQUIRE(!stations_.empty(), "topology needs >= 1 base station");
-  // One allocation per cluster: count its devices first (an unknown
-  // station is skipped here and rejected below).
-  clusters_.resize(stations_.size());
-  {
-    std::vector<std::size_t> size(stations_.size(), 0);
-    for (const Device& d : devices_) {
-      if (d.base_station < size.size()) ++size[d.base_station];
-    }
-    for (std::size_t b = 0; b < size.size(); ++b) {
-      clusters_[b].reserve(size[b]);
-    }
-  }
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    Device& d = devices_[i];
+    const Device& d = devices_[i];
     MECSCHED_REQUIRE(d.id == i, "device ids must be dense 0..n-1 (slot " +
                                     std::to_string(i) + " holds id " +
                                     std::to_string(d.id) + ")");
@@ -41,7 +29,6 @@ Topology::Topology(std::vector<Device> devices,
                          ": radio rates must be positive (up " +
                          std::to_string(d.radio.upload_bps) + " bps, down " +
                          std::to_string(d.radio.download_bps) + " bps)");
-    clusters_[d.base_station].push_back(i);
   }
   for (std::size_t b = 0; b < stations_.size(); ++b) {
     MECSCHED_REQUIRE(stations_[b].id == b,
@@ -53,6 +40,9 @@ Topology::Topology(std::vector<Device> devices,
                          ": CPU frequency must be positive, got " +
                          std::to_string(stations_[b].cpu_hz));
   }
+  clusters_ = Grouping(devices_.size(), stations_.size(), [&](std::size_t i) {
+    return devices_[i].base_station;
+  });
 }
 
 void Topology::check_device(std::size_t i) const {
@@ -66,14 +56,6 @@ void Topology::check_base_station(std::size_t b) const {
                    "base station index " + std::to_string(b) +
                        " out of range (" + std::to_string(stations_.size()) +
                        " stations)");
-}
-
-const std::vector<std::size_t>& Topology::cluster(std::size_t b) const {
-  MECSCHED_REQUIRE(b < clusters_.size(),
-                   "base station index " + std::to_string(b) +
-                       " out of range (" + std::to_string(clusters_.size()) +
-                       " stations)");
-  return clusters_[b];
 }
 
 }  // namespace mecsched::mec

@@ -3,12 +3,16 @@
 //
 // The topology is immutable once built; the builder validates that every
 // device belongs to exactly one cluster. Device ids are dense 0..n-1 and
-// base-station ids 0..k-1, so lookups are O(1) vectors throughout.
+// base-station ids 0..k-1, so lookups are O(1) vectors throughout. The
+// clusters are one CSR index of the device ids by base station
+// (common/grouping.h).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "common/grouping.h"
 #include "mec/parameters.h"
 
 namespace mecsched::mec {
@@ -48,7 +52,10 @@ class Topology {
   const SystemParameters& params() const { return params_; }
 
   // Devices attached to base station `b` (the cluster), sorted by id.
-  const std::vector<std::size_t>& cluster(std::size_t b) const;
+  std::span<const std::size_t> cluster(std::size_t b) const {
+    if (b >= stations_.size()) [[unlikely]] check_base_station(b);
+    return clusters_[b];
+  }
 
   bool same_cluster(std::size_t dev_a, std::size_t dev_b) const {
     return device(dev_a).base_station == device(dev_b).base_station;
@@ -60,7 +67,7 @@ class Topology {
 
   std::vector<Device> devices_;
   std::vector<BaseStation> stations_;
-  std::vector<std::vector<std::size_t>> clusters_;
+  Grouping clusters_;  // device ids by base station
   SystemParameters params_;
 };
 

@@ -29,7 +29,6 @@ using control::RunningTask;
 // One arrival of a run. The task and its arrival time are read from the
 // trace event, which the trace keeps for the whole ServeDaemon::run.
 struct PendingTask {
-  std::size_t id = 0;              // the arrival's ordinal in the trace
   const Event* arrival = nullptr;  // the kTaskArrival event
   std::size_t attempts = 0;        // admissions consumed so far
 
@@ -266,7 +265,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       if (e.kind == EventKind::kTaskArrival) {
         ++result.arrivals;
         const std::size_t id = pending.size();
-        pending.push_back(PendingTask{id, &e, 0});
+        pending.push_back(PendingTask{&e, 0});
         if (!waiting.admit(id, epoch)) {
           append(e.time_s, e.task.id, DecisionKind::kReject, 0);
         }
@@ -390,8 +389,8 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       epoch_devices += problem.topology.num_devices();
 
       // ---- 4. Solve the epoch under its deadline: one instance, which
-      // takes the tasks by move, through the fallback chain; LP-HTA
-      // solves its clusters on the pool.
+      // reads the epoch problem's tasks, through the fallback chain;
+      // LP-HTA solves its clusters on the pool.
       stage.emplace("serve.stage.solve", "serve");
       CancellationToken epoch_token = stop;
       if (options_.epoch_budget_ms > 0.0) {
@@ -401,7 +400,7 @@ ServeResult ServeDaemon::run(const mec::Topology& universe, const Trace& trace,
       const auto solve_t0 = std::chrono::steady_clock::now();
       const assign::HtaInstance inst = [&] {
         const obs::ScopedTimer span("assign.instance", "assign");
-        return assign::HtaInstance(problem.topology, std::move(problem.tasks));
+        return assign::HtaInstance(problem.topology, problem.tasks);
       }();
       control::FallbackRung rung = control::FallbackRung::kLpHta;
       const assign::Assignment plan = chain.assign(inst, rung, epoch_token);

@@ -40,7 +40,8 @@ TEST(HgosBehaviourTest, PricesTasksAsIfAllDataWereLocal) {
   data_shared.external_bytes = kilobytes(500.0);  // same total volume
   data_shared.external_owner = 0;
 
-  const HtaInstance inst(topo, {local_only, data_shared});
+  const std::vector<mec::Task> tasks{local_only, data_shared};
+  const HtaInstance inst(topo, tasks);
   const Assignment a = Hgos().assign(inst);
   EXPECT_EQ(a.decisions[0], a.decisions[1]);
 }
@@ -82,7 +83,8 @@ TEST(HgosBehaviourTest, LargestTasksGetFirstPickOfTheEdge) {
     t.deadline_s = 1e9;
     return t;
   };
-  const HtaInstance inst(topo, {task(0, 0, 500.0), task(1, 0, 3000.0)});
+  const std::vector<mec::Task> tasks{task(0, 0, 500.0), task(1, 0, 3000.0)};
+  const HtaInstance inst(topo, tasks);
   const Assignment a = Hgos().assign(inst);
   EXPECT_EQ(a.decisions[1], Decision::kEdge);   // the big one
   EXPECT_EQ(a.decisions[0], Decision::kCloud);  // the small one spills

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -175,7 +176,8 @@ TEST(LpHtaTest, EmptyInstance) {
 
 // The device rows group each cluster's task slots by issuer: devices in
 // ascending id, slots in `active` order within a device — the order a
-// stable sort of the slots by issuer gives.
+// stable sort of the slots by issuer gives. device_row(i) and
+// station_row() name the C2 row of device_ids[i] and the C3 row.
 TEST(LpHtaTest, DeviceSlotsMatchAStableSortByIssuer) {
   Rng rng(29);
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -216,11 +218,33 @@ TEST(LpHtaTest, DeviceSlotsMatchAStableSortByIssuer) {
       if (c.active.empty()) continue;
       begin.push_back(slots.size());
       EXPECT_EQ(c.device_begin, begin);
-      ASSERT_EQ(c.device_row.size(), ids.size());
+      ASSERT_EQ(c.problem.num_constraints(), c.station_row() + 1);
+      // A C2 or C3 row: `<=` its capacity, one term per slot on column
+      // `l`, in slot order, with the task's resource.
+      const auto expect_row = [&](std::size_t row, std::size_t l,
+                                  std::span<const std::size_t> row_slots,
+                                  double capacity) {
+        const lp::Constraint r = c.problem.constraint(row);
+        EXPECT_EQ(r.relation, lp::Relation::kLessEqual);
+        EXPECT_EQ(r.rhs, capacity);
+        ASSERT_EQ(r.terms.size(), row_slots.size());
+        for (std::size_t k = 0; k < row_slots.size(); ++k) {
+          EXPECT_EQ(r.terms[k].var, c.column(row_slots[k], l));
+          EXPECT_EQ(r.terms[k].coeff,
+                    inst.task(c.active[row_slots[k]]).resource);
+        }
+      };
       for (std::size_t i = 0; i < ids.size(); ++i) {
-        EXPECT_EQ(c.device_row[i], c.active.size() + i);
+        EXPECT_EQ(c.device_row(i), c.active.size() + i);
+        expect_row(c.device_row(i), 0,
+                   std::span(slots).subspan(begin[i], begin[i + 1] - begin[i]),
+                   inst.topology().device(ids[i]).max_resource);
       }
-      EXPECT_EQ(c.station_row, c.active.size() + ids.size());
+      std::vector<std::size_t> all(c.active.size());
+      std::iota(all.begin(), all.end(), std::size_t{0});
+      EXPECT_EQ(c.station_row(), c.active.size() + ids.size());
+      expect_row(c.station_row(), 1, all,
+                 inst.topology().base_station(b).max_resource);
     }
   }
 }

@@ -33,7 +33,8 @@ mec::Task big_task(double alpha_kb, double beta_kb) {
 
 TEST(PartialTest, ThetaIsAFraction) {
   const auto topo = two_device_topology(gigahertz(1.5));
-  const HtaInstance inst(topo, {big_task(2000, 500)});
+  const std::vector<mec::Task> tasks{big_task(2000, 500)};
+  const HtaInstance inst(topo, tasks);
   const PartialDecision d = optimal_split(inst, 0);
   EXPECT_GE(d.theta, 0.0);
   EXPECT_LE(d.theta, 1.0);
@@ -45,7 +46,8 @@ TEST(PartialTest, NeverSlowerThanEitherPureStrategy) {
   // θ = 1 approximates pure-local (device processes α; BS still gets β) and
   // θ = 0 is pure-edge; the optimum can beat both.
   const auto topo = two_device_topology(gigahertz(1.0));
-  const HtaInstance inst(topo, {big_task(3000, 600)});
+  const std::vector<mec::Task> tasks{big_task(3000, 600)};
+  const HtaInstance inst(topo, tasks);
   const PartialDecision d = optimal_split(inst, 0);
   // Reconstruct the two corners by intersecting with the same model.
   const HtaInstance& i = inst;
@@ -77,14 +79,16 @@ TEST(PartialTest, NeverSlowerThanEitherPureStrategy) {
 
 TEST(PartialTest, SlowDeviceOffloadsAlmostEverything) {
   const auto topo = two_device_topology(gigahertz(1.0) * 0.05);  // 50 MHz
-  const HtaInstance inst(topo, {big_task(3000, 0)});
+  const std::vector<mec::Task> tasks{big_task(3000, 0)};
+  const HtaInstance inst(topo, tasks);
   const PartialDecision d = optimal_split(inst, 0);
   EXPECT_LT(d.theta, 0.2);
 }
 
 TEST(PartialTest, FastDeviceKeepsEverything) {
   const auto topo = two_device_topology(gigahertz(1.0) * 50.0);  // 50 GHz
-  const HtaInstance inst(topo, {big_task(3000, 0)});
+  const std::vector<mec::Task> tasks{big_task(3000, 0)};
+  const HtaInstance inst(topo, tasks);
   const PartialDecision d = optimal_split(inst, 0);
   EXPECT_GT(d.theta, 0.95);
 }

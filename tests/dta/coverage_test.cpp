@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -100,7 +102,8 @@ TEST_P(CoverageProperty, BothAlgorithmsProduceValidCoverage) {
             rng.uniform_int(0, static_cast<std::int64_t>(n_devices) - 1))]
         .push_back(r);
     for (std::size_t d = 0; d < n_devices; ++d) {
-      if (rng.bernoulli(0.15) && !set_contains(own[d], r)) {
+      if (rng.bernoulli(0.15) &&
+          !std::binary_search(own[d].begin(), own[d].end(), r)) {
         own[d] = set_union(own[d], {r});
       }
     }
@@ -133,7 +136,8 @@ TEST(CoverageComparisonTest, NumberUsesFewerDevicesOnAverage) {
               rng.uniform_int(0, static_cast<std::int64_t>(n_devices) - 1))]
           .push_back(r);
       for (std::size_t d = 0; d < n_devices; ++d) {
-        if (rng.bernoulli(0.25) && !set_contains(own[d], r)) {
+        if (rng.bernoulli(0.25) &&
+            !std::binary_search(own[d].begin(), own[d].end(), r)) {
           own[d] = set_union(own[d], {r});
         }
       }

@@ -4,9 +4,9 @@
 // test binary and not part of dta_test.
 //
 // The contracts being locked in:
-//   * run_dta builds its partial tasks once and moves them through the
-//     HtaInstance and back into the result; no second copy of the task
-//     array is ever made.
+//   * run_dta builds its partial tasks once, in the result, and the
+//     HtaInstance borrows them there; no second copy of the task array is
+//     ever made.
 //   * the OwnerIndex build takes a fixed number of heap blocks, however
 //     large the item sets are.
 #include <gtest/gtest.h>
@@ -91,7 +91,7 @@ SharedDataScenario fig5a_scenario(std::size_t tasks, std::uint64_t seed) {
 }
 
 // The heap bytes one run_dta call may take: one partial-task array (built
-// once, moved into the HtaInstance and back into the result) and one
+// once, in the result, and borrowed by the HtaInstance) and one
 // TaskCosts table, plus per partial its source-task id, its entry in its
 // cluster's task list and its decision; per item reference one
 // (device, bytes) portion (a task has at most one partial per item); and

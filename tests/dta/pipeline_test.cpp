@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "assign/evaluator.h"
 #include "assign/hta_instance.h"
@@ -76,8 +77,8 @@ TEST(DtaPipelineTest, BeatsHolisticLpHtaOnEnergy) {
     dta_w += run_dta(scenario, DtaOptions{DtaStrategy::kWorkload}).total_energy_j;
     dta_n += run_dta(scenario, DtaOptions{DtaStrategy::kNumber}).total_energy_j;
 
-    const assign::HtaInstance inst(scenario.topology,
-                                   to_holistic_tasks(scenario));
+    const std::vector<mec::Task> tasks = to_holistic_tasks(scenario);
+    const assign::HtaInstance inst(scenario.topology, tasks);
     const auto a = assign::LpHta().assign(inst);
     holistic += assign::evaluate(inst, a).total_energy_j;
   }

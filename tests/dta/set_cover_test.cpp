@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -63,7 +64,7 @@ TEST_P(GreedyRatio, WithinLnNOfOptimum) {
   }
   for (auto& s : sets) {
     for (std::size_t i = 0; i < n_items; ++i) {
-      if (rng.bernoulli(0.3) && !set_contains(s, i)) {
+      if (rng.bernoulli(0.3) && !std::binary_search(s.begin(), s.end(), i)) {
         s = set_union(s, {i});
       }
     }

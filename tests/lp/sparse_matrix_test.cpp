@@ -44,9 +44,11 @@ TEST(SparseMatrixTest, DenseRoundtrip) {
 TEST(SparseMatrixTest, DensityCountsStructuralNonzeros) {
   const SparseMatrix a =
       SparseMatrix::from_triplets(4, 5, {{0, 0, 1.0}, {3, 4, 2.0}});
-  EXPECT_DOUBLE_EQ(a.density(), 2.0 / 20.0);
+  EXPECT_EQ(a.nnz(), 2u);
+  EXPECT_EQ(a.row_ptr(), (std::vector<std::size_t>{0, 1, 1, 1, 2}));
+  EXPECT_EQ(a.col_idx(), (std::vector<std::size_t>{0, 4}));
   const SparseMatrix empty = SparseMatrix::from_triplets(0, 0, {});
-  EXPECT_DOUBLE_EQ(empty.density(), 0.0);
+  EXPECT_EQ(empty.nnz(), 0u);
 }
 
 TEST(SparseMatrixTest, MultiplyMatchesDenseReference) {
@@ -69,7 +71,7 @@ TEST(SparseMatrixTest, MultiplyMatchesDenseReference) {
   ASSERT_EQ(ax.size(), dx.size());
   for (std::size_t i = 0; i < ax.size(); ++i) EXPECT_NEAR(ax[i], dx[i], 1e-12);
 
-  const std::vector<double> aty = a.multiply_transpose(yr);
+  const std::vector<double> aty = a.transposed().multiply(yr);
   const std::vector<double> dty = d.transposed().multiply(yr);
   ASSERT_EQ(aty.size(), dty.size());
   for (std::size_t i = 0; i < aty.size(); ++i) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace mecsched::mec {
@@ -84,7 +89,7 @@ TEST(TopologyTest, AccessorsValidateIndices) {
                      "i < devices_.size()",
                      "device index 9 out of range (3 devices)");
   expect_range_error(thrown_message([&] { t.cluster(5); }),
-                     "b < clusters_.size()",
+                     "b < stations_.size()",
                      "base station index 5 out of range (2 stations)");
 }
 
@@ -114,6 +119,46 @@ TEST(TopologyTest, EmptyDeviceListIsValid) {
   const Topology t({}, two_stations(), SystemParameters{});
   EXPECT_EQ(t.num_devices(), 0u);
   EXPECT_TRUE(t.cluster(0).empty());
+}
+
+// Each cluster is the run of its station in the device ids stable-sorted
+// by station, stations with no device included.
+TEST(TopologyTest, ClustersMatchASortByStation) {
+  Rng rng(41);
+  std::size_t empty_clusters = 0;
+  for (int round = 0; round < 60; ++round) {
+    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 80));
+    std::vector<Device> devices(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      devices[i] = {i,
+                    static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(k) - 1)),
+                    gigahertz(1.0), kWiFi, 5.0};
+    }
+    std::vector<BaseStation> stations(k);
+    for (std::size_t b = 0; b < k; ++b) stations[b] = {b, gigahertz(4.0), 50.0};
+    const Topology t(devices, stations, SystemParameters{});
+
+    std::vector<std::size_t> ids(n);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    std::stable_sort(ids.begin(), ids.end(), [&](std::size_t x, std::size_t y) {
+      return devices[x].base_station < devices[y].base_station;
+    });
+    auto run = ids.begin();
+    for (std::size_t b = 0; b < k; ++b) {
+      const auto end = std::find_if(run, ids.end(), [&](std::size_t i) {
+        return devices[i].base_station != b;
+      });
+      const std::vector<std::size_t> expected(run, end);
+      const std::span<const std::size_t> got = t.cluster(b);
+      EXPECT_EQ(std::vector<std::size_t>(got.begin(), got.end()), expected)
+          << "round " << round << ", station " << b;
+      if (expected.empty()) ++empty_clusters;
+      run = end;
+    }
+  }
+  EXPECT_GT(empty_clusters, 0u);
 }
 
 }  // namespace

@@ -181,7 +181,6 @@ TEST(HistogramTest, ObserveAllMatchesRepeatedObserve) {
   EXPECT_EQ(a.count(), b.count());
   EXPECT_EQ(a.sum(), b.sum());
   EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
   EXPECT_EQ(a.min(), b.min());
   EXPECT_EQ(a.max(), b.max());
   EXPECT_EQ(one_by_one.cumulative_buckets(), batched.cumulative_buckets());

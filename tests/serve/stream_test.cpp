@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "common/error.h"
@@ -65,8 +66,8 @@ struct Drill {
   std::size_t dead_issuer = 0;              // dies at 0, stays down
 
   Drill() {
-    const std::vector<std::size_t>& c0 = topo.cluster(0);
-    const std::vector<std::size_t>& c1 = topo.cluster(1);
+    const std::span<const std::size_t> c0 = topo.cluster(0);
+    const std::span<const std::size_t> c1 = topo.cluster(1);
     EXPECT_GE(c0.size(), 5u);
     EXPECT_GE(c1.size(), 2u);
     issuer_a = c0[0];
