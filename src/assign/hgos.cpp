@@ -22,11 +22,11 @@ Assignment Hgos::assign(const HtaInstance& instance) const {
   // Data-distribution-blind energy: HGOS prices a task as if all of its
   // input data were already local to the issuing device (β folded into α).
   const mec::CostModel model(topo);
-  auto perceived_energy = [&](std::size_t t, Placement p) {
+  auto perceived_costs = [&](std::size_t t) {
     mec::Task blind = instance.task(t);
     blind.local_bytes = blind.input_bytes();
     blind.external_bytes = 0.0;
-    return model.evaluate(blind, p).energy_j;
+    return model.evaluate(blind);
   };
 
   // Most demanding (largest input) tasks choose first — the greedy order of
@@ -41,10 +41,11 @@ Assignment Hgos::assign(const HtaInstance& instance) const {
     const mec::Task& task = instance.task(t);
     const std::size_t bs = topo.device(task.id.user).base_station;
 
+    const mec::TaskCosts perceived = perceived_costs(t);
     std::array<std::pair<double, Placement>, 3> choices = {{
-        {perceived_energy(t, Placement::kLocal), Placement::kLocal},
-        {perceived_energy(t, Placement::kEdge), Placement::kEdge},
-        {perceived_energy(t, Placement::kCloud), Placement::kCloud},
+        {perceived.energy(Placement::kLocal), Placement::kLocal},
+        {perceived.energy(Placement::kEdge), Placement::kEdge},
+        {perceived.energy(Placement::kCloud), Placement::kCloud},
     }};
     std::sort(choices.begin(), choices.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });

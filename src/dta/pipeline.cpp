@@ -1,6 +1,8 @@
 #include "dta/pipeline.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -95,8 +97,10 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
     // Bytes per owning device, added in ascending item order: the same
     // additions, in the same order, as total_bytes(C_dev ∩ items).
     std::vector<double> held_bytes(topo.num_devices(), 0.0);
-    std::vector<std::size_t> touched_by(topo.num_devices(), kNone);
-    std::vector<std::size_t> touched;
+    // The devices the current task touches, one bit each: the set bits of
+    // the words [lo, hi) in ascending order are its executors, and each
+    // word is cleared as it is read.
+    std::vector<std::uint64_t> touched((topo.num_devices() + 63) / 64, 0);
     // A task has at most one partial per item: one block, no regrowth.
     std::size_t item_refs = 0;
     for (const DivisibleTask& src : scenario.tasks) {
@@ -106,53 +110,67 @@ DtaResult run_dta(const SharedDataScenario& scenario, DtaOptions options) {
     for (std::size_t s = 0; s < num_tasks; ++s) {
       const DivisibleTask& src = scenario.tasks[s];
       task_bytes[s] = scenario.universe.total_bytes(src.items);
-      touched.clear();
+      std::size_t lo = touched.size();
+      std::size_t hi = 0;
       for (const std::size_t r : src.items) {
         const std::size_t dev = owner[r];
         if (dev == kNone) continue;
-        if (touched_by[dev] != s) {
-          touched_by[dev] = s;
-          touched.push_back(dev);
-        }
+        const std::size_t w = dev / 64;
+        touched[w] |= std::uint64_t{1} << (dev % 64);
+        lo = std::min(lo, w);
+        hi = std::max(hi, w + 1);
         held_bytes[dev] += scenario.universe.item_size(r);
       }
-      std::sort(touched.begin(), touched.end());
-      for (const std::size_t dev : touched) {
-        by_task.push_back({dev, held_bytes[dev]});
-        held_bytes[dev] = 0.0;
+      for (std::size_t w = lo; w < hi; ++w) {
+        for (std::uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t dev =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          by_task.push_back({dev, held_bytes[dev]});
+          held_bytes[dev] = 0.0;
+        }
+        touched[w] = 0;
       }
       task_begin[s + 1] = by_task.size();
     }
 
-    // A stable counting sort by executor places each partial task and
-    // gives it its per-device index.
+    // A stable counting sort by executor gives each partial task its slot
+    // (its per-device index is the slot's offset in the device's block);
+    // the tasks are then appended slot by slot.
+    const std::size_t num_partials = by_task.size();
     std::vector<std::size_t> first(topo.num_devices() + 1, 0);
     for (const Portion& p : by_task) ++first[p.executor + 1];
     std::partial_sum(first.begin(), first.end(), first.begin());
     std::vector<std::size_t> next(first.begin(), first.end() - 1);
-    result.rearranged.resize(by_task.size());
-    source.resize(by_task.size());
+    std::vector<std::size_t> portion(num_partials);  // by_task index per slot
+    source.resize(num_partials);
     for (std::size_t s = 0; s < num_tasks; ++s) {
-      const DivisibleTask& src = scenario.tasks[s];
       for (std::size_t k = task_begin[s]; k < task_begin[s + 1]; ++k) {
-        const Portion& p = by_task[k];
-        const std::size_t i = next[p.executor]++;
+        const std::size_t i = next[by_task[k].executor]++;
         source[i] = s;
-        mec::Task& t = result.rearranged[i];
-        t.id = {p.executor, i - first[p.executor]};
-        t.local_bytes = p.bytes;  // by construction the executor owns it all
-        t.external_bytes = 0.0;
-        t.external_owner = p.executor;
-        t.cycles_per_byte = src.cycles_per_byte;
-        t.result_kind = src.result_kind;
-        t.result_ratio = src.result_ratio;
-        t.result_const_bytes = src.result_const_bytes;
-        // Resource demand scales with the data fraction actually processed.
-        t.resource = task_bytes[s] > 0.0
-                         ? src.resource * p.bytes / task_bytes[s]
-                         : src.resource;
-        t.deadline_s = src.deadline_s;
+        portion[i] = k;
       }
+    }
+    result.rearranged.reserve(num_partials);
+    for (std::size_t i = 0; i < num_partials; ++i) {
+      const std::size_t s = source[i];
+      const DivisibleTask& src = scenario.tasks[s];
+      const Portion& p = by_task[portion[i]];
+      result.rearranged.push_back({
+          .id = {p.executor, i - first[p.executor]},
+          .local_bytes = p.bytes,  // by construction the executor owns it all
+          .external_bytes = 0.0,
+          .external_owner = p.executor,
+          .cycles_per_byte = src.cycles_per_byte,
+          .result_kind = src.result_kind,
+          .result_ratio = src.result_ratio,
+          .result_const_bytes = src.result_const_bytes,
+          // Resource demand scales with the data fraction actually
+          // processed.
+          .resource = task_bytes[s] > 0.0
+                          ? src.resource * p.bytes / task_bytes[s]
+                          : src.resource,
+          .deadline_s = src.deadline_s,
+      });
     }
   }
 

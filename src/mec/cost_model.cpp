@@ -21,24 +21,82 @@ std::string to_string(Placement p) {
   return "unknown";
 }
 
+// The three placements share their transfer legs: the owner's uplink of β
+// (and, across clusters, its backhaul hop), the issuer's α uplink and the
+// result downlink. Each leg is priced once, as a time and the energy of
+// that time, and the entries add them up in the paper's order.
 TaskCosts CostModel::evaluate(const Task& task) const {
+  const Device& dev = topo_->device(task.id.user);
+  const SystemParameters& p = topo_->params();
+  const double alpha = task.local_bytes;
+  const double beta = task.external_bytes;
+  const double cycles = task.cycles();
+  const double result = task.result_bytes();
+
+  // External data β travels owner -> (owner's BS) [-> issuer's BS]; no
+  // external data, or the issuer owning it, moves nothing over the radio.
+  double fetch_s = 0.0;     // owner's uplink time
+  double fetch_j = 0.0;     // e_L^(T)(β)
+  double backhaul_s = 0.0;  // t_{B,B}(β) when the owner is in another cluster
+  double backhaul_j = 0.0;  // e_{B,B}(β)
+  if (beta > 0.0 && task.external_owner != task.id.user) {
+    const Device& owner = topo_->device(task.external_owner);
+    fetch_s = transfer_seconds(beta, owner.radio.upload_bps);
+    fetch_j = owner.radio.tx_power_w * fetch_s;
+    if (fetch_s > 0.0 && owner.base_station != dev.base_station) {
+      const double hop_s = transfer_seconds(beta, p.bs_to_bs_rate_bps);
+      backhaul_s = p.bs_to_bs_latency_s + hop_s;
+      backhaul_j = p.bs_to_bs_power_w * hop_s;
+    }
+  }
+  // The issuer's α uplink, and the result η(α+β) back down to it.
+  const double alpha_s =
+      alpha > 0.0 ? transfer_seconds(alpha, dev.radio.upload_bps) : 0.0;
+  const double alpha_j = alpha > 0.0 ? dev.radio.tx_power_w * alpha_s : 0.0;
+  const double result_s = transfer_seconds(result, dev.radio.download_bps);
+  const double result_j = dev.radio.rx_power_w * result_s;
+
   TaskCosts out;
-  out.by_placement[0] = local_cost(task);
-  out.by_placement[1] = edge_cost(task);
-  out.by_placement[2] = cloud_cost(task);
+
+  // l = 1: the issuing device computes (Eq. 2) after downloading β (Eq. 4's
+  // t^(R)_ij1 / E^(R)_ij1).
+  CostEntry& local = out.by_placement[0];
+  local.compute_s = cycles / dev.cpu_hz;
+  local.energy_j = p.kappa * cycles * dev.cpu_hz * dev.cpu_hz;  // E^(C)_ij1
+  if (fetch_s > 0.0) {
+    const double down_s = transfer_seconds(beta, dev.radio.download_bps);
+    local.transfer_s = fetch_s + down_s + backhaul_s;
+    local.energy_j += fetch_j + dev.radio.rx_power_w * down_s;
+    local.energy_j += backhaul_j;
+  }
+
+  // l = 2: the issuer's base station. α uploads in parallel with the
+  // external fetch (max{...} in the paper); base-station compute energy is
+  // negligible next to radio energy (Sec. II.A) and omitted, as in the
+  // paper.
+  CostEntry& edge = out.by_placement[1];
+  edge.compute_s = cycles / topo_->base_station(dev.base_station).cpu_hz;
+  edge.transfer_s = std::max(fetch_s + backhaul_s, alpha_s) + result_s;
+  edge.energy_j = fetch_j + backhaul_j + alpha_j + result_j;
+
+  // l = 3: the remote cloud. α, β and the result cross the WAN
+  // (t_{B,C}/e_{B,C}); β needs no backhaul hop.
+  const double wan_bytes = alpha + beta + result;
+  const double wan_s = transfer_seconds(wan_bytes, p.bs_to_cloud_rate_bps);
+  CostEntry& cloud = out.by_placement[2];
+  cloud.compute_s = cycles / p.cloud_hz;
+  cloud.transfer_s = std::max(fetch_s, alpha_s) + result_s +
+                     (wan_bytes <= 0.0 ? 0.0 : p.bs_to_cloud_latency_s + wan_s);
+  cloud.energy_j =
+      fetch_j + alpha_j + result_j + p.bs_to_cloud_power_w * wan_s;
   return out;
 }
 
 CostEntry CostModel::evaluate(const Task& task, Placement p) const {
-  switch (p) {
-    case Placement::kLocal:
-      return local_cost(task);
-    case Placement::kEdge:
-      return edge_cost(task);
-    case Placement::kCloud:
-      return cloud_cost(task);
+  if (static_cast<std::size_t>(p) >= kAllPlacements.size()) {
+    throw ModelError("unknown placement");
   }
-  throw ModelError("unknown placement");
+  return evaluate(task).at(p);
 }
 
 double CostModel::upload_seconds(std::size_t device, double bytes) const {
@@ -79,101 +137,6 @@ double CostModel::bs_to_cloud_seconds(double bytes) const {
 double CostModel::bs_to_cloud_energy(double bytes) const {
   const SystemParameters& p = topo_->params();
   return p.bs_to_cloud_power_w * transfer_seconds(bytes, p.bs_to_cloud_rate_bps);
-}
-
-CostModel::ExternalFetch CostModel::external_fetch(const Task& task) const {
-  ExternalFetch f;
-  const double beta = task.external_bytes;
-  // No external data, or the "owner" is the issuing device itself: nothing
-  // to move over the radio.
-  if (beta <= 0.0 || task.external_owner == task.id.user) return f;
-  f.upload_s = upload_seconds(task.external_owner, beta);
-  f.owner_energy = upload_energy(task.external_owner, beta);
-  return f;
-}
-
-// l = 1: process on the issuing device. The external data travels
-// owner -> (owner's BS) [-> issuer's BS] -> issuer; then the device
-// computes locally (Eq. 2, Eq. 4's t^(R)_ij1 / E^(R)_ij1).
-CostEntry CostModel::local_cost(const Task& task) const {
-  const Device& dev = topo_->device(task.id.user);
-  const SystemParameters& p = topo_->params();
-
-  CostEntry e;
-  e.compute_s = task.cycles() / dev.cpu_hz;
-  e.energy_j = p.kappa * task.cycles() * dev.cpu_hz * dev.cpu_hz;  // E^(C)_ij1
-
-  const double beta = task.external_bytes;
-  const ExternalFetch fetch = external_fetch(task);
-  if (fetch.upload_s > 0.0) {
-    e.transfer_s = fetch.upload_s + download_seconds(task.id.user, beta);
-    e.energy_j += fetch.owner_energy + download_energy(task.id.user, beta);
-    if (!topo_->same_cluster(task.external_owner, task.id.user)) {
-      e.transfer_s += bs_to_bs_seconds(beta);
-      e.energy_j += bs_to_bs_energy(beta);
-    }
-  }
-  return e;
-}
-
-// l = 2: process on the issuing device's base station. Local data α uploads
-// from the issuer in parallel with the external fetch (max{...} in the
-// paper); the result η(α+β) downloads back to the issuer.
-CostEntry CostModel::edge_cost(const Task& task) const {
-  const BaseStation& bs = topo_->base_station(topo_->device(task.id.user).base_station);
-
-  CostEntry e;
-  e.compute_s = task.cycles() / bs.cpu_hz;
-  // Base-station compute energy is negligible next to radio energy (paper,
-  // Sec. II.A) and is omitted, as in the paper.
-
-  const double alpha = task.local_bytes;
-  const double beta = task.external_bytes;
-  const ExternalFetch fetch = external_fetch(task);
-
-  double external_path_s = fetch.upload_s;
-  double energy = fetch.owner_energy;
-  if (fetch.upload_s > 0.0 &&
-      !topo_->same_cluster(task.external_owner, task.id.user)) {
-    external_path_s += bs_to_bs_seconds(beta);
-    energy += bs_to_bs_energy(beta);
-  }
-  const double local_path_s =
-      alpha > 0.0 ? upload_seconds(task.id.user, alpha) : 0.0;
-  energy += alpha > 0.0 ? upload_energy(task.id.user, alpha) : 0.0;
-
-  const double result = task.result_bytes();
-  e.transfer_s = std::max(external_path_s, local_path_s) +
-                 download_seconds(task.id.user, result);
-  e.energy_j = energy + download_energy(task.id.user, result);
-  return e;
-}
-
-// l = 3: process on the remote cloud. Both α and β are forwarded over the
-// WAN (plus the returned result), with the paper's t_{B,C}/e_{B,C} terms.
-CostEntry CostModel::cloud_cost(const Task& task) const {
-  const SystemParameters& p = topo_->params();
-
-  CostEntry e;
-  e.compute_s = task.cycles() / p.cloud_hz;
-
-  const double alpha = task.local_bytes;
-  const double beta = task.external_bytes;
-  const ExternalFetch fetch = external_fetch(task);
-
-  const double local_path_s =
-      alpha > 0.0 ? upload_seconds(task.id.user, alpha) : 0.0;
-  double energy = fetch.owner_energy +
-                  (alpha > 0.0 ? upload_energy(task.id.user, alpha) : 0.0);
-
-  const double result = task.result_bytes();
-  const double wan_bytes = alpha + beta + result;
-  e.transfer_s = std::max(fetch.upload_s, local_path_s) +
-                 download_seconds(task.id.user, result) +
-                 bs_to_cloud_seconds(wan_bytes);
-  e.energy_j = energy + download_energy(task.id.user, result) +
-               bs_to_cloud_energy(wan_bytes);
-  return e;
 }
 
 }  // namespace mecsched::mec

@@ -8,6 +8,13 @@
 // the assignment algorithms consume its output and never re-derive costs,
 // so the model is unit-testable in isolation and the discrete-event
 // simulator can validate it independently.
+//
+// evaluate(task) is the one pricing routine. The three placements share
+// their transfer legs (the owner's uplink of β, its backhaul hop, the
+// issuer's α uplink, the result downlink) and the WAN leg is the cloud's
+// alone; each leg is one transfer, whose time also gives its energy, so a
+// task with remote external data costs 9 divisions and a local-only task
+// (a DTA partial) 6.
 #pragma once
 
 #include <array>
@@ -49,9 +56,11 @@ class CostModel {
  public:
   explicit CostModel(const Topology& topology) : topo_(&topology) {}
 
-  // All three placements at once (the common case in the LP builder).
+  // All three placements at once: the one pricing routine. Each shared
+  // transfer leg is priced once and the entries are summed from them.
   TaskCosts evaluate(const Task& task) const;
 
+  // evaluate(task).at(p); throws ModelError for an unknown placement.
   CostEntry evaluate(const Task& task, Placement p) const;
 
   // --- primitive transfer costs (exposed for the simulator and tests) ---
@@ -70,18 +79,6 @@ class CostModel {
   double bs_to_cloud_energy(double bytes) const;
 
  private:
-  CostEntry local_cost(const Task& task) const;
-  CostEntry edge_cost(const Task& task) const;
-  CostEntry cloud_cost(const Task& task) const;
-
-  // Time/energy for fetching the external data β from its owner up to the
-  // owner's base station (the shared prefix of all three placements).
-  struct ExternalFetch {
-    double upload_s = 0.0;       // owner's uplink time
-    double owner_energy = 0.0;   // e_L^(T)(β)
-  };
-  ExternalFetch external_fetch(const Task& task) const;
-
   const Topology* topo_;
 };
 

@@ -402,6 +402,69 @@ TEST_P(IndexedDivisionDiff, MatchesQuadraticReference) {
 INSTANTIATE_TEST_SUITE_P(RandomConfigs, IndexedDivisionDiff,
                          ::testing::Range(0, 48));
 
+// Topologies wider than one 64-bit word of the rearrangement's device
+// bitmap. Each boundary device (63/64, 127/128 and the last) is the only
+// owner of one item, so every division hands it that item; one task needs
+// all of those items, and one needs only the items of devices 128 and 129,
+// so its touched words start past the first.
+class IndexedDivisionWide : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(IndexedDivisionWide, MatchesQuadraticReferenceAcrossWords) {
+  const std::size_t n = GetParam();
+  workload::SharedDataConfig cfg;
+  cfg.seed = 7100 + n;
+  cfg.num_devices = n;
+  cfg.num_base_stations = 7;
+  cfg.num_tasks = 40;
+  cfg.num_items = 3 * n;
+  cfg.item_size_spread = 4.0;
+  SharedDataScenario scenario = workload::make_shared_scenario(cfg);
+
+  std::vector<std::size_t> boundary;
+  for (const std::size_t dev : {0, 62, 63, 64, 65, 126, 127, 128, 129}) {
+    if (dev < n) boundary.push_back(dev);
+  }
+  boundary.push_back(n - 1);
+  ItemSet all_boundary;
+  ItemSet high_word;
+  for (std::size_t j = 0; j < boundary.size(); ++j) {
+    // Item j is held by boundary[j] alone.
+    for (ItemSet& held : scenario.ownership) std::erase(held, j);
+    scenario.ownership[boundary[j]] =
+        set_union(scenario.ownership[boundary[j]], ItemSet{j});
+    all_boundary.push_back(j);
+    if (boundary[j] == 128 || boundary[j] == 129) high_word.push_back(j);
+  }
+  DivisibleTask spans = scenario.tasks.front();
+  spans.id = {n - 1, 1000};
+  spans.items = set_union(spans.items, all_boundary);
+  scenario.tasks.push_back(spans);
+  if (!high_word.empty()) {
+    DivisibleTask high = scenario.tasks.front();
+    high.id = {0, 1000};
+    high.items = high_word;
+    scenario.tasks.push_back(high);
+  }
+
+  expect_same_everything(scenario, PartialScheduler::kLocalGreedy);
+  DtaOptions options;
+  options.scheduler = PartialScheduler::kLocalGreedy;
+  const DtaResult run = run_dta(scenario, options);
+  for (const std::size_t dev : boundary) {
+    EXPECT_TRUE(std::ranges::any_of(
+        run.rearranged, [&](const mec::Task& t) { return t.id.user == dev; }))
+        << "no partial on device " << dev;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WideTopologies, IndexedDivisionWide,
+    ::testing::Values(std::size_t{64}, std::size_t{65}, std::size_t{130},
+                      std::size_t{200}),
+    [](const ::testing::TestParamInfo<std::size_t>& param) {
+      return "Devices" + std::to_string(param.param);
+    });
+
 // ---- Hand-built ties and orders.
 
 TEST(IndexedDivisionHandBuiltTest, EqualCountsGoToTheLowestDevice) {

@@ -4,6 +4,7 @@
 Usage:
     ab.py --base REV --head REV --workload W --pairs N
           [--seconds S] [--seed N] [--trace 0|1] [--expect-moved NAME ...]
+          [--json-out PATH]
     ab.py --self-test
 
 Run from the repository root. Each side is a git revision, exported with
@@ -24,6 +25,12 @@ not) and the exact two-sided sign-test p of those wins against the losses
 at least 9 in 10 and whose median moved by more than the base's
 interquartile range is marked `clear`; fewer pairs are never clear. Every run's value follows, in pair order.
 
+With --json-out the same summary is also written to PATH as JSON (schema
+"mecsched.ab.v1"): both sides' revisions and commit shas, the host's
+processor count, and per metric each side's runs, median, quartiles and
+MAD, head's change, wins, sign-test p and `clear`. bench/trajectory/
+keeps these files, one per measured change and workload.
+
 With --trace 1 each run also prints its deterministic work counters.
 Exits 1 if a counter differs between any two runs, except the counters
 named with --expect-moved (which may differ between the sides, but not
@@ -37,6 +44,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -47,8 +55,8 @@ class AbError(Exception):
     pass
 
 
-def git(*args):
-    out = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+def git(*args, cwd=ROOT):
+    out = subprocess.run(["git", "-C", str(cwd), *args], capture_output=True,
                          text=True)
     if out.returncode != 0:
         raise AbError(f"git {' '.join(args)}: {out.stderr.strip()}")
@@ -73,6 +81,20 @@ def checkout(side):
         if archive.wait() != 0 or untar.returncode != 0:
             raise AbError(f"could not export {side} ({sha})")
     return target
+
+
+def commit_of(tree):
+    """The commit a checkout holds: an export's directory name, or the
+    HEAD of a git checkout with "+dirty" when its tracked files have
+    changes; None for a directory outside git."""
+    if tree.parent == EXPORTS:
+        return tree.name
+    try:
+        head = git("rev-parse", "HEAD", cwd=tree)
+        dirty = git("status", "--porcelain", "--untracked-files=no", cwd=tree)
+    except AbError:
+        return None
+    return head + ("+dirty" if dirty else "")
 
 
 def run_side(tree, args):
@@ -179,6 +201,36 @@ def print_rows(rows):
               f"{p:>7.3g}{'  clear' if clear else ''}  {unit}")
 
 
+def summary_doc(opts, shas, metrics, rows, runs, moved):
+    """The --json-out document: what print_rows shows, plus every run."""
+    per_metric = {}
+    for (name, unit, b_med, b_q1, b_q3, h_med, h_q1, h_q3, change, wins, n,
+         clear, b_mad, h_mad, p) in rows:
+        better = next(m["better"] for m in metrics if m["name"] == name)
+        per_metric[name] = {
+            "unit": unit, "better": better,
+            "base": {"runs": [r[name] for r in runs["base"] if name in r],
+                     "median": b_med, "q1": b_q1, "q3": b_q3, "mad": b_mad},
+            "head": {"runs": [r[name] for r in runs["head"] if name in r],
+                     "median": h_med, "q1": h_q1, "q3": h_q3, "mad": h_mad},
+            "change": change, "wins": wins, "pairs": n, "sign_p": p,
+            "clear": clear}
+    return {
+        "schema": "mecsched.ab.v1",
+        "workload": opts.workload, "pairs": opts.pairs,
+        "seconds": opts.seconds, "seed": opts.seed, "trace": opts.trace,
+        "base": {"rev": opts.base, "sha": shas["base"]},
+        "head": {"rev": opts.head, "sha": shas["head"]},
+        "nproc": len(os.sched_getaffinity(0)),
+        "metrics": per_metric,
+        "counters_moved": moved,
+    }
+
+
+def write_json(path, doc):
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+
+
 def self_test():
     spec = [{"name": "solve_ms_p50", "unit": "ms", "better": "lower"},
             {"name": "decisions_per_s", "unit": "1/s", "better": "higher"},
@@ -245,6 +297,37 @@ def self_test():
          counter_diffs([same], [{"lp.simplex.pivots": 8053}], []),
          ["serve.shard.devices"]),
     ]
+    opts = argparse.Namespace(workload="serve_city", pairs=10, seconds=50.0,
+                              seed=None, trace=0, base="HEAD~1", head=".")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ab.json"
+        write_json(path, summary_doc(
+            opts, {"base": "a" * 40, "head": "b" * 40 + "+dirty"}, spec,
+            summarize(spec, base, head), {"base": base, "head": head}, []))
+        doc = json.loads(path.read_text())
+    solve = doc["metrics"]["solve_ms_p50"]
+    checks += [
+        ("json schema", doc["schema"], "mecsched.ab.v1"),
+        ("json shas", (doc["base"]["sha"], doc["head"]["sha"]),
+         ("a" * 40, "b" * 40 + "+dirty")),
+        ("json revs", (doc["base"]["rev"], doc["head"]["rev"]),
+         ("HEAD~1", ".")),
+        ("json nproc", doc["nproc"] >= 1, True),
+        ("json base runs", solve["base"]["runs"],
+         [b["solve_ms_p50"] for b in base]),
+        ("json head runs", solve["head"]["runs"],
+         [h["solve_ms_p50"] for h in head]),
+        ("json medians", (solve["base"]["median"], solve["head"]["median"]),
+         (200.0, 170.5)),
+        ("json quartiles", (solve["base"]["q1"], solve["base"]["q3"]),
+         quartiles([b["solve_ms_p50"] for b in base])),
+        ("json wins and clear", (solve["wins"], solve["pairs"],
+                                 solve["clear"]), (9, 10, True)),
+        ("json better", solve["better"], "lower"),
+        ("json not clear", doc["metrics"]["decisions_per_s"]["clear"], False),
+        ("json metrics", sorted(doc["metrics"]),
+         ["decisions_per_s", "placed_share", "solve_ms_p50"]),
+    ]
     ok = True
     for what, got, want in checks:
         if got != want:
@@ -266,6 +349,7 @@ def main():
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--expect-moved", nargs="*", default=[])
+    parser.add_argument("--json-out")
     opts = parser.parse_args()
     if opts.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -297,17 +381,22 @@ def main():
     print(f"head {opts.head} ({trees['head']})")
     print(f"workload {opts.workload}, {opts.pairs} alternating pairs, "
           f"{opts.seconds:g} s, trace {opts.trace}")
-    print_rows(summarize(metrics, runs["base"], runs["head"]))
+    rows = summarize(metrics, runs["base"], runs["head"])
+    print_rows(rows)
     print("runs, in pair order:")
     for m in metrics:
         name = m["name"]
         for side in ("base", "head"):
             values = " ".join(f"{r[name]:.6g}" for r in runs[side] if name in r)
             print(f"  {name} {side}: {values}")
+    diffs = counter_diffs(counters["base"], counters["head"],
+                          set(opts.expect_moved)) if opts.trace else []
+    if opts.json_out:
+        shas = {side: commit_of(tree) for side, tree in trees.items()}
+        write_json(opts.json_out,
+                   summary_doc(opts, shas, metrics, rows, runs, diffs))
     if not opts.trace:
         return 0
-    diffs = counter_diffs(counters["base"], counters["head"],
-                          set(opts.expect_moved))
     for k in diffs:
         vals = sorted({c.get(k) for side in counters.values() for c in side},
                       key=str)
