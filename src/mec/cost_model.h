@@ -9,12 +9,14 @@
 // so the model is unit-testable in isolation and the discrete-event
 // simulator can validate it independently.
 //
-// evaluate(task) is the one pricing routine. The three placements share
-// their transfer legs (the owner's uplink of β, its backhaul hop, the
-// issuer's α uplink, the result downlink) and the WAN leg is the cloud's
-// alone; each leg is one transfer, whose time also gives its energy, so a
-// task with remote external data costs 9 divisions and a local-only task
-// (a DTA partial) 6.
+// evaluate(task) is the one pricing routine. The placements share their
+// transfer legs (the owner's uplink of β and its backhaul hop, the
+// issuer's α uplink, the result downlink); the issuer's β downlink is the
+// device's alone and the WAN leg the cloud's. Each leg is priced once, as
+// a time whose energy is power × that time, so a task with remote
+// external data costs 9 divisions and a local-only task (a DTA partial)
+// 6, with the same operations in the same order as pricing each
+// placement on its own.
 #pragma once
 
 #include <array>
